@@ -1,20 +1,19 @@
-// Command daisy-bench regenerates the paper's tables and figures, and
-// measures concurrent query-serving throughput.
+// Command daisy-bench regenerates the paper's tables and figures and runs
+// the durability, fault-injection and serving smokes CI drives. Performance
+// is measured by the benchmark in ./bench (go run ./bench), not here.
 //
 // Usage:
 //
 //	daisy-bench -exp fig5            # one experiment
 //	daisy-bench -exp all             # everything, paper order
 //	daisy-bench -exp fig7 -scale 0.5 # smaller datasets
-//	daisy-bench -exp qps -parallel 8 # concurrent serving throughput
-//	daisy-bench -exp bgclean         # tail latency at the §5.2.3 switch
-//	daisy-bench -exp segskip         # sweep throughput vs dirty fraction
 //	daisy-bench -exp durability -dir /tmp/d -phase run     # durable workload + sweep
 //	daisy-bench -exp durability -dir /tmp/d -phase verify  # reopen, resume, check
 //	daisy-bench -exp faults                                # ENOSPC mid-load, heal, verify
+//	daisy-bench -exp serve -parallel 8 -queries 4000       # closed-loop HTTP load + drain check
 //
-// Experiment ids: fig5..fig13, table5..table8, qps, bgclean, segskip,
-// durability, faults.
+// Experiment ids: fig5..fig13, table5..table8, all, durability, faults,
+// serve.
 //
 // The durability experiment is the crash-recovery smoke: -phase run opens a
 // durable session in -dir, registers a seeded dirty relation, runs queries,
@@ -34,96 +33,61 @@
 // proves a clean reopen reproduces the exact final state, printing
 // `fingerprint_match=true` on success.
 //
-// The qps experiment serves a fixed FD-cleaning workload from N concurrent
-// callers against one session (-parallel; 1 = sequential baseline) and
-// reports wall time, queries/second, and a result checksum. The checksum is
-// computed from a sequential verification pass over the converged state, so
-// it is identical for every -parallel value — racing callers must not change
-// per-query results. Speedup vs -parallel 1 requires GOMAXPROCS > 1.
+// The serve experiment is the serving smoke: -parallel closed-loop clients
+// send -queries mixed query and background-clean requests to an in-process
+// server or a running daisy-serve (-url) and check that every response body
+// ends with its trailer (`bodies_complete=true`). -phase verify -dir reopens
+// a durable tenant root afterwards and compares it with an in-memory oracle
+// run.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"daisy/internal/core"
 	"daisy/internal/dc"
 	"daisy/internal/experiments"
-	"daisy/internal/ptable"
 	"daisy/internal/schema"
 	"daisy/internal/table"
 	"daisy/internal/value"
 	"daisy/internal/vfs"
-	"daisy/internal/workload"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (fig5..fig13, table5..table8, qps, all)")
+	exp := flag.String("exp", "all", "experiment id (fig5..fig13, table5..table8, all, durability, faults, serve)")
 	scale := flag.Float64("scale", 1.0, "dataset scale factor (1.0 = full laptop scale)")
 	seed := flag.Int64("seed", 42, "workload seed")
-	parallel := flag.Int("parallel", 1, "qps: number of concurrent query callers")
-	queries := flag.Int("queries", 400, "qps: total queries across all callers")
-	rows := flag.Int("rows", 20000, "qps: relation size")
+	parallel := flag.Int("parallel", 1, "serve: number of concurrent clients (also the in-process server's inflight bound)")
+	queries := flag.Int("queries", 400, "serve: total operations across all clients")
+	rows := flag.Int("rows", 20000, "durability/faults/serve: relation size")
 	dir := flag.String("dir", "", "durability/serve: WAL/checkpoint directory (serve: tenant root)")
 	phase := flag.String("phase", "run", "durability/serve: run|verify")
 	url := flag.String("url", "", "serve: target a running daisy-serve instead of an in-process server")
 	flag.Parse()
 
-	// Ctrl-C cancels in-flight queries through the context path; the qps
-	// experiment then reports the partial throughput numbers and exits
-	// cleanly.
+	// Ctrl-C cancels in-flight queries through the context path.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *exp == "qps" {
-		if err := runQPS(ctx, *parallel, *queries, *rows, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		return
+	var smoke func() error
+	switch *exp {
+	case "durability":
+		smoke = func() error { return runDurability(ctx, *dir, *phase, *rows) }
+	case "faults":
+		smoke = func() error { return runFaults(ctx, *dir, *rows) }
+	case "serve":
+		smoke = func() error { return runServe(ctx, *parallel, *queries, *rows, *dir, *url, *phase) }
 	}
-	if *exp == "bgclean" {
-		if err := runBGClean(ctx, *rows); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "segskip" {
-		if err := runSegSkip(ctx, *rows); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "durability" {
-		if err := runDurability(ctx, *dir, *phase, *rows); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "faults" {
-		if err := runFaults(ctx, *dir, *rows); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "serve" {
-		if err := runServe(ctx, *parallel, *queries, *rows, *dir, *url, *phase); err != nil {
+	if smoke != nil {
+		if err := smoke(); err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(1)
 		}
@@ -155,204 +119,6 @@ func main() {
 		fmt.Println(r)
 	}
 	fmt.Printf("total wall time: %s\n", time.Since(start).Round(time.Millisecond))
-}
-
-// runBGClean measures the latency cliff at the §5.2.3 strategy switch: the
-// same disjoint-range workload over a modestly dirty relation runs once with
-// the inline switch (the triggering query pays the full clean) and once with
-// the background sweep (the triggering query cleans only its own scope and
-// the sweep publishes one epoch per chunk underneath the remaining queries).
-// It reports the switch point, each run's worst per-query latency, the
-// triggering query's own latency, and whether the two quiesced states are
-// byte-identical — the convergence guarantee CI guards.
-func runBGClean(ctx context.Context, rows int) error {
-	groups := rows / 4
-	if groups < 200 {
-		return fmt.Errorf("bgclean: -rows must be >= 800")
-	}
-	const rangeGroups = 100 // groups per query
-	build := func() *table.Table {
-		sch := schema.MustNew(
-			schema.Column{Name: "orderkey", Kind: value.Int},
-			schema.Column{Name: "suppkey", Kind: value.Int},
-		)
-		tb := table.New("lineorder", sch)
-		for g := 0; g < groups; g++ {
-			for r := 0; r < 4; r++ {
-				supp := int64(1000 + g)
-				if g%5 == 0 && r == 3 {
-					supp = int64(1000 + groups + g) // unique wrong value
-				}
-				tb.MustAppend(table.Row{value.NewInt(int64(g)), value.NewInt(supp)})
-			}
-		}
-		return tb
-	}
-	type runResult struct {
-		lats     []time.Duration
-		switchAt int
-		trigger  time.Duration
-		fp       string
-	}
-	run := func(inline bool) (runResult, error) {
-		res := runResult{switchAt: -1}
-		s := core.NewSession(core.Options{
-			Strategy:               core.StrategyAuto,
-			DisableStatsPruning:    true, // every query charges the model: deterministic switch
-			DisableBackgroundClean: inline,
-		})
-		defer s.Close()
-		if err := s.Register(build()); err != nil {
-			return res, err
-		}
-		if err := s.AddRule(dc.FD("phi", "lineorder", "suppkey", "orderkey")); err != nil {
-			return res, err
-		}
-		for i, lo := 0, 0; lo < groups; i, lo = i+1, lo+rangeGroups {
-			q := fmt.Sprintf("SELECT orderkey, suppkey FROM lineorder WHERE orderkey >= %d AND orderkey < %d",
-				lo, lo+rangeGroups)
-			t0 := time.Now()
-			rs, err := s.QueryContext(ctx, q)
-			lat := time.Since(t0)
-			if err != nil {
-				return res, err
-			}
-			for _, d := range rs.Decisions() {
-				if (d.Strategy == "full" || d.Strategy == "background") && res.switchAt < 0 {
-					res.switchAt = i
-					res.trigger = lat
-				}
-			}
-			rs.Close()
-			res.lats = append(res.lats, lat)
-		}
-		if err := s.WaitCleaning(ctx); err != nil {
-			return res, err
-		}
-		for _, job := range s.CleaningStatus() {
-			fmt.Printf("bgclean: job %s/%s %v %d/%d rows in %d chunks, %d groups, %d backpressure waits\n",
-				job.Table, job.Rule, job.State, job.RowsDone, job.RowsTotal,
-				job.ChunksDone, job.GroupsCleaned, job.BackpressureWaits)
-		}
-		res.fp = s.Table("lineorder").Fingerprint()
-		return res, nil
-	}
-	maxLat := func(lats []time.Duration) time.Duration {
-		var m time.Duration
-		for _, l := range lats {
-			if l > m {
-				m = l
-			}
-		}
-		return m
-	}
-	inline, err := run(true)
-	if err != nil {
-		return err
-	}
-	async, err := run(false)
-	if err != nil {
-		return err
-	}
-	// A workload that never flips measures nothing — fail loudly instead of
-	// letting the CI guard pass vacuously on two purely incremental runs.
-	if inline.switchAt < 0 || async.switchAt < 0 {
-		return fmt.Errorf("bgclean: workload never hit the §5.2.3 switch (inline=q%d async=q%d)",
-			inline.switchAt, async.switchAt)
-	}
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	fmt.Printf("bgclean: rows=%d queries=%d switch_inline=q%d switch_async=q%d gomaxprocs=%d\n",
-		rows, len(inline.lats), inline.switchAt, async.switchAt, runtime.GOMAXPROCS(0))
-	fmt.Printf("bgclean: inline_tail_ms=%.3f async_tail_ms=%.3f inline_trigger_ms=%.3f async_trigger_ms=%.3f converged=%v\n",
-		ms(maxLat(inline.lats)), ms(maxLat(async.lats)), ms(inline.trigger), ms(async.trigger),
-		inline.fp == async.fp)
-	return nil
-}
-
-// runSegSkip measures background-sweep scan throughput against the fraction
-// of dirty storage segments: the same relation shape runs with 0%, 1%, and
-// 50% of its segments holding one violating group, each swept to quiescence
-// through Session.CleanInBackground. The per-segment anchor counters let the
-// sweep skip clean segments wholesale, so throughput should rise steeply as
-// the dirty fraction falls. Every run's quiesced state is fingerprint-checked
-// against an inline incremental covering clean of an identical relation —
-// the convergence guarantee that makes the skip path safe to ship.
-func runSegSkip(ctx context.Context, rows int) error {
-	segSize := ptable.SegmentSize
-	segs := rows / segSize
-	if segs < 4 {
-		return fmt.Errorf("segskip: -rows must be >= %d (4 segments)", 4*segSize)
-	}
-	rows = segs * segSize
-	build := func(dirtyPct int) *table.Table {
-		sch := schema.MustNew(
-			schema.Column{Name: "zip", Kind: value.Int},
-			schema.Column{Name: "city", Kind: value.String},
-		)
-		tb := table.New("cities", sch)
-		stride := 0
-		if dirtyPct > 0 {
-			stride = 100 / dirtyPct
-		}
-		for i := 0; i < rows; i++ {
-			city := "LA"
-			if stride > 0 && (i/segSize)%stride == 0 && i%segSize == 0 {
-				city = "SF" // first group of a dirty segment breaks phi
-			}
-			tb.MustAppend(table.Row{value.NewInt(int64(i / 4)), value.NewString(city)})
-		}
-		return tb
-	}
-	rule := func() *dc.Constraint { return dc.FD("phi", "cities", "city", "zip") }
-	allConverged := true
-	for _, pct := range []int{0, 1, 50} {
-		// Inline incremental reference: the convergence target bytes.
-		ref := core.NewSession(core.Options{Strategy: core.StrategyIncremental, DisableStatsPruning: true})
-		if err := ref.Register(build(pct)); err != nil {
-			return err
-		}
-		if err := ref.AddRule(rule()); err != nil {
-			return err
-		}
-		if _, err := ref.Query("SELECT zip, city FROM cities WHERE zip >= 0"); err != nil {
-			ref.Close()
-			return err
-		}
-		want := ref.Table("cities").Fingerprint()
-		ref.Close()
-
-		s := core.NewSession(core.Options{})
-		if err := s.Register(build(pct)); err != nil {
-			s.Close()
-			return err
-		}
-		if err := s.AddRule(rule()); err != nil {
-			s.Close()
-			return err
-		}
-		t0 := time.Now()
-		if !s.CleanInBackground("cities", "phi") {
-			s.Close()
-			return fmt.Errorf("segskip: CleanInBackground refused the sweep")
-		}
-		if err := s.WaitCleaning(ctx); err != nil {
-			s.Close()
-			return err
-		}
-		wall := time.Since(t0)
-		jobs := s.CleaningStatus()
-		job := jobs[len(jobs)-1]
-		converged := s.Table("cities").Fingerprint() == want
-		allConverged = allConverged && converged
-		fmt.Printf("segskip: dirty=%d%% rows=%d sweep_ms=%.3f rows_per_s=%.0f chunks=%d groups=%d converged=%v\n",
-			pct, rows, float64(wall)/float64(time.Millisecond),
-			float64(rows)/wall.Seconds(), job.ChunksDone, job.GroupsCleaned, converged)
-		s.Close()
-	}
-	if !allConverged {
-		return fmt.Errorf("segskip: a sweep diverged from the inline reference bytes")
-	}
-	return nil
 }
 
 // durabilityTable builds the durability experiment's relation: zip groups of
@@ -587,115 +353,5 @@ func runFaults(ctx context.Context, dir string, rows int) error {
 	if got != want {
 		return fmt.Errorf("faults: recovered state diverged from the pre-close state")
 	}
-	return nil
-}
-
-// runQPS serves an FD-cleaning workload from `parallel` goroutines over one
-// shared session. Early queries carry repair work; once the dataset
-// converges the workload is read-mostly — the regime the snapshot epochs are
-// built for.
-func runQPS(ctx context.Context, parallel, totalQueries, rows int, seed int64) error {
-	if parallel < 1 {
-		return fmt.Errorf("qps: -parallel must be >= 1")
-	}
-	lo := workload.Lineorder(workload.SSBConfig{
-		Rows: rows, DistinctOrders: rows / 5, DistinctSupps: rows / 50, Seed: seed,
-	})
-	workload.InjectFDErrors(lo, "orderkey", "suppkey", 0.4, 0.2, seed+1)
-
-	// Inter-query parallelism is the product under test: give each query a
-	// single worker so callers don't fight over cores.
-	intra := runtime.GOMAXPROCS(0) / parallel
-	if intra < 1 {
-		intra = 1
-	}
-	s := core.NewSession(core.Options{
-		Strategy:             core.StrategyIncremental,
-		Workers:              intra,
-		MaxConcurrentQueries: parallel,
-	})
-	defer s.Close()
-	if err := s.Register(lo); err != nil {
-		return err
-	}
-	if err := s.AddRule(dc.FD("phi", "lineorder", "suppkey", "orderkey")); err != nil {
-		return err
-	}
-
-	domain := rows / 5
-	queryAt := func(i int) string {
-		span := domain / 40
-		lo := (i * 13) % (domain - span)
-		return fmt.Sprintf("SELECT orderkey, suppkey FROM lineorder WHERE orderkey >= %d AND orderkey <= %d", lo, lo+span)
-	}
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	var completed atomic.Int64
-	errCh := make(chan error, parallel)
-	next := make(chan int)
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			failed := false
-			for i := range next {
-				if failed {
-					continue // keep draining so the dispatcher never blocks
-				}
-				res, err := s.QueryContext(ctx, queryAt(i))
-				switch {
-				case err == nil:
-					res.Close()
-					completed.Add(1)
-				case errors.Is(err, context.Canceled):
-					failed = true // interrupted: drain quietly
-				default:
-					errCh <- err
-					failed = true
-				}
-			}
-		}()
-	}
-	for i := 0; i < totalQueries; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	close(errCh)
-	if err := <-errCh; err != nil {
-		return err
-	}
-	elapsed := time.Since(start)
-	if ctx.Err() != nil {
-		// Interrupted: report partial metrics and exit cleanly. The session
-		// state is consistent — canceled queries published nothing.
-		done := completed.Load()
-		fmt.Printf("qps workload interrupted: %d/%d queries completed, parallel=%d\n",
-			done, totalQueries, parallel)
-		fmt.Printf("wall=%s qps=%.1f epoch=%d (partial)\n",
-			elapsed.Round(time.Millisecond), float64(done)/elapsed.Seconds(), s.Epoch())
-		return nil
-	}
-
-	// Verification pass: re-run every distinct query sequentially over the
-	// converged state and fold result fingerprints plus the final table
-	// state into one checksum. Identical across -parallel values.
-	h := fnv.New64a()
-	for i := 0; i < totalQueries; i++ {
-		res, err := s.Query(queryAt(i))
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(h, "%d:%d\n", i, res.Rows.Len())
-		h.Write([]byte(res.Rows.Fingerprint()))
-	}
-	h.Write([]byte(s.Table("lineorder").Fingerprint()))
-
-	qps := float64(totalQueries) / elapsed.Seconds()
-	fmt.Printf("qps workload: %d queries, %d rows, parallel=%d, workers/query=%d, gomaxprocs=%d\n",
-		totalQueries, rows, parallel, intra, runtime.GOMAXPROCS(0))
-	fmt.Printf("wall=%s qps=%.1f epoch=%d checksum=%016x\n",
-		elapsed.Round(time.Millisecond), qps, s.Epoch(), h.Sum64())
 	return nil
 }

@@ -80,7 +80,7 @@ func main() {
 
 	pt := ptable.FromTable(t)
 	start := time.Now()
-	rep, err := (&offline.Cleaner{}).CleanAllContext(ctx, pt, parsed)
+	rep, err := (&offline.Cleaner{}).CleanAll(ctx, pt, parsed)
 	if errors.Is(err, context.Canceled) {
 		fmt.Printf("interrupted after %s; partial work: scanned=%d comparisons=%d repairs=%d\n",
 			time.Since(start).Round(time.Millisecond),

@@ -412,9 +412,9 @@ func (qc *queryCtx) cleanDC(st *tableState, tableName string, rule *dc.Constrain
 	var err error
 	if len(rest) > 0 {
 		restView := detect.SubsetView{Base: view, Idx: rest}
-		pairs, err = thetajoin.DetectPartialWorkersSpan(qc.ctx, detectSp, deltaView, restView, rule, qc.opts.Partitions, qc.opts.Workers, m)
+		pairs, err = thetajoin.DetectPartial(qc.ctx, detectSp, deltaView, restView, rule, qc.opts.Partitions, qc.opts.Workers, m)
 	} else {
-		pairs, err = thetajoin.DetectWorkersSpan(qc.ctx, detectSp, deltaView, rule, qc.opts.Partitions, qc.opts.Workers, m)
+		pairs, err = thetajoin.DetectCtx(qc.ctx, detectSp, deltaView, rule, qc.opts.Partitions, qc.opts.Workers, m)
 	}
 	if detectSp.Active() {
 		detectSp.End(trace.Str("rule", rule.Name),

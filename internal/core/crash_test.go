@@ -235,7 +235,7 @@ func TestCrashAtEveryRecordBoundary(t *testing.T) {
 	runCrashScenario(t, s, nil)
 	s.Close()
 
-	recs, err := wal.Records(dir, 0)
+	recs, err := wal.RecordsFS(vfs.OS{}, dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestCrashAtCheckpointBoundaries(t *testing.T) {
 	})
 	s.Close()
 
-	ckLSN, _, ok, err := wal.LatestCheckpoint(dir)
+	ckLSN, _, ok, err := wal.LatestCheckpointFS(vfs.OS{}, dir)
 	if err != nil || !ok {
 		t.Fatalf("no checkpoint after scenario: %v", err)
 	}
@@ -298,14 +298,14 @@ func TestCrashAtCheckpointBoundaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2.Close()
-	if recs, err := wal.Records(atCkpt, ckLSN); err != nil || len(recs) == 0 {
+	if recs, err := wal.RecordsFS(vfs.OS{}, atCkpt, ckLSN); err != nil || len(recs) == 0 {
 		t.Fatalf("post-recovery journaling: recs=%d err=%v", len(recs), err)
 	}
 
 	// Kill at every record boundary past the checkpoint (the checkpoint's
 	// prune already retired the covered files, so all remaining records
 	// replay on top of the image).
-	recs, err := wal.Records(dir, ckLSN)
+	recs, err := wal.RecordsFS(vfs.OS{}, dir, ckLSN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestCrashMidSweepResumes(t *testing.T) {
 	want := s.StateFingerprint()
 	s.Close()
 
-	recs, err := wal.Records(dir, 0)
+	recs, err := wal.RecordsFS(vfs.OS{}, dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ func TestApplyRecordBytesODelta(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.Close()
-		recs, err := wal.Records(dir, 0)
+		recs, err := wal.RecordsFS(vfs.OS{}, dir, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

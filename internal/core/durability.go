@@ -195,14 +195,14 @@ func (w *writer) flushPendingLocked() bool {
 		if w.wlog == nil {
 			return false
 		}
-		lsn, err := w.wlog.Append(w.pending[0])
+		res, err := w.wlog.Append(w.pending[0])
 		if err != nil {
 			if errors.Is(err, wal.ErrDirtyTail) {
 				w.degradeLocked()
 			}
 			return false
 		}
-		w.lastLSN = lsn
+		w.lastLSN = res.LSN
 		w.pending = w.pending[1:]
 	}
 	w.walErr = nil

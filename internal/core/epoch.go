@@ -248,7 +248,7 @@ func (w *writer) appendStatsLocked(rec []byte) (uint64, wal.AppendResult) {
 		w.pending = append(w.pending, rec)
 		return 0, wal.AppendResult{}
 	}
-	res, err := w.wlog.AppendStats(rec)
+	res, err := w.wlog.Append(rec)
 	if err != nil {
 		if !errors.Is(err, wal.ErrClosed) {
 			w.failAppendLocked(rec, err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -38,7 +39,7 @@ func TestDaisyMatchesOfflineOnGeneratedData(t *testing.T) {
 		}
 
 		off := ptable.FromTable(lo)
-		if _, err := (&offline.Cleaner{}).CleanFD(off, rule); err != nil {
+		if _, err := (&offline.Cleaner{}).CleanAll(context.Background(), off, []*dc.Constraint{rule}); err != nil {
 			return false
 		}
 		daisyPT := s.Table("lineorder")

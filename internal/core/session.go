@@ -245,9 +245,9 @@ type Result struct {
 }
 
 // Session is a query-driven cleaning session over one or more dirty tables.
-// Query/Run are safe for concurrent use; Register, AddRule, and ReplaceTable
-// may run at any time but queries already in flight keep their epoch and do
-// not see the change.
+// Query/QueryContext are safe for concurrent use; Register, AddRule, and
+// ReplaceTable may run at any time but queries already in flight keep their
+// epoch and do not see the change.
 type Session struct {
 	opts  Options
 	w     *writer
@@ -351,8 +351,11 @@ func (s *Session) arm() {
 // with in-flight queries — a query admitted before Close still completes
 // (its write-backs apply inline, in memory only: a write-back that loses the
 // race with Close is not journaled); a finalizer covers sessions that are
-// simply dropped.
+// simply dropped. Close disarms that finalizer: it captures the writer and
+// with it the last snapshot, so an armed finalizer would keep a closed,
+// dropped session's tables alive for one more GC cycle.
 func (s *Session) Close() {
+	runtime.SetFinalizer(s, nil)
 	s.bg.Close()
 	if s.ckpt != nil {
 		s.ckpt.stop()
@@ -553,16 +556,6 @@ func (s *Session) Query(text string) (*Result, error) {
 	return rows.Result(), nil
 }
 
-// Run executes a parsed query and materializes the full result. It is a thin
-// wrapper over RunContext with a background context.
-func (s *Session) Run(q *sql.Query) (*Result, error) {
-	rows, err := s.RunContext(context.Background(), q)
-	if err != nil {
-		return nil, err
-	}
-	return rows.Result(), nil
-}
-
 // QueryContext parses, plans, and executes a statement with cooperative
 // cancellation and per-query options, returning a streaming Rows cursor over
 // the cleaned result. Safe for concurrent use.
@@ -579,8 +572,16 @@ func (s *Session) Run(q *sql.Query) (*Result, error) {
 // of the offending token (errors.As), and wrapped context.Canceled /
 // context.DeadlineExceeded for aborted queries.
 func (s *Session) QueryContext(ctx context.Context, text string, opts ...QueryOption) (*Rows, error) {
-	cfg := s.resolveConfig(opts)
-	tr := newQueryTrace(&cfg)
+	cfg := queryConfig{opts: s.opts}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	// Record a span tree when asked (WithTrace) or sampled
+	// (Options.TraceSampleRate); a nil trace is the zero-cost untraced query.
+	var tr *trace.Trace
+	if cfg.trace || (cfg.opts.TraceSampleRate > 0 && rand.Float64() < cfg.opts.TraceSampleRate) {
+		tr = trace.New("query")
+	}
 	t0 := time.Now()
 	q, err := sql.Parse(text)
 	d := time.Since(t0)
@@ -592,39 +593,6 @@ func (s *Session) QueryContext(ctx context.Context, text string, opts ...QueryOp
 		s.instr.queryErrors.Inc()
 		return nil, err
 	}
-	return s.runResolved(ctx, q, cfg, tr)
-}
-
-// RunContext is QueryContext for an already parsed query. A traced run's
-// span tree has no parse span — parsing happened before the call.
-func (s *Session) RunContext(ctx context.Context, q *sql.Query, opts ...QueryOption) (*Rows, error) {
-	cfg := s.resolveConfig(opts)
-	return s.runResolved(ctx, q, cfg, newQueryTrace(&cfg))
-}
-
-// resolveConfig overlays the caller's per-query options on the session
-// defaults.
-func (s *Session) resolveConfig(opts []QueryOption) queryConfig {
-	cfg := queryConfig{opts: s.opts}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return cfg
-}
-
-// newQueryTrace decides whether this query records a span tree: explicitly
-// via WithTrace, or probabilistically via Options.TraceSampleRate. Returns
-// nil — the zero-cost untraced query — otherwise.
-func newQueryTrace(cfg *queryConfig) *trace.Trace {
-	if cfg.trace || (cfg.opts.TraceSampleRate > 0 && rand.Float64() < cfg.opts.TraceSampleRate) {
-		return trace.New("query")
-	}
-	return nil
-}
-
-// runResolved plans and executes a parsed query against resolved options,
-// instrumenting the pipeline onto tr (nil: untraced) as it goes.
-func (s *Session) runResolved(ctx context.Context, q *sql.Query, cfg queryConfig, tr *trace.Trace) (*Rows, error) {
 	if s.w.closed.Load() {
 		return nil, ErrSessionClosed
 	}
@@ -681,7 +649,7 @@ func (s *Session) runResolved(ctx context.Context, q *sql.Query, cfg queryConfig
 	// (e.g. a schema-resolution panic in the engine) and the caller recovers
 	// per request.
 	defer qc.abort()
-	t0 := time.Now()
+	t0 = time.Now()
 	node, err := plan.Build(q, qc, snap.rules)
 	planDur := time.Since(t0)
 	s.instr.planSec.ObserveDuration(planDur)
@@ -708,7 +676,7 @@ func (s *Session) runResolved(ctx context.Context, q *sql.Query, cfg queryConfig
 	execSp := root.Start("exec")
 	ex.Span = execSp
 	t0 = time.Now()
-	fr, err := ex.RunFrame(node)
+	fr, err := ex.Run(node)
 	s.instr.execSec.ObserveDuration(time.Since(t0))
 	if execSp.Active() {
 		n := 0

@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"daisy/internal/dc"
 	"daisy/internal/ptable"
@@ -375,5 +377,27 @@ func TestCleaningAfterReplaceTable(t *testing.T) {
 		if d.Strategy != "skip" {
 			t.Errorf("expected skip after convergence, got %+v", d)
 		}
+	}
+}
+
+// TestCloseReleasesTablesInOneGC: Close disarms the session finalizer, whose
+// closure holds the writer and with it the last snapshot. A closed, dropped
+// session's tables are then collectable by the very next GC cycle instead of
+// surviving until the redundant finalizer has run.
+func TestCloseReleasesTablesInOneGC(t *testing.T) {
+	freed := make(chan struct{})
+	func() {
+		s := newCitySession(t, Options{Strategy: StrategyIncremental})
+		if _, err := s.Query("SELECT zip, city FROM cities WHERE zip = 9001"); err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(s.Table("cities"), func(*ptable.PTable) { close(freed) })
+		s.Close()
+	}()
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("a closed, dropped session's table survived a GC cycle")
 	}
 }

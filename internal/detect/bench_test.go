@@ -11,7 +11,7 @@ import (
 )
 
 // benchTable builds rows rows over distinct lhs groups with a typo injected
-// every tenth row — the BenchmarkQueryCleanFD data shape.
+// every tenth row.
 func benchTable(rows, groups int) *table.Table {
 	sch := schema.MustNew(
 		schema.Column{Name: "zip", Kind: value.Int},

@@ -145,13 +145,6 @@ func (g *Group) RHSDistribution() ([]value.Value, []int) {
 	return vals, counts
 }
 
-// LHSKeyOf builds the comparable grouping key for the FD lhs of row i. It
-// re-resolves column names per call; hot loops should CompileFD once and use
-// FDCols.LHSKey.
-func LHSKeyOf(v RowView, i int, fd dc.FDSpec) value.MapKey {
-	return CompileFD(v, fd).LHSKey(v, i)
-}
-
 // GroupByFD hash-groups the view's rows by the FD lhs. Cost is O(n), the
 // paper's §5.2.1 error-detection complexity for FDs. Metrics (optional)
 // accumulate scanned-tuple counts.

@@ -51,9 +51,11 @@ func TestHashJoinAllocs(t *testing.T) {
 	e := &Executor{Tables: map[string]*ptable.PTable{"cities": left, "employee": right}}
 	n := joinPlan(t, e)
 	perRun := testing.AllocsPerRun(5, func() {
-		if _, err := e.Run(n); err != nil {
+		fr, err := e.Run(n)
+		if err != nil {
 			t.Fatal(err)
 		}
+		fr.Materialize()
 	})
 	// Budget: output tuples dominate (tuple + cells + lineage per emitted
 	// row ≈ 5); the probe side must not add per-candidate key allocations.
@@ -71,8 +73,10 @@ func BenchmarkHashJoin(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(n); err != nil {
+		fr, err := e.Run(n)
+		if err != nil {
 			b.Fatal(err)
 		}
+		fr.Materialize()
 	}
 }

@@ -95,8 +95,7 @@ type Frame struct {
 // Len returns the number of result rows.
 func (f *Frame) Len() int { return len(f.Rows) }
 
-// Materialize snapshots the frame into a standalone result table (identical
-// to what Run returns).
+// Materialize snapshots the frame into a standalone result table.
 func (f *Frame) Materialize() *ptable.PTable {
 	if len(f.Rows) == f.PT.Len() && !f.isBase {
 		return f.PT
@@ -124,17 +123,8 @@ func (f *Frame) Materialize() *ptable.PTable {
 	return out
 }
 
-// Run executes the plan and materializes the result.
-func (e *Executor) Run(n plan.Node) (*ptable.PTable, error) {
-	fr, err := e.RunFrame(n)
-	if err != nil {
-		return nil, err
-	}
-	return fr.Materialize(), nil
-}
-
-// RunFrame executes the plan and returns the unmaterialized result frame.
-func (e *Executor) RunFrame(n plan.Node) (*Frame, error) {
+// Run executes the plan and returns the unmaterialized result frame.
+func (e *Executor) Run(n plan.Node) (*Frame, error) {
 	f, err := e.exec(n, e.Span)
 	if err != nil {
 		return nil, err

@@ -72,10 +72,11 @@ func run(t *testing.T, e *Executor, q string) *ptable.PTable {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := e.Run(n)
+	fr, err := e.Run(n)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := fr.Materialize()
 	return out
 }
 
@@ -156,10 +157,11 @@ func TestJoinLineageMerged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := e.Run(n)
+	fr, err := e.Run(n)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := fr.Materialize()
 	for _, tup := range out.Rows() {
 		if len(tup.Lineage["cities"]) != 1 || len(tup.Lineage["employee"]) != 1 {
 			t.Errorf("join tuple lineage = %v", tup.Lineage)
@@ -233,10 +235,11 @@ func TestCleanSelectInvokesCleaner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := e.Run(n)
+	fr, err := e.Run(n)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := fr.Materialize()
 	if fc.calledTable != "cities" || len(fc.calledRows) != 1 {
 		t.Errorf("cleaner saw table=%q rows=%v", fc.calledTable, fc.calledRows)
 	}
@@ -255,10 +258,11 @@ func TestCleanSelectNilCleanerPassesThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := e.Run(n)
+	fr, err := e.Run(n)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := fr.Materialize()
 	if out.Len() != 1 {
 		t.Errorf("dirty execution rows = %d", out.Len())
 	}

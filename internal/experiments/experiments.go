@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -110,7 +111,9 @@ func runDaisy(tables []*table.Table, rules []*dc.Constraint, queries []string, s
 // runDaisyOpts is runDaisy with full session options. Experiments measure
 // the paper's inline §5.2.3 switch, so the asynchronous background sweep is
 // disabled: the triggering query pays the full clean, exactly as Fig 7/12
-// account it (daisy-bench -exp bgclean measures the async variant).
+// account it. The async sweep is measured by the sweep_bg workload of
+// ./bench and pinned to the inline state by
+// TestBackgroundFullCleanConvergesToSynchronous.
 func runDaisyOpts(tables []*table.Table, rules []*dc.Constraint, queries []string, opts core.Options) (runResult, error) {
 	opts.DisableBackgroundClean = true
 	s := core.NewSession(opts)
@@ -171,7 +174,7 @@ func runOffline(tables []*table.Table, rules []*dc.Constraint, queries []string,
 		if len(bound) == 0 {
 			continue
 		}
-		if _, err := cleaner.CleanAll(pts[t.Name], bound); err != nil {
+		if _, err := cleaner.CleanAll(context.TODO(), pts[t.Name], bound); err != nil {
 			if err == offline.ErrTimeout {
 				timedOut = true
 				break

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -149,7 +150,7 @@ func Table6(cfg Config) (*Report, error) {
 
 		fullStart := time.Now()
 		fullPT := ptable.FromTable(h.Dirty)
-		if _, err := (&offline.Cleaner{}).CleanAll(fullPT, rules); err != nil {
+		if _, err := (&offline.Cleaner{}).CleanAll(context.TODO(), fullPT, rules); err != nil {
 			return nil, err
 		}
 		fullTime := time.Since(fullStart)

@@ -17,6 +17,7 @@ import (
 	"daisy/internal/ptable"
 	"daisy/internal/repair"
 	"daisy/internal/thetajoin"
+	"daisy/internal/trace"
 	"daisy/internal/uncertain"
 	"daisy/internal/value"
 )
@@ -50,15 +51,10 @@ func (c *Cleaner) partitions() int {
 	return c.Partitions
 }
 
-// CleanFD repairs every violation of an FD rule over the whole relation.
-func (c *Cleaner) CleanFD(pt *ptable.PTable, rule *dc.Constraint) (Report, error) {
-	return c.CleanFDContext(context.Background(), pt, rule)
-}
-
-// CleanFDContext is CleanFD with cooperative cancellation: the per-group
-// repair loop polls ctx and aborts with an error wrapping ctx.Err(),
-// returning the partial report accumulated so far.
-func (c *Cleaner) CleanFDContext(ctx context.Context, pt *ptable.PTable, rule *dc.Constraint) (Report, error) {
+// cleanFD repairs every violation of an FD rule over the whole relation.
+// The per-group repair loop polls ctx and aborts with an error wrapping
+// ctx.Err(), returning the partial report accumulated so far.
+func (c *Cleaner) cleanFD(ctx context.Context, pt *ptable.PTable, rule *dc.Constraint) (Report, error) {
 	var rep Report
 	fd, ok := rule.AsFD()
 	if !ok {
@@ -160,18 +156,13 @@ func (c *Cleaner) CleanFDContext(ctx context.Context, pt *ptable.PTable, rule *d
 	return rep, nil
 }
 
-// CleanDC repairs every violation of a general DC via the full partitioned
-// theta-join.
-func (c *Cleaner) CleanDC(pt *ptable.PTable, rule *dc.Constraint) (Report, error) {
-	return c.CleanDCContext(context.Background(), pt, rule)
-}
-
-// CleanDCContext is CleanDC with cooperative cancellation threaded through
-// the theta-join partition loops; no fixes apply when detection aborts.
-func (c *Cleaner) CleanDCContext(ctx context.Context, pt *ptable.PTable, rule *dc.Constraint) (Report, error) {
+// cleanDC repairs every violation of a general DC via the full partitioned
+// theta-join. Cancellation is threaded through the partition loops; no fixes
+// apply when detection aborts.
+func (c *Cleaner) cleanDC(ctx context.Context, pt *ptable.PTable, rule *dc.Constraint) (Report, error) {
 	var rep Report
 	view := detect.NewPTableView(pt)
-	pairs, err := thetajoin.DetectWorkersCtx(ctx, view, rule, c.partitions(), 0, &rep.Metrics)
+	pairs, err := thetajoin.DetectCtx(ctx, trace.Span{}, view, rule, c.partitions(), 0, &rep.Metrics)
 	if err != nil {
 		return rep, err
 	}
@@ -183,22 +174,18 @@ func (c *Cleaner) CleanDCContext(ctx context.Context, pt *ptable.PTable, rule *d
 }
 
 // CleanAll runs every rule against the relation, merging fixes (Lemma 4
-// semantics apply through ptable deltas).
-func (c *Cleaner) CleanAll(pt *ptable.PTable, rules []*dc.Constraint) (Report, error) {
-	return c.CleanAllContext(context.Background(), pt, rules)
-}
-
-// CleanAllContext is CleanAll with cooperative cancellation; on abort it
-// returns the partial report of the work already applied.
-func (c *Cleaner) CleanAllContext(ctx context.Context, pt *ptable.PTable, rules []*dc.Constraint) (Report, error) {
+// semantics apply through ptable deltas). It polls ctx cooperatively; on
+// abort it returns an error wrapping ctx.Err() and the partial report of the
+// work already applied.
+func (c *Cleaner) CleanAll(ctx context.Context, pt *ptable.PTable, rules []*dc.Constraint) (Report, error) {
 	var total Report
 	for _, rule := range rules {
 		var rep Report
 		var err error
 		if rule.IsFD() {
-			rep, err = c.CleanFDContext(ctx, pt, rule)
+			rep, err = c.cleanFD(ctx, pt, rule)
 		} else {
-			rep, err = c.CleanDCContext(ctx, pt, rule)
+			rep, err = c.cleanDC(ctx, pt, rule)
 		}
 		total.Metrics.Add(rep.Metrics)
 		total.ViolatingGroups += rep.ViolatingGroups

@@ -1,6 +1,8 @@
 package offline
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -33,7 +35,7 @@ func citiesPT() *ptable.PTable {
 func TestCleanFDRepairsAllGroups(t *testing.T) {
 	pt := citiesPT()
 	c := &Cleaner{}
-	rep, err := c.CleanFD(pt, dc.FD("phi", "cities", "city", "zip"))
+	rep, err := c.CleanAll(context.Background(), pt, []*dc.Constraint{dc.FD("phi", "cities", "city", "zip")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +63,7 @@ func TestCleanFDRepairsAllGroups(t *testing.T) {
 func TestOfflineScansPerGroup(t *testing.T) {
 	pt := citiesPT()
 	c := &Cleaner{}
-	rep, err := c.CleanFD(pt, dc.FD("phi", "cities", "city", "zip"))
+	rep, err := c.CleanAll(context.Background(), pt, []*dc.Constraint{dc.FD("phi", "cities", "city", "zip")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,33 +76,39 @@ func TestOfflineScansPerGroup(t *testing.T) {
 func TestCleanFDRejectsNonFD(t *testing.T) {
 	pt := citiesPT()
 	c := &Cleaner{}
-	if _, err := c.CleanFD(pt, dc.MustParse("x: !(t1.zip<t2.zip & t1.city>t2.city)")); err == nil {
-		t.Error("non-FD must be rejected by CleanFD")
+	if _, err := c.cleanFD(context.Background(), pt, dc.MustParse("x: !(t1.zip<t2.zip & t1.city>t2.city)")); err == nil {
+		t.Error("non-FD must be rejected by cleanFD")
 	}
 }
 
 func TestTimeoutBudget(t *testing.T) {
 	pt := citiesPT()
 	c := &Cleaner{MaxGroupScans: 1}
-	_, err := c.CleanFD(pt, dc.FD("phi", "cities", "city", "zip"))
+	_, err := c.CleanAll(context.Background(), pt, []*dc.Constraint{dc.FD("phi", "cities", "city", "zip")})
 	if err != ErrTimeout {
 		t.Errorf("err = %v, want ErrTimeout", err)
 	}
 }
 
-func TestCleanDC(t *testing.T) {
+// salariesPT has one violating pair under salaryDC: rows 1 and 2.
+func salariesPT() *ptable.PTable {
 	sch := schema.MustNew(
 		schema.Column{Name: "salary", Kind: value.Float},
 		schema.Column{Name: "tax", Kind: value.Float},
 	)
 	tb := table.New("emp", sch)
-	add := func(s, x float64) { tb.MustAppend(table.Row{value.NewFloat(s), value.NewFloat(x)}) }
-	add(1000, 0.1)
-	add(3000, 0.2)
-	add(2000, 0.3)
-	pt := ptable.FromTable(tb)
+	for _, r := range [][2]float64{{1000, 0.1}, {3000, 0.2}, {2000, 0.3}} {
+		tb.MustAppend(table.Row{value.NewFloat(r[0]), value.NewFloat(r[1])})
+	}
+	return ptable.FromTable(tb)
+}
+
+var salaryDC = dc.MustParse("psi: !(t1.salary<t2.salary & t1.tax>t2.tax)")
+
+func TestCleanDC(t *testing.T) {
+	pt := salariesPT()
 	c := &Cleaner{}
-	rep, err := c.CleanDC(pt, dc.MustParse("psi: !(t1.salary<t2.salary & t1.tax>t2.tax)"))
+	rep, err := c.CleanAll(context.Background(), pt, []*dc.Constraint{salaryDC})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +135,7 @@ func TestCleanAllMultiRule(t *testing.T) {
 	add(9001, "LA", "CA")
 	pt := ptable.FromTable(tb)
 	c := &Cleaner{}
-	rep, err := c.CleanAll(pt, []*dc.Constraint{
+	rep, err := c.CleanAll(context.Background(), pt, []*dc.Constraint{
 		dc.FD("phi1", "t", "state", "zip"),
 		dc.FD("phi2", "t", "state", "city"),
 	})
@@ -151,7 +159,7 @@ func TestOfflineMatchesPaperExample(t *testing.T) {
 	// offline is the correctness reference (§3).
 	pt := citiesPT()
 	c := &Cleaner{}
-	if _, err := c.CleanFD(pt, dc.FD("phi", "cities", "city", "zip")); err != nil {
+	if _, err := c.CleanAll(context.Background(), pt, []*dc.Constraint{dc.FD("phi", "cities", "city", "zip")}); err != nil {
 		t.Fatal(err)
 	}
 	// Row 1 zip candidates {9001 50%, 10001 50%} (Table 2b).
@@ -162,6 +170,29 @@ func TestOfflineMatchesPaperExample(t *testing.T) {
 	for _, cand := range zipCell.Candidates {
 		if math.Abs(cand.Prob-0.5) > 1e-9 {
 			t.Errorf("zip candidate %v prob %v", cand.Val, cand.Prob)
+		}
+	}
+}
+
+// TestCleanAllCanceledLeavesTableUnchanged: a done ctx aborts both cleaners
+// before they apply anything.
+func TestCleanAllCanceledLeavesTableUnchanged(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		pt   *ptable.PTable
+		rule *dc.Constraint
+	}{
+		{citiesPT(), dc.FD("phi", "cities", "city", "zip")},
+		{salariesPT(), salaryDC},
+	} {
+		before := tc.pt.Fingerprint()
+		rep, err := (&Cleaner{}).CleanAll(ctx, tc.pt, []*dc.Constraint{tc.rule})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want wrapped context.Canceled", tc.rule.Name, err)
+		}
+		if rep.UpdatedCells != 0 || tc.pt.Fingerprint() != before {
+			t.Errorf("%s: canceled clean changed the table", tc.rule.Name)
 		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 // The ApplyCOW benchmarks measure epoch-publication cost on a 1M-row
 // relation for deltas of 1, 100, and 10k tuples, segmented vs the
 // pre-refactor flat implementation (oracle.FlatTable). Allocation numbers
-// (B/op, allocs/op) are the headline: they are deterministic on a 1-CPU CI
+// (B/op, allocs/op) are the headline: they are deterministic on a 1-CPU
 // box where wall times are noisy, and publication cost is almost entirely
 // copying. Delta tuples are spread evenly across the relation — the worst
 // case for segment sharing, since clustered deltas share even more.

@@ -15,7 +15,6 @@ import (
 // 1M fixture so the decode cost is measured, not DRAM bandwidth — on a full
 // 1M scan all three variants converge to memory speed, which is exactly the
 // point of batch execution: the access path stops being the bottleneck.
-// CI guards seg >= 1.5x over at.
 func BenchmarkSegScan(b *testing.B) {
 	seg, _, _ := benchRelation(b)
 	const rows = 32 * 1024

@@ -1,17 +1,16 @@
-// Package relax implements query-result relaxation (§4.1–4.2): enhancing a
-// query result with the correlated tuples that the denial constraints tie to
-// it, so that violation detection and repair can run over the relaxed result
-// instead of the whole dataset. For FDs this is Algorithm 1 — a transitive
-// closure over shared lhs/rhs values; for general DCs the correlated tuples
-// are the conflict partners found by the partial theta-join.
+// Package relax implements FD query-result relaxation (§4.1): enhancing a
+// query result with the correlated tuples an FD ties to it, so that
+// violation detection and repair can run over the relaxed result instead of
+// the whole dataset. This is Algorithm 1 — a transitive closure over shared
+// lhs/rhs values — as a plain scan. Sessions relax through their FD group
+// index instead; this package is the reference that index is tested
+// against. For general DCs the correlated tuples are the conflict partners
+// thetajoin.DetectPartial finds.
 package relax
 
 import (
-	"math"
-
 	"daisy/internal/dc"
 	"daisy/internal/detect"
-	"daisy/internal/thetajoin"
 	"daisy/internal/value"
 )
 
@@ -100,97 +99,4 @@ func FDOnePass(view detect.RowView, result []int, fd dc.FDSpec, m *detect.Metric
 		}
 	}
 	return extra
-}
-
-// DC computes the correlated tuples of the result under a general denial
-// constraint: the unseen tuples that conflict with the answer, found by the
-// partial theta-join over (result × rest). It returns the extra row
-// positions and the violating pairs discovered along the way (so detection
-// work is not repeated).
-func DC(view detect.RowView, result []int, c *dc.Constraint, partitions int, m *detect.Metrics) ([]int, []thetajoin.Pair) {
-	inResult := make(map[int]bool, len(result))
-	for _, i := range result {
-		inResult[i] = true
-	}
-	var restIdx []int
-	for i := 0; i < view.Len(); i++ {
-		if !inResult[i] {
-			restIdx = append(restIdx, i)
-		}
-	}
-	delta := detect.SubsetView{Base: view, Idx: result}
-	rest := detect.SubsetView{Base: view, Idx: restIdx}
-	pairs := thetajoin.DetectPartial(delta, rest, c, partitions, m)
-
-	// Extra tuples: conflict partners outside the result.
-	posOf := detect.PosIndex(view)
-	seen := make(map[int]bool)
-	var extra []int
-	for _, p := range pairs {
-		for _, id := range []int64{p.T1, p.T2} {
-			pos, ok := posOf(id)
-			if !ok || inResult[pos] || seen[pos] {
-				continue
-			}
-			seen[pos] = true
-			extra = append(extra, pos)
-			if m != nil {
-				m.Relaxed++
-			}
-		}
-	}
-	return extra, pairs
-}
-
-// ExtraIterationProbability is Lemma 2's estimate: the probability that a
-// relaxed result of size resultSize drawn from a dataset of size n with vio
-// violations contains at least one violation — 1 − hypergeometric Pr(0).
-func ExtraIterationProbability(n, vio, resultSize int) float64 {
-	if n <= 0 || resultSize <= 0 || vio <= 0 {
-		return 0
-	}
-	if vio >= n || resultSize >= n {
-		return 1
-	}
-	// Pr(0) = C(n-vio, k) / C(n, k); compute in log space.
-	logPr0 := logChoose(n-vio, resultSize) - logChoose(n, resultSize)
-	if math.IsInf(logPr0, -1) {
-		return 1
-	}
-	return 1 - math.Exp(logPr0)
-}
-
-func logChoose(n, k int) float64 {
-	if k < 0 || k > n {
-		return math.Inf(-1)
-	}
-	lg, _ := math.Lgamma(float64(n + 1))
-	lk, _ := math.Lgamma(float64(k + 1))
-	lnk, _ := math.Lgamma(float64(n - k + 1))
-	return lg - lk - lnk
-}
-
-// UpperBound computes Lemma 3's bound on the relaxed result size: for each
-// constraint attribute, the dataset-wide frequency mass of the values in the
-// answer minus the mass already in the answer.
-func UpperBound(view detect.RowView, result []int, attrs []string) int {
-	total := 0
-	for _, col := range attrs {
-		idx := view.ColIndex(col)
-		if idx < 0 {
-			continue
-		}
-		inAnswer := make(map[value.MapKey]bool)
-		for _, i := range result {
-			inAnswer[view.ValueAt(i, idx).MapKey()] = true
-		}
-		datasetMass, answerMass := 0, len(result)
-		for i := 0; i < view.Len(); i++ {
-			if inAnswer[view.ValueAt(i, idx).MapKey()] {
-				datasetMass++
-			}
-		}
-		total += datasetMass - answerMass
-	}
-	return total
 }

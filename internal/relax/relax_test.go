@@ -1,7 +1,6 @@
 package relax
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -131,73 +130,6 @@ func TestRelaxationClusterCompleteness(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRelaxDCFindsConflictPartners(t *testing.T) {
-	sch := schema.MustNew(
-		schema.Column{Name: "salary", Kind: value.Float},
-		schema.Column{Name: "tax", Kind: value.Float},
-	)
-	tb := table.New("emp", sch)
-	add := func(s, x float64) { tb.MustAppend(table.Row{value.NewFloat(s), value.NewFloat(x)}) }
-	add(1000, 0.1) // 0
-	add(3000, 0.2) // 1 ← in result
-	add(2000, 0.3) // 2 conflicts with 1
-	add(4000, 0.4) // 3 no conflict
-	c := dc.MustParse("!(t1.salary<t2.salary & t1.tax>t2.tax)")
-	v := detect.TableView{T: tb}
-	extra, pairs := DC(v, []int{1}, c, 4, nil)
-	if len(extra) != 1 || extra[0] != 2 {
-		t.Fatalf("extra = %v, want [2]", extra)
-	}
-	if len(pairs) != 1 {
-		t.Fatalf("pairs = %v", pairs)
-	}
-}
-
-func TestExtraIterationProbability(t *testing.T) {
-	if p := ExtraIterationProbability(100, 0, 10); p != 0 {
-		t.Errorf("no violations → 0, got %v", p)
-	}
-	if p := ExtraIterationProbability(100, 100, 10); p != 1 {
-		t.Errorf("all violating → 1, got %v", p)
-	}
-	p := ExtraIterationProbability(100, 10, 20)
-	// 1 - C(90,20)/C(100,20) ≈ 0.905
-	if p < 0.85 || p > 0.95 {
-		t.Errorf("hypergeometric estimate = %v, want ≈0.90", p)
-	}
-	// Monotone in result size.
-	if ExtraIterationProbability(100, 10, 5) >= ExtraIterationProbability(100, 10, 50) {
-		t.Error("probability must grow with result size")
-	}
-	if !(ExtraIterationProbability(1000, 1, 1) < 0.01) {
-		t.Error("tiny sample from near-clean data must have low probability")
-	}
-}
-
-func TestExtraIterationProbabilityDegenerate(t *testing.T) {
-	for _, c := range [][3]int{{0, 1, 1}, {10, 1, 0}, {10, -1, 5}} {
-		p := ExtraIterationProbability(c[0], c[1], c[2])
-		if math.IsNaN(p) || p < 0 || p > 1 {
-			t.Errorf("ExtraIterationProbability%v = %v out of [0,1]", c, p)
-		}
-	}
-}
-
-func TestUpperBoundLemma3(t *testing.T) {
-	v := detect.TableView{T: citiesTable()}
-	// Result = rows 0,2 (zip 9001, city LA). zip mass: 3 rows with 9001;
-	// city mass: 2 rows with LA. Bound = (3-2)+(2-2) = 1.
-	got := UpperBound(v, []int{0, 2}, []string{"zip", "city"})
-	if got != 1 {
-		t.Errorf("UpperBound = %d, want 1", got)
-	}
-	// The bound must dominate the actual relaxation size (one iteration).
-	extra := FDOnePass(v, []int{0, 2}, zipCity(), nil)
-	if got < len(extra) {
-		t.Errorf("bound %d < actual %d", got, len(extra))
 	}
 }
 

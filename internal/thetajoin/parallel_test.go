@@ -1,12 +1,15 @@
 package thetajoin
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"daisy/internal/detect"
 	"daisy/internal/table"
+	"daisy/internal/trace"
 	"daisy/internal/value"
 )
 
@@ -32,40 +35,18 @@ func skewedSalaries(n int) *table.Table {
 	return t
 }
 
-// TestDetectParallelDeterministic: the parallel theta-join must return the
-// exact same pair slice (same order, same orientation) for every worker
-// count — the fan-out merges in block-pair enumeration order.
-func TestDetectParallelDeterministic(t *testing.T) {
-	v := detect.TableView{T: skewedSalaries(3000)}
-	seq := DetectWorkers(v, salaryDC, 64, 1, nil)
-	if len(seq) == 0 {
-		t.Fatal("fixture produced no violations")
+// detectN runs DetectCtx untraced with a fixed worker count.
+func detectN(t testing.TB, v detect.RowView, p, workers int, m *detect.Metrics) []Pair {
+	t.Helper()
+	pairs, err := DetectCtx(context.Background(), trace.Span{}, v, salaryDC, p, workers, m)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4, 8, 0} {
-		got := DetectWorkers(v, salaryDC, 64, workers, nil)
-		if !reflect.DeepEqual(got, seq) {
-			t.Fatalf("workers=%d: %d pairs, differs from sequential (%d pairs)",
-				workers, len(got), len(seq))
-		}
-	}
+	return pairs
 }
 
-// TestDetectParallelMetricsMatch: comparison counts must not depend on the
-// worker count.
-func TestDetectParallelMetricsMatch(t *testing.T) {
-	v := detect.TableView{T: skewedSalaries(2000)}
-	var seqM, parM detect.Metrics
-	DetectWorkers(v, salaryDC, 64, 1, &seqM)
-	DetectWorkers(v, salaryDC, 64, 8, &parM)
-	if seqM.Comparisons != parM.Comparisons {
-		t.Errorf("comparisons: sequential %d, parallel %d", seqM.Comparisons, parM.Comparisons)
-	}
-}
-
-// TestDetectPartialParallelDeterministic: same guarantee for the
-// incremental (delta × rest) variant.
-func TestDetectPartialParallelDeterministic(t *testing.T) {
-	tb := skewedSalaries(3000)
+// partialSplit cuts a relation into every fifth row (delta) and the rest.
+func partialSplit(tb *table.Table) (delta, rest detect.SubsetView) {
 	base := detect.TableView{T: tb}
 	var deltaIdx, restIdx []int
 	for i := 0; i < tb.Len(); i++ {
@@ -75,13 +56,89 @@ func TestDetectPartialParallelDeterministic(t *testing.T) {
 			restIdx = append(restIdx, i)
 		}
 	}
-	delta := detect.SubsetView{Base: base, Idx: deltaIdx}
-	rest := detect.SubsetView{Base: base, Idx: restIdx}
-	seq := DetectPartialWorkers(delta, rest, salaryDC, 64, 1, nil)
-	for _, workers := range []int{4, 8} {
-		got := DetectPartialWorkers(delta, rest, salaryDC, 64, workers, nil)
-		if !reflect.DeepEqual(got, seq) {
+	return detect.SubsetView{Base: base, Idx: deltaIdx}, detect.SubsetView{Base: base, Idx: restIdx}
+}
+
+// traced runs one detection under a live span: it must succeed, and the
+// trace must hold the detection workers' spans.
+func traced(t *testing.T, run func(sp trace.Span) ([]Pair, error)) []Pair {
+	t.Helper()
+	tr := trace.New("detect")
+	pairs, err := run(tr.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Tree().Find("worker") == nil {
+		t.Error("no worker span recorded")
+	}
+	return pairs
+}
+
+// TestDetectParallelDeterministic: the parallel theta-join, traced, must
+// return exactly Detect's pair slice (same order, same orientation) for
+// every worker count — the fan-out merges in block-pair enumeration order.
+func TestDetectParallelDeterministic(t *testing.T) {
+	v := detect.TableView{T: skewedSalaries(3000)}
+	want := Detect(v, salaryDC, 64, nil)
+	if len(want) == 0 {
+		t.Fatal("fixture produced no violations")
+	}
+	for _, workers := range []int{1, 2, 4, 8, 0} {
+		got := traced(t, func(sp trace.Span) ([]Pair, error) {
+			return DetectCtx(context.Background(), sp, v, salaryDC, 64, workers, nil)
+		})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: %d pairs, differs from Detect (%d pairs)", workers, len(got), len(want))
+		}
+	}
+}
+
+// TestDetectParallelMetricsMatch: comparison counts must not depend on the
+// worker count.
+func TestDetectParallelMetricsMatch(t *testing.T) {
+	v := detect.TableView{T: skewedSalaries(2000)}
+	var seqM, parM detect.Metrics
+	detectN(t, v, 64, 1, &seqM)
+	detectN(t, v, 64, 8, &parM)
+	if seqM.Comparisons != parM.Comparisons {
+		t.Errorf("comparisons: sequential %d, parallel %d", seqM.Comparisons, parM.Comparisons)
+	}
+}
+
+// TestDetectPartialParallelDeterministic: same guarantee for the
+// incremental (delta × rest) variant against its untraced sequential run.
+func TestDetectPartialParallelDeterministic(t *testing.T) {
+	delta, rest := partialSplit(skewedSalaries(3000))
+	ctx := context.Background()
+	want, err := DetectPartial(ctx, trace.Span{}, delta, rest, salaryDC, 64, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4, 8, 0} {
+		got := traced(t, func(sp trace.Span) ([]Pair, error) {
+			return DetectPartial(ctx, sp, delta, rest, salaryDC, 64, workers, nil)
+		})
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d differs from sequential", workers)
+		}
+	}
+}
+
+// TestCanceledDetectionReturnsNoPairs: a done ctx aborts both detectors with
+// an error wrapping context.Canceled and no partial pair set.
+func TestCanceledDetectionReturnsNoPairs(t *testing.T) {
+	tb := skewedSalaries(3000)
+	delta, rest := partialSplit(tb)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 4} {
+		pairs, err := DetectCtx(ctx, trace.Span{}, detect.TableView{T: tb}, salaryDC, 64, workers, nil)
+		if !errors.Is(err, context.Canceled) || pairs != nil {
+			t.Errorf("DetectCtx workers=%d: %d pairs, err %v; want none and context.Canceled", workers, len(pairs), err)
+		}
+		pairs, err = DetectPartial(ctx, trace.Span{}, delta, rest, salaryDC, 64, workers, nil)
+		if !errors.Is(err, context.Canceled) || pairs != nil {
+			t.Errorf("DetectPartial workers=%d: %d pairs, err %v; want none and context.Canceled", workers, len(pairs), err)
 		}
 	}
 }
@@ -97,7 +154,7 @@ func BenchmarkThetaJoinDetect(b *testing.B) {
 			b.Run(fmt.Sprintf("rows=%d/workers=%d", rows, workers), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					DetectWorkers(v, salaryDC, rows, workers, nil)
+					detectN(b, v, rows, workers, nil)
 				}
 			})
 		}

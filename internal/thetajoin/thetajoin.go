@@ -366,33 +366,22 @@ func ctxErr(ctx context.Context) error {
 	return nil
 }
 
-// Detect runs the full self theta-join over the view, pruning the symmetric
-// half of the matrix (each unordered pair is examined once; the violating
-// orientation is emitted). p controls partition granularity. All CPUs are
-// used; see DetectWorkers for explicit control.
+// Detect is DetectCtx on all CPUs, without cancellation or tracing.
 func Detect(v detect.RowView, c *dc.Constraint, p int, m *detect.Metrics) []Pair {
-	return DetectWorkers(v, c, p, 0, m)
-}
-
-// DetectWorkers is Detect with an explicit worker count (<= 0: all CPUs,
-// 1: sequential). The result is identical for every worker count.
-func DetectWorkers(v detect.RowView, c *dc.Constraint, p, workers int, m *detect.Metrics) []Pair {
-	pairs, _ := DetectWorkersCtx(nil, v, c, p, workers, m)
+	pairs, _ := DetectCtx(context.TODO(), trace.Span{}, v, c, p, 0, m)
 	return pairs
 }
 
-// DetectWorkersCtx is DetectWorkers with cooperative cancellation: the
-// block-pair partition loop polls ctx between tasks (and between outer rows
-// inside a task) and returns an error wrapping ctx.Err() once it is done.
-// A nil ctx disables the checks.
-func DetectWorkersCtx(ctx context.Context, v detect.RowView, c *dc.Constraint, p, workers int, m *detect.Metrics) ([]Pair, error) {
-	return DetectWorkersSpan(ctx, trace.Span{}, v, c, p, workers, m)
-}
-
-// DetectWorkersSpan is DetectWorkersCtx with tracing: each detection worker
-// records a child span under sp with its task and comparison counts. The
+// DetectCtx runs the full self theta-join over the view, pruning the
+// symmetric half of the matrix (each unordered pair is examined once; the
+// violating orientation is emitted). p controls partition granularity;
+// workers bounds the pool (<= 0: all CPUs, 1: sequential) and the result is
+// identical for every worker count. The block-pair loop polls ctx between
+// tasks (and between outer rows inside a task) and returns an error wrapping
+// ctx.Err() once it is done; a nil ctx disables the checks. Each worker
+// records a child span under sp with its task and comparison counts; the
 // zero Span disables tracing at no cost.
-func DetectWorkersSpan(ctx context.Context, sp trace.Span, v detect.RowView, c *dc.Constraint, p, workers int, m *detect.Metrics) ([]Pair, error) {
+func DetectCtx(ctx context.Context, sp trace.Span, v detect.RowView, c *dc.Constraint, p, workers int, m *detect.Metrics) ([]Pair, error) {
 	cc := compile(c)
 	ax := buildAxis(v, cc)
 	blocks := blocksOf(ax, p, cc)
@@ -415,26 +404,8 @@ func DetectWorkersSpan(ctx context.Context, sp trace.Span, v detect.RowView, c *
 // both orientations plus (delta × delta), never re-checking rest × rest —
 // the already-examined sub-matrix. This is the paper's partial theta-join:
 // partitioning the matrix subset that involves the query result and the
-// unseen part of the dataset.
-func DetectPartial(delta, rest detect.RowView, c *dc.Constraint, p int, m *detect.Metrics) []Pair {
-	return DetectPartialWorkers(delta, rest, c, p, 0, m)
-}
-
-// DetectPartialWorkers is DetectPartial with an explicit worker count.
-func DetectPartialWorkers(delta, rest detect.RowView, c *dc.Constraint, p, workers int, m *detect.Metrics) []Pair {
-	pairs, _ := DetectPartialWorkersCtx(nil, delta, rest, c, p, workers, m)
-	return pairs
-}
-
-// DetectPartialWorkersCtx is DetectPartialWorkers with cooperative
-// cancellation (see DetectWorkersCtx).
-func DetectPartialWorkersCtx(ctx context.Context, delta, rest detect.RowView, c *dc.Constraint, p, workers int, m *detect.Metrics) ([]Pair, error) {
-	return DetectPartialWorkersSpan(ctx, trace.Span{}, delta, rest, c, p, workers, m)
-}
-
-// DetectPartialWorkersSpan is DetectPartialWorkersCtx with tracing (see
-// DetectWorkersSpan).
-func DetectPartialWorkersSpan(ctx context.Context, sp trace.Span, delta, rest detect.RowView, c *dc.Constraint, p, workers int, m *detect.Metrics) ([]Pair, error) {
+// unseen part of the dataset. ctx, sp and workers behave as in DetectCtx.
+func DetectPartial(ctx context.Context, sp trace.Span, delta, rest detect.RowView, c *dc.Constraint, p, workers int, m *detect.Metrics) ([]Pair, error) {
 	cc := compile(c)
 	da := buildAxis(delta, cc)
 	ra := buildAxis(rest, cc)
@@ -458,7 +429,7 @@ func DetectPartialWorkersSpan(ctx context.Context, sp trace.Span, delta, rest de
 		return nil, err
 	}
 	// delta × delta (upper triangle).
-	dd, err := DetectWorkersSpan(ctx, sp, delta, c, p, workers, m)
+	dd, err := DetectCtx(ctx, sp, delta, c, p, workers, m)
 	if err != nil {
 		return nil, err
 	}

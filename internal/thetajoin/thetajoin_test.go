@@ -1,6 +1,7 @@
 package thetajoin
 
 import (
+	"context"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,7 @@ import (
 	"daisy/internal/detect"
 	"daisy/internal/schema"
 	"daisy/internal/table"
+	"daisy/internal/trace"
 	"daisy/internal/value"
 )
 
@@ -120,6 +122,16 @@ func TestBlockPruningReducesComparisons(t *testing.T) {
 	}
 }
 
+// detectPartial runs DetectPartial untraced on all CPUs with p=4.
+func detectPartial(t *testing.T, delta, rest detect.RowView) []Pair {
+	t.Helper()
+	pairs, err := DetectPartial(context.Background(), trace.Span{}, delta, rest, salaryDC, 4, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pairs
+}
+
 func TestDetectPartialCoversDeltaOnly(t *testing.T) {
 	tb := salaryTable([][2]float64{
 		{1000, 0.1}, {3000, 0.2}, {2000, 0.3}, {4000, 0.25}, {5000, 0.5},
@@ -129,7 +141,7 @@ func TestDetectPartialCoversDeltaOnly(t *testing.T) {
 	// Split: delta = rows {1,2}, rest = rows {0,3,4}.
 	delta := detect.SubsetView{Base: detect.TableView{T: tb}, Idx: []int{1, 2}}
 	rest := detect.SubsetView{Base: detect.TableView{T: tb}, Idx: []int{0, 3, 4}}
-	partial := asSet(DetectPartial(delta, rest, salaryDC, 4, nil))
+	partial := asSet(detectPartial(t, delta, rest))
 	// rest × rest violations must be checked separately.
 	restOnly := asSet(Detect(rest, salaryDC, 4, nil))
 
@@ -180,9 +192,9 @@ func TestIncrementalCoverageProperty(t *testing.T) {
 		}
 		base := detect.TableView{T: tb}
 		full := asSet(Detect(base, salaryDC, 4, nil))
-		partial := asSet(DetectPartial(
+		partial := asSet(detectPartial(t,
 			detect.SubsetView{Base: base, Idx: deltaIdx},
-			detect.SubsetView{Base: base, Idx: restIdx}, salaryDC, 4, nil))
+			detect.SubsetView{Base: base, Idx: restIdx}))
 		restOnly := asSet(Detect(detect.SubsetView{Base: base, Idx: restIdx}, salaryDC, 4, nil))
 		union := make(map[[2]int64]bool)
 		for k2 := range partial {

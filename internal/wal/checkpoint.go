@@ -22,11 +22,6 @@ var ckptMagic = [4]byte{'D', 'C', 'K', 'P'}
 
 const ckptHeader = 4 + 8 + 8 + 4
 
-// WriteCheckpoint atomically publishes a checkpoint on the real filesystem.
-func WriteCheckpoint(dir string, lsn uint64, payload []byte) error {
-	return WriteCheckpointFS(vfs.OS{}, dir, lsn, payload)
-}
-
 // WriteCheckpointFS atomically publishes a checkpoint covering records <= lsn.
 func WriteCheckpointFS(fsys vfs.FS, dir string, lsn uint64, payload []byte) error {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
@@ -63,11 +58,6 @@ func WriteCheckpointFS(fsys vfs.FS, dir string, lsn uint64, payload []byte) erro
 		return err
 	}
 	return syncDir(fsys, dir)
-}
-
-// LatestCheckpoint is LatestCheckpointFS on the real filesystem.
-func LatestCheckpoint(dir string) (lsn uint64, payload []byte, ok bool, err error) {
-	return LatestCheckpointFS(vfs.OS{}, dir)
 }
 
 // LatestCheckpointFS returns the newest valid checkpoint in dir. Invalid
@@ -112,7 +102,7 @@ func readCheckpoint(fsys vfs.FS, path string, want uint64) ([]byte, bool) {
 	return payload, true
 }
 
-// PruneStats reports what Prune removed and, crucially, what it could not:
+// PruneStats reports what PruneFS removed and, crucially, what it could not:
 // a stuck file grows the directory forever, so removal failures are counted
 // and surfaced instead of silently ignored.
 type PruneStats struct {
@@ -121,15 +111,9 @@ type PruneStats struct {
 	FirstErr error // the first deletion error, for logging/diagnostics
 }
 
-// Prune is PruneFS on the real filesystem, discarding the stats.
-func Prune(dir string, lsn uint64) error {
-	_, err := PruneFS(vfs.OS{}, dir, lsn)
-	return err
-}
-
 // PruneFS removes files made redundant by a valid checkpoint at lsn, while
 // retaining enough history that recovery can fall back one checkpoint: the
-// newest two checkpoints are kept (LatestCheckpoint skips a corrupt newest
+// newest two checkpoints are kept (LatestCheckpointFS skips a corrupt newest
 // image and replays the longer WAL suffix from the previous one), so log
 // files are pruned against the OLDER retained checkpoint's LSN — a rotated
 // file is removed only when the next file's first LSN is <= cover+1, i.e.

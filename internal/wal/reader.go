@@ -18,16 +18,12 @@ type Record struct {
 	End     int64  // file offset just past the record's frame
 }
 
-// Records is RecordsFS on the real filesystem.
-func Records(dir string, after uint64) ([]Record, error) {
-	return RecordsFS(vfs.OS{}, dir, after)
-}
-
-// RecordsFS returns every valid record with LSN > after, in LSN order,
-// across all log files in dir. A torn or corrupt record in the final file
-// marks the crash point and scanning stops cleanly there; corruption in a
-// rotated (non-final) file is real data loss and returns an error, since
-// rotated files were fsynced whole.
+// RecordsFS returns every valid record with LSN > after, in strictly
+// increasing LSN order, across all log files in dir. A torn or corrupt record
+// in the final file marks the crash point and scanning stops cleanly there;
+// corruption in a rotated (non-final) file is real data loss and returns an
+// error, since rotated files were fsynced whole. So does a file whose records
+// do not continue after the previous file's.
 func RecordsFS(fsys vfs.FS, dir string, after uint64) ([]Record, error) {
 	files, err := logFiles(fsys, dir)
 	if err != nil {
@@ -44,6 +40,9 @@ func RecordsFS(fsys vfs.FS, dir string, after uint64) ([]Record, error) {
 				return nil, fmt.Errorf("wal: corrupt record at %s offset %d (not the final file)", lf.path, valid)
 			}
 		}
+		if len(out) > 0 && len(recs) > 0 && recs[0].LSN <= out[len(out)-1].LSN {
+			return nil, fmt.Errorf("wal: LSN %d in %s does not follow LSN %d", recs[0].LSN, lf.path, out[len(out)-1].LSN)
+		}
 		out = append(out, recs...)
 	}
 	return out, nil
@@ -51,7 +50,9 @@ func RecordsFS(fsys vfs.FS, dir string, after uint64) ([]Record, error) {
 
 // scanFile decodes records with LSN > after from one log file, returning
 // them plus the offset of the first invalid byte (== file size when the file
-// is wholly valid). Scanning stops at the first torn or CRC-failing frame.
+// is wholly valid). Scanning stops at the first torn or CRC-failing frame,
+// and at a frame whose LSN does not exceed its predecessor's: appends number
+// records consecutively, so such a frame is corruption, not history.
 func scanFile(fsys vfs.FS, path string, after uint64) ([]Record, int64, error) {
 	buf, err := fsys.ReadFile(path)
 	if err != nil {
@@ -59,6 +60,7 @@ func scanFile(fsys vfs.FS, path string, after uint64) ([]Record, int64, error) {
 	}
 	var out []Record
 	var off int64
+	var last uint64 // LSNs start at 1
 	for int64(len(buf))-off >= frameHeader {
 		h := buf[off : off+frameHeader]
 		lsn := binary.LittleEndian.Uint64(h[0:8])
@@ -71,6 +73,10 @@ func scanFile(fsys vfs.FS, path string, after uint64) ([]Record, int64, error) {
 		if crc32.Checksum(payload, crcTable) != sum {
 			break // torn tail: payload bytes incomplete or corrupt
 		}
+		if lsn <= last {
+			break // out-of-order frame: corrupt
+		}
+		last = lsn
 		off += frameHeader + n
 		if lsn > after {
 			out = append(out, Record{LSN: lsn, Payload: payload, File: path, End: off})

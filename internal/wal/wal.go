@@ -6,9 +6,8 @@
 // torn-tail recovery, rotation, and file-retention mechanics.
 //
 // All filesystem access goes through a vfs.FS, so tests can inject faults
-// (ENOSPC, torn writes, fsync failures) at any call site; the *FS-suffixed
-// constructors take the filesystem explicitly and the plain ones run on the
-// real one.
+// (ENOSPC, torn writes, fsync failures) at any call site; every function
+// takes the filesystem explicitly (vfs.OS{} is the real one).
 //
 // Layout of a durable session directory:
 //
@@ -108,7 +107,7 @@ type Instruments struct {
 	SyncSec       *metrics.Histogram
 }
 
-// SetInstruments installs the metrics hooks; call once after OpenLog, before
+// SetInstruments installs the metrics hooks; call once after OpenLogFS, before
 // serving traffic.
 func (l *Log) SetInstruments(in Instruments) {
 	l.mu.Lock()
@@ -123,12 +122,6 @@ func (l *Log) syncTimed() (time.Duration, error) {
 	d := time.Since(t0)
 	l.instr.SyncSec.ObserveDuration(d)
 	return d, err
-}
-
-// OpenLog opens (creating if needed) the log in dir for appending on the
-// real filesystem. See OpenLogFS.
-func OpenLog(dir string, mode SyncMode, minNext uint64) (*Log, error) {
-	return OpenLogFS(vfs.OS{}, dir, mode, minNext)
 }
 
 // OpenLogFS opens (creating if needed) the log in dir for appending.
@@ -184,20 +177,14 @@ type AppendResult struct {
 }
 
 // Append frames payload as the next record and writes it, returning the
-// record's LSN. Under SyncAlways the record is fsynced before return.
+// record's accounting. Under SyncAlways the record is fsynced before return.
 //
 // On failure no LSN is consumed: the partial frame (write failures) or the
 // unsynced frame (fsync failures) is truncated away so the file stays at a
 // record boundary and the caller may retry the same payload. If that undo
 // truncate itself fails, the error wraps ErrDirtyTail and the log refuses
 // all further appends.
-func (l *Log) Append(payload []byte) (uint64, error) {
-	res, err := l.AppendStats(payload)
-	return res.LSN, err
-}
-
-// AppendStats is Append returning the full per-record accounting.
-func (l *Log) AppendStats(payload []byte) (AppendResult, error) {
+func (l *Log) Append(payload []byte) (AppendResult, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -283,7 +270,7 @@ func (l *Log) Sync() error {
 }
 
 // Rotate fsyncs and closes the current file; the next Append starts a fresh
-// one. Called after a checkpoint so Prune can retire fully covered files.
+// one. Called after a checkpoint so PruneFS can retire fully covered files.
 func (l *Log) Rotate() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -15,23 +15,23 @@ import (
 // payloads across a close/reopen cycle.
 func TestAppendReadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLog(dir, SyncOS, 0)
+	l, err := OpenLogFS(vfs.OS{}, dir, SyncOS, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		lsn, err := l.Append([]byte(fmt.Sprintf("rec-%d", i)))
+		res, err := l.Append([]byte(fmt.Sprintf("rec-%d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if lsn != uint64(i+1) {
-			t.Fatalf("lsn = %d, want %d", lsn, i+1)
+		if res.LSN != uint64(i+1) {
+			t.Fatalf("lsn = %d, want %d", res.LSN, i+1)
 		}
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := Records(dir, 0)
+	recs, err := RecordsFS(vfs.OS{}, dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestAppendReadRoundTrip(t *testing.T) {
 		}
 	}
 	// The `after` filter skips covered records.
-	recs, err = Records(dir, 3)
+	recs, err = RecordsFS(vfs.OS{}, dir, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,17 +52,17 @@ func TestAppendReadRoundTrip(t *testing.T) {
 		t.Fatalf("after=3: got %v", recs)
 	}
 	// Reopen continues the LSN sequence.
-	l2, err := OpenLog(dir, SyncOS, 0)
+	l2, err := OpenLogFS(vfs.OS{}, dir, SyncOS, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	lsn, err := l2.Append([]byte("rec-5"))
+	res, err := l2.Append([]byte("rec-5"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lsn != 6 {
-		t.Fatalf("post-reopen lsn = %d, want 6", lsn)
+	if res.LSN != 6 {
+		t.Fatalf("post-reopen lsn = %d, want 6", res.LSN)
 	}
 }
 
@@ -71,7 +71,7 @@ func TestAppendReadRoundTrip(t *testing.T) {
 // appends land on a clean boundary.
 func TestTornTailTruncatedOnOpen(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLog(dir, SyncOS, 0)
+	l, err := OpenLogFS(vfs.OS{}, dir, SyncOS, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,24 +93,24 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 	if err := os.WriteFile(path, buf[:len(buf)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := Records(dir, 0)
+	recs, err := RecordsFS(vfs.OS{}, dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 1 || string(recs[0].Payload) != "whole" {
 		t.Fatalf("torn log read = %v", recs)
 	}
-	l2, err := OpenLog(dir, SyncOS, 0)
+	l2, err := OpenLogFS(vfs.OS{}, dir, SyncOS, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lsn, err := l2.Append([]byte("after-crash")); err != nil || lsn != 2 {
-		t.Fatalf("append after tear: lsn=%d err=%v, want 2", lsn, err)
+	if res, err := l2.Append([]byte("after-crash")); err != nil || res.LSN != 2 {
+		t.Fatalf("append after tear: lsn=%d err=%v, want 2", res.LSN, err)
 	}
 	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err = Records(dir, 0)
+	recs, err = RecordsFS(vfs.OS{}, dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 // fails the CRC and reads as a torn tail.
 func TestCorruptPayloadStopsRead(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLog(dir, SyncOS, 0)
+	l, err := OpenLogFS(vfs.OS{}, dir, SyncOS, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestCorruptPayloadStopsRead(t *testing.T) {
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := Records(dir, 0)
+	recs, err := RecordsFS(vfs.OS{}, dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestCorruptPayloadStopsRead(t *testing.T) {
 // only the tail records.
 func TestRotateAndPrune(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLog(dir, SyncOS, 0)
+	l, err := OpenLogFS(vfs.OS{}, dir, SyncOS, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestRotateAndPrune(t *testing.T) {
 		}
 	}
 	ckLSN := l.LastLSN()
-	if err := WriteCheckpoint(dir, ckLSN, []byte("state@3")); err != nil {
+	if err := WriteCheckpointFS(vfs.OS{}, dir, ckLSN, []byte("state@3")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Rotate(); err != nil {
@@ -179,7 +179,7 @@ func TestRotateAndPrune(t *testing.T) {
 	if _, err := l.Append([]byte("new")); err != nil {
 		t.Fatal(err)
 	}
-	if err := Prune(dir, ckLSN); err != nil {
+	if _, err := PruneFS(vfs.OS{}, dir, ckLSN); err != nil {
 		t.Fatal(err)
 	}
 	files, err := logFiles(vfs.OS{}, dir)
@@ -189,11 +189,11 @@ func TestRotateAndPrune(t *testing.T) {
 	if len(files) != 1 || files[0].start != 4 {
 		t.Fatalf("post-prune files = %v", files)
 	}
-	lsn, payload, ok, err := LatestCheckpoint(dir)
+	lsn, payload, ok, err := LatestCheckpointFS(vfs.OS{}, dir)
 	if err != nil || !ok || lsn != ckLSN || string(payload) != "state@3" {
 		t.Fatalf("checkpoint = (%d, %q, %v, %v)", lsn, payload, ok, err)
 	}
-	recs, err := Records(dir, lsn)
+	recs, err := RecordsFS(vfs.OS{}, dir, lsn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,10 +207,10 @@ func TestRotateAndPrune(t *testing.T) {
 // the previous valid one; leftover .tmp files are ignored and pruned.
 func TestCheckpointFallback(t *testing.T) {
 	dir := t.TempDir()
-	if err := WriteCheckpoint(dir, 5, []byte("good@5")); err != nil {
+	if err := WriteCheckpointFS(vfs.OS{}, dir, 5, []byte("good@5")); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteCheckpoint(dir, 9, bytes.Repeat([]byte("x"), 64)); err != nil {
+	if err := WriteCheckpointFS(vfs.OS{}, dir, 9, bytes.Repeat([]byte("x"), 64)); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the newest checkpoint's payload.
@@ -224,11 +224,11 @@ func TestCheckpointFallback(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, ckptFileName(12)+".tmp"), []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	lsn, payload, ok, err := LatestCheckpoint(dir)
+	lsn, payload, ok, err := LatestCheckpointFS(vfs.OS{}, dir)
 	if err != nil || !ok || lsn != 5 || string(payload) != "good@5" {
 		t.Fatalf("fallback checkpoint = (%d, %q, %v, %v)", lsn, payload, ok, err)
 	}
-	if err := Prune(dir, 5); err != nil {
+	if _, err := PruneFS(vfs.OS{}, dir, 5); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, ckptFileName(12)+".tmp")); !os.IsNotExist(err) {
@@ -240,17 +240,17 @@ func TestCheckpointFallback(t *testing.T) {
 // log must not reissue covered LSNs.
 func TestMinNextFloorsLSN(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLog(dir, SyncOS, 7)
+	l, err := OpenLogFS(vfs.OS{}, dir, SyncOS, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	lsn, err := l.Append([]byte("first"))
+	res, err := l.Append([]byte("first"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lsn != 8 {
-		t.Fatalf("floored lsn = %d, want 8", lsn)
+	if res.LSN != 8 {
+		t.Fatalf("floored lsn = %d, want 8", res.LSN)
 	}
 }
 
@@ -258,7 +258,7 @@ func TestMinNextFloorsLSN(t *testing.T) {
 // any record boundary — the resulting prefix must read back exactly.
 func TestRecordBoundaries(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLog(dir, SyncOS, 0)
+	l, err := OpenLogFS(vfs.OS{}, dir, SyncOS, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestRecordBoundaries(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := Records(dir, 0)
+	recs, err := RecordsFS(vfs.OS{}, dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestRecordBoundaries(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(sub, filepath.Base(recs[k].File)), buf[:recs[k].End], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, err := Records(sub, 0)
+		got, err := RecordsFS(vfs.OS{}, sub, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,17 +326,17 @@ func TestAppendFailureUndoneAndRetryable(t *testing.T) {
 				t.Fatal("faulted append should error")
 			}
 			// The failed append consumed no LSN; the retry gets LSN 2.
-			lsn, err := l.Append([]byte("second"))
+			res, err := l.Append([]byte("second"))
 			if err != nil {
 				t.Fatalf("retry failed: %v", err)
 			}
-			if lsn != 2 {
-				t.Fatalf("retry lsn = %d, want 2", lsn)
+			if res.LSN != 2 {
+				t.Fatalf("retry lsn = %d, want 2", res.LSN)
 			}
 			if err := l.Close(); err != nil {
 				t.Fatal(err)
 			}
-			recs, err := Records(dir, 0)
+			recs, err := RecordsFS(vfs.OS{}, dir, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -375,20 +375,20 @@ func TestDirtyTailRefusesAppends(t *testing.T) {
 	ffs.Disarm()
 	// The tear is in the final file: reopen truncates it and the surviving
 	// prefix reads back exactly.
-	l2, err := OpenLog(dir, SyncOS, 0)
+	l2, err := OpenLogFS(vfs.OS{}, dir, SyncOS, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	recs, err := Records(dir, 0)
+	recs, err := RecordsFS(vfs.OS{}, dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 1 || string(recs[0].Payload) != "keep-me" {
 		t.Fatalf("post-dirty-tail records = %v", recs)
 	}
-	if lsn, err := l2.Append([]byte("fresh")); err != nil || lsn != 2 {
-		t.Fatalf("append after reopen: lsn=%d err=%v", lsn, err)
+	if res, err := l2.Append([]byte("fresh")); err != nil || res.LSN != 2 {
+		t.Fatalf("append after reopen: lsn=%d err=%v", res.LSN, err)
 	}
 }
 
@@ -397,7 +397,7 @@ func TestDirtyTailRefusesAppends(t *testing.T) {
 // of the newest image; a third checkpoint retires the oldest.
 func TestPruneKeepsFallbackCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLog(dir, SyncOS, 0)
+	l, err := OpenLogFS(vfs.OS{}, dir, SyncOS, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,13 +411,13 @@ func TestPruneKeepsFallbackCheckpoint(t *testing.T) {
 	}
 	ckpt := func() uint64 {
 		lsn := l.LastLSN()
-		if err := WriteCheckpoint(dir, lsn, []byte("state")); err != nil {
+		if err := WriteCheckpointFS(vfs.OS{}, dir, lsn, []byte("state")); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Rotate(); err != nil {
 			t.Fatal(err)
 		}
-		if err := Prune(dir, lsn); err != nil {
+		if _, err := PruneFS(vfs.OS{}, dir, lsn); err != nil {
 			t.Fatal(err)
 		}
 		return lsn
@@ -434,7 +434,7 @@ func TestPruneKeepsFallbackCheckpoint(t *testing.T) {
 	}
 	// Records between ck1 and ck2 must still be replayable (the fallback
 	// path if ck2's image is corrupted).
-	recs, err := Records(dir, ck1)
+	recs, err := RecordsFS(vfs.OS{}, dir, ck1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func TestPruneKeepsFallbackCheckpoint(t *testing.T) {
 	if len(lsns) != 2 || lsns[0] != ck2 || lsns[1] != ck3 {
 		t.Fatalf("checkpoints after third prune = %v (want [%d %d])", lsns, ck2, ck3)
 	}
-	if recs, err := Records(dir, ck2); err != nil || len(recs) != 4 {
+	if recs, err := RecordsFS(vfs.OS{}, dir, ck2); err != nil || len(recs) != 4 {
 		t.Fatalf("replay from ck2 = %v, %v", recs, err)
 	}
 }
@@ -456,7 +456,7 @@ func TestPruneKeepsFallbackCheckpoint(t *testing.T) {
 // PruneFS reports how many removals failed and the first error.
 func TestPruneCountsRemoveFailures(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLog(dir, SyncOS, 0)
+	l, err := OpenLogFS(vfs.OS{}, dir, SyncOS, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
