@@ -338,12 +338,13 @@ func (qc *queryCtx) cleanDC(st *tableState, tableName string, rule *dc.Constrain
 	}
 	view := detect.NewPTableView(qc.pt(tableName))
 	checked := latest.checkedTuples[rule.Name]
+	ix := qc.dcIndexFor(latest, tableName, rule, view, parent)
 
 	// Algorithm 2: estimate result dirtiness from precomputed range overlap.
 	est, haveEst := latest.dcEstimates[rule.Name]
 	var freshEst []thetajoin.RangeEstimate
 	if !haveEst {
-		est = thetajoin.EstimateErrors(view, rule, qc.opts.Partitions)
+		est = ix.EstimateErrors(view, qc.opts.Partitions)
 		freshEst = est
 	}
 	decSp := parent.Start("decision")
@@ -407,15 +408,7 @@ func (qc *queryCtx) cleanDC(st *tableState, tableName string, rule *dc.Constrain
 	// whole rule aborts cleanly — no fixes applied, no tuples marked checked.
 	detectSp := parent.Start("detect")
 	cmpBefore := m.Comparisons
-	deltaView := detect.SubsetView{Base: view, Idx: delta}
-	var pairs []thetajoin.Pair
-	var err error
-	if len(rest) > 0 {
-		restView := detect.SubsetView{Base: view, Idx: rest}
-		pairs, err = thetajoin.DetectPartial(qc.ctx, detectSp, deltaView, restView, rule, qc.opts.Partitions, qc.opts.Workers, m)
-	} else {
-		pairs, err = thetajoin.DetectCtx(qc.ctx, detectSp, deltaView, rule, qc.opts.Partitions, qc.opts.Workers, m)
-	}
+	pairs, err := ix.Detect(qc.ctx, detectSp, delta, rest, qc.opts.Partitions, qc.opts.Workers, m)
 	if detectSp.Active() {
 		detectSp.End(trace.Str("rule", rule.Name),
 			trace.Int("delta", len(delta)), trace.Int("rest", len(rest)),
@@ -465,6 +458,26 @@ func (qc *queryCtx) cleanDC(st *tableState, tableName string, rule *dc.Constrain
 		}
 	}
 	return extra, nil
+}
+
+// dcIndexFor resolves the rule's theta-join rank index from the epoch,
+// asking the writer to build (and publish) it on the rule's first DC work
+// against this registration; the build is traced as a dc_index span under
+// parent. As in fdIndexFor, a table replaced after this query's snapshot gets
+// a private index over the query's own view.
+func (qc *queryCtx) dcIndexFor(st *tableState, tableName string, rule *dc.Constraint, view detect.PTableView, parent trace.Span) *thetajoin.Index {
+	if ix := st.dcIdx[rule.Name]; ix != nil {
+		return ix
+	}
+	sp := parent.Start("dc_index")
+	ix := qc.s.w.ensureDCIndex(tableName, st.ident, rule)
+	if ix == nil {
+		ix = thetajoin.NewIndex(view, rule)
+	}
+	if sp.Active() {
+		sp.End(trace.Str("rule", rule.Name), trace.Int("rows", view.Len()))
+	}
+	return ix
 }
 
 // estimateResultErrors sums the violation estimates of the ranges the query

@@ -1,0 +1,220 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"sort"
+	"testing"
+
+	"daisy/internal/dc"
+	"daisy/internal/schema"
+	"daisy/internal/table"
+	"daisy/internal/value"
+	"daisy/internal/vfs"
+	"daisy/internal/wal"
+)
+
+// TestDecodersRejectOversizedCounts: an element count larger than the bytes
+// left to hold it is a decode error, never an allocation sized from it.
+func TestDecodersRejectOversizedCounts(t *testing.T) {
+	huge := binary.AppendUvarint(nil, 1<<62)
+	// A checkpoint holding one table "t" whose image claims 1<<62 columns.
+	ckpt := []byte{ckptVersion}
+	ckpt = appendUvarint(ckpt, 0) // epoch
+	ckpt = appendUvarint(ckpt, 0) // rules
+	ckpt = appendUvarint(ckpt, 1) // tables
+	ckpt = appendString(ckpt, "t")
+	ckpt = appendString(ckpt, "t")
+	ckpt = append(ckpt, huge...)
+	cases := []struct {
+		name   string
+		decode func() error
+	}{
+		{"apply record count", func() error {
+			d := &dec{b: huge}
+			d.applyRecord()
+			return d.err
+		}},
+		{"checkpoint column count", func() error {
+			_, _, err := decodeCheckpoint(ckpt)
+			return err
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.decode(); err == nil {
+				t.Fatal("decoded an impossible count without error")
+			}
+		})
+	}
+}
+
+// durableSeeds runs a small durable session — an FD table and a DC table,
+// one repairing query each — and returns its final snapshot and the bodies
+// of its apply records. Small seeds keep the fuzzer mutating rather than
+// minimizing.
+func durableSeeds(f *testing.F) (*snapshot, [][]byte) {
+	dir := f.TempDir()
+	s, err := Open(durableOpts(dir))
+	if err != nil {
+		f.Fatal(err)
+	}
+	emp := table.New("emp", schema.MustNew(
+		schema.Column{Name: "salary", Kind: value.Float},
+		schema.Column{Name: "tax", Kind: value.Float},
+	))
+	for i, tax := range []float64{0.1, 0.3, 0.2, 0.4} {
+		emp.MustAppend(table.Row{value.NewFloat(float64(1000 + 100*i)), value.NewFloat(tax)})
+	}
+	for _, err := range []error{
+		s.Register(citiesTable()), s.Register(emp),
+		s.AddRule(dc.FD("phi", "cities", "city", "zip")),
+		s.AddRule(dc.MustParse("psi@emp: !(t1.salary<t2.salary & t1.tax>t2.tax)")),
+	} {
+		if err != nil {
+			f.Fatal(err)
+		}
+	}
+	for _, q := range []string{"SELECT zip, city FROM cities WHERE zip = 9001", "SELECT salary FROM emp WHERE salary < 1200"} {
+		if _, err := s.Query(q); err != nil {
+			f.Fatal(err)
+		}
+	}
+	snap := s.w.current()
+	s.Close()
+	recs, err := wal.RecordsFS(vfs.OS{}, dir, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var applies [][]byte
+	for _, r := range recs {
+		if r.Payload[0] == recApply {
+			applies = append(applies, r.Payload[1:])
+		}
+	}
+	if len(applies) == 0 || len(snap.tables["cities"].checkedGroups) == 0 || len(snap.tables["emp"].checkedTuples) == 0 {
+		f.Fatal("seed session holds no FD and DC state")
+	}
+	return snap, applies
+}
+
+// checkpointFingerprint renders a decoded checkpoint: its state and sweeps.
+func checkpointFingerprint(snap *snapshot, sweeps []sweepRef) string {
+	return fmt.Sprintf("%s\nsweeps=%v", stateFingerprint(snap), sweeps)
+}
+
+// FuzzDecodeCheckpoint: arbitrary bytes never panic the checkpoint decoder,
+// and whatever decodes re-encodes to a checkpoint that decodes to the same
+// state. The seeds are real checkpoints of a session holding FD and DC state.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	snap, _ := durableSeeds(f)
+	want := checkpointFingerprint(snap, []sweepRef{{table: "cities", rule: "phi"}})
+	seed := encodeCheckpoint(snap, []sweepRef{{table: "cities", rule: "phi"}})
+	got, sweeps, err := decodeCheckpoint(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if checkpointFingerprint(got, sweeps) != want {
+		f.Fatal("a real checkpoint does not decode to the state it encodes")
+	}
+	f.Add(seed)
+	f.Add(encodeCheckpoint(snap, nil))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		snap, sweeps, err := decodeCheckpoint(payload)
+		if err != nil {
+			return
+		}
+		again, againSweeps, err := decodeCheckpoint(encodeCheckpoint(snap, sweeps))
+		if err != nil {
+			t.Fatalf("re-encoded checkpoint does not decode: %v", err)
+		}
+		if checkpointFingerprint(again, againSweeps) != checkpointFingerprint(snap, sweeps) {
+			t.Fatal("checkpoint changed through decode(encode(·))")
+		}
+	})
+}
+
+// applyFingerprint renders decoded apply requests canonically — cells sorted
+// by tuple and column — keeping exactly what encodeApplyRecord keeps.
+func applyFingerprint(reqs []*applyReq) []byte {
+	var buf []byte
+	for _, r := range reqs {
+		hasDelta := r.delta != nil && r.delta.Len() > 0
+		if !hasDelta && len(r.groups) == 0 && len(r.tuples) == 0 && !r.costRecord && !r.markSwitched {
+			continue
+		}
+		buf = appendString(appendString(buf, r.table), r.rule)
+		buf = fmt.Appendf(buf, "%v%v%v", r.isFD, r.costRecord, r.markSwitched)
+		if hasDelta {
+			ids := make([]int64, 0, len(r.delta.Cells))
+			for id := range r.delta.Cells {
+				ids = append(ids, id)
+			}
+			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+			for _, id := range ids {
+				cells := r.delta.Cells[id]
+				sort.Slice(cells, func(i, j int) bool { return cells[i].Col < cells[j].Col })
+				for i := range cells {
+					buf = appendVarint(buf, id)
+					buf = appendVarint(buf, int64(cells[i].Col))
+					buf = appendCell(buf, &cells[i].Cell)
+				}
+			}
+		}
+		buf = appendUvarint(buf, uint64(len(r.groups)))
+		for _, k := range r.groups {
+			buf = k.AppendBinary(buf)
+		}
+		buf = appendUvarint(buf, uint64(len(r.tuples)))
+		for _, id := range r.tuples {
+			buf = appendVarint(buf, id)
+		}
+		if r.costRecord {
+			buf = fmt.Appendf(buf, "%d,%d,%d", r.costQi, r.costEi, r.costEpsi)
+		}
+	}
+	return buf
+}
+
+// decodeApply decodes one apply record body.
+func decodeApply(body []byte) ([]*applyReq, error) {
+	d := &dec{b: body}
+	reqs := d.applyRecord()
+	return reqs, d.err
+}
+
+// FuzzApplyRecord: arbitrary bytes never panic the apply-record decoder, and
+// whatever decodes re-encodes to a record that decodes to the same requests.
+// The seeds are the apply records a session holding FD and DC state logged.
+func FuzzApplyRecord(f *testing.F) {
+	_, applies := durableSeeds(f)
+	for _, body := range applies {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		reqs, err := decodeApply(body)
+		if err != nil {
+			return
+		}
+		logged := make([]loggedReq, len(reqs))
+		for i, r := range reqs {
+			logged[i] = loggedReq{req: r, costRecord: r.costRecord}
+		}
+		want := applyFingerprint(reqs)
+		rec := encodeApplyRecord(logged)
+		if rec == nil {
+			if len(want) != 0 {
+				t.Fatal("durable requests encoded to no record")
+			}
+			return
+		}
+		again, err := decodeApply(rec[1:])
+		if err != nil {
+			t.Fatalf("re-encoded record does not decode: %v", err)
+		}
+		if !bytes.Equal(applyFingerprint(again), want) {
+			t.Fatal("apply record changed through decode(encode(·))")
+		}
+	})
+}

@@ -49,6 +49,10 @@ type tableState struct {
 	// fdIdx holds the persistent FD group index per rule. Indexes watch
 	// original values only, so one index is shared by every epoch.
 	fdIdx map[string]*fdIndex
+	// dcIdx holds the theta-join rank index per general-DC rule, built on the
+	// rule's first detection or estimate. Like fdIdx it reads original values
+	// only, so one index serves every epoch and is never persisted.
+	dcIdx map[string]*thetajoin.Index
 	// checkedGroups marks FD lhs group keys already cleaned, per rule. The
 	// inner sets are frozen; the writer clones-and-extends on growth.
 	checkedGroups map[string]map[value.MapKey]bool
@@ -69,6 +73,7 @@ func newTableState(pt *ptable.PTable) *tableState {
 		ident:         registrations.Add(1),
 		pt:            pt,
 		fdIdx:         make(map[string]*fdIndex),
+		dcIdx:         make(map[string]*thetajoin.Index),
 		checkedGroups: make(map[string]map[value.MapKey]bool),
 		checkedTuples: make(map[string]map[int64]bool),
 		dcEstimates:   make(map[string][]thetajoin.RangeEstimate),
@@ -773,9 +778,40 @@ func (w *writer) ensureFDIndex(table string, ident uint64, rule string, fd dc.FD
 	return built
 }
 
+// ensureDCIndex is ensureFDIndex for a general DC rule: it returns the
+// rule's theta-join rank index over the table, building and publishing it on
+// first use, or nil when the table has been replaced in the meantime.
+func (w *writer) ensureDCIndex(table string, ident uint64, rule *dc.Constraint) *thetajoin.Index {
+	if st, ok := w.current().tables[table]; ok && st.ident == ident {
+		if ix := st.dcIdx[rule.Name]; ix != nil {
+			return ix
+		}
+	}
+	var built *thetajoin.Index
+	_ = w.mutate(func(next *snapshot, cloned map[string]bool) error {
+		if cur, ok := next.tables[table]; !ok || cur.ident != ident {
+			return nil
+		}
+		st := next.mutableTable(table, cloned)
+		if ix := st.dcIdx[rule.Name]; ix != nil {
+			built = ix
+			return nil
+		}
+		built = thetajoin.NewIndex(detect.NewPTableView(st.pt), rule)
+		idx := make(map[string]*thetajoin.Index, len(st.dcIdx)+1)
+		for r, ix := range st.dcIdx {
+			idx[r] = ix
+		}
+		idx[rule.Name] = built
+		st.dcIdx = idx
+		return nil
+	})
+	return built
+}
+
 // collectStats assembles the optimizer statistics of every bound FD rule
 // from the persistent group indexes (non-FD rules get their error estimates
-// from thetajoin.EstimateErrors at query time, Algorithm 2).
+// from the rank index's EstimateErrors at query time, Algorithm 2).
 func collectStats(st *tableState) *stats.TableStats {
 	ts := &stats.TableStats{N: st.pt.Len(), FDs: make(map[string]*stats.FDStat)}
 	for _, rule := range st.rules {

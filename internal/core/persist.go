@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -130,6 +131,22 @@ func (d *dec) uvarint() uint64 {
 	return v
 }
 
+// count reads an element count and fails, with the sticky error, when the
+// remaining payload cannot hold that many elements of at least minSize
+// encoded bytes each — so a corrupt or hostile count can never size an
+// allocation beyond the bytes actually present.
+func (d *dec) count(minSize int) int {
+	n := d.uvarint()
+	if d.err != nil {
+		return 0
+	}
+	if n > uint64(len(d.b)/minSize) {
+		d.err = fmt.Errorf("core: corrupt durable record: count %d exceeds the %d bytes left", n, len(d.b))
+		return 0
+	}
+	return int(n)
+}
+
 func (d *dec) varint() int64 {
 	if d.err != nil {
 		return 0
@@ -198,18 +215,18 @@ func (d *dec) value() value.Value {
 
 func (d *dec) cell() uncertain.Cell {
 	c := uncertain.Cell{Orig: d.value()}
-	if n := d.uvarint(); n > 0 && d.err == nil {
+	if n := d.count(11); n > 0 { // value, prob, world, support
 		c.Candidates = make([]uncertain.Candidate, 0, n)
-		for i := uint64(0); i < n && d.err == nil; i++ {
+		for i := 0; i < n && d.err == nil; i++ {
 			c.Candidates = append(c.Candidates, uncertain.Candidate{
 				Val: d.value(), Prob: d.float(),
 				World: int(d.varint()), Support: int(d.varint()),
 			})
 		}
 	}
-	if n := d.uvarint(); n > 0 && d.err == nil {
+	if n := d.count(11); n > 0 { // op, bound, prob, world
 		c.Ranges = make([]uncertain.RangeCandidate, 0, n)
-		for i := uint64(0); i < n && d.err == nil; i++ {
+		for i := 0; i < n && d.err == nil; i++ {
 			c.Ranges = append(c.Ranges, uncertain.RangeCandidate{
 				RangeBound: uncertain.RangeBound{Op: dc.Op(d.varint()), Bound: d.value()},
 				Prob:       d.float(), World: int(d.varint()),
@@ -286,9 +303,9 @@ func appendPTImage(buf []byte, pt *ptable.PTable) []byte {
 
 func (d *dec) ptImage() *ptable.PTable {
 	name := d.string()
-	ncols := d.uvarint()
+	ncols := d.count(2) // name, kind
 	cols := make([]schema.Column, 0, ncols)
-	for i := uint64(0); i < ncols && d.err == nil; i++ {
+	for i := 0; i < ncols && d.err == nil; i++ {
 		cols = append(cols, schema.Column{Name: d.string(), Kind: value.Kind(d.byte())})
 	}
 	if d.err != nil {
@@ -304,28 +321,28 @@ func (d *dec) ptImage() *ptable.PTable {
 	var srcIDs []int64
 	if d.byte() == 1 {
 		srcName = d.string()
-		n := d.uvarint()
+		n := d.count(1)
 		srcIDs = make([]int64, 0, n)
-		for i := uint64(0); i < n && d.err == nil; i++ {
+		for i := 0; i < n && d.err == nil; i++ {
 			srcIDs = append(srcIDs, d.varint())
 		}
 	}
-	ntuples := d.uvarint()
+	width := sc.Len()
+	ntuples := d.count(2 + 3*width) // id, lineage flag, cells of kind + two counts
 	if d.err != nil {
 		return nil
 	}
-	pt.Reserve(int(ntuples))
-	width := sc.Len()
-	for i := uint64(0); i < ntuples && d.err == nil; i++ {
+	pt.Reserve(ntuples)
+	for i := 0; i < ntuples && d.err == nil; i++ {
 		t := &ptable.Tuple{ID: d.varint(), Cells: make([]uncertain.Cell, width)}
 		if d.byte() == 1 {
-			n := d.uvarint()
+			n := d.count(2) // name, id count
 			t.Lineage = make(map[string][]int64, n)
-			for j := uint64(0); j < n && d.err == nil; j++ {
+			for j := 0; j < n && d.err == nil; j++ {
 				lname := d.string()
-				nids := d.uvarint()
+				nids := d.count(1)
 				ids := make([]int64, 0, nids)
-				for k := uint64(0); k < nids && d.err == nil; k++ {
+				for k := 0; k < nids && d.err == nil; k++ {
 					ids = append(ids, d.varint())
 				}
 				t.Lineage[lname] = ids
@@ -467,9 +484,9 @@ func encodeApplyRecord(reqs []loggedReq) []byte {
 // the record names is, at this point of the replay, the registration the
 // original apply targeted).
 func (d *dec) applyRecord() []*applyReq {
-	n := d.uvarint()
+	n := d.count(5) // table, rule, flags, group and tuple counts
 	reqs := make([]*applyReq, 0, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
+	for i := 0; i < n && d.err == nil; i++ {
 		r := &applyReq{table: d.string(), rule: d.string()}
 		flags := d.byte()
 		r.isFD = flags&applyFlagFD != 0
@@ -477,26 +494,26 @@ func (d *dec) applyRecord() []*applyReq {
 		r.markSwitched = flags&applyFlagSwitched != 0
 		if flags&applyFlagDelta != 0 {
 			delta := ptable.NewDelta(r.table)
-			ncells := d.uvarint()
-			for j := uint64(0); j < ncells && d.err == nil; j++ {
+			ncells := d.count(2) // id, column count
+			for j := 0; j < ncells && d.err == nil; j++ {
 				id := d.varint()
-				ncols := d.uvarint()
-				for k := uint64(0); k < ncols && d.err == nil; k++ {
+				ncols := d.count(4) // column, cell
+				for k := 0; k < ncols && d.err == nil; k++ {
 					col := int(d.uvarint())
 					delta.Set(id, col, d.cell())
 				}
 			}
 			r.delta = delta
 		}
-		if ng := d.uvarint(); ng > 0 && d.err == nil {
+		if ng := d.count(1); ng > 0 {
 			r.groups = make([]value.MapKey, 0, ng)
-			for j := uint64(0); j < ng && d.err == nil; j++ {
+			for j := 0; j < ng && d.err == nil; j++ {
 				r.groups = append(r.groups, d.mapKey())
 			}
 		}
-		if nt := d.uvarint(); nt > 0 && d.err == nil {
+		if nt := d.count(1); nt > 0 {
 			r.tuples = make([]int64, 0, nt)
-			for j := uint64(0); j < nt && d.err == nil; j++ {
+			for j := 0; j < nt && d.err == nil; j++ {
 				r.tuples = append(r.tuples, d.varint())
 			}
 		}
@@ -601,8 +618,8 @@ func decodeCheckpoint(payload []byte) (*snapshot, []sweepRef, error) {
 		return nil, nil, fmt.Errorf("core: unsupported checkpoint version %d", v)
 	}
 	snap := &snapshot{epoch: d.uvarint(), tables: make(map[string]*tableState)}
-	nrules := d.uvarint()
-	for i := uint64(0); i < nrules && d.err == nil; i++ {
+	nrules := d.count(1)
+	for i := 0; i < nrules && d.err == nil; i++ {
 		c, err := dc.Parse(d.string())
 		if err != nil {
 			if d.err == nil {
@@ -616,20 +633,24 @@ func decodeCheckpoint(payload []byte) (*snapshot, []sweepRef, error) {
 	for _, c := range snap.rules {
 		byName[c.Name] = c
 	}
-	ntables := d.uvarint()
-	for i := uint64(0); i < ntables && d.err == nil; i++ {
+	ntables := d.count(9) // name, empty image, rule count, cost flag, two set counts
+	for i := 0; i < ntables && d.err == nil; i++ {
 		name := d.string()
 		pt := d.ptImage()
 		if d.err != nil {
 			break
 		}
 		st := newTableState(pt)
-		nbound := d.uvarint()
-		for j := uint64(0); j < nbound && d.err == nil; j++ {
+		nbound := d.count(1)
+		for j := 0; j < nbound && d.err == nil; j++ {
 			rname := d.string()
 			c, ok := byName[rname]
 			if !ok {
 				d.err = fmt.Errorf("core: checkpoint binds unknown rule %q on %q", rname, name)
+				break
+			}
+			if slices.ContainsFunc(c.Columns(), func(col string) bool { return !pt.Schema.Has(col) }) {
+				d.err = fmt.Errorf("core: checkpoint binds rule %q to %q, which lacks its columns", rname, name)
 				break
 			}
 			st.rules = append(st.rules, c)
@@ -649,31 +670,31 @@ func decodeCheckpoint(payload []byte) (*snapshot, []sweepRef, error) {
 			}
 			st.cost = cost.FromState(cs)
 		}
-		ncg := d.uvarint()
-		for j := uint64(0); j < ncg && d.err == nil; j++ {
+		ncg := d.count(2) // rule, key count
+		for j := 0; j < ncg && d.err == nil; j++ {
 			rule := d.string()
-			nkeys := d.uvarint()
+			nkeys := d.count(1)
 			set := make(map[value.MapKey]bool, nkeys)
-			for k := uint64(0); k < nkeys && d.err == nil; k++ {
+			for k := 0; k < nkeys && d.err == nil; k++ {
 				set[d.mapKey()] = true
 			}
 			st.checkedGroups[rule] = set
 		}
-		nct := d.uvarint()
-		for j := uint64(0); j < nct && d.err == nil; j++ {
+		nct := d.count(2) // rule, id count
+		for j := 0; j < nct && d.err == nil; j++ {
 			rule := d.string()
-			nids := d.uvarint()
+			nids := d.count(1)
 			set := make(map[int64]bool, nids)
-			for k := uint64(0); k < nids && d.err == nil; k++ {
+			for k := 0; k < nids && d.err == nil; k++ {
 				set[d.varint()] = true
 			}
 			st.checkedTuples[rule] = set
 		}
 		snap.tables[name] = st
 	}
-	nsweeps := d.uvarint()
+	nsweeps := d.count(2) // table, rule
 	var sweeps []sweepRef
-	for i := uint64(0); i < nsweeps && d.err == nil; i++ {
+	for i := 0; i < nsweeps && d.err == nil; i++ {
 		sweeps = append(sweeps, sweepRef{table: d.string(), rule: d.string()})
 	}
 	if d.err != nil {

@@ -116,6 +116,34 @@ func TestTraceDecisionSpan(t *testing.T) {
 	}
 }
 
+// TestDCIndexBuiltOnFirstQuery pins the theta-join rank index's lifecycle:
+// set-up builds none, the first DC query builds it under a dc_index span
+// beside its detect span, and later queries reuse it.
+func TestDCIndexBuiltOnFirstQuery(t *testing.T) {
+	s := newDCSession(t)
+	defer s.Close()
+	if n := len(s.w.current().tables["emp"].dcIdx); n != 0 {
+		t.Fatalf("set-up built %d DC indexes; the first DC query should", n)
+	}
+	for i, want := range []bool{true, false} {
+		rows, err := s.QueryContext(context.Background(), "SELECT salary, tax FROM emp WHERE salary < 1400", WithTrace())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree := rows.Trace().Tree()
+		rows.Close()
+		if got := tree.Find("dc_index") != nil; got != want {
+			t.Fatalf("query %d: dc_index span present = %v, want %v:\n%s", i, got, want, rows.Trace().Render())
+		}
+		if cs := tree.Find("cleanselect"); want && (cs == nil || cs.Find("dc_index") == nil) {
+			t.Fatalf("dc_index is not under cleanselect:\n%s", rows.Trace().Render())
+		}
+	}
+	if s.w.current().tables["emp"].dcIdx["psi"] == nil {
+		t.Fatal("the built index was not published")
+	}
+}
+
 // TestUntracedQueryHasNoTrace pins the zero-cost default: without WithTrace
 // (and with sampling off) Rows.Trace is nil and explain-only queries behave
 // the same way.

@@ -5,7 +5,7 @@
 // lhs/rhs values — as a plain scan. Sessions relax through their FD group
 // index instead; this package is the reference that index is tested
 // against. For general DCs the correlated tuples are the conflict partners
-// thetajoin.DetectPartial finds.
+// the incremental theta-join ((*thetajoin.Index).Detect) finds.
 package relax
 
 import (

@@ -45,18 +45,17 @@ func detectN(t testing.TB, v detect.RowView, p, workers int, m *detect.Metrics) 
 	return pairs
 }
 
-// partialSplit cuts a relation into every fifth row (delta) and the rest.
-func partialSplit(tb *table.Table) (delta, rest detect.SubsetView) {
-	base := detect.TableView{T: tb}
-	var deltaIdx, restIdx []int
-	for i := 0; i < tb.Len(); i++ {
+// partialSplit cuts a relation into every fifth row (delta) and the rest,
+// as row positions.
+func partialSplit(n int) (delta, rest []int) {
+	for i := 0; i < n; i++ {
 		if i%5 == 0 {
-			deltaIdx = append(deltaIdx, i)
+			delta = append(delta, i)
 		} else {
-			restIdx = append(restIdx, i)
+			rest = append(rest, i)
 		}
 	}
-	return detect.SubsetView{Base: base, Idx: deltaIdx}, detect.SubsetView{Base: base, Idx: restIdx}
+	return delta, rest
 }
 
 // traced runs one detection under a live span: it must succeed, and the
@@ -108,15 +107,17 @@ func TestDetectParallelMetricsMatch(t *testing.T) {
 // TestDetectPartialParallelDeterministic: same guarantee for the
 // incremental (delta × rest) variant against its untraced sequential run.
 func TestDetectPartialParallelDeterministic(t *testing.T) {
-	delta, rest := partialSplit(skewedSalaries(3000))
+	tb := skewedSalaries(3000)
+	ix := NewIndex(detect.TableView{T: tb}, salaryDC)
+	delta, rest := partialSplit(tb.Len())
 	ctx := context.Background()
-	want, err := DetectPartial(ctx, trace.Span{}, delta, rest, salaryDC, 64, 1, nil)
+	want, err := ix.Detect(ctx, trace.Span{}, delta, rest, 64, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4, 8, 0} {
 		got := traced(t, func(sp trace.Span) ([]Pair, error) {
-			return DetectPartial(ctx, sp, delta, rest, salaryDC, 64, workers, nil)
+			return ix.Detect(ctx, sp, delta, rest, 64, workers, nil)
 		})
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d differs from sequential", workers)
@@ -124,39 +125,76 @@ func TestDetectPartialParallelDeterministic(t *testing.T) {
 	}
 }
 
-// TestCanceledDetectionReturnsNoPairs: a done ctx aborts both detectors with
-// an error wrapping context.Canceled and no partial pair set.
+// TestCanceledDetectionReturnsNoPairs: a done ctx aborts both the full and
+// the partial detection with an error wrapping context.Canceled and no
+// partial pair set.
 func TestCanceledDetectionReturnsNoPairs(t *testing.T) {
 	tb := skewedSalaries(3000)
-	delta, rest := partialSplit(tb)
+	v := detect.TableView{T: tb}
+	ix := NewIndex(v, salaryDC)
+	delta, rest := partialSplit(tb.Len())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		pairs, err := DetectCtx(ctx, trace.Span{}, detect.TableView{T: tb}, salaryDC, 64, workers, nil)
+		pairs, err := DetectCtx(ctx, trace.Span{}, v, salaryDC, 64, workers, nil)
 		if !errors.Is(err, context.Canceled) || pairs != nil {
 			t.Errorf("DetectCtx workers=%d: %d pairs, err %v; want none and context.Canceled", workers, len(pairs), err)
 		}
-		pairs, err = DetectPartial(ctx, trace.Span{}, delta, rest, salaryDC, 64, workers, nil)
+		pairs, err = ix.Detect(ctx, trace.Span{}, delta, rest, 64, workers, nil)
 		if !errors.Is(err, context.Canceled) || pairs != nil {
-			t.Errorf("DetectPartial workers=%d: %d pairs, err %v; want none and context.Canceled", workers, len(pairs), err)
+			t.Errorf("Index.Detect workers=%d: %d pairs, err %v; want none and context.Canceled", workers, len(pairs), err)
 		}
 	}
 }
 
-// BenchmarkThetaJoinDetect measures the partitioned theta-join at 10k and
-// 100k rows with 1, 4, and 8 workers. Partition count scales with the
-// relation so block pruning keeps the matrix sparse (p=n → √n blocks);
-// worker fan-out needs multiple CPUs to show wall-clock gains.
+// BenchmarkThetaJoinDetect measures the partitioned theta-join. The full
+// cases run the whole matrix at 10k and 100k rows with 1, 4, and 8 workers;
+// partition count scales with the relation so block pruning keeps the matrix
+// sparse (p=n → √n blocks), and worker fan-out needs multiple CPUs to show
+// wall-clock gains. The partial case has the cold_dc benchmark workload's
+// shape: a 333-row query result against the rest of 20k rows at the default
+// 64 partitions, on a prebuilt index. Each case reports ns/comparison.
 func BenchmarkThetaJoinDetect(b *testing.B) {
 	for _, rows := range []int{10000, 100000} {
 		v := detect.TableView{T: skewedSalaries(rows)}
 		for _, workers := range []int{1, 4, 8} {
 			b.Run(fmt.Sprintf("rows=%d/workers=%d", rows, workers), func(b *testing.B) {
 				b.ReportAllocs()
+				var m detect.Metrics
 				for i := 0; i < b.N; i++ {
-					detectN(b, v, rows, workers, nil)
+					detectN(b, v, rows, workers, &m)
 				}
+				reportPerComparison(b, m)
 			})
 		}
+	}
+	const rows, deltaRows = 20000, 333
+	ix := NewIndex(detect.TableView{T: skewedSalaries(rows)}, salaryDC)
+	var delta, rest []int
+	for i := 0; i < rows; i++ {
+		if i%(rows/deltaRows) == 0 && len(delta) < deltaRows {
+			delta = append(delta, i)
+		} else {
+			rest = append(rest, i)
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("partial/rows=%d/delta=%d/workers=%d", rows, deltaRows, workers), func(b *testing.B) {
+			b.ReportAllocs()
+			var m detect.Metrics
+			for i := 0; i < b.N; i++ {
+				if _, err := ix.Detect(context.Background(), trace.Span{}, delta, rest, 64, workers, &m); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportPerComparison(b, m)
+		})
+	}
+}
+
+// reportPerComparison adds the kernel's cost per pair examined.
+func reportPerComparison(b *testing.B, m detect.Metrics) {
+	if m.Comparisons > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(m.Comparisons), "ns/comparison")
 	}
 }

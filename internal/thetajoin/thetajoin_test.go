@@ -122,10 +122,12 @@ func TestBlockPruningReducesComparisons(t *testing.T) {
 	}
 }
 
-// detectPartial runs DetectPartial untraced on all CPUs with p=4.
-func detectPartial(t *testing.T, delta, rest detect.RowView) []Pair {
+// detectPartial runs the incremental theta-join of delta against rest (row
+// positions of tb) untraced on all CPUs with p=4.
+func detectPartial(t *testing.T, tb *table.Table, delta, rest []int) []Pair {
 	t.Helper()
-	pairs, err := DetectPartial(context.Background(), trace.Span{}, delta, rest, salaryDC, 4, 0, nil)
+	ix := NewIndex(detect.TableView{T: tb}, salaryDC)
+	pairs, err := ix.Detect(context.Background(), trace.Span{}, delta, rest, 4, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,9 +141,8 @@ func TestDetectPartialCoversDeltaOnly(t *testing.T) {
 	full := asSet(Detect(detect.TableView{T: tb}, salaryDC, 4, nil))
 
 	// Split: delta = rows {1,2}, rest = rows {0,3,4}.
-	delta := detect.SubsetView{Base: detect.TableView{T: tb}, Idx: []int{1, 2}}
+	partial := asSet(detectPartial(t, tb, []int{1, 2}, []int{0, 3, 4}))
 	rest := detect.SubsetView{Base: detect.TableView{T: tb}, Idx: []int{0, 3, 4}}
-	partial := asSet(detectPartial(t, delta, rest))
 	// rest × rest violations must be checked separately.
 	restOnly := asSet(Detect(rest, salaryDC, 4, nil))
 
@@ -170,7 +171,7 @@ func TestDetectPartialCoversDeltaOnly(t *testing.T) {
 }
 
 func TestIncrementalCoverageProperty(t *testing.T) {
-	// For random data and random splits: DetectPartial(delta, rest) ∪
+	// For random data and random splits: Index.Detect(delta, rest) ∪
 	// Detect(rest) == Detect(all). This is the DESIGN.md invariant.
 	prop := func(seed uint32, cut uint8) bool {
 		s := seed
@@ -192,9 +193,7 @@ func TestIncrementalCoverageProperty(t *testing.T) {
 		}
 		base := detect.TableView{T: tb}
 		full := asSet(Detect(base, salaryDC, 4, nil))
-		partial := asSet(detectPartial(t,
-			detect.SubsetView{Base: base, Idx: deltaIdx},
-			detect.SubsetView{Base: base, Idx: restIdx}))
+		partial := asSet(detectPartial(t, tb, deltaIdx, restIdx))
 		restOnly := asSet(Detect(detect.SubsetView{Base: base, Idx: restIdx}, salaryDC, 4, nil))
 		union := make(map[[2]int64]bool)
 		for k2 := range partial {
@@ -227,7 +226,8 @@ func TestEstimateErrorsFlagsDirtyRanges(t *testing.T) {
 	// Inject inversions: low salaries with very high tax.
 	rows = append(rows, [2]float64{1100, 0.9}, [2]float64{1200, 0.95})
 	tb := salaryTable(rows)
-	est := EstimateErrors(detect.TableView{T: tb}, salaryDC, 16)
+	v := detect.TableView{T: tb}
+	est := NewIndex(v, salaryDC).EstimateErrors(v, 16)
 	if len(est) == 0 {
 		t.Fatal("no ranges")
 	}
@@ -251,7 +251,8 @@ func TestEstimateErrorsCleanData(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		rows = append(rows, [2]float64{float64(i * 100), float64(i) * 0.01})
 	}
-	est := EstimateErrors(detect.TableView{T: salaryTable(rows)}, salaryDC, 16)
+	v := detect.TableView{T: salaryTable(rows)}
+	est := NewIndex(v, salaryDC).EstimateErrors(v, 16)
 	total := 0.0
 	for _, e := range est {
 		total += e.Violations
