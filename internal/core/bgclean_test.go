@@ -85,21 +85,24 @@ const (
 )
 
 // runUntilFlip executes queries in order until a decision other than
-// "incremental"/"skip" appears, returning the query index and the strategy.
-func runUntilFlip(t *testing.T, s *Session, queries []string) (int, string) {
+// "incremental"/"skip" appears, returning the query index, the strategy, and
+// the epoch read just before the triggering query ran — a sweep it schedules
+// publishes only after that read, however fast its chunks run.
+func runUntilFlip(t *testing.T, s *Session, queries []string) (int, string, uint64) {
 	t.Helper()
 	for i, q := range queries {
+		before := s.Epoch()
 		res, err := s.Query(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, d := range res.Decisions {
 			if d.Strategy != "incremental" && d.Strategy != "skip" {
-				return i, d.Strategy
+				return i, d.Strategy, before
 			}
 		}
 	}
-	return -1, ""
+	return -1, "", 0
 }
 
 // TestBackgroundFullCleanConvergesToSynchronous is the tentpole acceptance:
@@ -117,7 +120,7 @@ func TestBackgroundFullCleanConvergesToSynchronous(t *testing.T) {
 	syncOpts.DisableBackgroundClean = true
 	syncS := newSweepSession(t, syncOpts, sweepGroups, sweepDirtyGroups)
 	defer syncS.Close()
-	syncFlip, syncStrategy := runUntilFlip(t, syncS, queries)
+	syncFlip, syncStrategy, _ := runUntilFlip(t, syncS, queries)
 	if syncFlip < 1 || syncStrategy != "full" {
 		t.Fatalf("sync run: flip at %d with %q, want mid-workload inline full", syncFlip, syncStrategy)
 	}
@@ -127,17 +130,13 @@ func TestBackgroundFullCleanConvergesToSynchronous(t *testing.T) {
 	s := newSweepSession(t, sweepOpts(), sweepGroups, sweepDirtyGroups)
 	defer s.Close()
 	dirtyBefore := s.Table("lineorder").DirtyTuples()
-	flip, strategy := runUntilFlip(t, s, queries)
+	flip, strategy, epochBeforeFlip := runUntilFlip(t, s, queries)
 	if flip != syncFlip {
 		t.Fatalf("async flip at query %d, sync at %d — pre-switch trajectories must match", flip, syncFlip)
 	}
 	if strategy != "background" {
 		t.Fatalf("async flip strategy = %q, want background", strategy)
 	}
-	// The triggering query cleaned only its own scope: most dirty groups are
-	// still dirty right after it returns... unless the sweep already caught
-	// up, which CleaningStatus distinguishes. Assert via the job instead:
-	epochAtFlip := s.Epoch()
 	if err := s.WaitCleaning(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -158,10 +157,11 @@ func TestBackgroundFullCleanConvergesToSynchronous(t *testing.T) {
 	if job.GroupsCleaned == 0 {
 		t.Error("sweep repaired no groups — the trigger should have left most dirty")
 	}
-	// One epoch per chunk, at least (the final epoch count may include the
-	// racing epochs of queries issued before the flip returned). The chunk
+	// One epoch per chunk, at least, counted from before the triggering query
+	// (its own write-back adds one more). Sweep chunks may publish before the
+	// query returns, so an epoch read after it would undercount. The chunk
 	// count itself is adaptive, so the bound comes from the job's own tally.
-	if got := s.Epoch() - epochAtFlip; got < uint64(job.ChunksDone) {
+	if got := s.Epoch() - epochBeforeFlip; got < uint64(job.ChunksDone) {
 		t.Errorf("epochs advanced %d during sweep, want >= %d (one per chunk)", got, job.ChunksDone)
 	}
 	if got := s.Table("lineorder").Fingerprint(); got != want {
@@ -218,7 +218,7 @@ func TestBackgroundSweepConvergesUnderConcurrentQueries(t *testing.T) {
 
 	for trial := 0; trial < 2; trial++ {
 		s := newSweepSession(t, sweepOpts(), sweepGroups, sweepDirtyGroups)
-		flip, strategy := runUntilFlip(t, s, queries)
+		flip, strategy, _ := runUntilFlip(t, s, queries)
 		if flip < 0 || strategy != "background" {
 			t.Fatalf("serial prefix did not flip (flip=%d strategy=%q)", flip, strategy)
 		}
@@ -361,7 +361,7 @@ func TestCancelAndCloseStopSweep(t *testing.T) {
 	queries := sweepQueries(sweepGroups, sweepRangeGroups)
 	s := newSweepSession(t, sweepOpts(), sweepGroups, sweepDirtyGroups)
 	defer s.Close()
-	if flip, strategy := runUntilFlip(t, s, queries); flip < 0 || strategy != "background" {
+	if flip, strategy, _ := runUntilFlip(t, s, queries); flip < 0 || strategy != "background" {
 		t.Fatalf("no background flip (flip=%d strategy=%q)", flip, strategy)
 	}
 	// Pause → cancel → the job must reach a terminal state; Done is
@@ -399,7 +399,7 @@ func TestCostModelReadsCoalescedCounters(t *testing.T) {
 
 	serial := newSweepSession(t, sweepOpts(), sweepGroups, sweepDirtyGroups)
 	defer serial.Close()
-	serialFlip, serialStrategy := runUntilFlip(t, serial, queries)
+	serialFlip, serialStrategy, _ := runUntilFlip(t, serial, queries)
 	if serialFlip < 1 || serialStrategy != "background" {
 		t.Fatalf("serial run: flip at %d (%q), want background flip after query 0", serialFlip, serialStrategy)
 	}

@@ -25,8 +25,12 @@ func (qc *queryCtx) cleanFD(st *tableState, tableName string, rule *dc.Constrain
 	checked := func(k value.MapKey) bool { return snapChecked[k] || localChecked[k] }
 
 	// Statistics-driven pruning (Fig 9): only rows in dirty, unchecked
-	// groups need cleaning work. Row keys come from the persistent group
-	// index — O(1) per row, no per-query key building.
+	// groups need cleaning work. Row keys and violation status come from the
+	// group index — O(1) per row, no per-query key building. Pruning and the
+	// cost estimate trust the index statistics only for a rule bound to this
+	// registration; a table installed by ReplaceTable binds none.
+	bound := st.binds(rule.Name)
+	prune := bound && !qc.opts.DisableStatsPruning
 	detectSp := parent.Start("detect")
 	var scope []int
 	for ri, r := range rows {
@@ -35,11 +39,10 @@ func (qc *queryCtx) cleanFD(st *tableState, tableName string, rule *dc.Constrain
 				return nil, err
 			}
 		}
-		key := idx.keyOf(r)
-		if !qc.opts.DisableStatsPruning && st.stats != nil && !st.stats.Dirty(rule.Name, key) {
+		if prune && !idx.violating(r) {
 			continue
 		}
-		if checked(key) {
+		if checked(idx.keyOf(r)) {
 			continue
 		}
 		scope = append(scope, r)
@@ -68,7 +71,10 @@ func (qc *queryCtx) cleanFD(st *tableState, tableName string, rule *dc.Constrain
 		decSp := parent.Start("decision")
 		qi := len(rows)
 		epsi := len(scope)
-		ei := estimateExtras(st, rule.Name, epsi)
+		ei := epsi
+		if bound {
+			ei = idx.estimateExtras(epsi)
+		}
 		model := qc.latestState(tableName, st).cost
 		if model.ShouldSwitchToFull(qi, ei, epsi) {
 			strategy = StrategyFull
@@ -196,20 +202,6 @@ func (qc *queryCtx) latestState(tableName string, st *tableState) *tableState {
 		return cur
 	}
 	return st
-}
-
-// estimateExtras projects the relaxation size for the cost model from the
-// precomputed group statistics: each dirty tuple pulls in its group partners.
-func estimateExtras(st *tableState, rule string, epsi int) int {
-	if st.stats == nil {
-		return epsi
-	}
-	fs, ok := st.stats.FDs[rule]
-	if !ok || fs.DirtyGroups == 0 {
-		return epsi
-	}
-	avgGroup := float64(fs.DirtyTuples) / float64(fs.DirtyGroups)
-	return int(float64(epsi) * avgGroup)
 }
 
 // predTouchesLHS reports whether the filter references an lhs attribute of

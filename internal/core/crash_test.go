@@ -358,7 +358,7 @@ func TestCrashMidSweepResumes(t *testing.T) {
 	s.Register(sweepTable(sweepGroups, sweepDirtyGroups))
 	s.AddRule(sweepRule())
 	queries := sweepQueries(sweepGroups, sweepRangeGroups)
-	if i, strat := runUntilFlip(t, s, queries); i < 0 || strat != "background" {
+	if i, strat, _ := runUntilFlip(t, s, queries); i < 0 || strat != "background" {
 		t.Fatalf("no background switch (i=%d strat=%q)", i, strat)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,7 +11,6 @@ import (
 	"daisy/internal/dc"
 	"daisy/internal/detect"
 	"daisy/internal/ptable"
-	"daisy/internal/stats"
 	"daisy/internal/thetajoin"
 	"daisy/internal/trace"
 	"daisy/internal/value"
@@ -41,13 +41,14 @@ type tableState struct {
 	// copy-on-write (ptable.ApplyCOW), so older epochs keep reading their
 	// generation while the writer publishes the next.
 	pt *ptable.PTable
-	// stats / cost drive the §5.2.3 strategy decision. stats are derived
-	// from original values and never change after AddRule; cost is replaced
-	// with an updated copy on every recorded query.
-	stats *stats.TableStats
-	cost  *cost.Model
-	// fdIdx holds the persistent FD group index per rule. Indexes watch
-	// original values only, so one index is shared by every epoch.
+	// cost drives the §5.2.3 strategy decision. AddRule seeds it from the
+	// statistics of the bound rules' FD indexes; it is replaced with an
+	// updated copy on every recorded query.
+	cost *cost.Model
+	// fdIdx holds the FD group index per rule, built once per registration
+	// (eagerly by AddRule and checkpoint decode, lazily for tables installed
+	// by ReplaceTable) and never written afterwards. Indexes read original
+	// values only, so one index is shared by every epoch.
 	fdIdx map[string]*fdIndex
 	// dcIdx holds the theta-join rank index per general-DC rule, built on the
 	// rule's first detection or estimate. Like fdIdx it reads original values
@@ -60,7 +61,10 @@ type tableState struct {
 	checkedTuples map[string]map[int64]bool
 	// dcEstimates caches Algorithm 2's per-range violation estimates.
 	dcEstimates map[string][]thetajoin.RangeEstimate
-	rules       []*dc.Constraint
+	// rules lists the constraints bound to this registration by AddRule or
+	// checkpoint decode. Only a bound rule's index statistics prune detection
+	// and seed cost; ReplaceTable installs a registration with none bound.
+	rules []*dc.Constraint
 }
 
 // registrations counts table registrations; each Register/ReplaceTable
@@ -78,6 +82,11 @@ func newTableState(pt *ptable.PTable) *tableState {
 		checkedTuples: make(map[string]map[int64]bool),
 		dcEstimates:   make(map[string][]thetajoin.RangeEstimate),
 	}
+}
+
+// binds reports whether the named rule is bound to this registration.
+func (st *tableState) binds(rule string) bool {
+	return slices.ContainsFunc(st.rules, func(c *dc.Constraint) bool { return c.Name == rule })
 }
 
 // clone returns a shallow copy the writer may re-point fields on.
@@ -580,13 +589,6 @@ func applyOne(next *snapshot, cloned map[string]bool, req *applyReq, marks *batc
 		} else {
 			st.pt, _ = st.pt.ApplyCOW(req.delta)
 		}
-		// Index maintenance: cleaning deltas preserve original values, so
-		// this verifies (read-only) rather than re-keys — safe while
-		// concurrent snapshot readers share the indexes.
-		view := detect.NewPTableView(st.pt)
-		for _, ix := range st.fdIdx {
-			ix.ApplyDelta(view, req.delta)
-		}
 	}
 	if len(req.groups) > 0 {
 		marks.addGroups(st, req.table, req.rule, req.groups)
@@ -807,20 +809,4 @@ func (w *writer) ensureDCIndex(table string, ident uint64, rule *dc.Constraint) 
 		return nil
 	})
 	return built
-}
-
-// collectStats assembles the optimizer statistics of every bound FD rule
-// from the persistent group indexes (non-FD rules get their error estimates
-// from the rank index's EstimateErrors at query time, Algorithm 2).
-func collectStats(st *tableState) *stats.TableStats {
-	ts := &stats.TableStats{N: st.pt.Len(), FDs: make(map[string]*stats.FDStat)}
-	for _, rule := range st.rules {
-		if _, ok := rule.AsFD(); !ok {
-			continue
-		}
-		if ix := st.fdIdx[rule.Name]; ix != nil {
-			ts.FDs[rule.Name] = ix.fdStats(rule.Name)
-		}
-	}
-	return ts
 }

@@ -6,23 +6,20 @@ import (
 	"daisy/internal/dc"
 	"daisy/internal/detect"
 	"daisy/internal/ptable"
-	"daisy/internal/stats"
 	"daisy/internal/value"
 )
 
-// fdIndex is the persistent FD group index of one rule over one relation:
-// every row's lhs key, the clustering of rows into lhs groups with their rhs
-// value counts, and the inverse rhs→rows index. It is built once per
-// (table, rule) by the session writer and is immutable afterwards under the
-// query path: the index watches original (provenance) values (§4.3), which
-// cleaning deltas never rewrite, so concurrent snapshot readers share one
-// index across epochs without synchronization. The index holds no reference
-// to any PTable generation — methods that need cell data take a view
-// argument — so copy-on-write applies never leave it pointing at a stale
-// epoch.
+// fdIndex is the FD group index of one rule over one relation: every row's
+// lhs key, the clustering of rows into lhs groups with their rhs value counts,
+// the inverse rhs→rows index, and the §5.2.3 statistics read off them.
+// newFDIndex builds it in one pass over original (provenance) values (§4.3),
+// and nothing writes to it afterwards: cleaning never rewrites original
+// values, so the index is a function of the registration alone and every
+// epoch of it shares one index, read concurrently without synchronization.
+// The index holds no reference to any PTable generation — methods that need
+// cell data take a view argument — so copy-on-write applies never leave it
+// pointing at a stale epoch.
 type fdIndex struct {
-	fd   dc.FDSpec
-	cols detect.FDCols
 	// rowKey / rowRHS cache each indexed row's lhs and rhs keys, making
 	// per-row key lookups O(1) slice reads.
 	rowKey []value.MapKey
@@ -35,14 +32,31 @@ type fdIndex struct {
 	// scope collection stays deterministic without sorting.
 	order []value.MapKey
 	// vioSeg counts, per storage segment, the violating-group anchor rows
-	// (first members) whose position falls in that segment. Violation status
-	// is a pure function of original values, which cleaning deltas never
-	// rewrite, so the counts are static under the query path and shared
-	// read-only across epochs like the rest of the index; violatingScopeIn
+	// (first members) whose position falls in that segment; violatingScopeIn
 	// skips zero-count segments wholesale instead of probing every row.
-	// Rebuilt by extend, adjusted incrementally by rekey (single-threaded
-	// maintenance only, like rekey itself).
 	vioSeg []int32
+	// vioRow marks the rows whose lhs group violates the FD, so pruning a
+	// query's rows (Fig 9) costs one slice read per row, not a group lookup.
+	vioRow []bool
+	stats  fdStats
+}
+
+// fdStats are the optimizer statistics of §5.2.3 for one FD over one
+// relation.
+type fdStats struct {
+	// Groups is the number of distinct lhs groups, DirtyGroups the number of
+	// violating ones.
+	Groups, DirtyGroups int
+	// DirtyTuples is the total number of tuples in violating groups — the ε
+	// estimate of §5.2.3.
+	DirtyTuples int
+	// AvgCandidates estimates p: the average number of distinct rhs values
+	// per violating group (the candidate-set size an erroneous cell gets).
+	AvgCandidates float64
+	// AvgLHSPerRHS estimates the reverse direction's candidate size: average
+	// distinct lhs values per rhs value (drives the Fig 7 scenario where low
+	// rhs selectivity inflates the update cost).
+	AvgLHSPerRHS float64
 }
 
 // fdGroup is one lhs cluster: member row positions and the count of members
@@ -56,139 +70,56 @@ type fdGroup struct {
 func (g *fdGroup) violating() bool { return len(g.rhs) > 1 }
 
 func newFDIndex(pt *ptable.PTable, fd dc.FDSpec) *fdIndex {
-	// The build scan is single-threaded (session writer), so the view can be
-	// cursor-backed: one positional decode per row instead of one per cell.
-	view := detect.NewPTableView(pt)
-	ix := &fdIndex{fd: fd, cols: detect.CompileFD(view, fd),
-		groups: make(map[value.MapKey]*fdGroup), rhsRows: make(map[value.MapKey][]int)}
-	ix.extend(view)
-	return ix
-}
-
-// extend indexes any rows appended since the last call — the incremental
-// append path. Only the session writer may call it; registered relations
-// never grow during query serving, so readers see a fixed-size index.
-func (ix *fdIndex) extend(view detect.RowView) {
+	// The build scan is single-threaded, so the view can be cursor-backed: one
+	// positional decode per row instead of one per cell. Box it into the
+	// interface once, not once per key call.
+	var view detect.RowView = detect.NewPTableView(pt)
+	cols := detect.CompileFD(view, fd)
 	n := view.Len()
-	for i := len(ix.rowKey); i < n; i++ {
-		key := ix.cols.LHSKey(view, i)
-		rhs := ix.cols.RHSKey(view, i)
-		ix.rowKey = append(ix.rowKey, key)
-		ix.rowRHS = append(ix.rowRHS, rhs)
-		ix.link(i, key, rhs)
+	ix := &fdIndex{
+		rowKey: make([]value.MapKey, n), rowRHS: make([]value.MapKey, n),
+		groups: make(map[value.MapKey]*fdGroup), rhsRows: make(map[value.MapKey][]int),
+		vioSeg: make([]int32, (n+ptable.SegmentSize-1)/ptable.SegmentSize),
+		vioRow: make([]bool, n),
 	}
-	// Appended rows can flip existing groups to violating (a second distinct
-	// rhs arrives), so rebuild the per-segment anchor counts wholesale —
-	// O(groups), and extend runs only at build time and on explicit appends.
-	ix.rebuildVioSeg()
-}
-
-// rebuildVioSeg recomputes the per-segment violating-anchor counts.
-func (ix *fdIndex) rebuildVioSeg() {
-	ix.vioSeg = make([]int32, (len(ix.rowKey)+ptable.SegmentSize-1)/ptable.SegmentSize)
-	for _, g := range ix.groups {
-		if len(g.members) > 0 && g.violating() {
-			ix.vioSeg[ptable.SegOf(g.members[0])]++
+	for i := 0; i < n; i++ {
+		key, rhs := cols.LHSKey(view, i), cols.RHSKey(view, i)
+		ix.rowKey[i], ix.rowRHS[i] = key, rhs
+		g, ok := ix.groups[key]
+		if !ok {
+			g = &fdGroup{rhs: make(map[value.MapKey]int, 1)}
+			ix.groups[key] = g
+			ix.order = append(ix.order, key)
 		}
+		g.members = append(g.members, i)
+		g.rhs[rhs]++
+		ix.rhsRows[rhs] = append(ix.rhsRows[rhs], i)
 	}
-}
-
-// anchorDelta adds d to the segment count of key's group anchor, if the
-// group currently counts (non-empty and violating). rekey brackets its
-// mutations with a -1/+1 pair per affected group so the counts track anchor
-// moves and violation flips exactly.
-func (ix *fdIndex) anchorDelta(key value.MapKey, d int32) {
-	g, ok := ix.groups[key]
-	if !ok || len(g.members) == 0 || !g.violating() {
-		return
-	}
-	ix.vioSeg[ptable.SegOf(g.members[0])] += d
-}
-
-func (ix *fdIndex) link(i int, key, rhs value.MapKey) {
-	g, ok := ix.groups[key]
-	if !ok {
-		g = &fdGroup{rhs: make(map[value.MapKey]int, 1)}
-		ix.groups[key] = g
-		ix.order = append(ix.order, key)
-	}
-	g.members = append(g.members, i)
-	g.rhs[rhs]++
-	ix.rhsRows[rhs] = append(ix.rhsRows[rhs], i)
-}
-
-// ApplyDelta re-keys the tuples a delta touched, reading current cell state
-// through the caller's view (the post-apply epoch). Group membership follows
-// original (provenance) values, which cleaning deltas preserve, so under the
-// query path this is a read-only verification pass — safe to run while
-// snapshot readers share the index. It still re-keys faithfully if a caller
-// rewrites provenance out-of-band (single-threaded maintenance only).
-func (ix *fdIndex) ApplyDelta(view detect.PTableView, d *ptable.Delta) {
-	// Box the two-word view into the interface once, not once per rekeyed
-	// row — per-call conversion shows up as an allocation per touched tuple.
-	rv := detect.RowView(view)
-	for id := range d.Cells {
-		pos, ok := view.P.Pos(id)
-		if !ok || pos >= len(ix.rowKey) {
+	st := &ix.stats
+	st.Groups = len(ix.groups)
+	candidates, pairs := 0, 0
+	for _, g := range ix.groups {
+		pairs += len(g.rhs)
+		if !g.violating() {
 			continue
 		}
-		ix.rekey(rv, pos)
-	}
-}
-
-// rekey recomputes row pos's keys and moves it between groups when changed.
-func (ix *fdIndex) rekey(view detect.RowView, pos int) {
-	newKey := ix.cols.LHSKey(view, pos)
-	newRHS := ix.cols.RHSKey(view, pos)
-	oldKey, oldRHS := ix.rowKey[pos], ix.rowRHS[pos]
-	if newKey == oldKey && newRHS == oldRHS {
-		return
-	}
-	// Retract both affected groups' anchor contributions before mutating;
-	// re-added (under their new anchors and violation status) at the end.
-	ix.anchorDelta(oldKey, -1)
-	if newKey != oldKey {
-		ix.anchorDelta(newKey, -1)
-	}
-	if g, ok := ix.groups[oldKey]; ok {
-		g.members = removeRow(g.members, pos)
-		if g.rhs[oldRHS]--; g.rhs[oldRHS] == 0 {
-			delete(g.rhs, oldRHS)
+		ix.vioSeg[ptable.SegOf(g.members[0])]++
+		for _, r := range g.members {
+			ix.vioRow[r] = true
 		}
-		// Emptied groups stay registered (with no members) so a later
-		// re-insertion reuses the existing order entry — deleting here and
-		// re-linking would append the key to order twice and duplicate the
-		// group in violatingScope.
+		st.DirtyGroups++
+		st.DirtyTuples += len(g.members)
+		candidates += len(g.rhs)
 	}
-	if rows := removeRow(ix.rhsRows[oldRHS], pos); len(rows) == 0 {
-		delete(ix.rhsRows, oldRHS)
-	} else {
-		ix.rhsRows[oldRHS] = rows
+	if st.DirtyGroups > 0 {
+		st.AvgCandidates = float64(candidates) / float64(st.DirtyGroups)
 	}
-	ix.rowKey[pos] = newKey
-	ix.rowRHS[pos] = newRHS
-	ix.link(pos, newKey, newRHS)
-	// Keep row lists in ascending order so scope collection and relaxation
-	// stay deterministic.
-	if g := ix.groups[newKey]; len(g.members) > 1 {
-		sort.Ints(g.members)
+	if len(ix.rhsRows) > 0 {
+		// Σ_g (distinct rhs in g) counts each (lhs-group, rhs-value)
+		// co-occurrence once — identical to summing distinct lhs per rhs.
+		st.AvgLHSPerRHS = float64(pairs) / float64(len(ix.rhsRows))
 	}
-	if rows := ix.rhsRows[newRHS]; len(rows) > 1 {
-		sort.Ints(rows)
-	}
-	ix.anchorDelta(oldKey, 1)
-	if newKey != oldKey {
-		ix.anchorDelta(newKey, 1)
-	}
-}
-
-func removeRow(rows []int, pos int) []int {
-	for i, r := range rows {
-		if r == pos {
-			return append(rows[:i], rows[i+1:]...)
-		}
-	}
-	return rows
+	return ix
 }
 
 // keyOf returns row i's lhs key in O(1).
@@ -202,11 +133,8 @@ func (ix *fdIndex) members(key value.MapKey) []int {
 	return nil
 }
 
-// violating reports whether the lhs key's group violates the FD.
-func (ix *fdIndex) violating(key value.MapKey) bool {
-	g, ok := ix.groups[key]
-	return ok && g.violating()
-}
+// violating reports whether row r's lhs group violates the FD.
+func (ix *fdIndex) violating(r int) bool { return ix.vioRow[r] }
 
 // violatingScope collects, in deterministic group order, the members of
 // every violating group not yet marked checked — the full-clean scope.
@@ -214,17 +142,15 @@ func (ix *fdIndex) violating(key value.MapKey) bool {
 func (ix *fdIndex) violatingScope(checked func(value.MapKey) bool) []int {
 	var scope []int
 	for _, key := range ix.order {
-		g, ok := ix.groups[key]
-		if !ok || !g.violating() || checked(key) {
-			continue
+		if g := ix.groups[key]; g.violating() && !checked(key) {
+			scope = append(scope, g.members...)
 		}
-		scope = append(scope, g.members...)
 	}
 	return scope
 }
 
-// vioSegStats reports how the segment-skip fast path sees the relation
-// right now: skipped is the number of storage segments holding no
+// vioSegStats reports how the segment-skip fast path sees the relation:
+// skipped is the number of storage segments holding no
 // violating-group anchor (skipped wholesale by violatingScopeIn), total the
 // segment count. Read-only; used for trace attributes.
 func (ix *fdIndex) vioSegStats() (skipped, total int) {
@@ -242,7 +168,7 @@ func (ix *fdIndex) vioSegStats() (skipped, total int) {
 // member position assigns each group to exactly one chunk, so the union over
 // a sweep's chunks equals violatingScope at the same checked set, and groups
 // whole-sale membership keeps per-group fixes byte-identical to a monolithic
-// clean. Storage segments whose maintained vioSeg count is zero hold no
+// clean. Storage segments whose vioSeg count is zero hold no
 // violating-group anchors at all and are skipped wholesale — on a mostly
 // clean relation the scan touches only the dirty segments' rows. Skipping is
 // valid for any [lo, hi): a zero count means no anchor anywhere in the
@@ -265,37 +191,12 @@ func (ix *fdIndex) violatingScopeIn(lo, hi int, checked func(value.MapKey) bool)
 		for ; r < segEnd; r++ {
 			key := ix.rowKey[r]
 			g := ix.groups[key]
-			if g == nil || len(g.members) == 0 || g.members[0] != r {
-				continue // not this group's anchor row
-			}
-			if !g.violating() || checked(key) {
-				continue
+			if g.members[0] != r || !g.violating() || checked(key) {
+				continue // not this group's anchor row, or nothing to clean
 			}
 			keys = append(keys, key)
 			scope = append(scope, g.members...)
 		}
-	}
-	return scope, keys
-}
-
-// violatingScopeScanIn is the exhaustive per-row reference implementation of
-// violatingScopeIn, kept as the differential oracle the property tests and
-// the dirty-fraction benchmark compare the segment-skip path against.
-func (ix *fdIndex) violatingScopeScanIn(lo, hi int, checked func(value.MapKey) bool) (scope []int, keys []value.MapKey) {
-	if hi > len(ix.rowKey) {
-		hi = len(ix.rowKey)
-	}
-	for r := lo; r < hi; r++ {
-		key := ix.rowKey[r]
-		g := ix.groups[key]
-		if g == nil || len(g.members) == 0 || g.members[0] != r {
-			continue // not this group's anchor row
-		}
-		if !g.violating() || checked(key) {
-			continue
-		}
-		keys = append(keys, key)
-		scope = append(scope, g.members...)
 	}
 	return scope, keys
 }
@@ -363,34 +264,40 @@ func (ix *fdIndex) relax(seed []int, transitive bool, m *detect.Metrics) []int {
 	return extra
 }
 
-// fdStats derives the optimizer statistics of §5.2.3 from the index — the
-// same numbers stats.Collect computes with two fresh table scans, read off
-// the maintained groups instead.
-func (ix *fdIndex) fdStats(rule string) *stats.FDStat {
-	st := &stats.FDStat{Rule: rule, DirtyLHS: make(map[value.MapKey]bool)}
-	totalCandidates := 0
-	pairs := 0
-	for key, g := range ix.groups {
-		if len(g.members) == 0 {
-			continue // emptied by rekey; kept only for order stability
+// estimateExtras projects the relaxation size for the cost model from the
+// index statistics: each dirty tuple pulls in its group partners.
+func (ix *fdIndex) estimateExtras(epsi int) int {
+	if ix.stats.DirtyGroups == 0 {
+		return epsi
+	}
+	avgGroup := float64(ix.stats.DirtyTuples) / float64(ix.stats.DirtyGroups)
+	return int(float64(epsi) * avgGroup)
+}
+
+// costEpsilon estimates the erroneous tuples ε that seed a registration's
+// §5.2.3 cost model: the dirty tuples of every bound FD rule. General DCs get
+// their error estimates from the rank index at query time (Algorithm 2).
+func costEpsilon(st *tableState) int {
+	e := 0
+	for rule, ix := range st.fdIdx {
+		if st.binds(rule) {
+			e += ix.stats.DirtyTuples
 		}
-		st.Groups++
-		pairs += len(g.rhs)
-		if !g.violating() {
-			continue
+	}
+	return e
+}
+
+// costP estimates the candidate-set size p (≥1) across the bound FD rules.
+// Both fix directions contribute: rhs candidates per dirty group and lhs
+// candidates per rhs value — the latter is what explodes when the rhs has low
+// selectivity (each violating suppkey matches many orderkeys, the Fig 7
+// scenario), inflating the incremental update cost.
+func costP(st *tableState) float64 {
+	p := 1.0
+	for rule, ix := range st.fdIdx {
+		if st.binds(rule) {
+			p = max(p, ix.stats.AvgCandidates, ix.stats.AvgLHSPerRHS)
 		}
-		st.DirtyGroups++
-		st.DirtyLHS[key] = true
-		st.DirtyTuples += len(g.members)
-		totalCandidates += len(g.rhs)
 	}
-	if st.DirtyGroups > 0 {
-		st.AvgCandidates = float64(totalCandidates) / float64(st.DirtyGroups)
-	}
-	if len(ix.rhsRows) > 0 {
-		// Σ_g (distinct rhs in g) counts each (lhs-group, rhs-value)
-		// co-occurrence once — identical to summing distinct lhs per rhs.
-		st.AvgLHSPerRHS = float64(pairs) / float64(len(ix.rhsRows))
-	}
-	return st
+	return p
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -10,7 +11,6 @@ import (
 	"daisy/internal/ptable"
 	"daisy/internal/relax"
 	"daisy/internal/schema"
-	"daisy/internal/stats"
 	"daisy/internal/table"
 	"daisy/internal/uncertain"
 	"daisy/internal/value"
@@ -41,14 +41,8 @@ func assertIndexMatchesGroupBy(t *testing.T, ix *fdIndex, pt *ptable.PTable, fd 
 	t.Helper()
 	view := detect.PTableView{P: pt}
 	fresh := detect.GroupByFD(view, fd, nil)
-	nonEmpty := 0
-	for _, g := range ix.groups {
-		if len(g.members) > 0 {
-			nonEmpty++
-		}
-	}
-	if nonEmpty != len(fresh) {
-		t.Fatalf("index groups = %d, GroupByFD = %d", nonEmpty, len(fresh))
+	if len(ix.groups) != len(fresh) {
+		t.Fatalf("index groups = %d, GroupByFD = %d", len(ix.groups), len(fresh))
 	}
 	for key, g := range fresh {
 		got := append([]int(nil), ix.members(key)...)
@@ -58,8 +52,10 @@ func assertIndexMatchesGroupBy(t *testing.T, ix *fdIndex, pt *ptable.PTable, fd 
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("group %v members = %v, want %v", key, got, want)
 		}
-		if ix.violating(key) != g.Violating() {
-			t.Errorf("group %v violating = %v, want %v", key, ix.violating(key), g.Violating())
+		for _, r := range g.Members {
+			if ix.violating(r) != g.Violating() {
+				t.Errorf("row %d of group %v violating = %v, want %v", r, key, ix.violating(r), g.Violating())
+			}
 		}
 	}
 	// Per-row cached keys must match recomputed keys.
@@ -69,16 +65,10 @@ func assertIndexMatchesGroupBy(t *testing.T, ix *fdIndex, pt *ptable.PTable, fd 
 			t.Errorf("row %d cached key mismatch", i)
 		}
 	}
-	assertVioSegConsistent(t, ix)
-}
-
-// assertVioSegConsistent recomputes the per-segment violating-anchor counts
-// from the group map and compares them to the incrementally maintained ones.
-func assertVioSegConsistent(t *testing.T, ix *fdIndex) {
-	t.Helper()
+	// The per-segment violating-anchor counts, recomputed from the groups.
 	want := make([]int32, (len(ix.rowKey)+ptable.SegmentSize-1)/ptable.SegmentSize)
 	for _, g := range ix.groups {
-		if len(g.members) > 0 && g.violating() {
+		if g.violating() {
 			want[ptable.SegOf(g.members[0])]++
 		}
 	}
@@ -93,9 +83,9 @@ func TestFDIndexMatchesGroupBy(t *testing.T) {
 	assertIndexMatchesGroupBy(t, ix, pt, fd)
 }
 
-// TestFDIndexConsistentAfterApply: cleaning deltas (which preserve original
-// values) must leave the index consistent, and deltas that rewrite
-// provenance must re-key the touched tuples.
+// TestFDIndexConsistentAfterApply: a cleaning delta preserves original
+// values, so the index built before it is still exact for the cleaned
+// relation — identical to a fresh build over it.
 func TestFDIndexConsistentAfterApply(t *testing.T) {
 	pt, fd := indexFixture()
 	ix := newFDIndex(pt, fd)
@@ -109,65 +99,10 @@ func TestFDIndexConsistentAfterApply(t *testing.T) {
 			{Val: value.NewString("SF"), Prob: 0.4, World: 0, Support: 1},
 		},
 	})
-	pt.Apply(d)
-	ix.ApplyDelta(detect.PTableView{P: pt}, d)
-	assertIndexMatchesGroupBy(t, ix, pt, fd)
-
-	// A provenance rewrite: tuple 5 moves from rhs SF to rhs NY, and tuple 3
-	// moves lhs group 2 → 1. The index must follow both.
-	d2 := ptable.NewDelta("cities")
-	d2.Set(5, 1, uncertain.Cell{Orig: value.NewString("NY")})
-	d2.Set(3, 0, uncertain.Cell{Orig: value.NewInt(1)})
-	pt.Apply(d2)
-	ix.ApplyDelta(detect.PTableView{P: pt}, d2)
-	assertIndexMatchesGroupBy(t, ix, pt, fd)
-}
-
-// TestFDIndexEmptyAndRecreateGroup: rekeying the last member out of a group
-// and later back in must not duplicate the group in the full-clean scope.
-func TestFDIndexEmptyAndRecreateGroup(t *testing.T) {
-	pt, fd := indexFixture()
-	ix := newFDIndex(pt, fd)
-
-	// Tuple 5 is the sole member of lhs group zip=3: move it to zip=2.
-	move := func(zip int64) {
-		d := ptable.NewDelta("cities")
-		d.Set(5, 0, uncertain.Cell{Orig: value.NewInt(zip)})
-		pt.Apply(d)
-		ix.ApplyDelta(detect.PTableView{P: pt}, d)
-	}
-	move(2) // empties group 3
-	assertIndexMatchesGroupBy(t, ix, pt, fd)
-	move(3) // recreates group 3
-	assertIndexMatchesGroupBy(t, ix, pt, fd)
-
-	// Make group 3 violating and confirm its members appear exactly once in
-	// the full-clean scope.
-	pt.Append(&ptable.Tuple{ID: 6, Cells: []uncertain.Cell{
-		uncertain.Certain(value.NewInt(3)), uncertain.Certain(value.NewString("Boston")),
-	}})
-	ix.extend(detect.PTableView{P: pt})
-	scope := ix.violatingScope(func(value.MapKey) bool { return false })
-	seen := make(map[int]int)
-	for _, r := range scope {
-		seen[r]++
-		if seen[r] > 1 {
-			t.Fatalf("row %d appears %d times in violatingScope %v", r, seen[r], scope)
-		}
-	}
-}
-
-// TestFDIndexExtend: rows appended after the build index incrementally.
-func TestFDIndexExtend(t *testing.T) {
-	pt, fd := indexFixture()
-	ix := newFDIndex(pt, fd)
-	pt.Append(&ptable.Tuple{ID: 6, Cells: []uncertain.Cell{
-		uncertain.Certain(value.NewInt(3)), uncertain.Certain(value.NewString("Boston")),
-	}})
-	ix.extend(detect.PTableView{P: pt})
-	assertIndexMatchesGroupBy(t, ix, pt, fd)
-	if !ix.violating(value.NewInt(3).MapKey()) {
-		t.Error("zip 3 gained a second city and must now be violating")
+	cleaned, _ := pt.ApplyCOW(d)
+	assertIndexMatchesGroupBy(t, ix, cleaned, fd)
+	if fresh := newFDIndex(cleaned, fd); !reflect.DeepEqual(fresh, ix) {
+		t.Error("index over the cleaned relation differs from the one built before cleaning")
 	}
 }
 
@@ -193,28 +128,45 @@ func TestIndexRelaxMatchesScanRelax(t *testing.T) {
 	}
 }
 
-// TestIndexStatsMatchCollect: statistics derived from the index must equal
-// stats.Collect's scan-based numbers.
+// collectFDStats is the scan-based reference for the index statistics: two
+// fresh groupings of the relation (by lhs, then by rhs), no index involved.
+func collectFDStats(view detect.RowView, spec dc.FDSpec) fdStats {
+	var st fdStats
+	groups := detect.GroupByFD(view, spec, nil)
+	st.Groups = len(groups)
+	totalCandidates := 0
+	for _, g := range groups {
+		if !g.Violating() {
+			continue
+		}
+		st.DirtyGroups++
+		st.DirtyTuples += len(g.Members)
+		totalCandidates += g.DistinctRHS()
+	}
+	if st.DirtyGroups > 0 {
+		st.AvgCandidates = float64(totalCandidates) / float64(st.DirtyGroups)
+	}
+	byRHS := detect.GroupByRHS(view, spec, nil)
+	if len(byRHS) > 0 {
+		cols := detect.CompileFD(view, spec)
+		distinctPairs := 0
+		for _, members := range byRHS {
+			lhsSeen := make(map[value.MapKey]bool)
+			for _, i := range members {
+				lhsSeen[cols.LHSKey(view, i)] = true
+			}
+			distinctPairs += len(lhsSeen)
+		}
+		st.AvgLHSPerRHS = float64(distinctPairs) / float64(len(byRHS))
+	}
+	return st
+}
+
+// TestIndexStatsMatchCollect: the statistics the index computes at build
+// must equal the scan-based reference's numbers, bit for bit.
 func TestIndexStatsMatchCollect(t *testing.T) {
 	pt, fd := indexFixture()
-	_ = fd
-	s := NewSession(Options{})
-	tb := table.New("cities", pt.Schema)
-	for _, tup := range pt.Rows() {
-		row := make(table.Row, len(tup.Cells))
-		for i := range tup.Cells {
-			row[i] = tup.Cells[i].Orig
-		}
-		tb.MustAppend(row)
-	}
-	if err := s.Register(tb); err != nil {
-		t.Fatal(err)
-	}
-	rule := dc.FD("phi", "cities", "city", "zip")
-	if err := s.AddRule(rule); err != nil {
-		t.Fatal(err)
-	}
-	st := s.w.current().tables["cities"].stats.FDs["phi"]
+	st := newFDIndex(pt, fd).stats
 	if st.Groups != 3 || st.DirtyGroups != 1 || st.DirtyTuples != 3 {
 		t.Errorf("index stats = %+v", st)
 	}
@@ -225,15 +177,111 @@ func TestIndexStatsMatchCollect(t *testing.T) {
 	if want := 4.0 / 3.0; st.AvgLHSPerRHS != want {
 		t.Errorf("AvgLHSPerRHS = %v, want %v", st.AvgLHSPerRHS, want)
 	}
-	if !st.DirtyLHS[value.NewInt(1).MapKey()] || st.DirtyLHS[value.NewInt(2).MapKey()] {
-		t.Errorf("DirtyLHS = %v", st.DirtyLHS)
-	}
-	// Field-by-field equivalence with the scan-based collector.
-	sc := stats.Collect(detect.PTableView{P: s.w.current().tables["cities"].pt},
-		[]*dc.Constraint{rule}).FDs["phi"]
-	if st.Groups != sc.Groups || st.DirtyGroups != sc.DirtyGroups ||
-		st.DirtyTuples != sc.DirtyTuples || st.AvgCandidates != sc.AvgCandidates ||
-		st.AvgLHSPerRHS != sc.AvgLHSPerRHS || !reflect.DeepEqual(st.DirtyLHS, sc.DirtyLHS) {
+	if sc := collectFDStats(detect.PTableView{P: pt}, fd); st != sc {
 		t.Errorf("index stats %+v != scan stats %+v", st, sc)
+	}
+	// A wider relation with many groups and segments.
+	wide, wfd := randSkipFixture(rand.New(rand.NewSource(7)), 3*ptable.SegmentSize, 200)
+	if got, want := newFDIndex(wide, wfd).stats, collectFDStats(detect.PTableView{P: wide}, wfd); got != want {
+		t.Errorf("wide: index stats %+v != scan stats %+v", got, want)
+	}
+}
+
+// statsTable has one dirty group with two suppkeys, one clean group and one
+// dirty group with three suppkeys.
+func statsTable() *table.Table {
+	sch := schema.MustNew(
+		schema.Column{Name: "orderkey", Kind: value.Int},
+		schema.Column{Name: "suppkey", Kind: value.Int},
+	)
+	t := table.New("lineorder", sch)
+	add := func(o, s int64) { t.MustAppend(table.Row{value.NewInt(o), value.NewInt(s)}) }
+	add(1, 10)
+	add(1, 11)
+	add(2, 20)
+	add(2, 20)
+	add(3, 30)
+	add(3, 31)
+	add(3, 32)
+	return t
+}
+
+// statsState registers tb and binds rules, returning the bound table state.
+func statsState(t *testing.T, tb *table.Table, rules ...*dc.Constraint) *tableState {
+	t.Helper()
+	s := NewSession(Options{})
+	t.Cleanup(s.Close)
+	setupSession(t, s, tb, rules...)
+	return s.w.current().tables[tb.Name]
+}
+
+func statsRule() *dc.Constraint { return dc.FD("phi", "lineorder", "suppkey", "orderkey") }
+
+func TestCollectFDStats(t *testing.T) {
+	st := statsState(t, statsTable(), statsRule())
+	ix := st.fdIdx["phi"]
+	if ix == nil {
+		t.Fatal("missing rule index")
+	}
+	if ix.stats.Groups != 3 || ix.stats.DirtyGroups != 2 {
+		t.Errorf("groups = %d dirty = %d", ix.stats.Groups, ix.stats.DirtyGroups)
+	}
+	if ix.stats.DirtyTuples != 5 {
+		t.Errorf("dirty tuples = %d, want 5 (2 + 3)", ix.stats.DirtyTuples)
+	}
+	// Avg candidates: (2 + 3)/2 = 2.5 distinct rhs per dirty group.
+	if ix.stats.AvgCandidates != 2.5 {
+		t.Errorf("avg candidates = %v", ix.stats.AvgCandidates)
+	}
+	if n := st.cost.State().N; n != 7 {
+		t.Errorf("N = %d", n)
+	}
+}
+
+func TestDirtyPruning(t *testing.T) {
+	st := statsState(t, statsTable(), statsRule())
+	ix := st.fdIdx["phi"]
+	if !ix.violating(0) || !ix.violating(1) {
+		t.Error("group 1 (rows 0, 1) is dirty")
+	}
+	if ix.violating(2) || ix.violating(3) {
+		t.Error("group 2 (rows 2, 3) is clean — pruning must skip it")
+	}
+	// Unknown rule: not bound, so no pruning.
+	if st.binds("ghost") || !st.binds("phi") {
+		t.Errorf("binds(ghost) = %v, binds(phi) = %v", st.binds("ghost"), st.binds("phi"))
+	}
+}
+
+func TestEpsilonAndP(t *testing.T) {
+	st := statsState(t, statsTable(), statsRule())
+	if e := costEpsilon(st); e != 5 {
+		t.Errorf("Epsilon = %d", e)
+	}
+	if p := costP(st); p != 2.5 {
+		t.Errorf("P = %v", p)
+	}
+	empty := statsState(t, table.New("lineorder", statsTable().Schema), statsRule())
+	if p := costP(empty); p != 1 {
+		t.Errorf("empty table P = %v, want 1 floor", p)
+	}
+}
+
+func TestNonFDRulesSkipped(t *testing.T) {
+	ineq := dc.MustParse("psi: !(t1.orderkey<t2.orderkey & t1.suppkey>t2.suppkey)")
+	st := statsState(t, statsTable(), ineq)
+	if len(st.fdIdx) != 0 {
+		t.Error("inequality DC must not build an FD index")
+	}
+	if costEpsilon(st) != 0 || costP(st) != 1 {
+		t.Errorf("DC-only stats: epsilon = %d, p = %v", costEpsilon(st), costP(st))
+	}
+}
+
+func TestAvgLHSPerRHS(t *testing.T) {
+	st := statsState(t, statsTable(), statsRule())
+	// suppkeys {10,11,20,30,31,32} each map to one orderkey → 1.0.
+	if got := st.fdIdx["phi"].stats.AvgLHSPerRHS; got != 1.0 {
+		t.Errorf("AvgLHSPerRHS = %v", got)
 	}
 }

@@ -238,3 +238,39 @@ func TestStatsPruningAblation(t *testing.T) {
 		t.Errorf("disabling pruning should not scan less: %d < %d", scanned2, scanned1)
 	}
 }
+
+// TestPruningNeedsBoundRule pins when statistics pruning applies: only for a
+// rule bound to the registration by AddRule (or checkpoint decode). A table
+// installed by ReplaceTable binds no rule, so a query over a clean group is
+// still scoped there, while on the AddRule-bound registration it is skipped.
+func TestPruningNeedsBoundRule(t *testing.T) {
+	tb := citiesTable()
+	tb.MustAppend(table.Row{value.NewInt(20000), value.NewString("Boston")})
+	tb.MustAppend(table.Row{value.NewInt(20000), value.NewString("Boston")})
+	strategy := func(s *Session) string {
+		t.Helper()
+		res, err := s.Query("SELECT zip, city FROM cities WHERE zip = 20000")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Decisions) != 1 {
+			t.Fatalf("decisions = %+v, want one", res.Decisions)
+		}
+		return res.Decisions[0].Strategy
+	}
+	s := NewSession(Options{Strategy: StrategyIncremental})
+	defer s.Close()
+	if err := s.Register(tb.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddRule(dc.FD("phi", "cities", "city", "zip")); err != nil {
+		t.Fatal(err)
+	}
+	if got := strategy(s); got != "skip" {
+		t.Errorf("bound rule over a clean group: strategy %q, want skip (pruned)", got)
+	}
+	s.ReplaceTable("cities", ptable.FromTable(tb.Clone()))
+	if got := strategy(s); got != "incremental" {
+		t.Errorf("after ReplaceTable: strategy %q, want incremental (no pruning)", got)
+	}
+}

@@ -532,8 +532,8 @@ func (d *dec) applyRecord() []*applyReq {
 
 // encodeCheckpoint renders the full session state of one published snapshot
 // plus the live background sweeps: everything Open needs to rebuild a
-// session without any WAL prefix. Derived structures (FD indexes, optimizer
-// stats, DC estimate caches) are not stored — they are deterministic
+// session without any WAL prefix. Derived structures (FD indexes with their
+// statistics, DC estimate caches) are not stored — they are deterministic
 // functions of original values and rebuild on recovery.
 func encodeCheckpoint(snap *snapshot, sweeps []sweepRef) []byte {
 	buf := []byte{ckptVersion}
@@ -611,7 +611,8 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 // decodeCheckpoint rebuilds the snapshot (fresh registration identities,
-// rebuilt indexes and stats) and returns it with the live-sweep list.
+// rebuilt indexes; the cost model comes from the record) and returns it with
+// the live-sweep list.
 func decodeCheckpoint(payload []byte) (*snapshot, []sweepRef, error) {
 	d := &dec{b: payload}
 	if v := d.byte(); v != ckptVersion {
@@ -657,9 +658,6 @@ func decodeCheckpoint(payload []byte) (*snapshot, []sweepRef, error) {
 			if spec, isFD := c.AsFD(); isFD {
 				st.fdIdx[c.Name] = newFDIndex(pt, spec)
 			}
-		}
-		if len(st.rules) > 0 {
-			st.stats = collectStats(st)
 		}
 		if d.byte() == 1 {
 			cs := cost.State{
@@ -709,7 +707,7 @@ func decodeCheckpoint(payload []byte) (*snapshot, []sweepRef, error) {
 // stateFingerprint renders everything durable about a snapshot canonically:
 // per-table probabilistic state, checked-set bookkeeping, cost-model state,
 // bound rules, and the global rule list. Registration identities, epoch
-// counters, and derived caches (FD indexes, stats, DC estimates) are
+// counters, and derived caches (FD indexes, DC estimates) are
 // excluded — they are session-local or recomputed. The crash-injection
 // tests assert a recovered session fingerprints byte-identically to the
 // uninterrupted oracle run.

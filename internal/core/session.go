@@ -443,9 +443,10 @@ func (s *Session) Register(t *table.Table) error {
 		})
 }
 
-// AddRule binds a denial constraint and precomputes its statistics (the
-// group-by sizes of §5.2.3/§6). Rules may be added after queries have run;
-// provenance lets new rules merge into already-probabilistic data (Table 7).
+// AddRule binds a denial constraint, builds its FD group index (whose
+// group-by sizes are the statistics of §5.2.3/§6) and seeds the cost model.
+// Rules may be added after queries have run; provenance lets new rules merge
+// into already-probabilistic data (Table 7).
 func (s *Session) AddRule(rule *dc.Constraint) error {
 	if rule.Name == "" {
 		return fmt.Errorf("core: rule must be named")
@@ -484,8 +485,7 @@ func (s *Session) AddRule(rule *dc.Constraint) error {
 					}
 					st.fdIdx = idx
 				}
-				st.stats = collectStats(st)
-				st.cost = cost.New(st.stats.N, st.stats.Epsilon(), st.stats.P())
+				st.cost = cost.New(st.pt.Len(), costEpsilon(st), costP(st))
 				bound = true
 			}
 			if !bound {
