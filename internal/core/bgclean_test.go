@@ -292,7 +292,7 @@ func TestMidSweepCancellationLeavesResumableState(t *testing.T) {
 		s := newSweepSession(t, sweepOpts(), sweepGroups, sweepDirtyGroups)
 		st := s.w.current().tables["lineorder"]
 		fd, _ := sweepRule().AsFD()
-		return s, newFDSweepJob(s, "lineorder", st.ident, sweepRule(), fd, st.pt.Len())
+		return s, newFDSweepJob(s, "lineorder", st.reg, sweepRule(), fd, st.pt.Len())
 	}
 
 	// Resume path 1: run the first half in 512-row chunks, "cancel", resume
@@ -319,7 +319,7 @@ func TestMidSweepCancellationLeavesResumableState(t *testing.T) {
 	// a fresh job resumes purely from the checked-set bookkeeping.
 	st := s1.w.current().tables["lineorder"]
 	fd, _ := sweepRule().AsFD()
-	job1b := newFDSweepJob(s1, "lineorder", st.ident, sweepRule(), fd, st.pt.Len())
+	job1b := newFDSweepJob(s1, "lineorder", st.reg, sweepRule(), fd, st.pt.Len())
 	for lo := 0; lo < job1b.Total(); lo += 700 {
 		hi := lo + 700
 		if hi > job1b.Total() {
@@ -452,7 +452,7 @@ func TestMarkSwitchedSurvivesDuplicateCoalescing(t *testing.T) {
 	// Replay the sweep's final chunk as computed against the stale pre-clean
 	// epoch: every group and cell is dropped as a duplicate at apply time.
 	fd, _ := sweepRule().AsFD()
-	idx := st0.fdIdx["phi"]
+	idx := st0.reg.builtFDIndex("phi")
 	scope, keys := idx.violatingScopeIn(0, st0.pt.Len(), func(value.MapKey) bool { return false })
 	if len(keys) == 0 {
 		t.Fatal("no violating groups in the pre-clean epoch")
@@ -460,7 +460,7 @@ func TestMarkSwitchedSurvivesDuplicateCoalescing(t *testing.T) {
 	var m detect.Metrics
 	view := detect.PTableView{P: st0.pt}
 	d := repair.FD(view, scope, idx.relax(scope, false, &m), fd, st0.pt.Schema.MustIndex, &m)
-	s.w.submit(&applyReq{table: "lineorder", rule: "phi", isFD: true, ident: st0.ident,
+	s.w.submit(&applyReq{table: "lineorder", rule: "phi", isFD: true, reg: st0.reg,
 		delta: d, base: st0.pt, groups: keys, markSwitched: true})
 	cur := s.w.current().tables["lineorder"]
 	if cur.cost == nil || !cur.cost.Switched() {

@@ -31,7 +31,7 @@ import (
 type fdSweepJob struct {
 	s     *Session
 	table string
-	ident uint64 // registration identity; a replaced table obsoletes the job
+	reg   *registration // a replaced table obsoletes the job
 	rule  *dc.Constraint
 	fd    dc.FDSpec
 
@@ -40,8 +40,8 @@ type fdSweepJob struct {
 
 // newFDSweepJob sizes a sweep over the relation's current length (registered
 // relations never grow during serving, so the row total is fixed).
-func newFDSweepJob(s *Session, table string, ident uint64, rule *dc.Constraint, fd dc.FDSpec, rows int) *fdSweepJob {
-	return &fdSweepJob{s: s, table: table, ident: ident, rule: rule, fd: fd, rows: rows}
+func newFDSweepJob(s *Session, table string, reg *registration, rule *dc.Constraint, fd dc.FDSpec, rows int) *fdSweepJob {
+	return &fdSweepJob{s: s, table: table, reg: reg, rule: rule, fd: fd, rows: rows}
 }
 
 // Total implements bgclean.Job.
@@ -60,25 +60,15 @@ func (j *fdSweepJob) RunChunk(ctx context.Context, lo, hi int) (bgclean.ChunkRes
 		return res, err
 	}
 	st, ok := j.s.w.current().tables[j.table]
-	if !ok || st.ident != j.ident {
+	if !ok || st.reg != j.reg {
 		return res, fmt.Errorf("%w: table %q replaced mid-sweep", bgclean.ErrObsolete, j.table)
 	}
-	idx := st.fdIdx[j.rule.Name]
-	if idx == nil {
-		// Replaced-and-re-triggered registrations build lazily; publish the
-		// index once for every future epoch.
-		if idx = j.s.w.ensureFDIndex(j.table, j.ident, j.rule.Name, j.fd); idx == nil {
-			return res, fmt.Errorf("%w: table %q replaced mid-sweep", bgclean.ErrObsolete, j.table)
-		}
-		if st, ok = j.s.w.current().tables[j.table]; !ok || st.ident != j.ident {
-			return res, fmt.Errorf("%w: table %q replaced mid-sweep", bgclean.ErrObsolete, j.table)
-		}
-	}
+	idx := st.reg.fdIndex(st.pt, j.rule.Name, j.fd)
 
 	checked := st.checkedGroups[j.rule.Name]
 	scope, keys := idx.violatingScopeIn(lo, hi, func(k value.MapKey) bool { return checked[k] })
 
-	req := &applyReq{table: j.table, rule: j.rule.Name, isFD: true, ident: j.ident}
+	req := &applyReq{table: j.table, rule: j.rule.Name, isFD: true, reg: j.reg}
 	var m detect.Metrics
 	if len(scope) > 0 {
 		// Same fix semantics as every other FD path: the support pass makes
@@ -113,16 +103,16 @@ func (j *fdSweepJob) RunChunk(ctx context.Context, lo, hi int) (bgclean.ChunkRes
 // scope is already checked. A query whose decision raced a completing sweep
 // — it read the model pre-markSwitched, flushed post-completion — finds the
 // switch already recorded and schedules nothing.
-func (s *Session) enqueueSweep(table string, ident uint64, rule *dc.Constraint, fd dc.FDSpec) {
+func (s *Session) enqueueSweep(table string, reg *registration, rule *dc.Constraint, fd dc.FDSpec) {
 	st, ok := s.w.current().tables[table]
-	if !ok || st.ident != ident {
+	if !ok || st.reg != reg {
 		return
 	}
 	if st.cost != nil && st.cost.Switched() {
 		return // the sweep (or an inline full clean) already finished
 	}
-	job := newFDSweepJob(s, table, ident, rule, fd, st.pt.Len())
-	if _, fresh := s.bg.Enqueue(table, rule.Name, ident, job); fresh {
+	job := newFDSweepJob(s, table, reg, rule, fd, st.pt.Len())
+	if _, fresh := s.bg.Enqueue(table, rule.Name, reg.id, job); fresh {
 		// Journal the enqueue so a crash mid-sweep resumes the clean on Open
 		// (from the recovered checked-set bookkeeping, not from scratch).
 		s.w.logSweep(table, rule.Name)
@@ -135,8 +125,9 @@ func (s *Session) enqueueSweep(table string, ident uint64, rule *dc.Constraint, 
 // the segment-skip benchmark) use. It reports whether a sweep is now live
 // for (table, rule); a live job for the same registration dedups, so calling
 // it under an already-running sweep joins that sweep. Only FD rules sweep in
-// the background: an unknown table, unknown rule, or general DC returns
-// false. Track the sweep through CleaningStatus / WaitCleaning.
+// the background: an unknown table, an unknown rule, a rule the table lacks
+// columns for, or a general DC returns false. Track the sweep through
+// CleaningStatus / WaitCleaning.
 func (s *Session) CleanInBackground(table, rule string) bool {
 	snap := s.w.current()
 	st, ok := snap.tables[table]
@@ -144,15 +135,15 @@ func (s *Session) CleanInBackground(table, rule string) bool {
 		return false
 	}
 	for _, r := range snap.rules {
-		if r.Name != rule || (r.Table != "" && r.Table != table) {
+		if r.Name != rule || (r.Table != "" && r.Table != table) || !hasColumns(st.pt.Schema, r) {
 			continue
 		}
 		fd, isFD := r.AsFD()
 		if !isFD {
 			return false
 		}
-		job := newFDSweepJob(s, table, st.ident, r, fd, st.pt.Len())
-		id, fresh := s.bg.Enqueue(table, rule, st.ident, job)
+		job := newFDSweepJob(s, table, st.reg, r, fd, st.pt.Len())
+		id, fresh := s.bg.Enqueue(table, rule, st.reg.id, job)
 		if fresh {
 			s.w.logSweep(table, rule)
 		}

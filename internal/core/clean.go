@@ -19,7 +19,7 @@ import (
 // the overlay immediately and to the canonical state through the
 // single-writer loop before returning.
 func (qc *queryCtx) cleanFD(st *tableState, tableName string, rule *dc.Constraint, fd dc.FDSpec, rows []int, pred expr.Pred, m *detect.Metrics, parent trace.Span) ([]int, error) {
-	idx := qc.fdIndexFor(st, tableName, rule.Name, fd)
+	idx := st.reg.fdIndex(st.pt, rule.Name, fd)
 	snapChecked := st.checkedGroups[rule.Name]
 	localChecked := qc.checkedLocal(tableName, rule.Name)
 	checked := func(k value.MapKey) bool { return snapChecked[k] || localChecked[k] }
@@ -108,7 +108,7 @@ func (qc *queryCtx) cleanFD(st *tableState, tableName string, rule *dc.Constrain
 			// exactly its own scope and returns, instead of paying the full
 			// clean inline while every concurrent query waits behind it.
 			background = true
-			qc.deferFullClean(tableName, st.ident, rule, fd)
+			qc.deferFullClean(tableName, st.reg, rule, fd)
 		} else {
 			if err := qc.fullCleanFD(st, tableName, rule, fd, idx, checked, localChecked, m, parent); err != nil {
 				return nil, err
@@ -179,7 +179,7 @@ func (qc *queryCtx) cleanFD(st *tableState, tableName string, rule *dc.Constrain
 		}
 	}
 	qc.submit(&applyReq{
-		table: tableName, rule: rule.Name, isFD: true, ident: st.ident,
+		table: tableName, rule: rule.Name, isFD: true, reg: st.reg,
 		delta: delta, base: base, applied: qc.pt(tableName), groups: groups,
 		costRecord: st.cost != nil,
 		costQi:     len(rows), costEi: len(extra), costEpsi: len(repairScope),
@@ -194,11 +194,11 @@ func (qc *queryCtx) cleanFD(st *tableState, tableName string, rule *dc.Constrain
 }
 
 // latestState returns the most recently published state of the registration
-// st belongs to — the coalesced-counter view the §5.2.3 decision reads —
-// falling back to the query's own epoch when the table was replaced
-// mid-flight (the write-back will be dropped anyway).
+// st belongs to — the coalesced counters and checked sets the §5.2.3 and DC
+// decisions read — falling back to the query's own epoch when the table was
+// replaced mid-flight (the write-back will be dropped anyway).
 func (qc *queryCtx) latestState(tableName string, st *tableState) *tableState {
-	if cur, ok := qc.s.w.current().tables[tableName]; ok && cur.ident == st.ident {
+	if cur, ok := qc.s.w.current().tables[tableName]; ok && cur.reg == st.reg {
 		return cur
 	}
 	return st
@@ -234,7 +234,7 @@ func (qc *queryCtx) fullCleanFD(st *tableState, tableName string, rule *dc.Const
 	scope := idx.violatingScope(checked)
 	var groups []value.MapKey
 	updated := 0
-	req := &applyReq{table: tableName, rule: rule.Name, isFD: true, ident: st.ident, markSwitched: st.cost != nil}
+	req := &applyReq{table: tableName, rule: rule.Name, isFD: true, reg: st.reg, markSwitched: st.cost != nil}
 	if len(scope) > 0 {
 		support := idx.relax(scope, false, m)
 		if err := qc.ctxErr(); err != nil {
@@ -322,25 +322,14 @@ func (qc *queryCtx) cleanDC(st *tableState, tableName string, rule *dc.Constrain
 		qc.dcHeld = true // released by flush/abort at query end
 	}
 
-	latest, ok := s.w.current().tables[tableName]
-	if !ok || latest.ident != st.ident {
-		// The table was replaced after this query's snapshot: serve the
-		// query from its own epoch; the writer will drop the write-back.
-		latest = st
-	}
+	latest := qc.latestState(tableName, st)
 	view := detect.NewPTableView(qc.pt(tableName))
 	checked := latest.checkedTuples[rule.Name]
-	ix := qc.dcIndexFor(latest, tableName, rule, view, parent)
+	dx := st.reg.dcIndex(view, rule, qc.opts.Partitions, parent)
 
 	// Algorithm 2: estimate result dirtiness from precomputed range overlap.
-	est, haveEst := latest.dcEstimates[rule.Name]
-	var freshEst []thetajoin.RangeEstimate
-	if !haveEst {
-		est = ix.EstimateErrors(view, qc.opts.Partitions)
-		freshEst = est
-	}
 	decSp := parent.Start("decision")
-	errors := estimateResultErrors(view, rule, rows, est)
+	errors := estimateResultErrors(view, rule, rows, dx.est)
 	support := dcSupport(latest, checked)
 	decision := cost.DecideDC(errors, len(rows), support, qc.opts.DCThreshold)
 
@@ -390,9 +379,6 @@ func (qc *queryCtx) cleanDC(st *tableState, tableName string, rule *dc.Constrain
 	}
 	qc.decisions = append(qc.decisions, dec)
 	if len(delta) == 0 {
-		if freshEst != nil {
-			qc.submit(&applyReq{table: tableName, rule: rule.Name, ident: st.ident, estimates: freshEst})
-		}
 		return nil, nil
 	}
 
@@ -400,7 +386,7 @@ func (qc *queryCtx) cleanDC(st *tableState, tableName string, rule *dc.Constrain
 	// whole rule aborts cleanly — no fixes applied, no tuples marked checked.
 	detectSp := parent.Start("detect")
 	cmpBefore := m.Comparisons
-	pairs, err := ix.Detect(qc.ctx, detectSp, delta, rest, qc.opts.Partitions, qc.opts.Workers, m)
+	pairs, err := dx.ix.Detect(qc.ctx, detectSp, delta, rest, qc.opts.Partitions, qc.opts.Workers, m)
 	if detectSp.Active() {
 		detectSp.End(trace.Str("rule", rule.Name),
 			trace.Int("delta", len(delta)), trace.Int("rest", len(rest)),
@@ -430,9 +416,8 @@ func (qc *queryCtx) cleanDC(st *tableState, tableName string, rule *dc.Constrain
 	for i, d := range delta {
 		ids[i] = view.ID(d)
 	}
-	qc.submit(&applyReq{table: tableName, rule: rule.Name, ident: st.ident,
-		delta: fixes, base: view.P, applied: qc.pt(tableName),
-		tuples: ids, estimates: freshEst})
+	qc.submit(&applyReq{table: tableName, rule: rule.Name, reg: st.reg,
+		delta: fixes, base: view.P, applied: qc.pt(tableName), tuples: ids})
 
 	// Relaxation extras: conflict partners outside the result, resolved
 	// through the relation's persistent id→position index.
@@ -450,26 +435,6 @@ func (qc *queryCtx) cleanDC(st *tableState, tableName string, rule *dc.Constrain
 		}
 	}
 	return extra, nil
-}
-
-// dcIndexFor resolves the rule's theta-join rank index from the epoch,
-// asking the writer to build (and publish) it on the rule's first DC work
-// against this registration; the build is traced as a dc_index span under
-// parent. As in fdIndexFor, a table replaced after this query's snapshot gets
-// a private index over the query's own view.
-func (qc *queryCtx) dcIndexFor(st *tableState, tableName string, rule *dc.Constraint, view detect.PTableView, parent trace.Span) *thetajoin.Index {
-	if ix := st.dcIdx[rule.Name]; ix != nil {
-		return ix
-	}
-	sp := parent.Start("dc_index")
-	ix := qc.s.w.ensureDCIndex(tableName, st.ident, rule)
-	if ix == nil {
-		ix = thetajoin.NewIndex(view, rule)
-	}
-	if sp.Active() {
-		sp.End(trace.Str("rule", rule.Name), trace.Int("rows", view.Len()))
-	}
-	return ix
 }
 
 // estimateResultErrors sums the violation estimates of the ranges the query

@@ -11,6 +11,7 @@ import (
 	"daisy/internal/dc"
 	"daisy/internal/detect"
 	"daisy/internal/ptable"
+	"daisy/internal/schema"
 	"daisy/internal/thetajoin"
 	"daisy/internal/trace"
 	"daisy/internal/value"
@@ -20,7 +21,7 @@ import (
 // snapshot is one immutable epoch of the session's cleaning state. Queries
 // atomically load the current snapshot and plan/execute/relax against it
 // without any further synchronization; every mutation (delta application,
-// checked-set growth, cost-model updates, index builds, registration)
+// checked-set growth, cost-model updates, registration, rule binding)
 // produces a new snapshot and publishes it with a single atomic store.
 type snapshot struct {
 	epoch  uint64
@@ -28,15 +29,18 @@ type snapshot struct {
 	rules  []*dc.Constraint
 }
 
-// tableState is the per-relation cleaning state of one epoch. All fields are
-// immutable once the snapshot is published: the writer derives a new
-// tableState (shallow copy + replaced fields) instead of mutating in place.
+// tableState is the per-relation cleaning state of one epoch: only what
+// changes from epoch to epoch. All fields are immutable once the snapshot is
+// published: the writer derives a new tableState (shallow copy + replaced
+// fields) instead of mutating in place. Everything derived from original
+// values lives on the shared registration instead.
 type tableState struct {
-	// ident identifies the registration this state descends from; clones
-	// share it, ReplaceTable/Register draw a fresh one. The writer drops
-	// write-backs whose identity no longer matches — a query racing a
-	// ReplaceTable must not mark the replacement's groups checked.
-	ident uint64
+	// reg is the registration this state descends from; clones share it,
+	// Register/ReplaceTable/checkpoint decode create a fresh one. It is also
+	// the state's identity: the writer drops write-backs computed against
+	// another registration — a query racing a ReplaceTable must not mark the
+	// replacement's groups checked.
+	reg *registration
 	// pt is the probabilistic relation of this epoch. Deltas apply
 	// copy-on-write (ptable.ApplyCOW), so older epochs keep reading their
 	// generation while the writer publishes the next.
@@ -45,43 +49,103 @@ type tableState struct {
 	// statistics of the bound rules' FD indexes; it is replaced with an
 	// updated copy on every recorded query.
 	cost *cost.Model
-	// fdIdx holds the FD group index per rule, built once per registration
-	// (eagerly by AddRule and checkpoint decode, lazily for tables installed
-	// by ReplaceTable) and never written afterwards. Indexes read original
-	// values only, so one index is shared by every epoch.
-	fdIdx map[string]*fdIndex
-	// dcIdx holds the theta-join rank index per general-DC rule, built on the
-	// rule's first detection or estimate. Like fdIdx it reads original values
-	// only, so one index serves every epoch and is never persisted.
-	dcIdx map[string]*thetajoin.Index
 	// checkedGroups marks FD lhs group keys already cleaned, per rule. The
 	// inner sets are frozen; the writer clones-and-extends on growth.
 	checkedGroups map[string]map[value.MapKey]bool
 	// checkedTuples marks tuples already theta-join-checked, per DC rule.
 	checkedTuples map[string]map[int64]bool
-	// dcEstimates caches Algorithm 2's per-range violation estimates.
-	dcEstimates map[string][]thetajoin.RangeEstimate
 	// rules lists the constraints bound to this registration by AddRule or
 	// checkpoint decode. Only a bound rule's index statistics prune detection
 	// and seed cost; ReplaceTable installs a registration with none bound.
 	rules []*dc.Constraint
 }
 
-// registrations counts table registrations; each Register/ReplaceTable
-// draws a distinct identity (zero-size pointer tokens would all alias
-// runtime.zerobase).
+// registration is one installation of a relation — by Register,
+// ReplaceTable or checkpoint decode — and owns every structure derived from
+// its original (provenance) values: per rule, the FD group index, or the DC
+// rank index with its Algorithm 2 range estimates. Cleaning never rewrites
+// original values (§4.3), so every epoch of the registration shares these
+// structures read-only. Each is built lazily, once, by whichever caller needs
+// it first, from that caller's generation (any generation has the same
+// originals); the registration holds no PTable, so it pins no generation.
+type registration struct {
+	// id is the registration's number, the dedup key of its background
+	// sweeps. Identity checks compare registration pointers.
+	id uint64
+
+	// mu guards the index maps; builds run under it, so each index is built
+	// exactly once. Lock order: writer.mu before mu.
+	mu  sync.Mutex
+	fds map[string]*fdIndex
+	dcs map[string]*dcEntry
+}
+
+// dcEntry is a general DC rule's theta-join rank index together with the
+// per-range violation estimates Algorithm 2 reads off it.
+type dcEntry struct {
+	ix  *thetajoin.Index
+	est []thetajoin.RangeEstimate
+}
+
+// registrations numbers table registrations.
 var registrations atomic.Uint64
 
 func newTableState(pt *ptable.PTable) *tableState {
 	return &tableState{
-		ident:         registrations.Add(1),
+		reg: &registration{
+			id:  registrations.Add(1),
+			fds: make(map[string]*fdIndex),
+			dcs: make(map[string]*dcEntry),
+		},
 		pt:            pt,
-		fdIdx:         make(map[string]*fdIndex),
-		dcIdx:         make(map[string]*thetajoin.Index),
 		checkedGroups: make(map[string]map[value.MapKey]bool),
 		checkedTuples: make(map[string]map[int64]bool),
-		dcEstimates:   make(map[string][]thetajoin.RangeEstimate),
 	}
+}
+
+// fdIndex returns the rule's FD group index, building it over pt on first
+// use.
+func (r *registration) fdIndex(pt *ptable.PTable, rule string, fd dc.FDSpec) *fdIndex {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	ix := r.fds[rule]
+	if ix == nil {
+		ix = newFDIndex(pt, fd)
+		r.fds[rule] = ix
+	}
+	return ix
+}
+
+// builtFDIndex returns the rule's FD group index, or nil if none is built.
+func (r *registration) builtFDIndex(rule string) *fdIndex {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.fds[rule]
+}
+
+// dcIndex returns the rule's rank index and range estimates, building both
+// over view on first use (estimates over p partitions). Only the building
+// caller traces the index build, as a dc_index span under parent.
+func (r *registration) dcIndex(view detect.PTableView, rule *dc.Constraint, p int, parent trace.Span) *dcEntry {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if e := r.dcs[rule.Name]; e != nil {
+		return e
+	}
+	sp := parent.Start("dc_index")
+	ix := thetajoin.NewIndex(view, rule)
+	if sp.Active() {
+		sp.End(trace.Str("rule", rule.Name), trace.Int("rows", view.Len()))
+	}
+	e := &dcEntry{ix: ix, est: ix.EstimateErrors(view, p)}
+	r.dcs[rule.Name] = e
+	return e
+}
+
+// hasColumns reports whether the schema carries every column the rule
+// references — the condition for binding or sweeping the rule on a relation.
+func hasColumns(sc *schema.Schema, rule *dc.Constraint) bool {
+	return !slices.ContainsFunc(rule.Columns(), func(col string) bool { return !sc.Has(col) })
 }
 
 // binds reports whether the named rule is bound to this registration.
@@ -143,19 +207,16 @@ type applyReq struct {
 	groups []value.MapKey
 	// tuples lists tuple IDs to mark theta-join-checked (DC rules).
 	tuples []int64
-	// estimates caches Algorithm 2 range estimates computed lazily by a
-	// query (first DC query against a replaced table).
-	estimates []thetajoin.RangeEstimate
 
 	// cost-model bookkeeping (§5.2.3), applied to a fresh model copy.
 	costRecord               bool
 	costQi, costEi, costEpsi int
 	markSwitched             bool
 
-	// ident is the registration identity of the tableState the request was
-	// computed against; the writer drops the request when the table has been
-	// replaced in the meantime.
-	ident uint64
+	// reg is the registration of the tableState the request was computed
+	// against; the writer drops the request when the table has been replaced
+	// in the meantime.
+	reg *registration
 
 	// span, when active, is the submitting query's publish span; the apply
 	// loop attaches wal.append/wal.fsync children to it before acking done.
@@ -170,7 +231,7 @@ type applyReq struct {
 // the goroutine is parked.
 type writer struct {
 	// mu serializes every mutation of the canonical state: the apply loop,
-	// registration, rule binding, lazy index builds — and, in a durable
+	// registration, rule binding — and, in a durable
 	// session, every WAL append, so the log's record order IS the state's
 	// mutation order.
 	mu   sync.Mutex
@@ -310,17 +371,12 @@ func (w *writer) current() *snapshot { return w.snap.Load() }
 // backpressure signal background sweeps yield to between chunks.
 func (w *writer) depth() int { return len(w.applyCh) }
 
-// mutate runs fn against a derived snapshot under the writer lock and
-// publishes the result. Used by lazy index builds (whose results are
-// derivable and never logged); the setup APIs log through mutateLogged.
-func (w *writer) mutate(fn func(next *snapshot, cloned map[string]bool) error) error {
-	return w.mutateLogged(nil, fn)
-}
-
-// mutateLogged is mutate plus durability: when fn succeeds and the session
-// has a WAL, rec() renders the record (after fn, so it can close over state
-// fn created — e.g. the freshly drawn registration) and it appends before
-// the snapshot publishes.
+// mutateLogged runs fn against a derived snapshot under the writer lock and
+// publishes the result — the path of the setup APIs. When fn succeeds and the
+// session has a WAL, rec() renders the record (after fn, so it can close over
+// state fn created — e.g. the freshly drawn registration) and it appends
+// before the snapshot publishes; during replay wlog is nil and nothing is
+// journaled.
 func (w *writer) mutateLogged(rec func() []byte, fn func(next *snapshot, cloned map[string]bool) error) error {
 	w.mu.Lock()
 	next := w.current().derive()
@@ -329,7 +385,7 @@ func (w *writer) mutateLogged(rec func() []byte, fn func(next *snapshot, cloned 
 		return err
 	}
 	var lsn uint64
-	if rec != nil && w.wlog != nil {
+	if w.wlog != nil {
 		lsn = w.appendLocked(rec())
 	}
 	w.snap.Store(next)
@@ -425,10 +481,9 @@ func (w *writer) applyBatch(batch []*applyReq) {
 	w.mu.Lock()
 	next := w.current().derive()
 	cloned := make(map[string]bool)
-	marks := newBatchMarks()
 	var logged []loggedReq
 	for _, req := range batch {
-		applied, duplicate := applyOne(next, cloned, req, marks)
+		applied, duplicate := applyOne(next, cloned, req)
 		if duplicate {
 			coalesced++
 		}
@@ -440,7 +495,6 @@ func (w *writer) applyBatch(batch []*applyReq) {
 			logged = append(logged, loggedReq{req: req, costRecord: req.costRecord && !duplicate})
 		}
 	}
-	marks.flush()
 	var lsn uint64
 	var walStats wal.AppendResult
 	var walStart time.Time
@@ -477,100 +531,18 @@ func (w *writer) applyBatch(batch []*applyReq) {
 	w.nudgeCheckpoint()
 }
 
-// batchMarks coalesces the write-ahead bookkeeping of one apply batch: the
-// checked-group and checked-tuple additions of every request accumulate per
-// (table, rule) and merge into the epoch's frozen maps once at batch end,
-// instead of rebuilding the clone-and-extend maps per request. Under
-// duplicate-heavy racing traffic a batch of k requests against one rule then
-// costs one map rebuild, not k. The pending sets also feed duplicate
-// filtering (filterCheckedFD): a group marked by an earlier request in the
-// batch is already checked for every later one, exactly as if the per-request
-// merges had been published eagerly.
-type batchMarks struct {
-	groups map[string]*groupMarks
-	tuples map[string]*tupleMarks
-}
-
-type groupMarks struct {
-	st   *tableState
-	rule string
-	set  map[value.MapKey]bool
-	list []value.MapKey
-}
-
-type tupleMarks struct {
-	st   *tableState
-	rule string
-	list []int64
-}
-
-func newBatchMarks() *batchMarks {
-	return &batchMarks{groups: make(map[string]*groupMarks), tuples: make(map[string]*tupleMarks)}
-}
-
-func markKey(table, rule string) string { return table + "\x00" + rule }
-
-// pendingGroups returns the groups already marked by earlier requests of
-// this batch for (table, rule) — the batch-local layer of the checked set.
-func (m *batchMarks) pendingGroups(table, rule string) map[value.MapKey]bool {
-	if g, ok := m.groups[markKey(table, rule)]; ok {
-		return g.set
-	}
-	return nil
-}
-
-func (m *batchMarks) addGroups(st *tableState, table, rule string, keys []value.MapKey) {
-	key := markKey(table, rule)
-	g, ok := m.groups[key]
-	if !ok {
-		g = &groupMarks{st: st, rule: rule, set: make(map[value.MapKey]bool, len(keys))}
-		m.groups[key] = g
-	}
-	for _, k := range keys {
-		if g.set[k] {
-			continue
-		}
-		g.set[k] = true
-		g.list = append(g.list, k)
-	}
-}
-
-func (m *batchMarks) addTuples(st *tableState, table, rule string, ids []int64) {
-	key := markKey(table, rule)
-	tm, ok := m.tuples[key]
-	if !ok {
-		tm = &tupleMarks{st: st, rule: rule}
-		m.tuples[key] = tm
-	}
-	tm.list = append(tm.list, ids...)
-}
-
-// flush merges the accumulated marks into the batch's table-state clones,
-// one clone-and-extend per (table, rule). Iteration order over the map is
-// irrelevant: entries target disjoint (state, rule) checked maps and
-// markGroups/markTuples build sets, which are order-independent.
-func (m *batchMarks) flush() {
-	for _, g := range m.groups {
-		markGroups(g.st, g.rule, g.list)
-	}
-	for _, tm := range m.tuples {
-		markTuples(tm.st, tm.rule, tm.list)
-	}
-}
-
 // applyOne merges one request into the next epoch. FD requests coalesce
 // idempotently: a group already marked checked — in a published epoch or by
 // an earlier request of this batch — was repaired by an earlier (racing)
 // query with the identical group-deterministic fix, so its cells and
 // bookkeeping are dropped. DC requests apply verbatim — the DC clean path is
-// serialized by Session.dcMu, so no duplicates can race. Checked-set growth
-// lands in marks and merges once per (table, rule) at batch end.
+// serialized by Session.dcMu, so no duplicates can race.
 //
 // It reports whether the request applied at all (false: stale registration,
 // dropped wholesale) and whether it coalesced to a duplicate — the WAL
 // logging in applyBatch needs both to record exactly what happened.
-func applyOne(next *snapshot, cloned map[string]bool, req *applyReq, marks *batchMarks) (applied, wasDuplicate bool) {
-	if cur, ok := next.tables[req.table]; !ok || cur.ident != req.ident {
+func applyOne(next *snapshot, cloned map[string]bool, req *applyReq) (applied, wasDuplicate bool) {
+	if cur, ok := next.tables[req.table]; !ok || cur.reg != req.reg {
 		// The table was dropped or replaced after the query took its
 		// snapshot: the write-back belongs to the old registration, and
 		// merging it would mark never-cleaned groups of the fresh data as
@@ -581,7 +553,7 @@ func applyOne(next *snapshot, cloned map[string]bool, req *applyReq, marks *batc
 	duplicate := false
 	dropped := false
 	if req.isFD {
-		duplicate, dropped = filterCheckedFD(st, req, marks.pendingGroups(req.table, req.rule))
+		duplicate, dropped = filterCheckedFD(st, req)
 	}
 	if req.delta != nil && req.delta.Len() > 0 {
 		if !dropped && req.applied != nil && st.pt == req.base {
@@ -591,20 +563,10 @@ func applyOne(next *snapshot, cloned map[string]bool, req *applyReq, marks *batc
 		}
 	}
 	if len(req.groups) > 0 {
-		marks.addGroups(st, req.table, req.rule, req.groups)
+		markGroups(st, req.rule, req.groups)
 	}
 	if len(req.tuples) > 0 {
-		marks.addTuples(st, req.table, req.rule, req.tuples)
-	}
-	if req.estimates != nil {
-		if _, ok := st.dcEstimates[req.rule]; !ok {
-			est := make(map[string][]thetajoin.RangeEstimate, len(st.dcEstimates)+1)
-			for k, v := range st.dcEstimates {
-				est[k] = v
-			}
-			est[req.rule] = req.estimates
-			st.dcEstimates = est
-		}
+		markTuples(st, req.rule, req.tuples)
 	}
 	// A duplicate request suppresses the cost record (the racing winner
 	// already charged the work) but must NOT suppress markSwitched: the
@@ -627,32 +589,31 @@ func applyOne(next *snapshot, cloned map[string]bool, req *applyReq, marks *batc
 }
 
 // filterCheckedFD drops delta cells and checked-key entries for groups that
-// are already checked at apply time — in the epoch's published set or in the
-// batch's pending marks (groups an earlier request of the same batch just
-// claimed). It reports whether the whole request turned out to be a
-// duplicate of an earlier apply, and whether any part of it was dropped
-// (which disables the adoption fast path).
-func filterCheckedFD(st *tableState, req *applyReq, pending map[value.MapKey]bool) (duplicate, dropped bool) {
+// are already checked at apply time — including groups an earlier request of
+// the same batch just marked on this clone. It reports whether the whole
+// request turned out to be a duplicate of an earlier apply, and whether any
+// part of it was dropped (which disables the adoption fast path).
+func filterCheckedFD(st *tableState, req *applyReq) (duplicate, dropped bool) {
 	checked := st.checkedGroups[req.rule]
-	if len(checked) == 0 && len(pending) == 0 {
+	if len(checked) == 0 {
 		return false, false
 	}
-	isChecked := func(k value.MapKey) bool { return checked[k] || pending[k] }
-	idx := st.fdIdx[req.rule]
 	fresh := req.groups[:0]
 	for _, k := range req.groups {
-		if isChecked(k) {
+		if checked[k] {
 			dropped = true
 			continue
 		}
 		fresh = append(fresh, k)
 	}
 	req.groups = fresh
-	if dropped && req.delta != nil && idx != nil {
-		for id := range req.delta.Cells {
-			pos, ok := st.pt.Pos(id)
-			if !ok || isChecked(idx.keyOf(pos)) {
-				delete(req.delta.Cells, id)
+	if dropped && req.delta != nil {
+		if idx := st.reg.builtFDIndex(req.rule); idx != nil {
+			for id := range req.delta.Cells {
+				pos, ok := st.pt.Pos(id)
+				if !ok || checked[idx.keyOf(pos)] {
+					delete(req.delta.Cells, id)
+				}
 			}
 		}
 	}
@@ -744,69 +705,4 @@ func (w *writer) durabilityErr() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.walErr
-}
-
-// ensureFDIndex returns the persistent group index of the rule over the
-// table, building and publishing it on first use (tables installed through
-// ReplaceTable build lazily; AddRule builds eagerly). The returned index is
-// immutable and valid for every epoch of the registration identified by
-// ident; it returns nil when the table has been replaced in the meantime
-// (the caller then builds a private index for its own epoch).
-func (w *writer) ensureFDIndex(table string, ident uint64, rule string, fd dc.FDSpec) *fdIndex {
-	if st, ok := w.current().tables[table]; ok && st.ident == ident {
-		if ix := st.fdIdx[rule]; ix != nil {
-			return ix
-		}
-	}
-	var built *fdIndex
-	_ = w.mutate(func(next *snapshot, cloned map[string]bool) error {
-		if cur, ok := next.tables[table]; !ok || cur.ident != ident {
-			return nil
-		}
-		st := next.mutableTable(table, cloned)
-		if ix := st.fdIdx[rule]; ix != nil {
-			built = ix
-			return nil
-		}
-		built = newFDIndex(st.pt, fd)
-		idx := make(map[string]*fdIndex, len(st.fdIdx)+1)
-		for r, ix := range st.fdIdx {
-			idx[r] = ix
-		}
-		idx[rule] = built
-		st.fdIdx = idx
-		return nil
-	})
-	return built
-}
-
-// ensureDCIndex is ensureFDIndex for a general DC rule: it returns the
-// rule's theta-join rank index over the table, building and publishing it on
-// first use, or nil when the table has been replaced in the meantime.
-func (w *writer) ensureDCIndex(table string, ident uint64, rule *dc.Constraint) *thetajoin.Index {
-	if st, ok := w.current().tables[table]; ok && st.ident == ident {
-		if ix := st.dcIdx[rule.Name]; ix != nil {
-			return ix
-		}
-	}
-	var built *thetajoin.Index
-	_ = w.mutate(func(next *snapshot, cloned map[string]bool) error {
-		if cur, ok := next.tables[table]; !ok || cur.ident != ident {
-			return nil
-		}
-		st := next.mutableTable(table, cloned)
-		if ix := st.dcIdx[rule.Name]; ix != nil {
-			built = ix
-			return nil
-		}
-		built = thetajoin.NewIndex(detect.NewPTableView(st.pt), rule)
-		idx := make(map[string]*thetajoin.Index, len(st.dcIdx)+1)
-		for r, ix := range st.dcIdx {
-			idx[r] = ix
-		}
-		idx[rule.Name] = built
-		st.dcIdx = idx
-		return nil
-	})
-	return built
 }

@@ -274,15 +274,29 @@ func (ix *fdIndex) estimateExtras(epsi int) int {
 	return int(float64(epsi) * avgGroup)
 }
 
+// boundFDIndexes returns the group index of every FD rule bound to st, once
+// per rule name, building any that is missing.
+func boundFDIndexes(st *tableState) []*fdIndex {
+	var out []*fdIndex
+	seen := make(map[string]bool, len(st.rules))
+	for _, c := range st.rules {
+		fd, isFD := c.AsFD()
+		if !isFD || seen[c.Name] {
+			continue
+		}
+		seen[c.Name] = true
+		out = append(out, st.reg.fdIndex(st.pt, c.Name, fd))
+	}
+	return out
+}
+
 // costEpsilon estimates the erroneous tuples ε that seed a registration's
 // §5.2.3 cost model: the dirty tuples of every bound FD rule. General DCs get
 // their error estimates from the rank index at query time (Algorithm 2).
 func costEpsilon(st *tableState) int {
 	e := 0
-	for rule, ix := range st.fdIdx {
-		if st.binds(rule) {
-			e += ix.stats.DirtyTuples
-		}
+	for _, ix := range boundFDIndexes(st) {
+		e += ix.stats.DirtyTuples
 	}
 	return e
 }
@@ -294,10 +308,8 @@ func costEpsilon(st *tableState) int {
 // scenario), inflating the incremental update cost.
 func costP(st *tableState) float64 {
 	p := 1.0
-	for rule, ix := range st.fdIdx {
-		if st.binds(rule) {
-			p = max(p, ix.stats.AvgCandidates, ix.stats.AvgLHSPerRHS)
-		}
+	for _, ix := range boundFDIndexes(st) {
+		p = max(p, ix.stats.AvgCandidates, ix.stats.AvgLHSPerRHS)
 	}
 	return p
 }

@@ -219,7 +219,7 @@ func statsRule() *dc.Constraint { return dc.FD("phi", "lineorder", "suppkey", "o
 
 func TestCollectFDStats(t *testing.T) {
 	st := statsState(t, statsTable(), statsRule())
-	ix := st.fdIdx["phi"]
+	ix := st.reg.builtFDIndex("phi")
 	if ix == nil {
 		t.Fatal("missing rule index")
 	}
@@ -240,7 +240,7 @@ func TestCollectFDStats(t *testing.T) {
 
 func TestDirtyPruning(t *testing.T) {
 	st := statsState(t, statsTable(), statsRule())
-	ix := st.fdIdx["phi"]
+	ix := st.reg.builtFDIndex("phi")
 	if !ix.violating(0) || !ix.violating(1) {
 		t.Error("group 1 (rows 0, 1) is dirty")
 	}
@@ -270,7 +270,7 @@ func TestEpsilonAndP(t *testing.T) {
 func TestNonFDRulesSkipped(t *testing.T) {
 	ineq := dc.MustParse("psi: !(t1.orderkey<t2.orderkey & t1.suppkey>t2.suppkey)")
 	st := statsState(t, statsTable(), ineq)
-	if len(st.fdIdx) != 0 {
+	if fds, _ := st.reg.built(); len(fds) != 0 {
 		t.Error("inequality DC must not build an FD index")
 	}
 	if costEpsilon(st) != 0 || costP(st) != 1 {
@@ -281,7 +281,7 @@ func TestNonFDRulesSkipped(t *testing.T) {
 func TestAvgLHSPerRHS(t *testing.T) {
 	st := statsState(t, statsTable(), statsRule())
 	// suppkeys {10,11,20,30,31,32} each map to one orderkey → 1.0.
-	if got := st.fdIdx["phi"].stats.AvgLHSPerRHS; got != 1.0 {
+	if got := st.reg.builtFDIndex("phi").stats.AvgLHSPerRHS; got != 1.0 {
 		t.Errorf("AvgLHSPerRHS = %v", got)
 	}
 }

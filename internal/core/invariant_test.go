@@ -53,16 +53,22 @@ func assertIndexesRebuild(t *testing.T, s *Session, wantFD, wantDC int) {
 		if st.pt.DirtyTuples() == 0 {
 			t.Errorf("%s: the workload cleaned nothing", name)
 		}
-		for rule, ix := range st.fdIdx {
+		fdIdx, dcIdx := st.reg.built()
+		for rule, ix := range fdIdx {
 			fd, _ := byName[rule].AsFD()
 			if !reflect.DeepEqual(newFDIndex(st.pt, fd), ix) {
 				t.Errorf("%s/%s: shared FD index differs from a fresh build at epoch %d", name, rule, snap.epoch)
 			}
 			fds++
 		}
-		for rule, ix := range st.dcIdx {
-			if !reflect.DeepEqual(thetajoin.NewIndex(detect.NewPTableView(st.pt), byName[rule]), ix) {
+		for rule, e := range dcIdx {
+			view := detect.NewPTableView(st.pt)
+			fresh := thetajoin.NewIndex(view, byName[rule])
+			if !reflect.DeepEqual(fresh, e.ix) {
 				t.Errorf("%s/%s: shared DC index differs from a fresh build at epoch %d", name, rule, snap.epoch)
+			}
+			if !reflect.DeepEqual(fresh.EstimateErrors(view, s.opts.Partitions), e.est) {
+				t.Errorf("%s/%s: shared range estimates differ from a fresh build at epoch %d", name, rule, snap.epoch)
 			}
 			dcs++
 		}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -33,10 +32,10 @@ import (
 // with the effective costRecord bit the original apply resolved. Replaying
 // them from the identical pre-state re-filters to a no-op and charges the
 // cost model exactly as the original run did, so the recovered state is
-// byte-identical without logging any pre-state. Requests that carried only
-// derivable side state (DC estimate caches, which EstimateErrors recomputes
-// from originals) are not logged at all; that keeps a 1-tuple fix O(delta)
-// bytes on disk regardless of relation size.
+// byte-identical without logging any pre-state. Structures derived from
+// original values (group and rank indexes, range estimates) live on the
+// registration, never travel through the writer and are never logged; that
+// keeps a 1-tuple fix O(delta) bytes on disk regardless of relation size.
 
 // WAL record types.
 const (
@@ -413,9 +412,8 @@ type loggedReq struct {
 }
 
 // encodeApplyRecord renders one apply batch. Requests that ended up pure
-// no-ops (estimate-only caches, fully coalesced duplicates without a switch
-// mark) are skipped; a batch with nothing durable returns nil and appends no
-// record at all.
+// no-ops (fully coalesced duplicates without a switch mark) are skipped; a
+// batch with nothing durable returns nil and appends no record at all.
 func encodeApplyRecord(reqs []loggedReq) []byte {
 	durable := reqs[:0:0]
 	for _, lr := range reqs {
@@ -478,8 +476,8 @@ func encodeApplyRecord(reqs []loggedReq) []byte {
 	return buf
 }
 
-// decodeApplyRecord rebuilds the batch's requests. idents are left zero; the
-// replay path stamps each request with the current registration identity of
+// decodeApplyRecord rebuilds the batch's requests. Registrations are left
+// nil; the replay path stamps each request with the current registration of
 // its table (only requests that actually applied were logged, so the table
 // the record names is, at this point of the replay, the registration the
 // original apply targeted).
@@ -533,8 +531,8 @@ func (d *dec) applyRecord() []*applyReq {
 // encodeCheckpoint renders the full session state of one published snapshot
 // plus the live background sweeps: everything Open needs to rebuild a
 // session without any WAL prefix. Derived structures (FD indexes with their
-// statistics, DC estimate caches) are not stored — they are deterministic
-// functions of original values and rebuild on recovery.
+// statistics, DC rank indexes and estimates) are not stored — they are
+// deterministic functions of original values and rebuild on recovery.
 func encodeCheckpoint(snap *snapshot, sweeps []sweepRef) []byte {
 	buf := []byte{ckptVersion}
 	buf = appendUvarint(buf, snap.epoch)
@@ -610,9 +608,9 @@ func sortedKeys[V any](m map[string]V) []string {
 	return out
 }
 
-// decodeCheckpoint rebuilds the snapshot (fresh registration identities,
-// rebuilt indexes; the cost model comes from the record) and returns it with
-// the live-sweep list.
+// decodeCheckpoint rebuilds the snapshot (fresh registrations with the bound
+// FD indexes rebuilt; the cost model comes from the record) and returns it
+// with the live-sweep list.
 func decodeCheckpoint(payload []byte) (*snapshot, []sweepRef, error) {
 	d := &dec{b: payload}
 	if v := d.byte(); v != ckptVersion {
@@ -650,13 +648,13 @@ func decodeCheckpoint(payload []byte) (*snapshot, []sweepRef, error) {
 				d.err = fmt.Errorf("core: checkpoint binds unknown rule %q on %q", rname, name)
 				break
 			}
-			if slices.ContainsFunc(c.Columns(), func(col string) bool { return !pt.Schema.Has(col) }) {
+			if !hasColumns(pt.Schema, c) {
 				d.err = fmt.Errorf("core: checkpoint binds rule %q to %q, which lacks its columns", rname, name)
 				break
 			}
 			st.rules = append(st.rules, c)
 			if spec, isFD := c.AsFD(); isFD {
-				st.fdIdx[c.Name] = newFDIndex(pt, spec)
+				st.reg.fdIndex(pt, c.Name, spec)
 			}
 		}
 		if d.byte() == 1 {
@@ -706,9 +704,8 @@ func decodeCheckpoint(payload []byte) (*snapshot, []sweepRef, error) {
 
 // stateFingerprint renders everything durable about a snapshot canonically:
 // per-table probabilistic state, checked-set bookkeeping, cost-model state,
-// bound rules, and the global rule list. Registration identities, epoch
-// counters, and derived caches (FD indexes, DC estimates) are
-// excluded — they are session-local or recomputed. The crash-injection
+// bound rules, and the global rule list. Registrations with their derived
+// indexes and estimates, and epoch counters, are excluded — they are session-local or recomputed. The crash-injection
 // tests assert a recovered session fingerprints byte-identically to the
 // uninterrupted oracle run.
 func stateFingerprint(snap *snapshot) string {

@@ -78,7 +78,7 @@ func (qc *queryCtx) ctxErr() error {
 // bgJobSpec is a deferred background full-clean enqueue.
 type bgJobSpec struct {
 	table string
-	ident uint64
+	reg   *registration
 	rule  *dc.Constraint
 	fd    dc.FDSpec
 }
@@ -87,8 +87,8 @@ type bgJobSpec struct {
 func (qc *queryCtx) submit(req *applyReq) { qc.pending = append(qc.pending, req) }
 
 // deferFullClean buffers a background-sweep enqueue for flush.
-func (qc *queryCtx) deferFullClean(table string, ident uint64, rule *dc.Constraint, fd dc.FDSpec) {
-	qc.bgJobs = append(qc.bgJobs, bgJobSpec{table: table, ident: ident, rule: rule, fd: fd})
+func (qc *queryCtx) deferFullClean(table string, reg *registration, rule *dc.Constraint, fd dc.FDSpec) {
+	qc.bgJobs = append(qc.bgJobs, bgJobSpec{table: table, reg: reg, rule: rule, fd: fd})
 }
 
 // flush publishes the buffered write-backs through the single-writer apply
@@ -111,7 +111,7 @@ func (qc *queryCtx) flush() {
 		pub.End(trace.Int("requests", n))
 	}
 	for _, j := range qc.bgJobs {
-		qc.s.enqueueSweep(j.table, j.ident, j.rule, j.fd)
+		qc.s.enqueueSweep(j.table, j.reg, j.rule, j.fd)
 	}
 	qc.bgJobs = nil
 	qc.releaseDC()
@@ -262,20 +262,4 @@ func (qc *queryCtx) CleanSelect(tableName string, rows []int, pred expr.Pred, ru
 		}
 	}
 	return pt, out, nil
-}
-
-// fdIndexFor resolves the rule's group index from the epoch, asking the
-// writer to build (and publish) it when a replaced table lacks one. The
-// index is keyed on original values, which every epoch of one registration
-// shares, so an index published after this query's snapshot is still exact
-// for it. If the table was replaced after this query's snapshot, the query
-// builds a private index over its own epoch instead.
-func (qc *queryCtx) fdIndexFor(st *tableState, tableName, rule string, fd dc.FDSpec) *fdIndex {
-	if ix := st.fdIdx[rule]; ix != nil {
-		return ix
-	}
-	if ix := qc.s.w.ensureFDIndex(tableName, st.ident, rule, fd); ix != nil {
-		return ix
-	}
-	return newFDIndex(st.pt, fd)
 }

@@ -11,8 +11,8 @@ import (
 // checkpoint, replays the WAL suffix past it, re-enqueues the background
 // sweeps that were live at crash time, and only then attaches the log so new
 // work journals. Replay runs against a writer with wlog == nil, so the setup
-// APIs it reuses (AddRule) do not re-journal records that are already on
-// disk.
+// APIs it reuses (ReplaceTable, AddRule) do not re-journal records that are
+// already on disk.
 
 // recoverDurable rebuilds the session state from opts.Dir and arms the
 // durability machinery. Called from Open before the finalizer is installed;
@@ -23,7 +23,7 @@ func (s *Session) recoverDurable() error {
 		return err
 	}
 	var ckLSN uint64
-	pending := make(map[string]sweepRef)
+	pending := make(map[sweepRef]bool)
 	if lsn, payload, ok, err := wal.LatestCheckpointFS(fsys, dir); err != nil {
 		return err
 	} else if ok {
@@ -33,7 +33,7 @@ func (s *Session) recoverDurable() error {
 		}
 		s.w.snap.Store(snap)
 		for _, sw := range sweeps {
-			pending[markKey(sw.table, sw.rule)] = sw
+			pending[sw] = true
 		}
 		ckLSN = lsn
 	}
@@ -65,7 +65,7 @@ func (s *Session) recoverDurable() error {
 	// it continues, it does not restart. CleanInBackground re-journals the
 	// enqueue, so a second crash still resumes.
 	snap := s.w.current()
-	for _, sw := range pending {
+	for sw := range pending {
 		st, ok := snap.tables[sw.table]
 		if !ok {
 			continue
@@ -81,7 +81,7 @@ func (s *Session) recoverDurable() error {
 // replayRecord applies one WAL record to the recovering session. Records were
 // appended under the writer mutex in mutation order, so sequential replay
 // reproduces the exact state sequence.
-func (s *Session) replayRecord(payload []byte, pending map[string]sweepRef) error {
+func (s *Session) replayRecord(payload []byte, pending map[sweepRef]bool) error {
 	if len(payload) == 0 {
 		return fmt.Errorf("core: empty WAL record")
 	}
@@ -93,10 +93,10 @@ func (s *Session) replayRecord(payload []byte, pending map[string]sweepRef) erro
 		if d.err != nil {
 			return d.err
 		}
-		return s.w.mutate(func(next *snapshot, cloned map[string]bool) error {
-			next.tables[name] = newTableState(pt)
-			return nil
-		})
+		// Register and ReplaceTable install the same way; a replayed Register
+		// cannot collide, since the log holds only registrations that landed.
+		s.ReplaceTable(name, pt)
+		return nil
 	case recRule:
 		text := d.string()
 		if d.err != nil {
@@ -119,7 +119,7 @@ func (s *Session) replayRecord(payload []byte, pending map[string]sweepRef) erro
 		if d.err != nil {
 			return d.err
 		}
-		pending[markKey(table, rule)] = sweepRef{table: table, rule: rule}
+		pending[sweepRef{table: table, rule: rule}] = true
 		return nil
 	default:
 		return fmt.Errorf("core: unknown WAL record type %d", payload[0])
@@ -127,10 +127,10 @@ func (s *Session) replayRecord(payload []byte, pending map[string]sweepRef) erro
 }
 
 // replayApply re-runs one logged apply batch through the live apply machinery
-// (applyOne + batchMarks), exactly as the original batch ran. Records store
-// requests post-filter with the effective cost bit (see persist.go), so from
-// the identical pre-state the filter passes everything through and the result
-// is byte-identical. Idents are stamped from the current registration: only
+// (applyOne), exactly as the original batch ran. Records store requests
+// post-filter with the effective cost bit (see persist.go), so from the
+// identical pre-state the filter passes everything through and the result is
+// byte-identical. Requests are stamped with the current registration: only
 // requests that actually applied were logged, so the table a record names is,
 // at this point of the replay, the registration the original apply targeted.
 func (s *Session) replayApply(reqs []*applyReq) {
@@ -138,15 +138,13 @@ func (s *Session) replayApply(reqs []*applyReq) {
 	defer s.w.mu.Unlock()
 	next := s.w.current().derive()
 	cloned := make(map[string]bool)
-	marks := newBatchMarks()
 	for _, req := range reqs {
 		st, ok := next.tables[req.table]
 		if !ok {
 			continue
 		}
-		req.ident = st.ident
-		applyOne(next, cloned, req, marks)
+		req.reg = st.reg
+		applyOne(next, cloned, req)
 	}
-	marks.flush()
 	s.w.snap.Store(next)
 }

@@ -13,13 +13,16 @@
 //
 // Session.Query is safe for any number of concurrent callers. Each query
 // atomically loads the current epoch — an immutable snapshot of every
-// relation's probabilistic state, FD group indexes, checked sets, and cost
-// model — and plans, executes, and relaxes against it without locks. Repair
-// write-backs never mutate the snapshot: the query applies its delta
-// copy-on-write to a private overlay (so its own result reflects its fixes)
-// and routes the delta through a single-writer apply goroutine, which
-// batches pending deltas, merges them into the canonical state, bumps the
-// epoch, and publishes the new snapshot with one atomic store. Duplicate
+// relation's probabilistic state, checked sets, and cost model — and plans,
+// executes, and relaxes against it without locks. What is derived from
+// original values (FD group indexes, DC rank indexes and their estimates)
+// lives on the relation's registration instead: built once, on first use,
+// and shared read-only by every epoch, since cleaning never rewrites
+// originals. Repair write-backs never mutate the snapshot: the query applies
+// its delta copy-on-write to a private overlay (so its own result reflects
+// its fixes) and routes the delta through a single-writer apply goroutine,
+// which batches pending deltas, merges them into the canonical state, bumps
+// the epoch, and publishes the new snapshot with one atomic store. Duplicate
 // fixes from racing queries coalesce idempotently: FD fixes are
 // group-deterministic functions of the original values, so the writer drops
 // a delta whose group is already checked — the racing winner applied the
@@ -455,19 +458,11 @@ func (s *Session) AddRule(rule *dc.Constraint) error {
 		func() []byte { return encodeRuleRecord(rule) },
 		func(next *snapshot, cloned map[string]bool) error {
 			bound := false
-			for name := range next.tables {
-				st := next.tables[name]
+			for name, st := range next.tables {
 				if rule.Table != "" && rule.Table != name {
 					continue
 				}
-				ok := true
-				for _, col := range rule.Columns() {
-					if !st.pt.Schema.Has(col) {
-						ok = false
-						break
-					}
-				}
-				if !ok {
+				if !hasColumns(st.pt.Schema, rule) {
 					if rule.Table == name {
 						return fmt.Errorf("core: rule %s references columns missing from %s", rule.Name, name)
 					}
@@ -475,16 +470,8 @@ func (s *Session) AddRule(rule *dc.Constraint) error {
 				}
 				st = next.mutableTable(name, cloned)
 				st.rules = append(append([]*dc.Constraint(nil), st.rules...), rule)
-				if spec, isFD := rule.AsFD(); isFD {
-					idx := make(map[string]*fdIndex, len(st.fdIdx)+1)
-					for r, ix := range st.fdIdx {
-						idx[r] = ix
-					}
-					if idx[rule.Name] == nil {
-						idx[rule.Name] = newFDIndex(st.pt, spec)
-					}
-					st.fdIdx = idx
-				}
+				// Seeding the cost model reads, and so eagerly builds, the
+				// group index of every bound FD rule.
 				st.cost = cost.New(st.pt.Len(), costEpsilon(st), costP(st))
 				bound = true
 			}

@@ -122,8 +122,9 @@ func TestTraceDecisionSpan(t *testing.T) {
 func TestDCIndexBuiltOnFirstQuery(t *testing.T) {
 	s := newDCSession(t)
 	defer s.Close()
-	if n := len(s.w.current().tables["emp"].dcIdx); n != 0 {
-		t.Fatalf("set-up built %d DC indexes; the first DC query should", n)
+	reg := s.w.current().tables["emp"].reg
+	if _, dcs := reg.built(); len(dcs) != 0 {
+		t.Fatalf("set-up built %d DC indexes; the first DC query should", len(dcs))
 	}
 	for i, want := range []bool{true, false} {
 		rows, err := s.QueryContext(context.Background(), "SELECT salary, tax FROM emp WHERE salary < 1400", WithTrace())
@@ -139,8 +140,11 @@ func TestDCIndexBuiltOnFirstQuery(t *testing.T) {
 			t.Fatalf("dc_index is not under cleanselect:\n%s", rows.Trace().Render())
 		}
 	}
-	if s.w.current().tables["emp"].dcIdx["psi"] == nil {
-		t.Fatal("the built index was not published")
+	if _, dcs := reg.built(); dcs["psi"] == nil {
+		t.Fatal("the built index was not kept on the registration")
+	}
+	if s.w.current().tables["emp"].reg != reg {
+		t.Fatal("the queries' epochs left the registration")
 	}
 }
 

@@ -293,6 +293,44 @@ func TestStatusAndMetrics(t *testing.T) {
 	}
 }
 
+// TestCleanRefusesTableLackingRuleColumns: a background clean of an unscoped
+// rule over a table without the rule's columns is refused with
+// started:false, and the server keeps serving.
+func TestCleanRefusesTableLackingRuleColumns(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, step := range []struct{ path, body string }{
+		{"/v1/tables?name=cities", citiesCSV},
+		{"/v1/tables?name=b", "k,v\n1,2\n3,4\n"},
+		{"/v1/rules", "phi: !(t1.zip=t2.zip & t1.city!=t2.city)"},
+	} {
+		resp := doReq(t, ts.URL, "POST", step.path, "", step.body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", step.path, resp.StatusCode)
+		}
+	}
+	resp := doReq(t, ts.URL, "POST", "/v1/clean?table=b&rule=phi", "", "")
+	var reply struct {
+		Started *bool `json:"started"`
+	}
+	err := json.NewDecoder(resp.Body).Decode(&reply)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || reply.Started == nil || *reply.Started {
+		t.Fatalf("clean of b: status %d, started %v; want 200 and started:false", resp.StatusCode, reply.Started)
+	}
+	if lines := queryLines(t, ts.URL, "", "SELECT zip, city FROM cities"); len(lines) == 0 {
+		t.Fatal("no reply after the refused clean")
+	}
+	resp = doReq(t, ts.URL, "GET", "/healthz", "", "")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the refused clean = %d", resp.StatusCode)
+	}
+}
+
 // TestDrainContract: once Drain starts, new work is 503 draining with
 // Retry-After, healthz flips to 503, and Drain itself completes cleanly
 // with background cleaning quiesced.
