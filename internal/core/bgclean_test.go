@@ -10,7 +10,6 @@ import (
 	"daisy/internal/bgclean"
 	"daisy/internal/dc"
 	"daisy/internal/detect"
-	"daisy/internal/repair"
 	"daisy/internal/schema"
 	"daisy/internal/table"
 	"daisy/internal/trace"
@@ -457,9 +456,7 @@ func TestMarkSwitchedSurvivesDuplicateCoalescing(t *testing.T) {
 	if len(keys) == 0 {
 		t.Fatal("no violating groups in the pre-clean epoch")
 	}
-	var m detect.Metrics
-	view := detect.PTableView{P: st0.pt}
-	d := repair.FD(view, scope, idx.relax(scope, false, &m), fd, st0.pt.Schema.MustIndex, &m)
+	d := idx.repair(detect.PTableView{P: st0.pt}, scope, fd, nil)
 	s.w.submit(&applyReq{table: "lineorder", rule: "phi", isFD: true, reg: st0.reg,
 		delta: d, base: st0.pt, groups: keys, markSwitched: true})
 	cur := s.w.current().tables["lineorder"]

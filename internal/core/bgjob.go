@@ -7,7 +7,6 @@ import (
 	"daisy/internal/bgclean"
 	"daisy/internal/dc"
 	"daisy/internal/detect"
-	"daisy/internal/repair"
 	"daisy/internal/value"
 )
 
@@ -24,8 +23,8 @@ import (
 //
 // Convergence: per-group fixes are pure functions of original values —
 // P(rhs|lhs) over the group's full membership, P(lhs|rhs) over the
-// relation-wide rhs-partner set (the relax support pass) — so the quiesced
-// state is byte-identical to a synchronous full clean from the same
+// relation-wide rhs-partner set, both read off the group index — so the
+// quiesced state is byte-identical to a synchronous full clean from the same
 // pre-switch state, for any chunking, cancellation point, or query
 // interleaving.
 type fdSweepJob struct {
@@ -71,13 +70,11 @@ func (j *fdSweepJob) RunChunk(ctx context.Context, lo, hi int) (bgclean.ChunkRes
 	req := &applyReq{table: j.table, rule: j.rule.Name, isFD: true, reg: j.reg}
 	var m detect.Metrics
 	if len(scope) > 0 {
-		// Same fix semantics as every other FD path: the support pass makes
-		// P(lhs|rhs) relation-wide, so the chunk's bytes match a monolithic
-		// clean of the same groups.
-		support := idx.relax(scope, false, &m)
+		// Same fix semantics as every other FD path: the index's fixes read
+		// whole groups and relation-wide rhs partners, so the chunk's bytes
+		// match a monolithic clean of the same groups.
 		base := st.pt
-		view := detect.NewPTableView(base)
-		delta := repair.FD(view, scope, support, j.fd, view.P.Schema.MustIndex, &m)
+		delta := idx.repair(detect.NewPTableView(base), scope, j.fd, &m)
 		applied, updated := base.ApplyCOW(delta)
 		m.Updates += int64(updated)
 		req.delta, req.base, req.applied, req.groups = delta, base, applied, keys

@@ -130,31 +130,20 @@ func (qc *queryCtx) cleanFD(st *tableState, tableName string, rule *dc.Constrain
 	if err := qc.ctxErr(); err != nil {
 		return nil, err
 	}
-	repairScope := append(append([]int(nil), scope...), extra...)
-	// Support pass: same-rhs partners consulted for P(lhs|rhs) only.
-	support := idx.relax(repairScope, false, m)
-	if err := qc.ctxErr(); err != nil {
-		return nil, err
-	}
-
-	// Repair is idempotent per group: rows whose group is already checked
-	// (relaxation can pull them back in) are consulted for distributions but
-	// never re-fixed — re-merging the identical fix would inflate supports,
-	// and which query re-pulls a group depends on execution order, which
-	// must not show in the converged state.
-	var fix, consult []int
-	for _, r := range repairScope {
-		if checked(idx.keyOf(r)) {
-			consult = append(consult, r)
-		} else {
+	// Repair is idempotent per group: extras whose group is already checked
+	// (relaxation can pull them back in) are never re-fixed — re-merging the
+	// identical fix would inflate supports, and which query re-pulls a group
+	// depends on execution order, which must not show in the converged state.
+	// The scope itself holds unchecked groups only.
+	fix := append([]int(nil), scope...)
+	for _, r := range extra {
+		if !checked(idx.keyOf(r)) {
 			fix = append(fix, r)
 		}
 	}
-	consult = append(consult, support...)
 
 	base := qc.pt(tableName)
-	view := detect.NewPTableView(base)
-	delta := repair.FD(view, fix, consult, fd, view.P.Schema.MustIndex, m)
+	delta := idx.repair(detect.NewPTableView(base), fix, fd, m)
 	if err := qc.ctxErr(); err != nil {
 		// The repair was computed but never applied anywhere: drop it.
 		return nil, err
@@ -162,8 +151,7 @@ func (qc *queryCtx) cleanFD(st *tableState, tableName string, rule *dc.Constrain
 	updated := qc.applyLocal(tableName, delta)
 	m.Updates += int64(updated)
 	if repairSp.Active() {
-		repairSp.End(trace.Str("rule", rule.Name),
-			trace.Int("fix", len(fix)), trace.Int("consult", len(consult)),
+		repairSp.End(trace.Str("rule", rule.Name), trace.Int("fix", len(fix)),
 			trace.Int("relaxed", len(extra)), trace.Int("cells_updated", updated))
 	}
 
@@ -182,7 +170,7 @@ func (qc *queryCtx) cleanFD(st *tableState, tableName string, rule *dc.Constrain
 		table: tableName, rule: rule.Name, isFD: true, reg: st.reg,
 		delta: delta, base: base, applied: qc.pt(tableName), groups: groups,
 		costRecord: st.cost != nil,
-		costQi:     len(rows), costEi: len(extra), costEpsi: len(repairScope),
+		costQi:     len(rows), costEi: len(extra), costEpsi: len(scope) + len(extra),
 	})
 	dec := costDec
 	dec.Table, dec.Rule, dec.Strategy = tableName, rule.Name, "incremental"
@@ -220,12 +208,11 @@ func predTouchesLHS(pred expr.Pred, fd dc.FDSpec) bool {
 }
 
 // fullCleanFD cleans every remaining dirty group of the relation in one
-// offline-style pass (the strategy-switch target). Scope comes from the
-// persistent group index instead of a fresh O(n) re-grouping. The rhs-partner
-// support pass gives P(lhs|rhs) the same relation-wide distribution the
-// incremental path computes, so per-group fixes are identical bytes whether
-// a group is cleaned incrementally, by this inline pass, or by a background
-// sweep chunk — the invariant the async switch's convergence rests on.
+// offline-style pass (the strategy-switch target). Scope and fixes both come
+// from the persistent group index instead of a fresh O(n) re-grouping, so
+// per-group fixes are identical bytes whether a group is cleaned
+// incrementally, by this inline pass, or by a background sweep chunk — the
+// invariant the async switch's convergence rests on.
 func (qc *queryCtx) fullCleanFD(st *tableState, tableName string, rule *dc.Constraint, fd dc.FDSpec, idx *fdIndex, checked func(value.MapKey) bool, localChecked map[value.MapKey]bool, m *detect.Metrics, parent trace.Span) error {
 	if err := qc.ctxErr(); err != nil {
 		return err
@@ -236,13 +223,8 @@ func (qc *queryCtx) fullCleanFD(st *tableState, tableName string, rule *dc.Const
 	updated := 0
 	req := &applyReq{table: tableName, rule: rule.Name, isFD: true, reg: st.reg, markSwitched: st.cost != nil}
 	if len(scope) > 0 {
-		support := idx.relax(scope, false, m)
-		if err := qc.ctxErr(); err != nil {
-			return err
-		}
 		base := qc.pt(tableName)
-		view := detect.NewPTableView(base)
-		d := repair.FD(view, scope, support, fd, view.P.Schema.MustIndex, m)
+		d := idx.repair(detect.NewPTableView(base), scope, fd, m)
 		if err := qc.ctxErr(); err != nil {
 			return err
 		}

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"daisy/internal/dc"
 	"daisy/internal/detect"
 	"daisy/internal/ptable"
+	"daisy/internal/repair"
+	"daisy/internal/uncertain"
 	"daisy/internal/value"
 )
 
@@ -262,6 +265,139 @@ func (ix *fdIndex) relax(seed []int, transitive bool, m *detect.Metrics) []int {
 	}
 	sort.Ints(extra)
 	return extra
+}
+
+// repair computes the §4.1 candidate fixes of the fix rows straight off the
+// index, whose groups and rhs-partner lists are exactly the two frequency
+// distributions the fixes need. A fix row in a violating group gets
+// P(rhs|lhs) over its whole lhs group and, for a single-attribute lhs,
+// P(lhs|rhs) over every row sharing its rhs value when that names two or
+// more lhs values (a multi-attribute lhs fix would need a joint distribution;
+// the paper's examples and workloads fix single lhs attributes). Rows in
+// clean groups get nothing. Each distribution is computed once per key and
+// shared by every cell it fixes (Merge copies before mutating). view supplies
+// tuple IDs, original values and the delta's column positions. The fixes are
+// a function of original values alone, so a group gets identical bytes
+// whichever path — incremental, inline full clean or sweep chunk — fixes it.
+func (ix *fdIndex) repair(view detect.RowView, fix []int, fd dc.FDSpec, m *detect.Metrics) *ptable.Delta {
+	if m == nil {
+		m = new(detect.Metrics)
+	}
+	cols := detect.CompileFD(view, fd)
+	lhsCol := -1
+	if len(cols.LHS) == 1 {
+		lhsCol = cols.LHS[0]
+	}
+	var t fdTally
+	rhsDist := make(map[value.MapKey][]uncertain.Candidate)
+	lhsDist := make(map[value.MapKey][]uncertain.Candidate)
+	delta := ptable.NewDelta("")
+	for _, r := range fix {
+		if !ix.vioRow[r] {
+			continue
+		}
+		id := view.ID(r)
+		key := ix.rowKey[r]
+		cands, ok := rhsDist[key]
+		if !ok {
+			members := ix.groups[key].members
+			cands = t.distribution(view, members, ix.rowRHS, cols.RHS, repair.WorldFixRHS)
+			rhsDist[key] = cands
+			m.Scanned += int64(len(members))
+		}
+		delta.Set(id, cols.RHS, uncertain.Cell{Orig: view.ValueAt(r, cols.RHS), Candidates: cands})
+		m.Repairs++
+		if lhsCol < 0 {
+			continue
+		}
+		rk := ix.rowRHS[r]
+		cands, ok = lhsDist[rk]
+		if !ok {
+			partners := ix.rhsRows[rk]
+			cands = t.distribution(view, partners, ix.rowKey, lhsCol, repair.WorldFixLHS)
+			lhsDist[rk] = cands
+			m.Scanned += int64(len(partners))
+		}
+		if cands == nil {
+			continue // lhs is unambiguous; keep it certain
+		}
+		delta.Set(id, lhsCol, uncertain.Cell{Orig: view.ValueAt(r, lhsCol), Candidates: cands})
+		m.Repairs++
+	}
+	return delta
+}
+
+// tallySpill is the distinct-key count past which an fdTally switches from
+// linear probing to a map index.
+const tallySpill = 8
+
+// fdTally counts the distinct keys over a row list. Distinct counts are
+// small (the candidate-set size p), so lookups probe a slice linearly; past
+// tallySpill keys they go through a map, so a degenerate group never costs
+// quadratic work. One tally is reused across distributions.
+type fdTally struct {
+	entries []tallyEntry
+	idx     map[value.MapKey]int
+}
+
+// tallyEntry is one distinct key: its first row in list order, which
+// represents the key's value, and its row count.
+type tallyEntry struct {
+	key value.MapKey
+	row int
+	n   int
+	val value.Value
+}
+
+func (t *fdTally) add(key value.MapKey, row int) {
+	if t.idx != nil {
+		if i, ok := t.idx[key]; ok {
+			t.entries[i].n++
+			return
+		}
+		t.idx[key] = len(t.entries)
+		t.entries = append(t.entries, tallyEntry{key: key, row: row, n: 1})
+		return
+	}
+	for i := range t.entries {
+		if t.entries[i].key == key {
+			t.entries[i].n++
+			return
+		}
+	}
+	t.entries = append(t.entries, tallyEntry{key: key, row: row, n: 1})
+	if len(t.entries) > tallySpill {
+		t.idx = make(map[value.MapKey]int, len(t.entries))
+		for i := range t.entries {
+			t.idx[t.entries[i].key] = i
+		}
+	}
+}
+
+// distribution tallies keys[r] over rows and emits the frequency
+// distribution of column col as candidates of the given world, in value
+// order (stable, so equal values keep first-appearance order). It returns
+// nil when the rows hold fewer than two distinct keys.
+func (t *fdTally) distribution(view detect.RowView, rows []int, keys []value.MapKey, col, world int) []uncertain.Candidate {
+	t.entries, t.idx = t.entries[:0], nil
+	for _, r := range rows {
+		t.add(keys[r], r)
+	}
+	if len(t.entries) < 2 {
+		return nil
+	}
+	for i := range t.entries {
+		t.entries[i].val = view.ValueAt(t.entries[i].row, col)
+	}
+	slices.SortStableFunc(t.entries, func(a, b tallyEntry) int { return a.val.Compare(b.val) })
+	cands := make([]uncertain.Candidate, len(t.entries))
+	for i, e := range t.entries {
+		cands[i] = uncertain.Candidate{
+			Val: e.val, Prob: float64(e.n) / float64(len(rows)),
+			World: world, Support: e.n,
+		}
+	}
+	return cands
 }
 
 // estimateExtras projects the relaxation size for the cost model from the

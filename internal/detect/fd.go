@@ -124,27 +124,6 @@ func (g *Group) Violating() bool { return len(g.rhs) > 1 }
 // candidate-set size an erroneous cell would get.
 func (g *Group) DistinctRHS() int { return len(g.rhs) }
 
-// RHSDistribution returns the rhs values of the group with their frequency
-// counts, sorted by value order for determinism — the basis of P(rhs|lhs).
-func (g *Group) RHSDistribution() ([]value.Value, []int) {
-	tmp := make([]rhsCount, len(g.rhs))
-	copy(tmp, g.rhs)
-	// Insertion sort: distributions are small and this avoids the
-	// reflection machinery of sort.Slice on the hot repair path.
-	for i := 1; i < len(tmp); i++ {
-		for j := i; j > 0 && tmp[j].val.Less(tmp[j-1].val); j-- {
-			tmp[j], tmp[j-1] = tmp[j-1], tmp[j]
-		}
-	}
-	vals := make([]value.Value, len(tmp))
-	counts := make([]int, len(tmp))
-	for i := range tmp {
-		vals[i] = tmp[i].val
-		counts[i] = tmp[i].n
-	}
-	return vals, counts
-}
-
 // GroupByFD hash-groups the view's rows by the FD lhs. Cost is O(n), the
 // paper's §5.2.1 error-detection complexity for FDs. Metrics (optional)
 // accumulate scanned-tuple counts.
@@ -202,8 +181,8 @@ func lhsLess(a, b []value.Value) bool {
 	return len(a) < len(b)
 }
 
-// GroupByRHS hash-groups rows by the FD rhs value — used to compute the
-// LHS candidate distribution P(lhs|rhs) during repair.
+// GroupByRHS hash-groups rows by the FD rhs value — the rhs-partner lists
+// the lhs candidate distribution P(lhs|rhs) is tallied over.
 func GroupByRHS(v RowView, fd dc.FDSpec, m *Metrics) map[value.MapKey][]int {
 	rhsIdx := mustColIndex(v, fd.RHS)
 	n := v.Len()

@@ -62,27 +62,6 @@ func TestFDViolations(t *testing.T) {
 	}
 }
 
-func TestRHSDistribution(t *testing.T) {
-	vio := FDViolations(TableView{citiesDirty()}, fdZipCity(), nil)
-	var g *Group
-	for _, cand := range vio {
-		if cand.LHS[0].Int() == 9001 {
-			g = cand
-		}
-	}
-	if g == nil {
-		t.Fatal("no group for 9001")
-	}
-	vals, counts := g.RHSDistribution()
-	if len(vals) != 2 {
-		t.Fatalf("distinct rhs = %d", len(vals))
-	}
-	// Sorted by value: Los Angeles (2), San Francisco (1).
-	if vals[0].Str() != "Los Angeles" || counts[0] != 2 || counts[1] != 1 {
-		t.Errorf("distribution = %v %v", vals, counts)
-	}
-}
-
 func TestMultiColumnLHSGrouping(t *testing.T) {
 	sch := schema.MustNew(
 		schema.Column{Name: "county_code", Kind: value.Int},

@@ -333,21 +333,33 @@ func resolveRef(s *schema.Schema, ref expr.ColRef) int {
 // resolution — each distinct reference pays the name lookup (and the
 // qualified-name concatenation) once, not once per cell — and reads rows
 // through a private segment-caching cursor, so a chunk scan decodes the
-// segment directory once per segment instead of once per cell. The getter is
-// single-goroutine state (cursor and memo map alike); parallel operators
-// create one per chunk.
+// segment directory once per segment instead of once per cell. A query names
+// a handful of columns, so the memo is a linearly probed slice: comparing a
+// reference against a few resolved ones is cheaper than hashing its two
+// strings on every cell. The getter is single-goroutine state (cursor and
+// memo alike); parallel operators create one per chunk.
 func (e *Executor) cellGetter(f *frame) func(row int, ref expr.ColRef) *uncertain.Cell {
 	s := f.pt.Schema
 	cur := f.pt.Cursor()
-	cache := make(map[expr.ColRef]int, 4)
+	type resolved struct {
+		ref expr.ColRef
+		idx int
+	}
+	var memo []resolved
 	return func(row int, ref expr.ColRef) *uncertain.Cell {
-		idx, ok := cache[ref]
-		if !ok {
+		idx := -1
+		for i := range memo {
+			if memo[i].ref == ref {
+				idx = memo[i].idx
+				break
+			}
+		}
+		if idx < 0 {
 			idx = resolveRef(s, ref)
 			if idx < 0 {
 				panic(fmt.Sprintf("engine: column %s not in schema (%s)", ref, s))
 			}
-			cache[ref] = idx
+			memo = append(memo, resolved{ref, idx})
 		}
 		return &cur.At(row).Cells[idx]
 	}

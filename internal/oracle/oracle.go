@@ -430,8 +430,8 @@ func (s *Session) cleanFD(st *state, rule string, fd dc.FDSpec, rows []int, pred
 
 	if s.strategy == Full {
 		// Clean every remaining violating group in one pass. The same-rhs
-		// support pass mirrors the engine: P(lhs|rhs) is computed over the
-		// relation-wide rhs-partner set on every path, so full and
+		// support pass gives P(lhs|rhs) the relation-wide rhs-partner set the
+		// engine reads off its group index, on every path, so full and
 		// incremental cleaning repair a group to identical bytes.
 		var full []int
 		for _, k := range groupOrder {

@@ -1,17 +1,14 @@
-// Package repair computes probabilistic candidate fixes for denial
-// constraint violations (§4.1–4.3). For FDs, each erroneous tuple's cells
-// receive frequency-based conditional distributions — P(rhs|lhs) from the
-// tuples sharing its lhs, P(lhs|rhs) from the tuples sharing its rhs — with
-// world (candidate-pair) identifiers distinguishing the two fix directions.
-// For general DCs, violating pairs receive range fixes that invert atoms
-// (holistic-cleaning style), with inversion subsets validated by the SAT
-// encoding of §4.2. Fixes from multiple rules merge under the union
-// semantics of Lemma 4 (implemented in package uncertain).
+// Package repair computes probabilistic candidate fixes for general denial
+// constraint violations (§4.2): violating pairs receive range fixes that
+// invert atoms (holistic-cleaning style), with inversion subsets enumerated
+// by the SAT encoding of §4.2. It also names the candidate worlds every fix
+// carries, including the two FD fix directions of §4.1, whose frequency
+// distributions the session computes from its FD group index. Fixes from
+// multiple rules merge under the union semantics of Lemma 4 (implemented in
+// package uncertain).
 package repair
 
 import (
-	"sort"
-
 	"daisy/internal/dc"
 	"daisy/internal/detect"
 	"daisy/internal/ptable"
@@ -28,249 +25,6 @@ const (
 	WorldFixLHS = 1
 	WorldFixRHS = 2
 )
-
-// FD computes candidate fixes for the FD violations inside the repair scope.
-//
-// view addresses the dataset, scope lists the row positions to repair (the
-// relaxed query result), and support lists additional rows consulted only
-// for candidate computation (e.g. same-rhs partners outside the relaxed
-// result, per Example 2 / Table 2b). schemaIdx maps attribute name to cell
-// position. The returned delta holds one probabilistic cell per repaired
-// attribute, keyed by tuple ID.
-func FD(view detect.RowView, scope, support []int, fd dc.FDSpec, schemaIdx func(string) int, m *detect.Metrics) *ptable.Delta {
-	all := append(append(make([]int, 0, len(scope)+len(support)), scope...), support...)
-	allView := detect.SubsetView{Base: view, Idx: all}
-	cols := detect.CompileFD(view, fd)
-	if m != nil {
-		m.Scanned += 2 * int64(len(all)) // lhs- and rhs-grouping passes
-	}
-
-	// One grouping pass specialized to what repair consumes: member rows and
-	// the rhs tally per lhs cluster, plus the rhs-partner lists feeding
-	// P(lhs|rhs). detect.GroupByFD would also materialize tuple IDs and lhs
-	// values per group — dead weight here — and a separate GroupByRHS pass
-	// would rescan every row and rehash every rhs value.
-	groups := make(map[value.MapKey]*fdRepairGroup)
-	singleLHS := len(fd.LHS) == 1
-	var byRHS map[value.MapKey][]int
-	if singleLHS {
-		byRHS = make(map[value.MapKey][]int)
-	}
-	for j := range all {
-		key := cols.LHSKey(allView, j)
-		g := groups[key]
-		if g == nil {
-			g = &fdRepairGroup{}
-			groups[key] = g
-		}
-		g.members = append(g.members, j)
-		rv := allView.ValueAt(j, cols.RHS)
-		rk := rv.MapKey()
-		g.addRHS(rk, rv)
-		if singleLHS {
-			byRHS[rk] = append(byRHS[rk], j)
-		}
-	}
-
-	// Dense membership flags: scope positions index the base view, so one
-	// flat []bool beats a hash set on the per-member hot path.
-	inScope := make([]bool, view.Len())
-	for _, i := range scope {
-		inScope[i] = true
-	}
-
-	delta := ptable.NewDelta("")
-	rhsCol := schemaIdx(fd.RHS)
-	lhsCol := -1
-	if singleLHS {
-		lhsCol = schemaIdx(fd.LHS[0])
-	}
-	// Memoized P(lhs|rhs) distributions: one computation per distinct rhs
-	// value instead of one per repaired tuple.
-	lhsDistCache := make(map[value.MapKey][]uncertain.Candidate)
-	for _, g := range groups {
-		if len(g.rhs) < 2 {
-			continue // not violating
-		}
-		// One shared P(rhs|lhs) candidate slice for the whole group (cells
-		// may alias distribution backing; Merge copies before mutating),
-		// emitted in value order like detect.(*Group).RHSDistribution.
-		rhsCands := g.rhsDistribution()
-		for _, member := range g.members {
-			pos := all[member] // position in the base view
-			if !inScope[pos] {
-				continue // support-only tuples are consulted, not repaired
-			}
-			id := view.ID(pos)
-			// RHS fix: P(rhs | lhs) over the group's distribution.
-			delta.Set(id, rhsCol, uncertain.Cell{Orig: view.ValueAt(pos, cols.RHS), Candidates: rhsCands})
-			if m != nil {
-				m.Repairs++
-			}
-			// LHS fix: P(lhs | rhs) over tuples sharing this tuple's rhs.
-			// Only meaningful for single-attribute lhs (multi-attribute lhs
-			// fixes would need a joint distribution; the paper's examples
-			// and workloads fix single lhs attributes).
-			if len(fd.LHS) != 1 {
-				continue
-			}
-			rhsKey := cols.RHSKey(view, pos)
-			cands, ok := lhsDistCache[rhsKey]
-			if !ok {
-				cands = lhsDistribution(allView, byRHS[rhsKey], cols.LHS[0])
-				lhsDistCache[rhsKey] = cands
-			}
-			if len(cands) < 2 {
-				continue // lhs is unambiguous; keep it certain
-			}
-			// The memoized distribution is shared across cells, not copied.
-			lhsCell := uncertain.Cell{Orig: view.ValueAt(pos, cols.LHS[0]), Candidates: cands}
-			delta.Set(id, lhsCol, lhsCell)
-			if m != nil {
-				m.Repairs++
-			}
-		}
-	}
-	return delta
-}
-
-// fdRepairGroup is the per-lhs cluster record FD builds while grouping:
-// member rows plus the distinct-rhs tally. It mirrors detect.Group minus the
-// tuple IDs and lhs values repair never reads, and its distribution is
-// emitted directly as candidates instead of parallel value/count slices.
-type fdRepairGroup struct {
-	members []int
-	// rhs tallies the distinct rhs values. FD groups have few distinct rhs
-	// values (the candidate-set size p), so a linear-probed slice beats a
-	// map; rhsIdx spills to a map only for degenerate groups.
-	rhs    []rhsTally
-	rhsIdx map[value.MapKey]int
-}
-
-// rhsTally is one distinct rhs value of a group with its member count.
-type rhsTally struct {
-	key value.MapKey
-	val value.Value
-	n   int
-}
-
-// rhsSpillThreshold matches detect's: the distinct-rhs count past which a
-// group switches from linear probing to a map index.
-const rhsSpillThreshold = 8
-
-// addRHS tallies one member's rhs value.
-func (g *fdRepairGroup) addRHS(key value.MapKey, val value.Value) {
-	if g.rhsIdx != nil {
-		if i, ok := g.rhsIdx[key]; ok {
-			g.rhs[i].n++
-			return
-		}
-		g.rhsIdx[key] = len(g.rhs)
-		g.rhs = append(g.rhs, rhsTally{key: key, val: val, n: 1})
-		return
-	}
-	for i := range g.rhs {
-		if g.rhs[i].key == key {
-			g.rhs[i].n++
-			return
-		}
-	}
-	g.rhs = append(g.rhs, rhsTally{key: key, val: val, n: 1})
-	if len(g.rhs) > rhsSpillThreshold {
-		g.rhsIdx = make(map[value.MapKey]int, len(g.rhs))
-		for i := range g.rhs {
-			g.rhsIdx[g.rhs[i].key] = i
-		}
-	}
-}
-
-// rhsDistribution emits the group's P(rhs|lhs) candidates in value order.
-// The stable insertion sort over the tally (insertion order = row scan
-// order) makes the output byte-identical to building it from
-// detect.(*Group).RHSDistribution. Sorts the tally in place: the group is
-// not consulted again after its distribution is taken.
-func (g *fdRepairGroup) rhsDistribution() []uncertain.Candidate {
-	tmp := g.rhs
-	for i := 1; i < len(tmp); i++ {
-		for j := i; j > 0 && tmp[j].val.Less(tmp[j-1].val); j-- {
-			tmp[j], tmp[j-1] = tmp[j-1], tmp[j]
-		}
-	}
-	total := 0
-	for i := range tmp {
-		total += tmp[i].n
-	}
-	cands := make([]uncertain.Candidate, len(tmp))
-	for i := range tmp {
-		cands[i] = uncertain.Candidate{
-			Val: tmp[i].val, Prob: float64(tmp[i].n) / float64(total),
-			World: WorldFixRHS, Support: tmp[i].n,
-		}
-	}
-	return cands
-}
-
-// lhsDistribution tallies the distinct lhs values over one rhs-partner set
-// and emits the P(lhs|rhs) candidates in value order. Distinct-value counts
-// are small (the candidate-set size p), so a linear-probed slice replaces
-// the two hash maps a tally would otherwise allocate per distinct rhs.
-func lhsDistribution(v detect.RowView, partners []int, lhsIdx int) []uncertain.Candidate {
-	type tally struct {
-		key value.MapKey
-		val value.Value
-		n   int
-	}
-	var buf [8]tally
-	tallies := buf[:0]
-	for _, p := range partners {
-		lv := v.ValueAt(p, lhsIdx)
-		lk := lv.MapKey()
-		found := false
-		for i := range tallies {
-			if tallies[i].key == lk {
-				tallies[i].n++
-				found = true
-				break
-			}
-		}
-		if !found {
-			tallies = append(tallies, tally{key: lk, val: lv, n: 1})
-		}
-	}
-	if len(tallies) < 2 {
-		return nil
-	}
-	// Insertion sort by value order: distributions are emitted sorted for
-	// determinism, and the sets are small.
-	for i := 1; i < len(tallies); i++ {
-		for j := i; j > 0 && tallies[j].val.Less(tallies[j-1].val); j-- {
-			tallies[j], tallies[j-1] = tallies[j-1], tallies[j]
-		}
-	}
-	total := 0
-	for i := range tallies {
-		total += tallies[i].n
-	}
-	cands := make([]uncertain.Candidate, len(tallies))
-	for i, tl := range tallies {
-		cands[i] = uncertain.Candidate{
-			Val: tl.val, Prob: float64(tl.n) / float64(total),
-			World: WorldFixLHS, Support: tl.n,
-		}
-	}
-	return cands
-}
-
-// sortedVals orders a key→value map's values deterministically by value
-// order (candidate distributions are emitted in value order).
-func sortedVals(m map[value.MapKey]value.Value) []value.Value {
-	out := make([]value.Value, 0, len(m))
-	for _, v := range m {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
-}
 
 // InversionPlans enumerates the sets of atom indices whose inversion
 // satisfies the DC formula for a violating pair, via the SAT encoding: one
@@ -411,18 +165,4 @@ func addRangeFix(delta *ptable.Delta, id int64, col int, orig value.Value, op dc
 		World:      world,
 	})
 	delta.Set(id, col, cell)
-}
-
-// VerifyPlan checks the DESIGN.md invariant that an inversion plan actually
-// satisfies the constraint: after forcing the planned atoms false and
-// keeping the others true, the conjunction no longer holds.
-func VerifyPlan(c *dc.Constraint, plan []int) bool {
-	inverted := make(map[int]bool, len(plan))
-	for _, ai := range plan {
-		if ai < 0 || ai >= len(c.Atoms) {
-			return false
-		}
-		inverted[ai] = true
-	}
-	return len(inverted) > 0
 }
