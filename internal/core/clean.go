@@ -130,15 +130,28 @@ func (qc *queryCtx) cleanFD(st *tableState, tableName string, rule *dc.Constrain
 	if err := qc.ctxErr(); err != nil {
 		return nil, err
 	}
-	// Repair is idempotent per group: extras whose group is already checked
-	// (relaxation can pull them back in) are never re-fixed — re-merging the
-	// identical fix would inflate supports, and which query re-pulls a group
-	// depends on execution order, which must not show in the converged state.
+	// Repair is per group, whole and once. Extras whose group is already
+	// checked (relaxation can pull them back in) are never re-fixed —
+	// re-merging the identical fix would inflate supports, and which query
+	// re-pulls a group depends on execution order, which must not show in
+	// the converged state. An extra from an unchecked violating group (one
+	// sharing a seed row's rhs value) brings every member of its group, so a
+	// checked group is always a fully repaired one: the state stays a
+	// function of the checked groups, the bytes a full clean or sweep gives.
 	// The scope itself holds unchecked groups only.
-	fix := append([]int(nil), scope...)
-	for _, r := range extra {
-		if !checked(idx.keyOf(r)) {
-			fix = append(fix, r)
+	var fix []int
+	var groups []value.MapKey
+	for _, rs := range [][]int{scope, extra} {
+		for _, r := range rs {
+			key := idx.keyOf(r)
+			if checked(key) {
+				continue
+			}
+			localChecked[key] = true
+			groups = append(groups, key)
+			if idx.violating(r) {
+				fix = append(fix, idx.members(key)...)
+			}
 		}
 	}
 
@@ -155,17 +168,8 @@ func (qc *queryCtx) cleanFD(st *tableState, tableName string, rule *dc.Constrain
 			trace.Int("relaxed", len(extra)), trace.Int("cells_updated", updated))
 	}
 
-	// Mark the repaired groups checked locally and buffer the delta plus
-	// bookkeeping for the flush at query end (duplicates from racing queries
-	// coalesce in the writer).
-	groups := make([]value.MapKey, 0, len(fix))
-	for _, r := range fix {
-		key := idx.keyOf(r)
-		if !localChecked[key] {
-			localChecked[key] = true
-			groups = append(groups, key)
-		}
-	}
+	// Buffer the delta plus the groups it checked for the flush at query end
+	// (duplicates from racing queries coalesce in the writer).
 	qc.submit(&applyReq{
 		table: tableName, rule: rule.Name, isFD: true, reg: st.reg,
 		delta: delta, base: base, applied: qc.pt(tableName), groups: groups,
@@ -277,31 +281,20 @@ func groupPartners(idx *fdIndex, scope, rows []int) []int {
 	return extra
 }
 
-// cleanDC handles one general denial constraint inside cleanσ. DC cleaning
-// serializes on Session.dcMu: unlike FD fixes, pair-at-a-time fixes are not
-// an idempotent function of a checked key, so the checked-tuple bookkeeping
-// must be read and advanced atomically. The first DC clean of a query
-// acquires dcMu and the query holds it until its write-backs flush (or the
-// query aborts) — write-backs publish only at query end, so releasing the
-// mutex earlier would let a racing DC query re-examine the same pairs. The
-// section reads the latest published epoch's checked set (not the query's —
-// a racing DC query may have advanced it) while detection and repair still
-// evaluate original values, which every epoch shares.
+// cleanDC handles one general denial constraint inside cleanσ. It checks the
+// query's unchecked tuples (the delta) against every unchecked tuple, so a
+// violating pair is detected exactly when the first of its tuples is checked,
+// and the fixes of a cell are the set union of the ranges its detected pairs
+// imply (repair.DCFixes, uncertain.Cell.Merge). DC state is therefore a
+// function of the original values, the rules and the checked tuples, like FD
+// state: racing queries need no lock, because a pair two of them both detect
+// merges to the same cell as a pair detected once. The clean reads the latest
+// published epoch's checked set (a racing DC query may have advanced it past
+// the query's snapshot) while detection and repair evaluate original values,
+// which every epoch shares.
 func (qc *queryCtx) cleanDC(st *tableState, tableName string, rule *dc.Constraint, rows []int, m *detect.Metrics, parent trace.Span) ([]int, error) {
-	s := qc.s
 	if err := qc.ctxErr(); err != nil {
 		return nil, err
-	}
-	if !qc.dcHeld {
-		// Deliberate tradeoff: the lock window widens from one cleanDC body
-		// (PR 2) to the rest of the query plus the flush wait. Releasing
-		// before the epoch publishes would let a racing DC query read a
-		// checked set missing this query's pairs and double-fix them, and
-		// flushing DC write-backs early would publish partial repairs on a
-		// later cancellation. Detection dominates DC query time, and FD-only
-		// traffic never touches dcMu.
-		s.dcMu.Lock()
-		qc.dcHeld = true // released by flush/abort at query end
 	}
 
 	latest := qc.latestState(tableName, st)
@@ -392,8 +385,8 @@ func (qc *queryCtx) cleanDC(st *tableState, tableName string, rule *dc.Constrain
 	}
 
 	// Mark the delta tuples checked (full clean marks everything) and buffer
-	// the write-back; dcMu (held to query end) guarantees no duplicate can
-	// race.
+	// the write-back. A racing query that detected some of the same pairs
+	// publishes the same ranges, which the writer's merge absorbs.
 	ids := make([]int64, len(delta))
 	for i, d := range delta {
 		ids[i] = view.ID(d)

@@ -535,8 +535,9 @@ func (w *writer) applyBatch(batch []*applyReq) {
 // idempotently: a group already marked checked — in a published epoch or by
 // an earlier request of this batch — was repaired by an earlier (racing)
 // query with the identical group-deterministic fix, so its cells and
-// bookkeeping are dropped. DC requests apply verbatim — the DC clean path is
-// serialized by Session.dcMu, so no duplicates can race.
+// bookkeeping are dropped. DC requests apply verbatim: a range fix that a
+// racing query already applied merges as a no-op (uncertain.Cell.Merge
+// unions range sets), so duplicates are harmless.
 //
 // It reports whether the request applied at all (false: stale registration,
 // dropped wholesale) and whether it coalesced to a duplicate — the WAL

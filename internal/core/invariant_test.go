@@ -3,13 +3,20 @@ package core
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
+	"sync"
 	"testing"
 
 	"daisy/internal/dc"
 	"daisy/internal/detect"
+	"daisy/internal/ptable"
+	"daisy/internal/repair"
 	"daisy/internal/table"
 	"daisy/internal/thetajoin"
+	"daisy/internal/value"
 	"daisy/internal/workload"
 )
 
@@ -194,5 +201,171 @@ func TestDerivedStateIsFunctionOfOriginals(t *testing.T) {
 		watchOriginals(t, s2, tb)
 		runQueries(t, s2, queries)
 		assertIndexesRebuild(t, s2, 1, 1)
+	})
+}
+
+// watchRecompute asserts, at every epoch s publishes from now on, that each
+// relation's cleaned state is the one recompute derives from its original
+// values, the rules and the epoch's checked sets alone.
+func watchRecompute(t *testing.T, s *Session) {
+	t.Helper()
+	s.w.mu.Lock()
+	defer s.w.mu.Unlock()
+	s.w.onPublish = func(_ uint64, snap *snapshot) { checkRecompute(t, snap) }
+}
+
+func checkRecompute(t *testing.T, snap *snapshot) {
+	for name, st := range snap.tables {
+		if got, want := st.pt.Fingerprint(), recompute(snap.rules, st).Fingerprint(); got != want {
+			t.Errorf("epoch %d: %s differs from its recomputation from the checked sets:\n%s\nvs\n%s",
+				snap.epoch, name, got, want)
+		}
+	}
+}
+
+// recompute rebuilds a relation's cleaned state from scratch: the registered
+// image, then per rule the fixes its checked set implies — for an FD, the
+// group index's repair of every member of every checked group; for a general
+// DC, the range fixes of every violating pair with at least one checked
+// tuple, enumerated by a nested loop over original values.
+func recompute(rules []*dc.Constraint, st *tableState) *ptable.PTable {
+	image := ptable.FromTable(st.pt.Originals())
+	view := detect.NewPTableView(image)
+	for _, rule := range rules {
+		if fd, ok := rule.AsFD(); ok {
+			groups := st.checkedGroups[rule.Name]
+			if len(groups) == 0 {
+				continue
+			}
+			ix := newFDIndex(image, fd)
+			var rows []int
+			for key := range groups {
+				rows = append(rows, ix.members(key)...)
+			}
+			sort.Ints(rows)
+			image.Apply(ix.repair(view, rows, fd, nil))
+			continue
+		}
+		checked := st.checkedTuples[rule.Name]
+		if len(checked) == 0 {
+			continue
+		}
+		var pairs []thetajoin.Pair
+		violates := func(i, j int) bool {
+			return rule.Violates(func(tuple int, col string) value.Value {
+				if tuple == 1 {
+					return view.Value(i, col)
+				}
+				return view.Value(j, col)
+			})
+		}
+		for i := 0; i < view.Len(); i++ {
+			for j := i + 1; j < view.Len(); j++ {
+				if !checked[view.ID(i)] && !checked[view.ID(j)] {
+					continue
+				}
+				if violates(i, j) {
+					pairs = append(pairs, thetajoin.Pair{T1: view.ID(i), T2: view.ID(j)})
+				} else if violates(j, i) {
+					pairs = append(pairs, thetajoin.Pair{T1: view.ID(j), T2: view.ID(i)})
+				}
+			}
+		}
+		image.Apply(repair.DCFixes(view, pairs, rule, image.Schema.MustIndex, nil))
+	}
+	return image
+}
+
+// TestCleanedStateIsFunctionOfCheckedSets: FD fixes are a function of the
+// original values per checked group, and DC fixes a set function of the
+// violating pairs with a checked tuple, so every published state must equal
+// its recomputation from the checked sets — whatever strategy, sweep,
+// interleaving or recovery produced it.
+func TestCleanedStateIsFunctionOfCheckedSets(t *testing.T) {
+	for seed := int64(1); seed <= 2; seed++ {
+		for _, strategy := range []Strategy{StrategyIncremental, StrategyFull} {
+			t.Run(fmt.Sprintf("%s/seed%d", strategyName(strategy), seed), func(t *testing.T) {
+				tb, rules, queries := dcLineorder(seed)
+				s := NewSession(Options{Strategy: strategy})
+				defer s.Close()
+				watchRecompute(t, s)
+				setupSession(t, s, tb, rules...)
+				runQueries(t, s, queries)
+			})
+		}
+	}
+
+	t.Run("racing", func(t *testing.T) {
+		tb, rules, queries := dcLineorder(3)
+		s := NewSession(Options{Strategy: StrategyIncremental})
+		defer s.Close()
+		watchRecompute(t, s)
+		setupSession(t, s, tb, rules...)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := range queries {
+					if _, err := s.Query(queries[(i+g)%len(queries)]); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	})
+
+	t.Run("sweep", func(t *testing.T) {
+		tb := sweepTable(sweepGroups, sweepDirtyGroups)
+		s := NewSession(sweepOpts())
+		defer s.Close()
+		watchRecompute(t, s)
+		setupSession(t, s, tb, sweepRule())
+		queries := sweepQueries(sweepGroups, sweepRangeGroups)
+		if flip, strategy, _ := runUntilFlip(t, s, queries); flip < 0 || strategy != "background" {
+			t.Fatalf("no background flip (flip=%d strategy=%q)", flip, strategy)
+		}
+		if err := s.WaitCleaning(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("crash", func(t *testing.T) {
+		dir := t.TempDir()
+		tb, rules, queries := dcLineorder(4)
+		s, err := Open(durableOpts(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		watchRecompute(t, s)
+		setupSession(t, s, tb, rules...)
+		half := len(queries) / 2
+		runQueries(t, s, queries[:half])
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		runQueries(t, s, queries[half:])
+
+		// A crash leaves exactly the files written so far: reopen a copy
+		// taken while the session is still open.
+		crashed := t.TempDir()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			copyFile(t, filepath.Join(dir, e.Name()), filepath.Join(crashed, e.Name()))
+		}
+		s2, err := Open(durableOpts(crashed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s2.Close()
+		checkRecompute(t, s2.w.current()) // replay publishes no epochs
+		watchRecompute(t, s2)
+		runQueries(t, s2, queries)
 	})
 }

@@ -21,8 +21,8 @@ import (
 // engine.Cleaner.
 //
 // Write-backs are buffered in pending and only flushed to the single-writer
-// apply loop when the whole query succeeds — a canceled query drops them
-// (abort), so cancellation never publishes partial repairs.
+// apply loop when the whole query succeeds — a canceled query is dropped
+// with them, so cancellation never publishes partial repairs.
 type queryCtx struct {
 	s    *Session
 	snap *snapshot
@@ -46,11 +46,6 @@ type queryCtx struct {
 	// write-backs published — a canceled query must leave no trace, not even
 	// a sweep.
 	bgJobs []bgJobSpec
-	// dcHeld records that this query holds Session.dcMu. The first general-DC
-	// clean acquires it and the query keeps it until flush/abort, so the
-	// order-dependent pairwise bookkeeping stays exact even though the
-	// write-backs publish only at query end.
-	dcHeld bool
 
 	// span is the query's root trace span; the zero Span when untraced.
 	// Cleaning spans attach under the engine's per-operator span instead
@@ -92,9 +87,8 @@ func (qc *queryCtx) deferFullClean(table string, reg *registration, rule *dc.Con
 }
 
 // flush publishes the buffered write-backs through the single-writer apply
-// loop (blocking until the new epoch is live), schedules any deferred
-// background sweeps against the just-published state, and releases the DC
-// section.
+// loop (blocking until the new epoch is live) and schedules any deferred
+// background sweeps against the just-published state.
 func (qc *queryCtx) flush() {
 	pub := qc.span.Start("publish")
 	if pub.Active() {
@@ -114,23 +108,6 @@ func (qc *queryCtx) flush() {
 		qc.s.enqueueSweep(j.table, j.reg, j.rule, j.fd)
 	}
 	qc.bgJobs = nil
-	qc.releaseDC()
-}
-
-// abort drops the buffered write-backs and deferred sweeps — the published
-// epochs and the scheduler never see this query — and releases the DC
-// section.
-func (qc *queryCtx) abort() {
-	qc.pending = nil
-	qc.bgJobs = nil
-	qc.releaseDC()
-}
-
-func (qc *queryCtx) releaseDC() {
-	if qc.dcHeld {
-		qc.dcHeld = false
-		qc.s.dcMu.Unlock()
-	}
 }
 
 // Schema implements plan.Catalog against the query's epoch.

@@ -10,11 +10,8 @@ import (
 	"daisy/internal/dc"
 	"daisy/internal/detect"
 	"daisy/internal/ptable"
-	"daisy/internal/schema"
 	"daisy/internal/table"
 	"daisy/internal/trace"
-	"daisy/internal/uncertain"
-	"daisy/internal/value"
 	"daisy/internal/workload"
 )
 
@@ -190,49 +187,18 @@ func TestBatchedWriteBacksCoalesceIdempotently(t *testing.T) {
 	}
 }
 
-// TestConcurrentDCQueriesConverge exercises the serialized general-DC path
-// under racing callers: the pairwise checked bookkeeping must neither drop
-// nor duplicate fixes.
+// TestConcurrentDCQueriesConverge exercises the general-DC path under racing
+// callers with no lock between them: two queries may detect the same pair,
+// and the range-set union must absorb it, so the converged state is
+// byte-identical to the sequential run's.
 func TestConcurrentDCQueriesConverge(t *testing.T) {
-	build := func() *Session {
-		sch := schema.MustNew(
-			schema.Column{Name: "salary", Kind: value.Float},
-			schema.Column{Name: "tax", Kind: value.Float},
-		)
-		tb := table.New("emp", sch)
-		for i := 0; i < 60; i++ {
-			tax := 0.1 + float64(i)*0.01
-			if i%7 == 0 {
-				tax = 0.9 - tax
-			}
-			tb.MustAppend(table.Row{value.NewFloat(float64(1000 + i*50)), value.NewFloat(tax)})
-		}
-		s := NewSession(Options{Strategy: StrategyIncremental})
-		if err := s.Register(tb); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.AddRule(dc.MustParse("psi@emp: !(t1.salary<t2.salary & t1.tax>t2.tax)")); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	queries := []string{
-		"SELECT salary, tax FROM emp WHERE salary < 1800",
-		"SELECT salary, tax FROM emp WHERE salary >= 1800 AND salary < 2600",
-		"SELECT salary, tax FROM emp WHERE salary >= 2600",
-		"SELECT salary, tax FROM emp WHERE salary >= 0",
-	}
-
-	seq := build()
+	queries := empQueries()
+	seq := newEmpSession(t, Options{Strategy: StrategyIncremental}, false)
 	defer seq.Close()
-	for _, q := range queries {
-		if _, err := seq.Query(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := seq.Table("emp")
+	runQueries(t, seq, queries)
+	want := seq.Table("emp").Fingerprint()
 
-	conc := build()
+	conc := newEmpSession(t, Options{Strategy: StrategyIncremental}, false)
 	defer conc.Close()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -248,42 +214,8 @@ func TestConcurrentDCQueriesConverge(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if _, err := conc.Query(queries[len(queries)-1]); err != nil {
-		t.Fatal(err)
-	}
-	got := conc.Table("emp")
-	if got.Len() != want.Len() {
-		t.Fatalf("len %d != %d", got.Len(), want.Len())
-	}
-	// Each violating pair is examined exactly once in every interleaving, so
-	// the distinct range-fix set per cell is interleaving-independent (range
-	// multiplicity and probabilities depend on how pairs batch into deltas,
-	// which a serial order also permutes).
-	rangeSet := func(c *uncertain.Cell) map[string]bool {
-		set := make(map[string]bool, len(c.Ranges))
-		for _, r := range c.Ranges {
-			set[fmt.Sprintf("%v|%s", r.Op, r.Bound)] = true
-		}
-		return set
-	}
-	for i := 0; i < want.Len(); i++ {
-		for _, col := range []string{"salary", "tax"} {
-			a, b := got.Cell(i, col), want.Cell(i, col)
-			if a.IsCertain() != b.IsCertain() {
-				t.Errorf("row %d %s: certainty differs: concurrent %v vs sequential %v", i, col, a, b)
-				continue
-			}
-			as, bs := rangeSet(a), rangeSet(b)
-			if len(as) != len(bs) {
-				t.Errorf("row %d %s: range sets differ: concurrent %v vs sequential %v", i, col, a, b)
-				continue
-			}
-			for k := range as {
-				if !bs[k] {
-					t.Errorf("row %d %s: concurrent range %s missing sequentially (%v vs %v)", i, col, k, a, b)
-				}
-			}
-		}
+	if got := conc.Table("emp").Fingerprint(); got != want {
+		t.Errorf("concurrent DC state differs from the sequential run:\n%s\nvs\n%s", got, want)
 	}
 }
 

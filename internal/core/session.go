@@ -26,10 +26,11 @@
 // fixes from racing queries coalesce idempotently: FD fixes are
 // group-deterministic functions of the original values, so the writer drops
 // a delta whose group is already checked — the racing winner applied the
-// identical fix. General-DC cleaning serializes on an internal mutex (the
-// pairwise checked-set bookkeeping is inherently order-dependent), keeping
-// convergence exact while FD traffic proceeds in parallel. The converged
-// cleaned state is therefore independent of query interleaving.
+// identical fix. General-DC fixes need no such filter: a cell's range fixes
+// merge as a set union, so a pair that two racing queries both detect leaves
+// the same state as a pair detected once. The converged cleaned state is
+// therefore a function of the checked groups and tuples, independent of
+// query interleaving and strategy.
 package core
 
 import (
@@ -257,7 +258,6 @@ type Session struct {
 	bg    *bgclean.Scheduler // background full-clean jobs (§5.2.3 gone async)
 	ckpt  *checkpointer      // durable sessions only (nil: in-memory)
 	sem   chan struct{}      // MaxConcurrentQueries gate (nil: unlimited)
-	dcMu  sync.Mutex         // serializes general-DC cleaning sections
 	instr *sessionInstr      // metrics registry + instruments (never nil)
 
 	// Metrics accumulates work across all queries. Reads are only meaningful
@@ -631,11 +631,6 @@ func (s *Session) QueryContext(ctx context.Context, text string, opts ...QueryOp
 	}()
 	snap := s.w.current()
 	qc := &queryCtx{s: s, snap: snap, ctx: ctx, opts: cfg.opts, span: root}
-	// abort is idempotent and a no-op after flush; deferring it guarantees
-	// dcMu and the pending buffer are released even if execution panics
-	// (e.g. a schema-resolution panic in the engine) and the caller recovers
-	// per request.
-	defer qc.abort()
 	t0 = time.Now()
 	node, err := plan.Build(q, qc, snap.rules)
 	planDur := time.Since(t0)
@@ -678,9 +673,8 @@ func (s *Session) QueryContext(ctx context.Context, text string, opts ...QueryOp
 		err = qc.ctxErr()
 	}
 	if err != nil {
-		// Drop the query's buffered write-backs and private overlay — the
-		// published epochs never saw this query.
-		qc.abort()
+		// The query's buffered write-backs and private overlay are dropped
+		// with qc: the published epochs never saw this query.
 		cancel()
 		s.instr.recordQueryError(err)
 		return nil, err

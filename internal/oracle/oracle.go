@@ -459,23 +459,20 @@ func (s *Session) cleanFD(st *state, rule string, fd dc.FDSpec, rows []int, pred
 		}
 	}
 	extra := s.relax(pt, scope, lhsIdx, rhsIdx, transitive)
-	repairScope := append(append([]int(nil), scope...), extra...)
-	support := s.relax(pt, repairScope, lhsIdx, rhsIdx, false)
-	// Idempotent repair: rows of already-checked groups (re-entered through
-	// relaxation) contribute to distributions but are not re-fixed.
-	var fix, consult []int
-	for _, r := range repairScope {
-		if checked[origKey(pt, r, lhsIdx)] {
-			consult = append(consult, r)
-		} else {
-			fix = append(fix, r)
+	// Groups are repaired whole and once: every unchecked group the relaxed
+	// result meets is fixed in full, and rows of already-checked groups
+	// (re-entered through relaxation) are not re-fixed. The same-rhs support
+	// pass supplies the rest of every distribution.
+	var fix []int
+	for _, r := range append(append([]int(nil), scope...), extra...) {
+		k := origKey(pt, r, lhsIdx)
+		if checked[k] {
+			continue
 		}
+		checked[k] = true
+		fix = append(fix, members[k]...)
 	}
-	consult = append(consult, support...)
-	s.repairFD(st, fix, consult, lhsIdx, rhsIdx, fd)
-	for _, r := range fix {
-		checked[origKey(pt, r, lhsIdx)] = true
-	}
+	s.repairFD(st, fix, s.relax(pt, fix, lhsIdx, rhsIdx, false), lhsIdx, rhsIdx, fd)
 	return extra
 }
 
@@ -747,9 +744,11 @@ func naivePairs(pt *FlatTable, rule *dc.Constraint, delta, rest []int) []pair {
 }
 
 // applyDCFixes gives each cell touched by a violating pair its original
-// value plus the atom-inverting candidate ranges, 1/(k+1) probability each
-// (Example 5) — recomputed without the SAT planner: for a single constraint
-// the distinct inverting ranges are exactly the per-atom inversions.
+// value plus the distinct atom-inverting candidate ranges, 1/(k+1)
+// probability each (Example 5). The keep-original candidate carries no
+// support, so a cell the query already fixed takes the union of its old and
+// new ranges when the delta merges — the fixes of a set of pairs, however the
+// queries batched them.
 func (s *Session) applyDCFixes(st *state, rule *dc.Constraint, pairs []pair) {
 	pt := st.pt
 	delta := ptable.NewDelta(pt.Name)
@@ -799,7 +798,7 @@ func addRange(delta *ptable.Delta, pt *FlatTable, row, col int, op dc.Op, bound 
 	cell, _ := delta.Get(id, col)
 	if len(cell.Candidates) == 0 {
 		cell.Orig = pt.Tuples[row].Cells[col].Orig
-		cell.Candidates = []uncertain.Candidate{{Val: cell.Orig, Prob: 0.5, World: 0, Support: 1}}
+		cell.Candidates = []uncertain.Candidate{{Val: cell.Orig, Prob: 0.5, World: 0}}
 	}
 	for _, r := range cell.Ranges {
 		if r.Op == op && r.Bound.Equal(bound) {

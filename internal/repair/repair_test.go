@@ -16,57 +16,6 @@ func idx(t *table.Table) func(string) int {
 	return func(name string) int { return t.Schema.MustIndex(name) }
 }
 
-func TestInversionPlansSingleConstraint(t *testing.T) {
-	c := dc.MustParse("!(t1.salary<t2.salary & t1.tax>t2.tax)")
-	plans := InversionPlans([]*dc.Constraint{c}, func(int) int { return 0 }, len(c.Atoms))
-	if len(plans) == 0 {
-		t.Fatal("no inversion plans")
-	}
-	// Minimal plans are the single-atom inversions {0} and {1}.
-	single := 0
-	for _, p := range plans {
-		if len(p) == 0 {
-			t.Errorf("empty plan in %v", plans)
-		}
-		for _, ai := range p {
-			if ai < 0 || ai >= len(c.Atoms) {
-				t.Errorf("plan %v names atom %d of %d", p, ai, len(c.Atoms))
-			}
-		}
-		if len(p) == 1 {
-			single++
-		}
-	}
-	if single != 2 {
-		t.Errorf("single-atom plans = %d, want 2", single)
-	}
-}
-
-func TestInversionPlansOverlappingConstraints(t *testing.T) {
-	c1 := dc.MustParse("!(t1.a<t2.a & t1.b>t2.b)")
-	c2 := dc.MustParse("!(t1.b>t2.b & t1.c<t2.c)")
-	// Shared variable layout: atoms 0,1 for c1; atom 1 shared; atom 2 for c2.
-	offsets := []int{0, 1}
-	plans := InversionPlans([]*dc.Constraint{c1, c2}, func(ci int) int { return offsets[ci] }, 3)
-	if len(plans) == 0 {
-		t.Fatal("no plans")
-	}
-	for _, p := range plans {
-		covers1, covers2 := false, false
-		for _, v := range p {
-			if v == 0 || v == 1 {
-				covers1 = true
-			}
-			if v == 1 || v == 2 {
-				covers2 = true
-			}
-		}
-		if !covers1 || !covers2 {
-			t.Errorf("plan %v does not cover both constraints", p)
-		}
-	}
-}
-
 func salaryTable() *table.Table {
 	sch := schema.MustNew(
 		schema.Column{Name: "salary", Kind: value.Float},
@@ -151,5 +100,45 @@ func TestDCFixesSatisfyConstraintInvariant(t *testing.T) {
 	partner := value.NewFloat(2000)
 	if dc.Lt.Eval(partner, bound) {
 		t.Errorf("fix bound %v does not invert t1.salary<t2.salary for partner %v", bound, partner)
+	}
+}
+
+// TestDCFixesOneRangePerAtomSide: inverting any one atom repairs a pair, so
+// each atom gives each side's cell one range, in world atom+1, beside the
+// unsupported keep-original candidate.
+func TestDCFixesOneRangePerAtomSide(t *testing.T) {
+	sch := schema.MustNew(
+		schema.Column{Name: "a", Kind: value.Int},
+		schema.Column{Name: "b", Kind: value.Int},
+		schema.Column{Name: "c", Kind: value.Int},
+	)
+	tb := table.New("r", sch)
+	tb.MustAppend(table.Row{value.NewInt(1), value.NewInt(9), value.NewInt(5)}) // t1
+	tb.MustAppend(table.Row{value.NewInt(2), value.NewInt(8), value.NewInt(5)}) // t2
+	c := dc.MustParse("!(t1.a<t2.a & t1.b>t2.b & t1.c=t2.c)")
+	v := detect.TableView{T: tb}
+	pairs := []thetajoin.Pair{{T1: 0, T2: 1}}
+	delta := DCFixes(v, pairs, c, idx(tb), nil)
+	for ai, at := range c.Atoms {
+		for side, id := range []int64{0, 1} {
+			col := at.LeftCol
+			op := at.Op.Negate()
+			bound := v.Value(1, at.RightCol)
+			if side == 1 {
+				col, op, bound = at.RightCol, mirror(at.Op.Negate()), v.Value(0, at.LeftCol)
+			}
+			cell, ok := delta.Get(id, tb.Schema.MustIndex(col))
+			if !ok || len(cell.Ranges) != 1 || len(cell.Candidates) != 1 {
+				t.Fatalf("atom %d tuple %d: cell %v", ai, id, cell.String())
+			}
+			r := cell.Ranges[0]
+			if r.Op != op || !r.Bound.Equal(bound) || r.World != ai+1 {
+				t.Errorf("atom %d tuple %d: range %s%s world %d, want %s%s world %d",
+					ai, id, r.Op, r.Bound, r.World, op, bound, ai+1)
+			}
+			if k := cell.Candidates[0]; !k.Val.Equal(cell.Orig) || k.World != WorldKeep || k.Support != 0 || k.Prob != 0.5 {
+				t.Errorf("atom %d tuple %d: keep candidate %+v", ai, id, k)
+			}
+		}
 	}
 }

@@ -8,8 +8,10 @@
 package uncertain
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -44,8 +46,8 @@ type Cell struct {
 	// dirty cell it lists every candidate fix; probabilities sum to 1.
 	Candidates []Candidate
 	// Ranges lists candidate ranges for inequality-DC repairs (the paper
-	// stores e.g. {<2000 50%, 3000 50%}); a range carries its probability
-	// via the parallel candidate entry that references it by World.
+	// stores e.g. {<2000 50%, 3000 50%}), as a set in canonical (op, bound)
+	// order (see Merge).
 	Ranges []RangeCandidate
 	// Orig is the original (possibly dirty) value — provenance for
 	// re-running new rules over original data (Table 7 scenario).
@@ -213,11 +215,14 @@ func (c *Cell) Clone() Cell {
 	return out
 }
 
-// Merge combines candidate fixes from a second rule into the cell, following
-// Lemma 4: candidate values union, supports (conflicting-tuple sets) union,
-// probabilities re-weighted by combined support — P(X | Y∪Z). The candidate
-// slice is copied before mutation, so cells may share distribution backing
-// (repair fan-out reuses one slice across a group's members).
+// Merge combines a second fix of the same cell into it. Candidate values
+// union and their supports (conflicting-tuple sets) add, per Lemma 4; range
+// candidates union as a set in canonical (op, bound) order. Weights are then
+// recomputed from the merged cell alone (reweight), so merging commutes, and
+// re-merging a range-only fix — whose keep-original candidate carries no
+// support — leaves the cell unchanged. The candidate and range slices are
+// copied before mutation, so cells may share distribution backing (repair
+// fan-out reuses one slice across a group's members).
 func (c *Cell) Merge(o Cell) {
 	if o.IsCertain() {
 		return
@@ -246,19 +251,76 @@ func (c *Cell) Merge(o Cell) {
 		cand.World = nextWorld
 		c.Candidates = append(c.Candidates, cand)
 	}
-	c.Ranges = append(append([]RangeCandidate(nil), c.Ranges...), o.Ranges...)
-	// Re-weight by union of supports.
+	if len(o.Ranges) > 0 {
+		c.Ranges = canonicalRanges(append(append([]RangeCandidate(nil), c.Ranges...), o.Ranges...))
+	}
+	c.sortCandidates()
+	c.reweight()
+}
+
+// AddRange adds the candidate range "op bound" of the given world to a cell
+// the caller owns, mutating its range slice in place. A certain cell first
+// gains its keep-original candidate (world 0), with no support: a range fix
+// proposes the range, not the original value. This is how a DC repair builds
+// its cells, so they are in the same canonical form Merge produces.
+func (c *Cell) AddRange(op dc.Op, bound value.Value, world int) {
+	if c.IsCertain() {
+		c.Candidates = []Candidate{{Val: c.Orig}}
+	}
+	c.Ranges = canonicalRanges(append(c.Ranges, RangeCandidate{RangeBound: RangeBound{Op: op, Bound: bound}, World: world}))
+	c.reweight()
+}
+
+// canonicalRanges sorts rs in place into canonical (op, bound) order and
+// keeps one range per (op, bound): the one of the lowest world (then bound
+// kind). The result depends only on the set of ranges in rs, not on their
+// order or repetition.
+func canonicalRanges(rs []RangeCandidate) []RangeCandidate {
+	slices.SortFunc(rs, func(a, b RangeCandidate) int {
+		if c := compareRange(a, b); c != 0 {
+			return c
+		}
+		if a.World != b.World {
+			return cmp.Compare(a.World, b.World)
+		}
+		return cmp.Compare(a.Bound.Kind(), b.Bound.Kind())
+	})
+	return slices.CompactFunc(rs, func(a, b RangeCandidate) bool { return compareRange(a, b) == 0 })
+}
+
+func compareRange(a, b RangeCandidate) int {
+	if a.Op != b.Op {
+		return cmp.Compare(a.Op, b.Op)
+	}
+	return a.Bound.Compare(b.Bound)
+}
+
+// reweight recomputes every probability from the cell's candidates, ranges
+// and original value alone. Each of the k ranges gets 1/(k+1). The
+// candidates share the remaining 1/(k+1) in proportion to support (Lemma 4's
+// P(X | Y∪Z)); a cell whose candidates carry no support — one only range
+// fixes touched — gives that share to its original value. With no ranges
+// this is Lemma 4's re-weighting alone; one range splits 50/50 (Example 5).
+func (c *Cell) reweight() {
 	total := 0
 	for _, cand := range c.Candidates {
 		total += cand.Support
 	}
-	if total > 0 {
-		for i := range c.Candidates {
-			c.Candidates[i].Prob = float64(c.Candidates[i].Support) / float64(total)
+	for i := range c.Candidates {
+		cand := &c.Candidates[i]
+		switch {
+		case total > 0:
+			cand.Prob = float64(cand.Support) / float64(total)
+		case cand.Val.Equal(c.Orig):
+			cand.Prob = 1
+		default:
+			cand.Prob = 0
 		}
 	}
+	for i := range c.Ranges {
+		c.Ranges[i].Prob = 1
+	}
 	c.Normalize()
-	c.sortCandidates()
 }
 
 // sortCandidates orders candidates by value for deterministic output.
