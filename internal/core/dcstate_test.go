@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
 	"daisy/internal/dc"
@@ -93,5 +95,58 @@ func TestDCStateIndependentOfStrategyAndOrder(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFDFixLeavesPublishedRangesUntouched: the first query's DC pairs put
+// ranges on the tax cells of rows 1 and 2 (the FD, bound first, has already
+// run). The second query reaches those rows only through the FD, so its fix
+// merges onto cells whose range backing the published epoch owns. Racing
+// copies of that query must leave the published table as it was; under the
+// race detector any write into it fails the test.
+func TestFDFixLeavesPublishedRangesUntouched(t *testing.T) {
+	tb := table.New("emp", schema.MustNew(
+		schema.Column{Name: "salary", Kind: value.Float},
+		schema.Column{Name: "tax", Kind: value.Float},
+		schema.Column{Name: "dept", Kind: value.Int},
+	))
+	tb.MustAppend(table.Row{value.NewFloat(1000), value.NewFloat(0.9), value.NewInt(0)})
+	tb.MustAppend(table.Row{value.NewFloat(2000), value.NewFloat(0.2), value.NewInt(1)})
+	tb.MustAppend(table.Row{value.NewFloat(2000), value.NewFloat(0.3), value.NewInt(1)})
+	s := NewSession(Options{Strategy: StrategyIncremental})
+	defer s.Close()
+	setupSession(t, s, tb,
+		dc.FD("phi", "emp", "tax", "dept"),
+		dc.MustParse("psi@emp: !(t1.salary<t2.salary & t1.tax>t2.tax)"))
+	runQueries(t, s, []string{"SELECT salary, tax FROM emp WHERE dept = 0"})
+	published := s.Table("emp")
+	want := published.Fingerprint()
+	if !strings.Contains(want, ";r=") {
+		t.Fatalf("first query left no DC ranges:\n%s", want)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := s.Query("SELECT salary, tax FROM emp WHERE dept = 1"); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			published.Fingerprint()
+		}
+	}()
+	wg.Wait()
+	if got := published.Fingerprint(); got != want {
+		t.Errorf("published epoch changed:\n%s\nvs\n%s", got, want)
+	}
+	if got := s.Table("emp").Fingerprint(); got == want {
+		t.Errorf("second query's FD fix was not applied:\n%s", got)
 	}
 }

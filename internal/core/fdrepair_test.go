@@ -465,3 +465,45 @@ func FuzzIndexRepairMatchesReference(f *testing.F) {
 		assertIndexRepairShapes(t, pt, fd, c)
 	})
 }
+
+// TestIncrementalFDRepairsWholeRelaxedGroup: the query's seeds are zip 1's
+// rows; relaxation pulls in row 2 of zip 2 because it shares the seed value
+// A. Marking zip 2 checked after fixing row 2 alone would leave rows 3 and 4
+// of that dirty group unrepaired for good, so the query repairs the whole
+// group.
+func TestIncrementalFDRepairsWholeRelaxedGroup(t *testing.T) {
+	tb := table.New("cities", schema.MustNew(
+		schema.Column{Name: "id", Kind: value.Int},
+		schema.Column{Name: "zip", Kind: value.Int},
+		schema.Column{Name: "city", Kind: value.String},
+	))
+	for i, r := range []struct {
+		zip  int64
+		city string
+	}{{1, "A"}, {1, "B"}, {2, "A"}, {2, "C"}, {2, "C"}} {
+		tb.MustAppend(table.Row{value.NewInt(int64(i)), value.NewInt(r.zip), value.NewString(r.city)})
+	}
+	s := NewSession(Options{Strategy: StrategyIncremental})
+	defer s.Close()
+	setupSession(t, s, tb, dc.FD("phi", "cities", "city", "zip"))
+	runQueries(t, s, []string{"SELECT id, city FROM cities WHERE id < 2"})
+
+	pt := s.Table("cities")
+	zipIdx, cityIdx := pt.Schema.MustIndex("zip"), pt.Schema.MustIndex("city")
+	want := []struct{ zip, city string }{
+		{"{1 50%, 2 50%}", "{A 50%, B 50%}"},
+		{"1", "{A 50%, B 50%}"},
+		{"{1 50%, 2 50%}", "{A 33%, C 67%}"},
+		{"2", "{A 33%, C 67%}"},
+		{"2", "{A 33%, C 67%}"},
+	}
+	for row, w := range want {
+		tup := pt.ByID(int64(row))
+		if zip := tup.Cells[zipIdx].String(); zip != w.zip {
+			t.Errorf("row %d zip = %s, want %s", row, zip, w.zip)
+		}
+		if city := tup.Cells[cityIdx].String(); city != w.city {
+			t.Errorf("row %d city = %s, want %s", row, city, w.city)
+		}
+	}
+}

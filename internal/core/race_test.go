@@ -190,32 +190,62 @@ func TestBatchedWriteBacksCoalesceIdempotently(t *testing.T) {
 // TestConcurrentDCQueriesConverge exercises the general-DC path under racing
 // callers with no lock between them: two queries may detect the same pair,
 // and the range-set union must absorb it, so the converged state is
-// byte-identical to the sequential run's.
+// byte-identical to the sequential run's. The mixed table has an FD fixing the
+// same tax cells, so FD merges reweight ranges a published epoch shares.
 func TestConcurrentDCQueriesConverge(t *testing.T) {
 	queries := empQueries()
-	seq := newEmpSession(t, Options{Strategy: StrategyIncremental}, false)
-	defer seq.Close()
-	runQueries(t, seq, queries)
-	want := seq.Table("emp").Fingerprint()
+	for _, mixed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("mixed=%v", mixed), func(t *testing.T) {
+			seq := newEmpSession(t, Options{Strategy: StrategyIncremental}, mixed)
+			defer seq.Close()
+			runQueries(t, seq, queries)
+			want := seq.Table("emp").Fingerprint()
 
-	conc := newEmpSession(t, Options{Strategy: StrategyIncremental}, false)
-	defer conc.Close()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := range queries {
-				if _, err := conc.Query(queries[(i+g)%len(queries)]); err != nil {
-					t.Error(err)
-					return
+			conc := newEmpSession(t, Options{Strategy: StrategyIncremental}, mixed)
+			defer conc.Close()
+			// A reader fingerprints every epoch it sees while the queries
+			// run; a published table must never change afterwards.
+			stop := make(chan struct{})
+			readerDone := make(chan struct{})
+			seen := map[*ptable.PTable]string{}
+			go func() {
+				defer close(readerDone)
+				for {
+					if pt := conc.Table("emp"); seen[pt] == "" {
+						seen[pt] = pt.Fingerprint()
+					}
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+			}()
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := range queries {
+						if _, err := conc.Query(queries[(i+g)%len(queries)]); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			close(stop)
+			<-readerDone
+			for pt, fp := range seen {
+				if got := pt.Fingerprint(); got != fp {
+					t.Errorf("a published epoch changed after publication:\n%s\nvs\n%s", got, fp)
 				}
 			}
-		}(g)
-	}
-	wg.Wait()
-	if got := conc.Table("emp").Fingerprint(); got != want {
-		t.Errorf("concurrent DC state differs from the sequential run:\n%s\nvs\n%s", got, want)
+			if got := conc.Table("emp").Fingerprint(); got != want {
+				t.Errorf("concurrent DC state differs from the sequential run:\n%s\nvs\n%s", got, want)
+			}
+		})
 	}
 }
 

@@ -252,7 +252,9 @@ func (c *Cell) Merge(o Cell) {
 		c.Candidates = append(c.Candidates, cand)
 	}
 	if len(o.Ranges) > 0 {
-		c.Ranges = canonicalRanges(append(append([]RangeCandidate(nil), c.Ranges...), o.Ranges...))
+		c.Ranges = canonicalRanges(append(slices.Clone(c.Ranges), o.Ranges...))
+	} else if len(c.Ranges) > 0 {
+		c.Ranges = slices.Clone(c.Ranges) // reweight writes the probabilities
 	}
 	c.sortCandidates()
 	c.reweight()

@@ -111,6 +111,25 @@ func TestMixedMergeCommutes(t *testing.T) {
 	}
 }
 
+// TestMergeLeavesSourceRangesUntouched: a copy-on-write table clones a
+// tuple's cells shallowly, so a published cell and its write clone share
+// range backing. Merging an FD fix into the clone, which reweights every
+// range, must not write through to the published cell.
+func TestMergeLeavesSourceRangesUntouched(t *testing.T) {
+	published := rangeFix(value.NewString("San Francisco"),
+		RangeCandidate{RangeBound: RangeBound{Op: dc.Gt, Bound: value.NewString("Boston")}, World: 1})
+	published.Merge(dirtyCity())
+	before := canonical(&published)
+	clone := published // shallow: same Candidates and Ranges backing
+	clone.Merge(dirtyCity())
+	if got := canonical(&published); got != before {
+		t.Errorf("merge into a shallow clone changed the source cell: %s, was %s", got, before)
+	}
+	if &clone.Ranges[0] == &published.Ranges[0] {
+		t.Error("merge reweighted ranges in the source cell's backing")
+	}
+}
+
 // FuzzMergeRangeSets: a range set split into batches with duplicates and
 // merged in any order gives the same cell bytes as adding every range to one
 // cell. Each input byte triple is one range: op, bound, and batch/world.
