@@ -322,7 +322,7 @@ func serveFingerprintCheck(ctx context.Context, client *http.Client, base string
 		}
 		active := false
 		for _, job := range status.Cleaning {
-			if job.State == "pending" || job.State == "running" || job.State == "paused" {
+			if job.State == "pending" || job.State == "running" {
 				active = true
 			}
 		}

@@ -75,8 +75,7 @@ import (
 )
 
 // Session is a query-driven cleaning session. See core.Session for the full
-// method set: Register, AddRule, Query, QueryContext, Table, ReplaceTable,
-// Close.
+// method set: Register, AddRule, Query, QueryContext, Table, Close.
 type Session = core.Session
 
 // Options configure a Session.
@@ -104,9 +103,10 @@ type Result = core.Result
 // strategy "background"; the job carries row/chunk progress, repaired-group
 // counts, elapsed time, and an ETA. Session.WaitCleaning blocks until every
 // job has quiesced — the state is then byte-identical to having run the
-// full cleans synchronously. PauseCleaning / ResumeCleaning / CancelCleaning
-// control a live job at chunk granularity; Options.DisableBackgroundClean
-// restores the inline switch.
+// full cleans synchronously. CancelCleaning stops a live job at its next
+// chunk boundary, and CleanInBackground schedules one (a canceled sweep
+// resumes from the checked sets); Options.DisableBackgroundClean restores
+// the inline switch.
 type CleaningJob = bgclean.Status
 
 // CleaningState is a background job's lifecycle state.
@@ -116,7 +116,6 @@ type CleaningState = bgclean.State
 const (
 	CleaningPending  = bgclean.Pending
 	CleaningRunning  = bgclean.Running
-	CleaningPaused   = bgclean.Paused
 	CleaningDone     = bgclean.Done
 	CleaningCanceled = bgclean.Canceled
 	CleaningFailed   = bgclean.Failed

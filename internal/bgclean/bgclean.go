@@ -10,12 +10,11 @@
 // The scheduler owns job lifecycle only — what a chunk *does* is the Job
 // implementation's business (core supplies the FD sweep). Lifecycle:
 //
-//   - dedup: at most one live (pending/running/paused) job per (table, rule);
+//   - dedup: at most one live (pending/running) job per (table, rule);
 //     re-enqueueing returns the live job's id.
 //   - backpressure: between chunks the runner polls the Options.Backpressure
 //     probe and waits while interactive query traffic is queued on the
 //     writer, so a sweep never starves foreground queries.
-//   - pause/resume: cooperative, at chunk granularity.
 //   - cancellation: Close (Session.Close) or a per-job Cancel stops the sweep
 //     at the next chunk boundary. Chunks are atomic (one apply each), so a
 //     canceled job always leaves a valid state: every completed chunk's
@@ -66,11 +65,6 @@ type ChunkResult struct {
 	Cells int
 }
 
-// ErrObsolete is returned (possibly wrapped) by RunChunk when the job's
-// target no longer exists — e.g. the relation was replaced mid-sweep. The
-// scheduler marks the job Canceled rather than Failed.
-var ErrObsolete = errors.New("bgclean: job target gone")
-
 // State is a job's lifecycle state.
 type State int
 
@@ -78,10 +72,9 @@ type State int
 const (
 	Pending  State = iota // enqueued, not yet started
 	Running               // the runner is sweeping chunks
-	Paused                // paused (explicitly, or parked by Close racing)
 	Done                  // all chunks published
 	Canceled              // stopped at a chunk boundary; state valid, resumable
-	Failed                // RunChunk returned a non-obsolete error
+	Failed                // RunChunk returned an error other than cancellation
 )
 
 func (s State) String() string {
@@ -90,8 +83,6 @@ func (s State) String() string {
 		return "pending"
 	case Running:
 		return "running"
-	case Paused:
-		return "paused"
 	case Done:
 		return "done"
 	case Canceled:
@@ -127,8 +118,8 @@ type Status struct {
 	BackpressureWaits int
 
 	Enqueued time.Time
-	// Elapsed is the active sweep time so far: chunk execution only, pause
-	// and backpressure waits excluded (final once Terminal).
+	// Elapsed is the active sweep time so far: chunk execution only,
+	// backpressure waits excluded (final once Terminal).
 	Elapsed time.Duration
 	// ETA estimates the remaining sweep time from the per-chunk pace; zero
 	// until the first chunk completes and once the job is terminal.
@@ -233,11 +224,7 @@ type job struct {
 	id    int64
 	table string
 	rule  string
-	// gen distinguishes target generations (e.g. table registrations): a
-	// live job only dedups an enqueue of the same generation; a different
-	// generation supersedes it.
-	gen  uint64
-	body Job
+	body  Job
 
 	state      State
 	rowsDone   int
@@ -249,15 +236,14 @@ type job struct {
 	bpWaits    int
 
 	enqueued time.Time
-	// elapsed accumulates per-chunk RunChunk time only — pause and
-	// backpressure waits are excluded, so ETA extrapolates sweep pace, not
-	// wall time spent parked.
+	// elapsed accumulates per-chunk RunChunk time only — backpressure waits
+	// are excluded, so ETA extrapolates sweep pace, not wall time spent
+	// parked.
 	elapsed time.Duration
 	// lastChunk is the duration of the most recent chunk — the controller's
 	// latest input signal, surfaced in Status.
 	lastChunk time.Duration
 
-	paused   bool
 	canceled bool // cancel requested; honored at the next chunk boundary
 	err      error
 }
@@ -318,29 +304,22 @@ func New(opts Options) *Scheduler {
 	return s
 }
 
-// Enqueue registers a sweep for (table, rule) over target generation gen
-// (e.g. a table registration identity). At most one live job exists per
-// key: an enqueue matching the live job's generation is deduped — its id is
-// returned with fresh=false and the new body dropped (the live sweep covers
-// the same groups). An enqueue for a *different* generation supersedes the
-// live job: the stale sweep (its target was replaced) is canceled at its
-// next chunk boundary and the fresh job queues behind it. A closed
-// scheduler rejects jobs with id 0.
-func (s *Scheduler) Enqueue(table, rule string, gen uint64, body Job) (id int64, fresh bool) {
+// Enqueue registers a sweep for (table, rule). At most one live job exists
+// per key: an enqueue while one is live is deduped — its id is returned with
+// fresh=false and the new body dropped (the live sweep covers the same
+// groups). A closed scheduler rejects jobs with id 0.
+func (s *Scheduler) Enqueue(table, rule string, body Job) (id int64, fresh bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return 0, false
 	}
 	if cur, ok := s.active[jobKey(table, rule)]; ok {
-		if cur.gen == gen {
-			return cur.id, false
-		}
-		cur.canceled = true // stale generation: supersede
+		return cur.id, false
 	}
 	s.nextID++
 	j := &job{
-		id: s.nextID, table: table, rule: rule, gen: gen, body: body,
+		id: s.nextID, table: table, rule: rule, body: body,
 		state: Pending, rowsTotal: body.Total(),
 		chunkRows: s.opts.InitChunkRows, enqueued: time.Now(),
 	}
@@ -386,32 +365,6 @@ func (s *Scheduler) statusLocked(j *job) Status {
 		st.Err = j.err.Error()
 	}
 	return st
-}
-
-// Pause suspends the live job for (table, rule) at its next chunk boundary.
-// It reports whether a live job was found.
-func (s *Scheduler) Pause(table, rule string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.active[jobKey(table, rule)]
-	if !ok {
-		return false
-	}
-	j.paused = true
-	return true
-}
-
-// Resume releases a paused job. It reports whether a live job was found.
-func (s *Scheduler) Resume(table, rule string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.active[jobKey(table, rule)]
-	if !ok {
-		return false
-	}
-	j.paused = false
-	s.cond.Broadcast()
-	return true
 }
 
 // Cancel requests cancellation of the live job for (table, rule); the sweep
@@ -515,7 +468,7 @@ func (s *Scheduler) runJob(j *job) {
 		j.elapsed += took
 		j.lastChunk = took
 		if err != nil {
-			if errors.Is(err, ErrObsolete) || errors.Is(err, context.Canceled) {
+			if errors.Is(err, context.Canceled) {
 				s.finishLocked(j, Canceled, nil)
 			} else {
 				s.finishLocked(j, Failed, err)
@@ -533,17 +486,12 @@ func (s *Scheduler) runJob(j *job) {
 	s.finishLocked(j, Done, nil)
 }
 
-// gateLocked blocks (releasing the lock) while the job is paused or the
-// writer reports backpressure. It returns false when the job must stop.
+// gateLocked blocks (releasing the lock) while the writer reports
+// backpressure. It returns false when the job must stop.
 func (s *Scheduler) gateLocked(j *job) bool {
 	for {
 		if s.closed || j.canceled {
 			return false
-		}
-		if j.paused {
-			j.state = Paused
-			s.cond.Wait()
-			continue
 		}
 		bp := s.opts.Backpressure
 		if bp == nil {
@@ -559,7 +507,7 @@ func (s *Scheduler) gateLocked(j *job) bool {
 		if waited {
 			j.bpWaits++
 			s.opts.Instr.Yields.Inc()
-			continue // re-check pause/cancel after the wait
+			continue // re-check cancel after the wait
 		}
 		return true
 	}
@@ -572,10 +520,6 @@ func (s *Scheduler) finishLocked(j *job, st State, err error) {
 	j.state = st
 	j.err = err
 	j.body = nil
-	// A superseded job's key may already point at its replacement — only
-	// remove the entry this job still owns.
-	if s.active[jobKey(j.table, j.rule)] == j {
-		delete(s.active, jobKey(j.table, j.rule))
-	}
+	delete(s.active, jobKey(j.table, j.rule))
 	s.cond.Broadcast()
 }

@@ -3,7 +3,6 @@ package bgclean
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -71,7 +70,7 @@ func TestJobRunsAllChunksAndReportsProgress(t *testing.T) {
 	s := New(fixedOpts(Options{}))
 	defer s.Close()
 	j := &fakeJob{rows: 5}
-	id, fresh := s.Enqueue("t", "phi", 1, j)
+	id, fresh := s.Enqueue("t", "phi", j)
 	if id == 0 || !fresh {
 		t.Fatalf("Enqueue = (%d, %v), want fresh job", id, fresh)
 	}
@@ -99,17 +98,17 @@ func TestEnqueueDedupsPerTableRule(t *testing.T) {
 	defer s.Close()
 	gate := make(chan struct{})
 	j1 := &fakeJob{rows: 2, release: gate}
-	id1, fresh1 := s.Enqueue("t", "phi", 1, j1)
+	id1, fresh1 := s.Enqueue("t", "phi", j1)
 	if !fresh1 {
 		t.Fatal("first enqueue must be fresh")
 	}
 	// Same key while live: deduped onto the running job.
-	id2, fresh2 := s.Enqueue("t", "phi", 1, &fakeJob{rows: 2})
+	id2, fresh2 := s.Enqueue("t", "phi", &fakeJob{rows: 2})
 	if fresh2 || id2 != id1 {
 		t.Fatalf("duplicate enqueue = (%d, %v), want (%d, false)", id2, fresh2, id1)
 	}
 	// Different rule: independent job.
-	if _, fresh3 := s.Enqueue("t", "psi", 1, &fakeJob{rows: 1}); !fresh3 {
+	if _, fresh3 := s.Enqueue("t", "psi", &fakeJob{rows: 1}); !fresh3 {
 		t.Fatal("different rule must enqueue fresh")
 	}
 	close(gate)
@@ -117,7 +116,7 @@ func TestEnqueueDedupsPerTableRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	// After the job completes the key is free again.
-	if _, fresh4 := s.Enqueue("t", "phi", 1, &fakeJob{rows: 1}); !fresh4 {
+	if _, fresh4 := s.Enqueue("t", "phi", &fakeJob{rows: 1}); !fresh4 {
 		t.Fatal("re-enqueue after completion must be fresh")
 	}
 	if err := s.Wait(waitCtx(t)); err != nil {
@@ -128,56 +127,13 @@ func TestEnqueueDedupsPerTableRule(t *testing.T) {
 	}
 }
 
-func TestPauseResumeAtChunkBoundary(t *testing.T) {
-	s := New(fixedOpts(Options{}))
-	defer s.Close()
-	started := make(chan int, 16)
-	release := make(chan struct{}, 16)
-	j := &fakeJob{rows: 3, started: started, release: release}
-	s.Enqueue("t", "phi", 1, j)
-	<-started // chunk 0 started, blocked on its release token
-	if !s.Pause("t", "phi") {
-		t.Fatal("Pause must find the live job")
-	}
-	release <- struct{}{} // chunk 0 completes; the boundary must now park
-	// Chunk 0 finishes; the runner must then park instead of starting chunk 1.
-	deadline := time.After(2 * time.Second)
-	for {
-		st := s.Status()[0]
-		if st.State == Paused && st.RowsDone == 1 {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatalf("job did not pause at chunk boundary: %+v", st)
-		case <-time.After(time.Millisecond):
-		}
-	}
-	select {
-	case c := <-started:
-		t.Fatalf("chunk at row %d started while paused", c)
-	case <-time.After(20 * time.Millisecond):
-	}
-	if !s.Resume("t", "phi") {
-		t.Fatal("Resume must find the live job")
-	}
-	release <- struct{}{}
-	release <- struct{}{}
-	if err := s.Wait(waitCtx(t)); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Status()[0]; st.State != Done || st.RowsDone != 3 {
-		t.Errorf("after resume: %+v, want done 3/3", st)
-	}
-}
-
 func TestCancelStopsAtChunkBoundaryAndStateIsTerminal(t *testing.T) {
 	s := New(fixedOpts(Options{}))
 	defer s.Close()
 	started := make(chan int, 16)
 	release := make(chan struct{}, 16)
 	j := &fakeJob{rows: 10, started: started, release: release}
-	s.Enqueue("t", "phi", 1, j)
+	s.Enqueue("t", "phi", j)
 	<-started // chunk 0 started, blocked on its release token
 	if !s.Cancel("t", "phi") {
 		t.Fatal("Cancel must find the live job")
@@ -194,22 +150,8 @@ func TestCancelStopsAtChunkBoundaryAndStateIsTerminal(t *testing.T) {
 		t.Errorf("canceled mid-sweep: %d/%d rows", st.RowsDone, st.RowsTotal)
 	}
 	// The key is free: a fresh job can resume the remaining work.
-	if _, fresh := s.Enqueue("t", "phi", 1, &fakeJob{rows: 1}); !fresh {
+	if _, fresh := s.Enqueue("t", "phi", &fakeJob{rows: 1}); !fresh {
 		t.Error("canceled key must accept a fresh job")
-	}
-}
-
-func TestObsoleteJobCancelsQuietly(t *testing.T) {
-	s := New(fixedOpts(Options{}))
-	defer s.Close()
-	j := &fakeJob{rows: 3, err: map[int]error{1: fmt.Errorf("replaced: %w", ErrObsolete)}}
-	s.Enqueue("t", "phi", 1, j)
-	if err := s.Wait(waitCtx(t)); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Status()[0]
-	if st.State != Canceled || st.Err != "" {
-		t.Errorf("obsolete job = %+v, want quiet cancel", st)
 	}
 }
 
@@ -217,7 +159,7 @@ func TestFailedJobRecordsError(t *testing.T) {
 	s := New(fixedOpts(Options{}))
 	defer s.Close()
 	j := &fakeJob{rows: 3, err: map[int]error{1: errors.New("boom")}}
-	s.Enqueue("t", "phi", 1, j)
+	s.Enqueue("t", "phi", j)
 	if err := s.Wait(waitCtx(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +178,7 @@ func TestBackpressureYieldsBetweenChunks(t *testing.T) {
 	}))
 	defer s.Close()
 	j := &fakeJob{rows: 2}
-	s.Enqueue("t", "phi", 1, j)
+	s.Enqueue("t", "phi", j)
 	// Under pressure no chunk may run.
 	time.Sleep(20 * time.Millisecond)
 	if j.ran.Load() != 0 {
@@ -257,8 +199,8 @@ func TestCloseCancelsPendingAndRunning(t *testing.T) {
 	started := make(chan int, 16)
 	release := make(chan struct{}, 16)
 	j1 := &fakeJob{rows: 4, started: started, release: release}
-	s.Enqueue("t", "phi", 1, j1)
-	s.Enqueue("t", "psi", 1, &fakeJob{rows: 4}) // stays pending behind j1
+	s.Enqueue("t", "phi", j1)
+	s.Enqueue("t", "psi", &fakeJob{rows: 4}) // stays pending behind j1
 	release <- struct{}{}
 	<-started
 	done := make(chan struct{})
@@ -279,7 +221,7 @@ func TestCloseCancelsPendingAndRunning(t *testing.T) {
 		}
 	}
 	s.Close() // idempotent
-	if id, fresh := s.Enqueue("t", "phi", 1, &fakeJob{rows: 1}); id != 0 || fresh {
+	if id, fresh := s.Enqueue("t", "phi", &fakeJob{rows: 1}); id != 0 || fresh {
 		t.Error("Enqueue after Close must be rejected")
 	}
 }
@@ -288,7 +230,7 @@ func TestWaitHonorsContext(t *testing.T) {
 	s := New(fixedOpts(Options{}))
 	defer s.Close()
 	gate := make(chan struct{})
-	s.Enqueue("t", "phi", 1, &fakeJob{rows: 1, release: gate})
+	s.Enqueue("t", "phi", &fakeJob{rows: 1, release: gate})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	if err := s.Wait(ctx); !errors.Is(err, context.DeadlineExceeded) {
@@ -306,7 +248,7 @@ func TestStatusETAAppearsMidSweep(t *testing.T) {
 	started := make(chan int, 16)
 	release := make(chan struct{}, 16)
 	j := &fakeJob{rows: 3, started: started, release: release}
-	s.Enqueue("t", "phi", 1, j)
+	s.Enqueue("t", "phi", j)
 	release <- struct{}{}
 	<-started
 	<-started // chunk 1 started → chunk 0 done
@@ -327,49 +269,13 @@ func TestStatusETAAppearsMidSweep(t *testing.T) {
 	}
 }
 
-// TestEnqueueSupersedesStaleGeneration: a live job for an old target
-// generation (e.g. a replaced table registration) must not swallow the
-// fresh enqueue — the stale sweep cancels at its boundary and the new
-// generation's job runs to completion.
-func TestEnqueueSupersedesStaleGeneration(t *testing.T) {
-	s := New(fixedOpts(Options{}))
-	defer s.Close()
-	started := make(chan int, 16)
-	release := make(chan struct{}, 16)
-	stale := &fakeJob{rows: 4, started: started, release: release}
-	id1, _ := s.Enqueue("t", "phi", 1, stale)
-	<-started // stale job mid-chunk 0
-	fresh := &fakeJob{rows: 2}
-	id2, isFresh := s.Enqueue("t", "phi", 2, fresh)
-	if !isFresh || id2 == id1 {
-		t.Fatalf("new-generation enqueue = (%d, %v), want a fresh job", id2, isFresh)
-	}
-	release <- struct{}{} // stale chunk 0 completes; boundary cancels it
-	if err := s.Wait(waitCtx(t)); err != nil {
-		t.Fatal(err)
-	}
-	sts := s.Status()
-	if len(sts) != 2 {
-		t.Fatalf("status = %d jobs, want 2", len(sts))
-	}
-	if sts[0].State != Canceled {
-		t.Errorf("stale job state = %v, want canceled", sts[0].State)
-	}
-	if sts[1].State != Done || sts[1].RowsDone != 2 {
-		t.Errorf("fresh job = %+v, want done 2/2", sts[1])
-	}
-	if fresh.ran.Load() != 2 {
-		t.Errorf("fresh job ran %d chunks, want 2", fresh.ran.Load())
-	}
-}
-
 // TestEmptyRelationRunsOneChunk: a zero-row job still gets one (0, 0)
 // RunChunk call (the terminal bookkeeping hook) and finishes Done.
 func TestEmptyRelationRunsOneChunk(t *testing.T) {
 	s := New(fixedOpts(Options{}))
 	defer s.Close()
 	j := &fakeJob{rows: 0}
-	s.Enqueue("t", "phi", 1, j)
+	s.Enqueue("t", "phi", j)
 	if err := s.Wait(waitCtx(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +348,7 @@ func TestAdaptiveChunksGrowWhenFast(t *testing.T) {
 	})
 	defer s.Close()
 	j := &fakeJob{rows: 60, delay: 100 * time.Microsecond}
-	s.Enqueue("t", "phi", 1, j)
+	s.Enqueue("t", "phi", j)
 	if err := s.Wait(waitCtx(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +384,7 @@ func TestBackpressureHalvesNextChunk(t *testing.T) {
 	started := make(chan int, 16)
 	release := make(chan struct{}, 16)
 	j := &fakeJob{rows: 24, delay: 50 * time.Microsecond, started: started, release: release}
-	s.Enqueue("t", "phi", 1, j)
+	s.Enqueue("t", "phi", j)
 	<-started // chunk (0,8) in flight
 	pressured.Store(true)
 	release <- struct{}{} // chunk completes; the boundary now waits

@@ -193,14 +193,45 @@ func TestBackgroundFullCleanConvergesToSynchronous(t *testing.T) {
 	}
 }
 
+// cancelSweep stops the live sweep of phi over lineorder at its next chunk
+// boundary (a fast sweep may already be done) and waits until it has.
+func cancelSweep(t *testing.T, s *Session) {
+	t.Helper()
+	s.CancelCleaning("lineorder", "phi")
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.WaitCleaning(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// lastSweep returns the status of the most recent sweep of phi over
+// lineorder, failing unless every scheduled job is terminal.
+func lastSweep(t *testing.T, s *Session) bgclean.Status {
+	t.Helper()
+	var last *bgclean.Status
+	for _, st := range s.CleaningStatus() {
+		if !st.State.Terminal() {
+			t.Fatalf("job %d not terminal: %v", st.ID, st.State)
+		}
+		if st.Table == "lineorder" && st.Rule == "phi" {
+			last = &st
+		}
+	}
+	if last == nil {
+		t.Fatal("no background job scheduled")
+	}
+	return *last
+}
+
 // TestBackgroundSweepConvergesUnderConcurrentQueries triggers the flip with
 // a deterministic serial prefix (the racing-flip *decision* is pinned by the
 // serial tests; under racing traffic the crossing-to-capped window of the
-// cost trajectory is timing-dependent by nature), pauses the sweep at a
-// chunk boundary, and then lets 8 goroutines race the resumed sweep over the
-// full workload: queries ride the advancing chunk epochs, duplicate fixes
-// coalesce in the writer, and the converged state is byte-identical to the
-// synchronous reference. Run under -race in CI.
+// cost trajectory is timing-dependent by nature), cancels the sweep at a
+// chunk boundary, and then lets 8 goroutines race a re-enqueued sweep over
+// the full workload: queries ride the advancing chunk epochs, duplicate
+// fixes coalesce in the writer, and the converged state is byte-identical to
+// the synchronous reference. Run under -race in CI.
 func TestBackgroundSweepConvergesUnderConcurrentQueries(t *testing.T) {
 	queries := sweepQueries(sweepGroups, sweepRangeGroups)
 
@@ -221,21 +252,22 @@ func TestBackgroundSweepConvergesUnderConcurrentQueries(t *testing.T) {
 		if flip < 0 || strategy != "background" {
 			t.Fatalf("serial prefix did not flip (flip=%d strategy=%q)", flip, strategy)
 		}
-		// Hold the sweep (best effort — it may already have finished a fast
-		// chunk or two) so the racers demonstrably overlap the chunk epochs.
-		paused := s.PauseCleaning("lineorder", "phi")
+		// Stop the sweep (it may already have finished) and restart it
+		// mid-traffic, so the racers demonstrably overlap its chunk epochs;
+		// the restarted sweep resumes from the checked sets.
+		cancelSweep(t, s)
 
 		const goroutines = 8
 		var wg sync.WaitGroup
 		errCh := make(chan error, goroutines)
-		resume := make(chan struct{})
 		for g := 0; g < goroutines; g++ {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
 				for i := range queries {
-					if paused && i == 2 && g == 0 {
-						close(resume) // release the sweep mid-traffic
+					if i == 2 && g == 0 && !s.CleanInBackground("lineorder", "phi") {
+						errCh <- fmt.Errorf("CleanInBackground refused to restart the sweep")
+						return
 					}
 					q := queries[(i+g*3+trial)%len(queries)]
 					if _, err := s.Query(q); err != nil {
@@ -245,10 +277,6 @@ func TestBackgroundSweepConvergesUnderConcurrentQueries(t *testing.T) {
 				}
 			}(g)
 		}
-		if paused {
-			<-resume
-			s.ResumeCleaning("lineorder", "phi")
-		}
 		wg.Wait()
 		close(errCh)
 		for err := range errCh {
@@ -257,14 +285,8 @@ func TestBackgroundSweepConvergesUnderConcurrentQueries(t *testing.T) {
 		if err := s.WaitCleaning(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		status := s.CleaningStatus()
-		if len(status) == 0 {
-			t.Fatal("no background job scheduled")
-		}
-		for _, st := range status {
-			if st.State != bgclean.Done {
-				t.Fatalf("job %d state = %v (%s), want done", st.ID, st.State, st.Err)
-			}
+		if st := lastSweep(t, s); st.State != bgclean.Done {
+			t.Fatalf("last job %d state = %v (%s), want done", st.ID, st.State, st.Err)
 		}
 		if got := s.Table("lineorder").Fingerprint(); got != want {
 			t.Fatalf("trial %d: concurrent quiesced state differs from synchronous reference", trial)
@@ -291,7 +313,7 @@ func TestMidSweepCancellationLeavesResumableState(t *testing.T) {
 		s := newSweepSession(t, sweepOpts(), sweepGroups, sweepDirtyGroups)
 		st := s.w.current().tables["lineorder"]
 		fd, _ := sweepRule().AsFD()
-		return s, newFDSweepJob(s, "lineorder", st.reg, sweepRule(), fd, st.pt.Len())
+		return s, newFDSweepJob(s, "lineorder", sweepRule(), fd, st.pt.Len())
 	}
 
 	// Resume path 1: run the first half in 512-row chunks, "cancel", resume
@@ -318,7 +340,7 @@ func TestMidSweepCancellationLeavesResumableState(t *testing.T) {
 	// a fresh job resumes purely from the checked-set bookkeeping.
 	st := s1.w.current().tables["lineorder"]
 	fd, _ := sweepRule().AsFD()
-	job1b := newFDSweepJob(s1, "lineorder", st.reg, sweepRule(), fd, st.pt.Len())
+	job1b := newFDSweepJob(s1, "lineorder", sweepRule(), fd, st.pt.Len())
 	for lo := 0; lo < job1b.Total(); lo += 700 {
 		hi := lo + 700
 		if hi > job1b.Total() {
@@ -353,29 +375,42 @@ func TestMidSweepCancellationLeavesResumableState(t *testing.T) {
 	}
 }
 
-// TestCancelAndCloseStopSweep: CancelCleaning stops a paused sweep at its
-// boundary with a terminal status, and Session.Close cancels live jobs
-// without hanging.
+// TestCancelAndCloseStopSweep: CancelCleaning stops a live sweep at its
+// boundary with a terminal status, a sweep CleanInBackground re-enqueues
+// finishes the work to the fully cleaned bytes, and Session.Close cancels
+// live jobs without hanging.
 func TestCancelAndCloseStopSweep(t *testing.T) {
+	ref := newSweepSession(t, Options{Strategy: StrategyIncremental, DisableStatsPruning: true}, sweepGroups, sweepDirtyGroups)
+	defer ref.Close()
+	if _, err := ref.Query("SELECT orderkey, suppkey FROM lineorder WHERE orderkey >= 0"); err != nil {
+		t.Fatal(err)
+	}
+	want := ref.Table("lineorder").Fingerprint()
+
 	queries := sweepQueries(sweepGroups, sweepRangeGroups)
 	s := newSweepSession(t, sweepOpts(), sweepGroups, sweepDirtyGroups)
 	defer s.Close()
 	if flip, strategy, _ := runUntilFlip(t, s, queries); flip < 0 || strategy != "background" {
 		t.Fatalf("no background flip (flip=%d strategy=%q)", flip, strategy)
 	}
-	// Pause → cancel → the job must reach a terminal state; Done is
-	// acceptable when the sweep outran the pause request.
-	s.PauseCleaning("lineorder", "phi")
-	s.CancelCleaning("lineorder", "phi")
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := s.WaitCleaning(ctx); err != nil {
+	// Cancel → the job must reach a terminal state (Done when the sweep
+	// outran the request); a re-enqueued sweep then finishes the work.
+	cancelSweep(t, s)
+	lastSweep(t, s)
+	if !s.CleanInBackground("lineorder", "phi") {
+		t.Fatal("CleanInBackground refused to restart the sweep")
+	}
+	if err := s.WaitCleaning(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range s.CleaningStatus() {
-		if !st.State.Terminal() {
-			t.Errorf("job %d not terminal after cancel: %v", st.ID, st.State)
-		}
+	if st := lastSweep(t, s); st.State != bgclean.Done {
+		t.Fatalf("restarted job %d state = %v (%s), want done", st.ID, st.State, st.Err)
+	}
+	if got := s.Table("lineorder").Fingerprint(); got != want {
+		t.Error("restarted sweep state differs from the fully cleaned reference")
+	}
+	if !s.CleanInBackground("lineorder", "phi") {
+		t.Fatal("CleanInBackground refused a sweep before Close")
 	}
 	done := make(chan struct{})
 	go func() { s.Close(); close(done) }()
@@ -457,7 +492,7 @@ func TestMarkSwitchedSurvivesDuplicateCoalescing(t *testing.T) {
 		t.Fatal("no violating groups in the pre-clean epoch")
 	}
 	d := idx.repair(detect.PTableView{P: st0.pt}, scope, fd, nil)
-	s.w.submit(&applyReq{table: "lineorder", rule: "phi", isFD: true, reg: st0.reg,
+	s.w.submit(&applyReq{table: "lineorder", rule: "phi", isFD: true,
 		delta: d, base: st0.pt, groups: keys, markSwitched: true})
 	cur := s.w.current().tables["lineorder"]
 	if cur.cost == nil || !cur.cost.Switched() {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"daisy/internal/bgclean"
 	"daisy/internal/dc"
@@ -30,7 +29,6 @@ import (
 type fdSweepJob struct {
 	s     *Session
 	table string
-	reg   *registration // a replaced table obsoletes the job
 	rule  *dc.Constraint
 	fd    dc.FDSpec
 
@@ -39,8 +37,8 @@ type fdSweepJob struct {
 
 // newFDSweepJob sizes a sweep over the relation's current length (registered
 // relations never grow during serving, so the row total is fixed).
-func newFDSweepJob(s *Session, table string, reg *registration, rule *dc.Constraint, fd dc.FDSpec, rows int) *fdSweepJob {
-	return &fdSweepJob{s: s, table: table, reg: reg, rule: rule, fd: fd, rows: rows}
+func newFDSweepJob(s *Session, table string, rule *dc.Constraint, fd dc.FDSpec, rows int) *fdSweepJob {
+	return &fdSweepJob{s: s, table: table, rule: rule, fd: fd, rows: rows}
 }
 
 // Total implements bgclean.Job.
@@ -58,16 +56,13 @@ func (j *fdSweepJob) RunChunk(ctx context.Context, lo, hi int) (bgclean.ChunkRes
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
-	st, ok := j.s.w.current().tables[j.table]
-	if !ok || st.reg != j.reg {
-		return res, fmt.Errorf("%w: table %q replaced mid-sweep", bgclean.ErrObsolete, j.table)
-	}
+	st := j.s.w.current().tables[j.table]
 	idx := st.reg.fdIndex(st.pt, j.rule.Name, j.fd)
 
 	checked := st.checkedGroups[j.rule.Name]
 	scope, keys := idx.violatingScopeIn(lo, hi, func(k value.MapKey) bool { return checked[k] })
 
-	req := &applyReq{table: j.table, rule: j.rule.Name, isFD: true, reg: j.reg}
+	req := &applyReq{table: j.table, rule: j.rule.Name, isFD: true}
 	var m detect.Metrics
 	if len(scope) > 0 {
 		// Same fix semantics as every other FD path: the index's fixes read
@@ -94,22 +89,19 @@ func (j *fdSweepJob) RunChunk(ctx context.Context, lo, hi int) (bgclean.ChunkRes
 	return res, nil
 }
 
-// enqueueSweep schedules (dedup per table/rule/registration) a background
-// full clean. Called from queryCtx.flush after the triggering query's own
-// write-backs published, so the sweep starts from a state where the query's
-// scope is already checked. A query whose decision raced a completing sweep
+// enqueueSweep schedules (dedup per table/rule) a background full clean.
+// Called from queryCtx.flush after the triggering query's own write-backs
+// published, so the sweep starts from a state where the query's scope is
+// already checked. A query whose decision raced a completing sweep
 // — it read the model pre-markSwitched, flushed post-completion — finds the
 // switch already recorded and schedules nothing.
-func (s *Session) enqueueSweep(table string, reg *registration, rule *dc.Constraint, fd dc.FDSpec) {
-	st, ok := s.w.current().tables[table]
-	if !ok || st.reg != reg {
-		return
-	}
+func (s *Session) enqueueSweep(table string, rule *dc.Constraint, fd dc.FDSpec) {
+	st := s.w.current().tables[table]
 	if st.cost != nil && st.cost.Switched() {
 		return // the sweep (or an inline full clean) already finished
 	}
-	job := newFDSweepJob(s, table, reg, rule, fd, st.pt.Len())
-	if _, fresh := s.bg.Enqueue(table, rule.Name, reg.id, job); fresh {
+	job := newFDSweepJob(s, table, rule, fd, st.pt.Len())
+	if _, fresh := s.bg.Enqueue(table, rule.Name, job); fresh {
 		// Journal the enqueue so a crash mid-sweep resumes the clean on Open
 		// (from the recovered checked-set bookkeeping, not from scratch).
 		s.w.logSweep(table, rule.Name)
@@ -120,7 +112,7 @@ func (s *Session) enqueueSweep(table string, reg *registration, rule *dc.Constra
 // over one registered relation without waiting for the §5.2.3 cost
 // inequality to flip — the experimental hook direct sweep measurements (e.g.
 // the segment-skip benchmark) use. It reports whether a sweep is now live
-// for (table, rule); a live job for the same registration dedups, so calling
+// for (table, rule); a live job for the same table and rule dedups, so calling
 // it under an already-running sweep joins that sweep. Only FD rules sweep in
 // the background: an unknown table, an unknown rule, a rule the table lacks
 // columns for, or a general DC returns false. Track the sweep through
@@ -139,8 +131,8 @@ func (s *Session) CleanInBackground(table, rule string) bool {
 		if !isFD {
 			return false
 		}
-		job := newFDSweepJob(s, table, st.reg, r, fd, st.pt.Len())
-		id, fresh := s.bg.Enqueue(table, rule, st.reg.id, job)
+		job := newFDSweepJob(s, table, r, fd, st.pt.Len())
+		id, fresh := s.bg.Enqueue(table, rule, job)
 		if fresh {
 			s.w.logSweep(table, rule)
 		}

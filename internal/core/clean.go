@@ -26,11 +26,8 @@ func (qc *queryCtx) cleanFD(st *tableState, tableName string, rule *dc.Constrain
 
 	// Statistics-driven pruning (Fig 9): only rows in dirty, unchecked
 	// groups need cleaning work. Row keys and violation status come from the
-	// group index — O(1) per row, no per-query key building. Pruning and the
-	// cost estimate trust the index statistics only for a rule bound to this
-	// registration; a table installed by ReplaceTable binds none.
-	bound := st.binds(rule.Name)
-	prune := bound && !qc.opts.DisableStatsPruning
+	// group index — O(1) per row, no per-query key building.
+	prune := !qc.opts.DisableStatsPruning
 	detectSp := parent.Start("detect")
 	var scope []int
 	for ri, r := range rows {
@@ -71,11 +68,8 @@ func (qc *queryCtx) cleanFD(st *tableState, tableName string, rule *dc.Constrain
 		decSp := parent.Start("decision")
 		qi := len(rows)
 		epsi := len(scope)
-		ei := epsi
-		if bound {
-			ei = idx.estimateExtras(epsi)
-		}
-		model := qc.latestState(tableName, st).cost
+		ei := idx.estimateExtras(epsi)
+		model := qc.latestState(tableName).cost
 		if model.ShouldSwitchToFull(qi, ei, epsi) {
 			strategy = StrategyFull
 		} else {
@@ -108,7 +102,7 @@ func (qc *queryCtx) cleanFD(st *tableState, tableName string, rule *dc.Constrain
 			// exactly its own scope and returns, instead of paying the full
 			// clean inline while every concurrent query waits behind it.
 			background = true
-			qc.deferFullClean(tableName, st.reg, rule, fd)
+			qc.deferFullClean(tableName, rule, fd)
 		} else {
 			if err := qc.fullCleanFD(st, tableName, rule, fd, idx, checked, localChecked, m, parent); err != nil {
 				return nil, err
@@ -171,7 +165,7 @@ func (qc *queryCtx) cleanFD(st *tableState, tableName string, rule *dc.Constrain
 	// Buffer the delta plus the groups it checked for the flush at query end
 	// (duplicates from racing queries coalesce in the writer).
 	qc.submit(&applyReq{
-		table: tableName, rule: rule.Name, isFD: true, reg: st.reg,
+		table: tableName, rule: rule.Name, isFD: true,
 		delta: delta, base: base, applied: qc.pt(tableName), groups: groups,
 		costRecord: st.cost != nil,
 		costQi:     len(rows), costEi: len(extra), costEpsi: len(scope) + len(extra),
@@ -185,15 +179,10 @@ func (qc *queryCtx) cleanFD(st *tableState, tableName string, rule *dc.Constrain
 	return extra, nil
 }
 
-// latestState returns the most recently published state of the registration
-// st belongs to — the coalesced counters and checked sets the §5.2.3 and DC
-// decisions read — falling back to the query's own epoch when the table was
-// replaced mid-flight (the write-back will be dropped anyway).
-func (qc *queryCtx) latestState(tableName string, st *tableState) *tableState {
-	if cur, ok := qc.s.w.current().tables[tableName]; ok && cur.reg == st.reg {
-		return cur
-	}
-	return st
+// latestState returns the most recently published state of the relation —
+// the coalesced counters and checked sets the §5.2.3 and DC decisions read.
+func (qc *queryCtx) latestState(tableName string) *tableState {
+	return qc.s.w.current().tables[tableName]
 }
 
 // predTouchesLHS reports whether the filter references an lhs attribute of
@@ -225,7 +214,7 @@ func (qc *queryCtx) fullCleanFD(st *tableState, tableName string, rule *dc.Const
 	scope := idx.violatingScope(checked)
 	var groups []value.MapKey
 	updated := 0
-	req := &applyReq{table: tableName, rule: rule.Name, isFD: true, reg: st.reg, markSwitched: st.cost != nil}
+	req := &applyReq{table: tableName, rule: rule.Name, isFD: true, markSwitched: st.cost != nil}
 	if len(scope) > 0 {
 		base := qc.pt(tableName)
 		d := idx.repair(detect.NewPTableView(base), scope, fd, m)
@@ -297,10 +286,10 @@ func (qc *queryCtx) cleanDC(st *tableState, tableName string, rule *dc.Constrain
 		return nil, err
 	}
 
-	latest := qc.latestState(tableName, st)
+	latest := qc.latestState(tableName)
 	view := detect.NewPTableView(qc.pt(tableName))
 	checked := latest.checkedTuples[rule.Name]
-	dx := st.reg.dcIndex(view, rule, qc.opts.Partitions, parent)
+	dx := st.reg.dcIndex(view, rule, parent)
 
 	// Algorithm 2: estimate result dirtiness from precomputed range overlap.
 	decSp := parent.Start("decision")
@@ -361,13 +350,13 @@ func (qc *queryCtx) cleanDC(st *tableState, tableName string, rule *dc.Constrain
 	// whole rule aborts cleanly — no fixes applied, no tuples marked checked.
 	detectSp := parent.Start("detect")
 	cmpBefore := m.Comparisons
-	pairs, err := dx.ix.Detect(qc.ctx, detectSp, delta, rest, qc.opts.Partitions, qc.opts.Workers, m)
+	pairs, err := dx.ix.Detect(qc.ctx, detectSp, delta, rest, thetajoin.Partitions, qc.opts.Workers, m)
 	if detectSp.Active() {
 		detectSp.End(trace.Str("rule", rule.Name),
 			trace.Int("delta", len(delta)), trace.Int("rest", len(rest)),
 			trace.Int("pairs", len(pairs)),
 			trace.Int64("comparisons", m.Comparisons-cmpBefore),
-			trace.Int("workers", qc.opts.Workers), trace.Int("partitions", qc.opts.Partitions))
+			trace.Int("workers", qc.opts.Workers), trace.Int("partitions", thetajoin.Partitions))
 	}
 	if err != nil {
 		return nil, err
@@ -391,7 +380,7 @@ func (qc *queryCtx) cleanDC(st *tableState, tableName string, rule *dc.Constrain
 	for i, d := range delta {
 		ids[i] = view.ID(d)
 	}
-	qc.submit(&applyReq{table: tableName, rule: rule.Name, reg: st.reg,
+	qc.submit(&applyReq{table: tableName, rule: rule.Name,
 		delta: fixes, base: view.P, applied: qc.pt(tableName), tuples: ids})
 
 	// Relaxation extras: conflict partners outside the result, resolved

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"daisy/internal/dc"
+	"daisy/internal/ptable"
 	"daisy/internal/schema"
 	"daisy/internal/table"
 	"daisy/internal/value"
@@ -68,8 +69,8 @@ func empTable() *table.Table {
 // runCrashScenario drives the seeded FD+DC workload against an open durable
 // session: registrations, rule binds, FD range queries that repair, repeated
 // queries that coalesce to skips, DC queries that grow the checked-tuple
-// sets, and a ReplaceTable. mid, when non-nil, runs between the two query
-// phases (the checkpoint tests inject a checkpoint there).
+// sets, and a rule added mid-history. mid, when non-nil, runs between the
+// two query phases (the checkpoint tests inject a checkpoint there).
 func runCrashScenario(t *testing.T, s *Session, mid func()) {
 	t.Helper()
 	if err := s.Register(citiesTable()); err != nil {
@@ -106,15 +107,6 @@ func runCrashScenario(t *testing.T, s *Session, mid func()) {
 			t.Fatal(err)
 		}
 	}
-	// Replace one relation mid-history: replay must restore the replacement,
-	// not the original registration.
-	small := citiesTable()
-	sess2 := NewSession(Options{Strategy: StrategyIncremental})
-	defer sess2.Close()
-	if err := sess2.Register(small); err != nil {
-		t.Fatal(err)
-	}
-	s.ReplaceTable("cities", sess2.Table("cities"))
 	if err := s.AddRule(dc.FD("phi2", "cities", "city", "zip")); err != nil {
 		t.Fatal(err)
 	}
@@ -218,6 +210,50 @@ func TestDurableRoundTrip(t *testing.T) {
 	}
 	if err := s2.DurabilityError(); err != nil {
 		t.Fatalf("durability degraded after reopen: %v", err)
+	}
+}
+
+// TestReplaceRecordReplaysAsRegister: older builds logged a table
+// replacement as a replace record, the register payload under type byte 3.
+// A directory holding one must still open, to the state the same payload
+// logged as a register record gives — including the unnamed rule added
+// before the record, which binds to the table either way.
+func TestReplaceRecordReplaysAsRegister(t *testing.T) {
+	a := citiesTable()
+	a.Name = "a"
+	register := encodeRegisterRecord("b", ptable.FromTable(citiesTable()))
+	replace := append([]byte{recReplace}, register[1:]...)
+	reopen := func(last []byte) string {
+		t.Helper()
+		dir := t.TempDir()
+		log, err := wal.OpenLogFS(vfs.OS{}, dir, SyncOS, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range [][]byte{
+			encodeRegisterRecord("a", ptable.FromTable(a)),
+			encodeRuleRecord(dc.FD("phi", "", "city", "zip")),
+			last,
+		} {
+			if _, err := log.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(durableOpts(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if s.w.current().tables["b"].cost == nil {
+			t.Error("b reopened without a cost model: phi did not bind")
+		}
+		return s.StateFingerprint()
+	}
+	if got, want := reopen(replace), reopen(register); got != want {
+		t.Errorf("replace record reopened to\n%s\nregister record to\n%s", got, want)
 	}
 }
 

@@ -35,17 +35,15 @@ type snapshot struct {
 // fields) instead of mutating in place. Everything derived from original
 // values lives on the shared registration instead.
 type tableState struct {
-	// reg is the registration this state descends from; clones share it,
-	// Register/ReplaceTable/checkpoint decode create a fresh one. It is also
-	// the state's identity: the writer drops write-backs computed against
-	// another registration — a query racing a ReplaceTable must not mark the
-	// replacement's groups checked.
+	// reg is the registration this state descends from: clones share it,
+	// and only install and checkpoint decode create one. A relation keeps
+	// its registration for the life of the session.
 	reg *registration
 	// pt is the probabilistic relation of this epoch. Deltas apply
 	// copy-on-write (ptable.ApplyCOW), so older epochs keep reading their
 	// generation while the writer publishes the next.
 	pt *ptable.PTable
-	// cost drives the §5.2.3 strategy decision. AddRule seeds it from the
+	// cost drives the §5.2.3 strategy decision. bind seeds it from the
 	// statistics of the bound rules' FD indexes; it is replaced with an
 	// updated copy on every recorded query.
 	cost *cost.Model
@@ -54,25 +52,21 @@ type tableState struct {
 	checkedGroups map[string]map[value.MapKey]bool
 	// checkedTuples marks tuples already theta-join-checked, per DC rule.
 	checkedTuples map[string]map[int64]bool
-	// rules lists the constraints bound to this registration by AddRule or
-	// checkpoint decode. Only a bound rule's index statistics prune detection
-	// and seed cost; ReplaceTable installs a registration with none bound.
+	// rules lists the constraints bound to this registration: every added
+	// rule that applies to the relation, bound by AddRule or install (in
+	// whichever order the two ran) or restored by checkpoint decode.
 	rules []*dc.Constraint
 }
 
-// registration is one installation of a relation — by Register,
-// ReplaceTable or checkpoint decode — and owns every structure derived from
-// its original (provenance) values: per rule, the FD group index, or the DC
-// rank index with its Algorithm 2 range estimates. Cleaning never rewrites
-// original values (§4.3), so every epoch of the registration shares these
-// structures read-only. Each is built lazily, once, by whichever caller needs
-// it first, from that caller's generation (any generation has the same
-// originals); the registration holds no PTable, so it pins no generation.
+// registration is one installation of a relation — by Register, WAL replay
+// or checkpoint decode — and owns every structure derived from its original
+// (provenance) values: per rule, the FD group index, or the DC rank index
+// with its Algorithm 2 range estimates. Cleaning never rewrites original
+// values (§4.3), so every epoch of the registration shares these structures
+// read-only. Each is built lazily, once, by whichever caller needs it first,
+// from that caller's generation (any generation has the same originals); the
+// registration holds no PTable, so it pins no generation.
 type registration struct {
-	// id is the registration's number, the dedup key of its background
-	// sweeps. Identity checks compare registration pointers.
-	id uint64
-
 	// mu guards the index maps; builds run under it, so each index is built
 	// exactly once. Lock order: writer.mu before mu.
 	mu  sync.Mutex
@@ -87,13 +81,9 @@ type dcEntry struct {
 	est []thetajoin.RangeEstimate
 }
 
-// registrations numbers table registrations.
-var registrations atomic.Uint64
-
 func newTableState(pt *ptable.PTable) *tableState {
 	return &tableState{
 		reg: &registration{
-			id:  registrations.Add(1),
 			fds: make(map[string]*fdIndex),
 			dcs: make(map[string]*dcEntry),
 		},
@@ -124,9 +114,9 @@ func (r *registration) builtFDIndex(rule string) *fdIndex {
 }
 
 // dcIndex returns the rule's rank index and range estimates, building both
-// over view on first use (estimates over p partitions). Only the building
-// caller traces the index build, as a dc_index span under parent.
-func (r *registration) dcIndex(view detect.PTableView, rule *dc.Constraint, p int, parent trace.Span) *dcEntry {
+// over view on first use (estimates over thetajoin.Partitions). Only the
+// building caller traces the index build, as a dc_index span under parent.
+func (r *registration) dcIndex(view detect.PTableView, rule *dc.Constraint, parent trace.Span) *dcEntry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if e := r.dcs[rule.Name]; e != nil {
@@ -137,7 +127,7 @@ func (r *registration) dcIndex(view detect.PTableView, rule *dc.Constraint, p in
 	if sp.Active() {
 		sp.End(trace.Str("rule", rule.Name), trace.Int("rows", view.Len()))
 	}
-	e := &dcEntry{ix: ix, est: ix.EstimateErrors(view, p)}
+	e := &dcEntry{ix: ix, est: ix.EstimateErrors(view, thetajoin.Partitions)}
 	r.dcs[rule.Name] = e
 	return e
 }
@@ -148,9 +138,12 @@ func hasColumns(sc *schema.Schema, rule *dc.Constraint) bool {
 	return !slices.ContainsFunc(rule.Columns(), func(col string) bool { return !sc.Has(col) })
 }
 
-// binds reports whether the named rule is bound to this registration.
-func (st *tableState) binds(rule string) bool {
-	return slices.ContainsFunc(st.rules, func(c *dc.Constraint) bool { return c.Name == rule })
+// bind appends rules to the relation's bound rules and reseeds its §5.2.3
+// cost model, which reads — and so eagerly builds — the group index of every
+// bound FD rule. AddRule and install share it.
+func (st *tableState) bind(rules ...*dc.Constraint) {
+	st.rules = append(slices.Clip(st.rules), rules...)
+	st.cost = cost.New(st.pt.Len(), costEpsilon(st), costP(st))
 }
 
 // clone returns a shallow copy the writer may re-point fields on.
@@ -212,11 +205,6 @@ type applyReq struct {
 	costRecord               bool
 	costQi, costEi, costEpsi int
 	markSwitched             bool
-
-	// reg is the registration of the tableState the request was computed
-	// against; the writer drops the request when the table has been replaced
-	// in the meantime.
-	reg *registration
 
 	// span, when active, is the submitting query's publish span; the apply
 	// loop attaches wal.append/wal.fsync children to it before acking done.
@@ -373,10 +361,9 @@ func (w *writer) depth() int { return len(w.applyCh) }
 
 // mutateLogged runs fn against a derived snapshot under the writer lock and
 // publishes the result — the path of the setup APIs. When fn succeeds and the
-// session has a WAL, rec() renders the record (after fn, so it can close over
-// state fn created — e.g. the freshly drawn registration) and it appends
-// before the snapshot publishes; during replay wlog is nil and nothing is
-// journaled.
+// session has a WAL, rec() renders the record (only then, so an in-memory
+// session never encodes one) and it appends before the snapshot publishes;
+// during replay wlog is nil and nothing is journaled.
 func (w *writer) mutateLogged(rec func() []byte, fn func(next *snapshot, cloned map[string]bool) error) error {
 	w.mu.Lock()
 	next := w.current().derive()
@@ -483,11 +470,11 @@ func (w *writer) applyBatch(batch []*applyReq) {
 	cloned := make(map[string]bool)
 	var logged []loggedReq
 	for _, req := range batch {
-		applied, duplicate := applyOne(next, cloned, req)
+		duplicate := applyOne(next, cloned, req)
 		if duplicate {
 			coalesced++
 		}
-		if w.wlog != nil && applied {
+		if w.wlog != nil {
 			// Log post-filter: filterCheckedFD has already dropped duplicate
 			// groups/cells in place, and the effective costRecord bit is
 			// resolved here — so replaying the record from the identical
@@ -539,17 +526,9 @@ func (w *writer) applyBatch(batch []*applyReq) {
 // racing query already applied merges as a no-op (uncertain.Cell.Merge
 // unions range sets), so duplicates are harmless.
 //
-// It reports whether the request applied at all (false: stale registration,
-// dropped wholesale) and whether it coalesced to a duplicate — the WAL
-// logging in applyBatch needs both to record exactly what happened.
-func applyOne(next *snapshot, cloned map[string]bool, req *applyReq) (applied, wasDuplicate bool) {
-	if cur, ok := next.tables[req.table]; !ok || cur.reg != req.reg {
-		// The table was dropped or replaced after the query took its
-		// snapshot: the write-back belongs to the old registration, and
-		// merging it would mark never-cleaned groups of the fresh data as
-		// checked. The query's own result (served from its epoch) stands.
-		return false, false
-	}
+// It reports whether the request coalesced to a duplicate, which the WAL
+// logging in applyBatch needs to record exactly what happened.
+func applyOne(next *snapshot, cloned map[string]bool, req *applyReq) (wasDuplicate bool) {
 	st := next.mutableTable(req.table, cloned)
 	duplicate := false
 	dropped := false
@@ -586,7 +565,7 @@ func applyOne(next *snapshot, cloned map[string]bool, req *applyReq) (applied, w
 		}
 		st.cost = &c
 	}
-	return true, duplicate
+	return duplicate
 }
 
 // filterCheckedFD drops delta cells and checked-key entries for groups that

@@ -247,10 +247,6 @@ func TestDirtyPruning(t *testing.T) {
 	if ix.violating(2) || ix.violating(3) {
 		t.Error("group 2 (rows 2, 3) is clean — pruning must skip it")
 	}
-	// Unknown rule: not bound, so no pruning.
-	if st.binds("ghost") || !st.binds("phi") {
-		t.Errorf("binds(ghost) = %v, binds(phi) = %v", st.binds("ghost"), st.binds("phi"))
-	}
 }
 
 func TestEpsilonAndP(t *testing.T) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -239,38 +240,52 @@ func TestStatsPruningAblation(t *testing.T) {
 	}
 }
 
-// TestPruningNeedsBoundRule pins when statistics pruning applies: only for a
-// rule bound to the registration by AddRule (or checkpoint decode). A table
-// installed by ReplaceTable binds no rule, so a query over a clean group is
-// still scoped there, while on the AddRule-bound registration it is skipped.
-func TestPruningNeedsBoundRule(t *testing.T) {
+// TestRegistrationOrderDoesNotChangeCleaning: cleaning is a function of
+// (data, rules, queries), not of the order tables and rules arrived in. An
+// unnamed FD added between registering a and b binds to both, so b — like a
+// — prunes a clean group by its statistics (skip) and consults a seeded
+// §5.2.3 cost model on a dirty one, giving the same decisions as a.
+func TestRegistrationOrderDoesNotChangeCleaning(t *testing.T) {
 	tb := citiesTable()
 	tb.MustAppend(table.Row{value.NewInt(20000), value.NewString("Boston")})
 	tb.MustAppend(table.Row{value.NewInt(20000), value.NewString("Boston")})
-	strategy := func(s *Session) string {
+	register := func(s *Session, name string) {
 		t.Helper()
-		res, err := s.Query("SELECT zip, city FROM cities WHERE zip = 20000")
-		if err != nil {
+		c := tb.Clone()
+		c.Name = name
+		if err := s.Register(c); err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Decisions) != 1 {
-			t.Fatalf("decisions = %+v, want one", res.Decisions)
-		}
-		return res.Decisions[0].Strategy
 	}
-	s := NewSession(Options{Strategy: StrategyIncremental})
+	s := NewSession(Options{})
 	defer s.Close()
-	if err := s.Register(tb.Clone()); err != nil {
+	register(s, "a")
+	if err := s.AddRule(dc.FD("phi", "", "city", "zip")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AddRule(dc.FD("phi", "cities", "city", "zip")); err != nil {
-		t.Fatal(err)
+	register(s, "b")
+	for _, name := range []string{"a", "b"} {
+		if st := s.w.current().tables[name]; st.cost == nil || len(st.rules) != 1 {
+			t.Errorf("%s: cost model %v, %d bound rules; want a seeded model and phi bound", name, st.cost, len(st.rules))
+		}
 	}
-	if got := strategy(s); got != "skip" {
-		t.Errorf("bound rule over a clean group: strategy %q, want skip (pruned)", got)
-	}
-	s.ReplaceTable("cities", ptable.FromTable(tb.Clone()))
-	if got := strategy(s); got != "incremental" {
-		t.Errorf("after ReplaceTable: strategy %q, want incremental (no pruning)", got)
+	for _, where := range []string{"zip = 20000", "zip = 9001"} {
+		var decs [2][]Decision
+		for i, name := range []string{"a", "b"} {
+			res, err := s.Query("SELECT zip, city FROM " + name + " WHERE " + where)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range res.Decisions {
+				d.Table = ""
+				decs[i] = append(decs[i], d)
+			}
+		}
+		if len(decs[0]) != 1 || !reflect.DeepEqual(decs[0], decs[1]) {
+			t.Errorf("WHERE %s: decisions on a %+v, on b %+v; want one, the same", where, decs[0], decs[1])
+		}
+		if where == "zip = 20000" && len(decs[1]) == 1 && decs[1][0].Strategy != "skip" {
+			t.Errorf("clean group on b: strategy %q, want skip (pruned)", decs[1][0].Strategy)
+		}
 	}
 }

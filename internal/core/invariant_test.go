@@ -74,7 +74,7 @@ func assertIndexesRebuild(t *testing.T, s *Session, wantFD, wantDC int) {
 			if !reflect.DeepEqual(fresh, e.ix) {
 				t.Errorf("%s/%s: shared DC index differs from a fresh build at epoch %d", name, rule, snap.epoch)
 			}
-			if !reflect.DeepEqual(fresh.EstimateErrors(view, s.opts.Partitions), e.est) {
+			if !reflect.DeepEqual(fresh.EstimateErrors(view, thetajoin.Partitions), e.est) {
 				t.Errorf("%s/%s: shared range estimates differ from a fresh build at epoch %d", name, rule, snap.epoch)
 			}
 			dcs++

@@ -11,9 +11,6 @@ import (
 func TestOptionsResolveOnceAtNewSession(t *testing.T) {
 	var o Options
 	o.defaults()
-	if o.Partitions != 64 {
-		t.Errorf("Partitions default = %d, want 64", o.Partitions)
-	}
 	if o.Workers != runtime.GOMAXPROCS(0) {
 		t.Errorf("Workers default = %d, want GOMAXPROCS=%d", o.Workers, runtime.GOMAXPROCS(0))
 	}

@@ -41,7 +41,7 @@ import (
 const (
 	recRegister byte = 1 // Register: table name + full pristine image
 	recRule     byte = 2 // AddRule: constraint text (name@table: body)
-	recReplace  byte = 3 // ReplaceTable: table name + full probabilistic image
+	recReplace  byte = 3 // table replacement by older builds; replays as recRegister
 	recApply    byte = 4 // one coalesced apply batch: deltas + marks + cost
 	recSweep    byte = 5 // background sweep enqueued for (table, rule)
 )
@@ -383,12 +383,6 @@ func encodeRegisterRecord(name string, pt *ptable.PTable) []byte {
 	return appendPTImage(buf, pt)
 }
 
-func encodeReplaceRecord(name string, pt *ptable.PTable) []byte {
-	buf := append(make([]byte, 0, 256), recReplace)
-	buf = appendString(buf, name)
-	return appendPTImage(buf, pt)
-}
-
 func encodeRuleRecord(c *dc.Constraint) []byte {
 	return appendString([]byte{recRule}, ruleText(c))
 }
@@ -476,11 +470,7 @@ func encodeApplyRecord(reqs []loggedReq) []byte {
 	return buf
 }
 
-// decodeApplyRecord rebuilds the batch's requests. Registrations are left
-// nil; the replay path stamps each request with the current registration of
-// its table (only requests that actually applied were logged, so the table
-// the record names is, at this point of the replay, the registration the
-// original apply targeted).
+// decodeApplyRecord rebuilds the batch's requests.
 func (d *dec) applyRecord() []*applyReq {
 	n := d.count(5) // table, rule, flags, group and tuple counts
 	reqs := make([]*applyReq, 0, n)

@@ -73,7 +73,6 @@ func (qc *queryCtx) ctxErr() error {
 // bgJobSpec is a deferred background full-clean enqueue.
 type bgJobSpec struct {
 	table string
-	reg   *registration
 	rule  *dc.Constraint
 	fd    dc.FDSpec
 }
@@ -82,8 +81,8 @@ type bgJobSpec struct {
 func (qc *queryCtx) submit(req *applyReq) { qc.pending = append(qc.pending, req) }
 
 // deferFullClean buffers a background-sweep enqueue for flush.
-func (qc *queryCtx) deferFullClean(table string, reg *registration, rule *dc.Constraint, fd dc.FDSpec) {
-	qc.bgJobs = append(qc.bgJobs, bgJobSpec{table: table, reg: reg, rule: rule, fd: fd})
+func (qc *queryCtx) deferFullClean(table string, rule *dc.Constraint, fd dc.FDSpec) {
+	qc.bgJobs = append(qc.bgJobs, bgJobSpec{table: table, rule: rule, fd: fd})
 }
 
 // flush publishes the buffered write-backs through the single-writer apply
@@ -105,7 +104,7 @@ func (qc *queryCtx) flush() {
 		pub.End(trace.Int("requests", n))
 	}
 	for _, j := range qc.bgJobs {
-		qc.s.enqueueSweep(j.table, j.reg, j.rule, j.fd)
+		qc.s.enqueueSweep(j.table, j.rule, j.fd)
 	}
 	qc.bgJobs = nil
 }

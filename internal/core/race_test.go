@@ -250,8 +250,7 @@ func TestConcurrentDCQueriesConverge(t *testing.T) {
 }
 
 // TestSnapshotIsolation: a query's result reflects the epoch it started on
-// plus its own fixes; a racing ReplaceTable does not corrupt it, and the
-// published state converges.
+// plus its own fixes, and the published state converges.
 func TestSnapshotIsolation(t *testing.T) {
 	s := newCitySession(t, Options{Strategy: StrategyIncremental})
 	defer s.Close()
@@ -349,47 +348,6 @@ func TestInFlightWriteBackAfterClose(t *testing.T) {
 	qc.flush() // must apply inline, not hang on the stopped loop
 	if s.Table("cities").DirtyTuples() == 0 {
 		t.Error("inline apply after Close must still publish the delta")
-	}
-}
-
-// TestStaleWriteBackDroppedAfterReplaceTable: a write-back computed against
-// a registration that ReplaceTable swapped out must be dropped by the
-// writer — otherwise the fresh table's groups would be marked checked
-// without ever being cleaned.
-func TestStaleWriteBackDroppedAfterReplaceTable(t *testing.T) {
-	s := newCitySession(t, Options{Strategy: StrategyIncremental})
-	defer s.Close()
-
-	// Capture the pre-replacement epoch the racing query would have seen.
-	snap := s.w.current()
-	st := snap.tables["cities"]
-
-	// Replace the table with equally dirty data (fresh registration).
-	s.ReplaceTable("cities", ptable.FromTable(citiesTable()))
-
-	// Simulate the racing query's write-back against the old registration:
-	// clean against the pre-replacement epoch, then flush the buffered
-	// request the way a finishing query would.
-	qc := &queryCtx{s: s, snap: snap, opts: s.opts}
-	var m detect.Metrics
-	if _, err := qc.cleanFD(st, "cities", stRule(t), mustFD(t), []int{0, 1, 2}, nil, &m, trace.Span{}); err != nil {
-		t.Fatal(err)
-	}
-	qc.flush()
-
-	// The replacement must be untouched and still fully cleanable.
-	if s.Table("cities").DirtyTuples() != 0 {
-		t.Fatal("stale delta leaked into the replaced table")
-	}
-	res, err := s.Query("SELECT zip, city FROM cities WHERE city = 'Los Angeles'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rows.Len() != 3 {
-		t.Errorf("replacement rows = %d, want 3 (groups must not be pre-checked)", res.Rows.Len())
-	}
-	if s.Table("cities").DirtyTuples() == 0 {
-		t.Error("replacement must clean normally after the dropped write-back")
 	}
 }
 

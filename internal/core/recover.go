@@ -11,7 +11,7 @@ import (
 // checkpoint, replays the WAL suffix past it, re-enqueues the background
 // sweeps that were live at crash time, and only then attaches the log so new
 // work journals. Replay runs against a writer with wlog == nil, so the setup
-// APIs it reuses (ReplaceTable, AddRule) do not re-journal records that are
+// paths it reuses (install, AddRule) do not re-journal records that are
 // already on disk.
 
 // recoverDurable rebuilds the session state from opts.Dir and arms the
@@ -93,10 +93,10 @@ func (s *Session) replayRecord(payload []byte, pending map[sweepRef]bool) error 
 		if d.err != nil {
 			return d.err
 		}
-		// Register and ReplaceTable install the same way; a replayed Register
-		// cannot collide, since the log holds only registrations that landed.
-		s.ReplaceTable(name, pt)
-		return nil
+		// A replace record, written only by older builds, installs like a
+		// register record: the image is the relation's state, and install
+		// binds the rules that apply to it.
+		return s.install(name, pt)
 	case recRule:
 		text := d.string()
 		if d.err != nil {
@@ -130,20 +130,17 @@ func (s *Session) replayRecord(payload []byte, pending map[sweepRef]bool) error 
 // (applyOne), exactly as the original batch ran. Records store requests
 // post-filter with the effective cost bit (see persist.go), so from the
 // identical pre-state the filter passes everything through and the result is
-// byte-identical. Requests are stamped with the current registration: only
-// requests that actually applied were logged, so the table a record names is,
-// at this point of the replay, the registration the original apply targeted.
+// byte-identical. A request naming no installed table (only a corrupt log
+// holds one) is skipped.
 func (s *Session) replayApply(reqs []*applyReq) {
 	s.w.mu.Lock()
 	defer s.w.mu.Unlock()
 	next := s.w.current().derive()
 	cloned := make(map[string]bool)
 	for _, req := range reqs {
-		st, ok := next.tables[req.table]
-		if !ok {
+		if _, ok := next.tables[req.table]; !ok {
 			continue
 		}
-		req.reg = st.reg
 		applyOne(next, cloned, req)
 	}
 	s.w.snap.Store(next)

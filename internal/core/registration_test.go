@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"daisy/internal/dc"
-	"daisy/internal/detect"
-	"daisy/internal/ptable"
 	"daisy/internal/schema"
 	"daisy/internal/table"
 	"daisy/internal/trace"
@@ -45,12 +43,11 @@ func countSpans(n *trace.Node, name string) int {
 	return c
 }
 
-// TestRegistrationSharesDerivedState pins the registration's contract on a
-// ReplaceTable'd relation, whose indexes all build lazily: racing first
-// queries build each index exactly once (one dc_index span across all their
-// traces), every later epoch reaches the same index pointers, and a query
-// whose snapshot predates a ReplaceTable builds into its own, old
-// registration — never the new one — and publishes nothing into it.
+// TestRegistrationSharesDerivedState pins the registration's contract:
+// AddRule builds the FD index eagerly (seeding the cost model reads it), the
+// DC rank index waits for a query, racing first queries build it exactly
+// once (one dc_index span across all their traces), and every later epoch
+// reaches the same index pointers.
 func TestRegistrationSharesDerivedState(t *testing.T) {
 	tb, rules, _ := dcLineorder(5)
 	// Non-overlapping ranges: FD-only and DC-only queries. The first wave
@@ -61,10 +58,10 @@ func TestRegistrationSharesDerivedState(t *testing.T) {
 	s := NewSession(Options{Strategy: StrategyIncremental, Workers: 2})
 	defer s.Close()
 	setupSession(t, s, tb, rules...)
-	s.ReplaceTable(tb.Name, ptable.FromTable(tb))
 	reg := s.w.current().tables[tb.Name].reg
-	if fds, dcs := reg.built(); len(fds)+len(dcs) != 0 {
-		t.Fatalf("ReplaceTable built %d FD and %d DC indexes; queries should", len(fds), len(dcs))
+	phi, dcs := reg.built()
+	if phi["phi"] == nil || len(phi) != 1 || len(dcs) != 0 {
+		t.Fatalf("setup built FD %v and DC %v indexes, want phi's FD index only", phi, dcs)
 	}
 
 	const callers = 8
@@ -99,8 +96,8 @@ func TestRegistrationSharesDerivedState(t *testing.T) {
 		t.Fatalf("%d dc_index spans across %d racing first queries, want exactly 1", spans, callers)
 	}
 	fds, dcs := reg.built()
-	if fds["phi"] == nil || dcs["psi"] == nil || len(fds) != 1 || len(dcs) != 1 {
-		t.Fatalf("registration holds FD %v and DC %v indexes, want phi and psi", fds, dcs)
+	if fds["phi"] != phi["phi"] || dcs["psi"] == nil || len(fds) != 1 || len(dcs) != 1 {
+		t.Fatalf("registration holds FD %v and DC %v indexes, want setup's phi and one psi", fds, dcs)
 	}
 
 	// Later epochs keep the registration, and with it the same indexes.
@@ -125,40 +122,6 @@ func TestRegistrationSharesDerivedState(t *testing.T) {
 		t.Fatal("an index was rebuilt after the first wave")
 	}
 
-	// A query pinned to a snapshot from before a ReplaceTable.
-	s.ReplaceTable(tb.Name, ptable.FromTable(tb))
-	old := s.w.current()
-	oldSt := old.tables[tb.Name]
-	s.ReplaceTable(tb.Name, ptable.FromTable(tb))
-	cur := s.w.current().tables[tb.Name]
-	rows := make([]int, 60)
-	for i := range rows {
-		rows[i] = i
-	}
-	tr := trace.New("query")
-	qc := &queryCtx{s: s, snap: old, opts: s.opts}
-	var m detect.Metrics
-	fd, _ := rules[0].AsFD()
-	if _, err := qc.cleanFD(oldSt, tb.Name, rules[0], fd, rows, nil, &m, tr.Root()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := qc.cleanDC(oldSt, tb.Name, rules[1], rows, &m, tr.Root()); err != nil {
-		t.Fatal(err)
-	}
-	qc.flush()
-	if tr.Tree().Find("dc_index") == nil {
-		t.Error("the stale query did not build its old registration's rank index")
-	}
-	if fds, dcs := oldSt.reg.built(); fds["phi"] == nil || dcs["psi"] == nil {
-		t.Errorf("stale query built into its old registration: FD %v, DC %v", fds, dcs)
-	}
-	if fds, dcs := cur.reg.built(); len(fds)+len(dcs) != 0 {
-		t.Errorf("stale query built %d FD and %d DC indexes into the new registration", len(fds), len(dcs))
-	}
-	now := s.w.current().tables[tb.Name]
-	if now.reg != cur.reg || len(now.checkedGroups)+len(now.checkedTuples) != 0 {
-		t.Error("the stale query's write-back landed on the new registration")
-	}
 }
 
 // TestCleanInBackgroundRefusesTableLackingRuleColumns: an unscoped rule binds

@@ -159,12 +159,13 @@ func TestViolatingScopeSegmentSkipMatchesScan(t *testing.T) {
 }
 
 // TestSegmentSkipSweepConvergesByteIdentical is the adversarial end-to-end
-// case: after the switch flips, the sweep is paused and incremental queries
-// clean every remaining group first — so by resume time whole segments have
-// transitioned dirty→clean while their anchor counters (which track
-// violations, not checked state) stay nonzero. The resumed sweep must walk
-// its remaining rows finding nothing to do and the quiesced state must be
-// byte-identical to the pure-incremental reference. Run under -race in CI.
+// case: after the switch flips, the sweep is canceled and incremental
+// queries clean every remaining group first — so by the time
+// CleanInBackground restarts it, whole segments have transitioned
+// dirty→clean while their anchor counters (which track violations, not
+// checked state) stay nonzero. The restarted sweep must walk every row
+// finding nothing to do and the quiesced state must be byte-identical to
+// the pure-incremental reference. Run under -race in CI.
 func TestSegmentSkipSweepConvergesByteIdentical(t *testing.T) {
 	ref := newSweepSession(t, Options{Strategy: StrategyIncremental, DisableStatsPruning: true}, sweepGroups, sweepDirtyGroups)
 	defer ref.Close()
@@ -180,9 +181,9 @@ func TestSegmentSkipSweepConvergesByteIdentical(t *testing.T) {
 	if flip < 0 || strategy != "background" {
 		t.Fatalf("workload did not flip to background (flip=%d strategy=%q)", flip, strategy)
 	}
-	// Hold the sweep (best effort — fast chunks may already have run) and
+	// Stop the sweep (fast chunks may already have run, or all of it) and
 	// clean everything it would have swept through the incremental path.
-	paused := s.PauseCleaning("lineorder", "phi")
+	cancelSweep(t, s)
 	for _, q := range queries {
 		rows, err := s.QueryContext(context.Background(), q, WithStrategy(StrategyIncremental))
 		if err != nil {
@@ -190,19 +191,18 @@ func TestSegmentSkipSweepConvergesByteIdentical(t *testing.T) {
 		}
 		rows.Close()
 	}
-	if paused {
-		s.ResumeCleaning("lineorder", "phi")
+	if !s.CleanInBackground("lineorder", "phi") {
+		t.Fatal("CleanInBackground refused to restart the sweep")
 	}
 	if err := s.WaitCleaning(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	for _, job := range s.CleaningStatus() {
-		if job.State != bgclean.Done {
-			t.Fatalf("job state = %v (%s), want done", job.State, job.Err)
-		}
-		if job.RowsDone != job.RowsTotal {
-			t.Errorf("job rows = %d/%d, want full sweep", job.RowsDone, job.RowsTotal)
-		}
+	job := lastSweep(t, s)
+	if job.State != bgclean.Done {
+		t.Fatalf("job state = %v (%s), want done", job.State, job.Err)
+	}
+	if job.RowsDone != job.RowsTotal {
+		t.Errorf("job rows = %d/%d, want full sweep", job.RowsDone, job.RowsTotal)
 	}
 	if got := s.Table("lineorder").Fingerprint(); got != want {
 		t.Error("segment-skip sweep state differs from incremental reference bytes")

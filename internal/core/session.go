@@ -44,7 +44,6 @@ import (
 	"time"
 
 	"daisy/internal/bgclean"
-	"daisy/internal/cost"
 	"daisy/internal/dc"
 	"daisy/internal/detect"
 	"daisy/internal/engine"
@@ -96,8 +95,6 @@ func strategyName(s Strategy) string {
 // Options configure a Session. All defaults resolve once in NewSession; the
 // zero value of every field selects the documented default.
 type Options struct {
-	// Partitions controls theta-join matrix granularity (default 64).
-	Partitions int
 	// Workers bounds the worker pools of the parallel operators (theta-join
 	// detection, partitioned filter, parallel hash-join build/probe).
 	// 0 resolves to runtime.GOMAXPROCS(0) once at NewSession; 1 forces
@@ -184,9 +181,6 @@ type Options struct {
 // defaults resolves every option exactly once (NewSession); call sites read
 // the resolved values and never re-derive them.
 func (o *Options) defaults() {
-	if o.Partitions <= 0 {
-		o.Partitions = 64
-	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -249,9 +243,10 @@ type Result struct {
 }
 
 // Session is a query-driven cleaning session over one or more dirty tables.
-// Query/QueryContext are safe for concurrent use; Register, AddRule, and
-// ReplaceTable may run at any time but queries already in flight keep their
-// epoch and do not see the change.
+// Query/QueryContext are safe for concurrent use; Register and AddRule may
+// run at any time but queries already in flight keep their epoch and do not
+// see the change. A registered table stays installed for the life of the
+// session.
 type Session struct {
 	opts  Options
 	w     *writer
@@ -328,13 +323,10 @@ func newMemSession(opts Options) *Session {
 // bodies — and with them the Session reference — as jobs reach a terminal
 // state), and the checkpointer only the writer and scheduler, so an
 // unreachable Session can be finalized even while all three goroutines are
-// parked; Close is still the deterministic way to release them. One caveat:
-// a job left PAUSED pins its body (and the Session) until
-// Resume/Cancel/Close — only those Session methods can release it, so
-// dropping a session mid-pause leaks it for the process lifetime (see
-// PauseCleaning). The teardown order mirrors Close and is safe against a
-// concurrent explicit Close: writer.close waits for the apply loop to drain
-// before closing the log, and late closers block until the first finishes.
+// parked; Close is still the deterministic way to release them. The teardown
+// order mirrors Close and is safe against a concurrent explicit Close:
+// writer.close waits for the apply loop to drain before closing the log, and
+// late closers block until the first finishes.
 func (s *Session) arm() {
 	w, bg, ck := s.w, s.bg, s.ckpt
 	runtime.SetFinalizer(s, func(s *Session) {
@@ -416,40 +408,52 @@ func (s *Session) CleaningStatus() []bgclean.Status { return s.bg.Status() }
 // resumable partial state described on CancelCleaning.
 func (s *Session) WaitCleaning(ctx context.Context) error { return s.bg.Wait(ctx) }
 
-// PauseCleaning suspends the live background job for (table, rule) at its
-// next chunk boundary; ResumeCleaning releases it. Both report whether a
-// live job was found. A paused job holds its resources until ResumeCleaning,
-// CancelCleaning, or Close — do not drop a session with a sweep paused.
-func (s *Session) PauseCleaning(table, rule string) bool { return s.bg.Pause(table, rule) }
-
-// ResumeCleaning releases a paused background job.
-func (s *Session) ResumeCleaning(table, rule string) bool { return s.bg.Resume(table, rule) }
-
 // CancelCleaning cancels the live background job for (table, rule) at its
 // next chunk boundary. The state stays valid and resumable: completed
 // chunks' groups remain repaired and checked, untouched groups stay dirty,
-// and a later query (or re-triggered switch) finishes the work.
+// and a later query, re-triggered switch or CleanInBackground finishes the
+// work.
 func (s *Session) CancelCleaning(table, rule string) bool { return s.bg.Cancel(table, rule) }
 
-// Register snapshots a dirty table into the session.
+// Register snapshots a dirty table into the session and binds every rule
+// already added that applies to it, exactly as if the rules were added after
+// it: cleaning does not depend on the order tables and rules arrive in.
 func (s *Session) Register(t *table.Table) error {
-	var st *tableState
+	return s.install(t.Name, ptable.FromTable(t))
+}
+
+// install adds a relation for Register and WAL replay: pt under name as a
+// fresh registration, bound to the added rules that apply to it (those the
+// planner attaches: named for it, or unnamed with all their columns
+// present). It journals a register record when a log is attached; replay
+// runs with none attached.
+func (s *Session) install(name string, pt *ptable.PTable) error {
 	return s.w.mutateLogged(
-		func() []byte { return encodeRegisterRecord(t.Name, st.pt) },
-		func(next *snapshot, cloned map[string]bool) error {
-			if _, dup := next.tables[t.Name]; dup {
-				return fmt.Errorf("core: table %q already registered", t.Name)
+		func() []byte { return encodeRegisterRecord(name, pt) },
+		func(next *snapshot, _ map[string]bool) error {
+			if _, dup := next.tables[name]; dup {
+				return fmt.Errorf("core: table %q already registered", name)
 			}
-			st = newTableState(ptable.FromTable(t))
-			next.tables[t.Name] = st
+			st := newTableState(pt)
+			var rules []*dc.Constraint
+			for _, r := range next.rules {
+				if (r.Table == "" || r.Table == name) && hasColumns(pt.Schema, r) {
+					rules = append(rules, r)
+				}
+			}
+			if len(rules) > 0 {
+				st.bind(rules...)
+			}
+			next.tables[name] = st
 			return nil
 		})
 }
 
-// AddRule binds a denial constraint, builds its FD group index (whose
-// group-by sizes are the statistics of §5.2.3/§6) and seeds the cost model.
-// Rules may be added after queries have run; provenance lets new rules merge
-// into already-probabilistic data (Table 7).
+// AddRule binds a denial constraint to every registered table it applies to
+// (see install for tables registered later), builds its FD group index
+// (whose group-by sizes are the statistics of §5.2.3/§6) and seeds the cost
+// model. Rules may be added after queries have run; provenance lets new
+// rules merge into already-probabilistic data (Table 7).
 func (s *Session) AddRule(rule *dc.Constraint) error {
 	if rule.Name == "" {
 		return fmt.Errorf("core: rule must be named")
@@ -468,29 +472,13 @@ func (s *Session) AddRule(rule *dc.Constraint) error {
 					}
 					continue
 				}
-				st = next.mutableTable(name, cloned)
-				st.rules = append(append([]*dc.Constraint(nil), st.rules...), rule)
-				// Seeding the cost model reads, and so eagerly builds, the
-				// group index of every bound FD rule.
-				st.cost = cost.New(st.pt.Len(), costEpsilon(st), costP(st))
+				next.mutableTable(name, cloned).bind(rule)
 				bound = true
 			}
 			if !bound {
 				return fmt.Errorf("core: rule %s matches no registered table", rule.Name)
 			}
 			next.rules = append(append([]*dc.Constraint(nil), next.rules...), rule)
-			return nil
-		})
-}
-
-// ReplaceTable installs an externally prepared probabilistic relation under
-// its name, replacing any existing registration. Baselines use it to query
-// data they cleaned offline.
-func (s *Session) ReplaceTable(name string, pt *ptable.PTable) {
-	_ = s.w.mutateLogged(
-		func() []byte { return encodeReplaceRecord(name, pt) },
-		func(next *snapshot, cloned map[string]bool) error {
-			next.tables[name] = newTableState(pt)
 			return nil
 		})
 }

@@ -348,38 +348,6 @@ func TestProvenanceSurvivesCleaning(t *testing.T) {
 	}
 }
 
-// TestCleaningAfterReplaceTable covers the lazy index-build path: a
-// relation installed through ReplaceTable has no per-rule state (no stats,
-// no cost model, no prebuilt index), yet cleaning must still work — the
-// writer builds and publishes the group index on first use.
-func TestCleaningAfterReplaceTable(t *testing.T) {
-	s := newCitySession(t, Options{Strategy: StrategyIncremental})
-	defer s.Close()
-	// Reinstall the same dirty data: rules stay bound in the session but the
-	// table-local state starts empty.
-	s.ReplaceTable("cities", ptable.FromTable(citiesTable()))
-	res, err := s.Query("SELECT zip, city FROM cities WHERE city = 'Los Angeles'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rows.Len() != 3 {
-		t.Fatalf("result rows = %d, want 3", res.Rows.Len())
-	}
-	if s.Table("cities").DirtyTuples() == 0 {
-		t.Error("replaced table must still be cleaned")
-	}
-	// Second query skips: the lazily built index and checked set persist.
-	res2, err := s.Query("SELECT zip, city FROM cities WHERE city = 'Los Angeles'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range res2.Decisions {
-		if d.Strategy != "skip" {
-			t.Errorf("expected skip after convergence, got %+v", d)
-		}
-	}
-}
-
 // TestCloseReleasesTablesInOneGC: Close disarms the session finalizer, whose
 // closure holds the writer and with it the last snapshot. A closed, dropped
 // session's tables are then collectable by the very next GC cycle instead of

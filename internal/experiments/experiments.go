@@ -9,13 +9,18 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"time"
 
 	"daisy/internal/core"
 	"daisy/internal/dc"
+	"daisy/internal/engine"
 	"daisy/internal/offline"
+	"daisy/internal/plan"
 	"daisy/internal/ptable"
+	"daisy/internal/schema"
+	"daisy/internal/sql"
 	"daisy/internal/table"
 )
 
@@ -186,22 +191,45 @@ func runOffline(tables []*table.Table, rules []*dc.Constraint, queries []string,
 		res.Elapsed = time.Since(start)
 		return res, true, nil
 	}
-	// Execute queries over the cleaned probabilistic data (no further
-	// cleaning work).
-	s := core.NewSession(core.Options{DisableCleaning: true})
-	for _, t := range tables {
-		s.ReplaceTable(t.Name, pts[t.Name])
-	}
-	for _, q := range queries {
-		out, err := s.Query(q)
+	// Execute queries over the cleaned probabilistic data: plan with no
+	// rules and run without a cleaner, so no further cleaning work happens.
+	ex := &engine.Executor{Tables: pts, Workers: runtime.GOMAXPROCS(0)}
+	for _, text := range queries {
+		fr, err := runPlain(ex, text)
 		if err != nil {
-			return res, false, fmt.Errorf("offline query %q: %w", q, err)
+			return res, false, fmt.Errorf("offline query %q: %w", text, err)
 		}
-		res.ResultRows += out.Rows.Len()
+		res.ResultRows += fr.Materialize().Len()
 		res.PerQuery = append(res.PerQuery, time.Since(start))
 	}
 	res.Elapsed = time.Since(start)
 	return res, false, nil
+}
+
+// runPlain parses, plans and executes one query over ex's relations with no
+// cleaning operators.
+func runPlain(ex *engine.Executor, text string) (*engine.Frame, error) {
+	q, err := sql.Parse(text)
+	if err != nil {
+		return nil, err
+	}
+	node, err := plan.Build(q, catalog(ex.Tables), nil)
+	if err != nil {
+		return nil, err
+	}
+	return ex.Run(node)
+}
+
+// catalog resolves relation schemas from a set of probabilistic relations.
+type catalog map[string]*ptable.PTable
+
+// Schema implements plan.Catalog.
+func (c catalog) Schema(name string) (*schema.Schema, bool) {
+	pt, ok := c[name]
+	if !ok {
+		return nil, false
+	}
+	return pt.Schema, true
 }
 
 func ms(d time.Duration) string {

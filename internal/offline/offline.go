@@ -24,8 +24,6 @@ import (
 
 // Cleaner is a full-dataset offline cleaner.
 type Cleaner struct {
-	// Partitions controls theta-join granularity (default 64).
-	Partitions int
 	// MaxGroupScans caps the number of per-group dataset traversals; 0 means
 	// unbounded. The air-quality experiment uses it to emulate the paper's
 	// one-day timeout.
@@ -42,13 +40,6 @@ type Report struct {
 	ViolatingGroups int
 	ViolatingPairs  int
 	UpdatedCells    int
-}
-
-func (c *Cleaner) partitions() int {
-	if c.Partitions <= 0 {
-		return 64
-	}
-	return c.Partitions
 }
 
 // cleanFD repairs every violation of an FD rule over the whole relation.
@@ -162,7 +153,7 @@ func (c *Cleaner) cleanFD(ctx context.Context, pt *ptable.PTable, rule *dc.Const
 func (c *Cleaner) cleanDC(ctx context.Context, pt *ptable.PTable, rule *dc.Constraint) (Report, error) {
 	var rep Report
 	view := detect.NewPTableView(pt)
-	pairs, err := thetajoin.DetectCtx(ctx, trace.Span{}, view, rule, c.partitions(), 0, &rep.Metrics)
+	pairs, err := thetajoin.DetectCtx(ctx, trace.Span{}, view, rule, thetajoin.Partitions, 0, &rep.Metrics)
 	if err != nil {
 		return rep, err
 	}

@@ -33,6 +33,10 @@ import (
 	"daisy/internal/value"
 )
 
+// Partitions is the number of roughly uniform partitions the matrix splits
+// into, for detection and for Algorithm 2's range estimates alike.
+const Partitions = 64
+
 // Pair is one violating tuple pair: the assignment t1=T1, t2=T2 satisfies
 // every atom of the constraint.
 type Pair struct {
