@@ -107,6 +107,13 @@ func runCrashScenario(t *testing.T, s *Session, mid func()) {
 			t.Fatal(err)
 		}
 	}
+	// Register a relation mid-history, after rules exist: replay must install
+	// it through the same path and bind the rules scoped to it.
+	towns := citiesTable()
+	towns.Name = "towns"
+	if err := s.Register(towns); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.AddRule(dc.FD("phi2", "cities", "city", "zip")); err != nil {
 		t.Fatal(err)
 	}
