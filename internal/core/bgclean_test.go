@@ -492,7 +492,7 @@ func TestMarkSwitchedSurvivesDuplicateCoalescing(t *testing.T) {
 		t.Fatal("no violating groups in the pre-clean epoch")
 	}
 	d := idx.repair(detect.PTableView{P: st0.pt}, scope, fd, nil)
-	s.w.submit(&applyReq{table: "lineorder", rule: "phi", isFD: true,
+	s.w.submit(&applyReq{table: "lineorder", rule: "phi",
 		delta: d, base: st0.pt, groups: keys, markSwitched: true})
 	cur := s.w.current().tables["lineorder"]
 	if cur.cost == nil || !cur.cost.Switched() {

@@ -62,7 +62,7 @@ func (j *fdSweepJob) RunChunk(ctx context.Context, lo, hi int) (bgclean.ChunkRes
 	checked := st.checkedGroups[j.rule.Name]
 	scope, keys := idx.violatingScopeIn(lo, hi, func(k value.MapKey) bool { return checked[k] })
 
-	req := &applyReq{table: j.table, rule: j.rule.Name, isFD: true}
+	req := &applyReq{table: j.table, rule: j.rule.Name}
 	var m detect.Metrics
 	if len(scope) > 0 {
 		// Same fix semantics as every other FD path: the index's fixes read

@@ -165,7 +165,7 @@ func (qc *queryCtx) cleanFD(st *tableState, tableName string, rule *dc.Constrain
 	// Buffer the delta plus the groups it checked for the flush at query end
 	// (duplicates from racing queries coalesce in the writer).
 	qc.submit(&applyReq{
-		table: tableName, rule: rule.Name, isFD: true,
+		table: tableName, rule: rule.Name,
 		delta: delta, base: base, applied: qc.pt(tableName), groups: groups,
 		costRecord: st.cost != nil,
 		costQi:     len(rows), costEi: len(extra), costEpsi: len(scope) + len(extra),
@@ -214,7 +214,7 @@ func (qc *queryCtx) fullCleanFD(st *tableState, tableName string, rule *dc.Const
 	scope := idx.violatingScope(checked)
 	var groups []value.MapKey
 	updated := 0
-	req := &applyReq{table: tableName, rule: rule.Name, isFD: true, markSwitched: st.cost != nil}
+	req := &applyReq{table: tableName, rule: rule.Name, markSwitched: st.cost != nil}
 	if len(scope) > 0 {
 		base := qc.pt(tableName)
 		d := idx.repair(detect.NewPTableView(base), scope, fd, m)

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"daisy/internal/dc"
-	"daisy/internal/ptable"
 	"daisy/internal/schema"
 	"daisy/internal/table"
 	"daisy/internal/value"
@@ -220,50 +219,6 @@ func TestDurableRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReplaceRecordReplaysAsRegister: older builds logged a table
-// replacement as a replace record, the register payload under type byte 3.
-// A directory holding one must still open, to the state the same payload
-// logged as a register record gives — including the unnamed rule added
-// before the record, which binds to the table either way.
-func TestReplaceRecordReplaysAsRegister(t *testing.T) {
-	a := citiesTable()
-	a.Name = "a"
-	register := encodeRegisterRecord("b", ptable.FromTable(citiesTable()))
-	replace := append([]byte{recReplace}, register[1:]...)
-	reopen := func(last []byte) string {
-		t.Helper()
-		dir := t.TempDir()
-		log, err := wal.OpenLogFS(vfs.OS{}, dir, SyncOS, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, rec := range [][]byte{
-			encodeRegisterRecord("a", ptable.FromTable(a)),
-			encodeRuleRecord(dc.FD("phi", "", "city", "zip")),
-			last,
-		} {
-			if _, err := log.Append(rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := log.Close(); err != nil {
-			t.Fatal(err)
-		}
-		s, err := Open(durableOpts(dir))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		if s.w.current().tables["b"].cost == nil {
-			t.Error("b reopened without a cost model: phi did not bind")
-		}
-		return s.StateFingerprint()
-	}
-	if got, want := reopen(replace), reopen(register); got != want {
-		t.Errorf("replace record reopened to\n%s\nregister record to\n%s", got, want)
-	}
-}
-
 // TestCrashAtEveryRecordBoundary is the kill-anywhere property: for every
 // record boundary in the scenario's WAL, a session reopened from exactly that
 // prefix fingerprints byte-identically to the in-memory oracle at the instant
@@ -463,16 +418,17 @@ func TestCrashMidSweepResumes(t *testing.T) {
 }
 
 // TestApplyRecordBytesODelta: the WAL cost of a fix is a function of the
-// delta, not the relation — a 1-group repair journals comparable bytes at 2k
-// and 64k rows.
+// decisions it records, not of the relation or the group: a 1-group repair
+// journals comparable bytes at 2k and 64k rows, and a dirty group of 200
+// members journals what a 2-member group does — its key, not its cells.
 func TestApplyRecordBytesODelta(t *testing.T) {
-	applyBytes := func(rows int) int {
+	applyBytes := func(tb *table.Table) int {
 		dir := t.TempDir()
 		s, err := Open(durableOpts(dir))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Register(sweepTable(rows/4, 1)); err != nil {
+		if err := s.Register(tb); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.AddRule(sweepRule()); err != nil {
@@ -498,11 +454,31 @@ func TestApplyRecordBytesODelta(t *testing.T) {
 		}
 		return total
 	}
-	small := applyBytes(2048)
-	big := applyBytes(65536)
+	small := applyBytes(sweepTable(2048/4, 1))
+	big := applyBytes(sweepTable(65536/4, 1))
 	if big > 2*small {
 		t.Fatalf("apply-record bytes grew with relation size: %d bytes at 2k rows, %d at 64k", small, big)
 	}
+	// The cost operands count the group's rows, so each may take one more
+	// varint byte for the wide group; nothing else may grow.
+	narrow := applyBytes(oneDirtyGroup(2))
+	wide := applyBytes(oneDirtyGroup(200))
+	if wide > narrow+3 {
+		t.Fatalf("apply-record bytes grew with group size: %d bytes for 2 members, %d for 200", narrow, wide)
+	}
+}
+
+// oneDirtyGroup is a lineorder whose orderkey 0 group has the given number
+// of members, half of them with a second suppkey, next to 100 clean groups.
+func oneDirtyGroup(members int) *table.Table {
+	tb := table.New("lineorder", sweepTable(1, 1).Schema)
+	for r := 0; r < members; r++ {
+		tb.MustAppend(table.Row{value.NewInt(0), value.NewInt(int64(1000 + r%2))})
+	}
+	for g := 1; g <= 100; g++ {
+		tb.MustAppend(table.Row{value.NewInt(int64(g)), value.NewInt(int64(2000 + g))})
+	}
+	return tb
 }
 
 // TestCloseRacesSweepSubmit (satellite: Close/finalizer ordering) hammers

@@ -150,3 +150,50 @@ func TestFDFixLeavesPublishedRangesUntouched(t *testing.T) {
 		t.Errorf("second query's FD fix was not applied:\n%s", got)
 	}
 }
+
+// TestDurableReopenMixedRulesOneColumn: an FD and a general DC both fix
+// emp.tax. Racing queries merge their fixes into those cells in publish
+// order; recovery rebuilds them rule by rule, from the checkpoint's checked
+// sets and the WAL's past it. Both orders must give one state.
+func TestDurableReopenMixedRulesOneColumn(t *testing.T) {
+	dir := t.TempDir()
+	s := newEmpSession(t, durableOpts(dir), true)
+	defer s.Close()
+	race := func(queries []string) {
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := range queries {
+					if _, err := s.Query(queries[(i+g)%len(queries)]); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
+	q := empQueries()
+	race(q[:2])
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	race(q[2:])
+	st := s.w.current().tables["emp"]
+	if len(st.checkedGroups["phi"]) == 0 || len(st.checkedTuples["psi"]) == 0 {
+		t.Fatal("the workload checked no FD groups or no DC tuples")
+	}
+	want := s.StateFingerprint()
+	s.Close()
+
+	s2, err := Open(durableOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := s2.StateFingerprint(); got != want {
+		t.Fatalf("reopened state differs from the live one:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}

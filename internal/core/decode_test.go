@@ -4,10 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"strings"
 	"testing"
 
 	"daisy/internal/dc"
+	"daisy/internal/ptable"
 	"daisy/internal/schema"
 	"daisy/internal/table"
 	"daisy/internal/value"
@@ -24,7 +25,6 @@ func TestDecodersRejectOversizedCounts(t *testing.T) {
 	ckpt = appendUvarint(ckpt, 0) // epoch
 	ckpt = appendUvarint(ckpt, 0) // rules
 	ckpt = appendUvarint(ckpt, 1) // tables
-	ckpt = appendString(ckpt, "t")
 	ckpt = appendString(ckpt, "t")
 	ckpt = append(ckpt, huge...)
 	cases := []struct {
@@ -105,14 +105,19 @@ func checkpointFingerprint(snap *snapshot, sweeps []sweepRef) string {
 }
 
 // FuzzDecodeCheckpoint: arbitrary bytes never panic the checkpoint decoder,
-// and whatever decodes re-encodes to a checkpoint that decodes to the same
-// state. The seeds are real checkpoints of a session holding FD and DC state.
+// whatever decodes re-encodes to a checkpoint that decodes to the same
+// state, and its cells rebuild. The seeds are real checkpoints of a session
+// holding FD and DC state; decoding one and rebuilding its cells from the
+// checked sets must give the state it encodes.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	snap, _ := durableSeeds(f)
 	want := checkpointFingerprint(snap, []sweepRef{{table: "cities", rule: "phi"}})
 	seed := encodeCheckpoint(snap, []sweepRef{{table: "cities", rule: "phi"}})
 	got, sweeps, err := decodeCheckpoint(seed)
 	if err != nil {
+		f.Fatal(err)
+	}
+	if err := rebuildCells(got, 1); err != nil {
 		f.Fatal(err)
 	}
 	if checkpointFingerprint(got, sweeps) != want {
@@ -132,36 +137,23 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		if checkpointFingerprint(again, againSweeps) != checkpointFingerprint(snap, sweeps) {
 			t.Fatal("checkpoint changed through decode(encode(·))")
 		}
+		// Open rebuilds the cells of whatever decodes.
+		if err := rebuildCells(snap, 1); err != nil {
+			t.Fatalf("decoded checkpoint does not rebuild: %v", err)
+		}
 	})
 }
 
-// applyFingerprint renders decoded apply requests canonically — cells sorted
-// by tuple and column — keeping exactly what encodeApplyRecord keeps.
+// applyFingerprint renders decoded apply requests canonically, keeping
+// exactly what encodeApplyRecord keeps.
 func applyFingerprint(reqs []*applyReq) []byte {
 	var buf []byte
 	for _, r := range reqs {
-		hasDelta := r.delta != nil && r.delta.Len() > 0
-		if !hasDelta && len(r.groups) == 0 && len(r.tuples) == 0 && !r.costRecord && !r.markSwitched {
+		if len(r.groups) == 0 && len(r.tuples) == 0 && !r.costRecord && !r.markSwitched {
 			continue
 		}
 		buf = appendString(appendString(buf, r.table), r.rule)
-		buf = fmt.Appendf(buf, "%v%v%v", r.isFD, r.costRecord, r.markSwitched)
-		if hasDelta {
-			ids := make([]int64, 0, len(r.delta.Cells))
-			for id := range r.delta.Cells {
-				ids = append(ids, id)
-			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			for _, id := range ids {
-				cells := r.delta.Cells[id]
-				sort.Slice(cells, func(i, j int) bool { return cells[i].Col < cells[j].Col })
-				for i := range cells {
-					buf = appendVarint(buf, id)
-					buf = appendVarint(buf, int64(cells[i].Col))
-					buf = appendCell(buf, &cells[i].Cell)
-				}
-			}
-		}
+		buf = fmt.Appendf(buf, "%v%v", r.costRecord, r.markSwitched)
 		buf = appendUvarint(buf, uint64(len(r.groups)))
 		for _, k := range r.groups {
 			buf = k.AppendBinary(buf)
@@ -197,12 +189,8 @@ func FuzzApplyRecord(f *testing.F) {
 		if err != nil {
 			return
 		}
-		logged := make([]loggedReq, len(reqs))
-		for i, r := range reqs {
-			logged[i] = loggedReq{req: r, costRecord: r.costRecord}
-		}
 		want := applyFingerprint(reqs)
-		rec := encodeApplyRecord(logged)
+		rec := encodeApplyRecord(reqs)
 		if rec == nil {
 			if len(want) != 0 {
 				t.Fatal("durable requests encoded to no record")
@@ -217,4 +205,97 @@ func FuzzApplyRecord(f *testing.F) {
 			t.Fatal("apply record changed through decode(encode(·))")
 		}
 	})
+}
+
+// TestDecodersRejectHostileInput: a durable directory whose decisions do not
+// fit its relations and rules, or that an older build wrote, fails Open with
+// an error — never a panic, never a session with made-up state.
+func TestDecodersRejectHostileInput(t *testing.T) {
+	// A real snapshot: cities binds FD phi with checked groups, emp binds DC
+	// psi with checked tuples.
+	s := NewSession(Options{Strategy: StrategyIncremental, Workers: 1})
+	defer s.Close()
+	emp := empTable()
+	for _, err := range []error{
+		s.Register(citiesTable()), s.Register(emp),
+		s.AddRule(dc.FD("phi", "cities", "city", "zip")),
+		s.AddRule(dc.MustParse("psi@emp: !(t1.salary<t2.salary & t1.tax>t2.tax)")),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	runQueries(t, s, []string{"SELECT zip, city FROM cities WHERE zip = 9001", "SELECT salary FROM emp WHERE salary < 1500"})
+	base := s.w.current()
+	// ckpt encodes base with one relation's checked sets replaced.
+	ckpt := func(table string, groups map[string]map[value.MapKey]bool, tuples map[string]map[int64]bool) []byte {
+		snap := base.derive()
+		st := snap.mutableTable(table, make(map[string]bool))
+		if groups != nil {
+			st.checkedGroups = groups
+		}
+		if tuples != nil {
+			st.checkedTuples = tuples
+		}
+		return encodeCheckpoint(snap, nil)
+	}
+	cityKey := base.tables["cities"].reg.builtFDIndex("phi").keyOf(0)
+	register := encodeRegisterRecord("cities", ptable.FromTable(citiesTable()))
+	rule := encodeRuleRecord(dc.FD("phi", "cities", "city", "zip"))
+	apply := func(req *applyReq) []byte { return encodeApplyRecord([]*applyReq{req}) }
+	older := append([]byte{1}, ckpt("cities", nil, nil)[1:]...)
+
+	cases := []struct {
+		name    string
+		ckpt    []byte   // nil: no checkpoint
+		records [][]byte // the WAL past the checkpoint
+		want    string
+	}{
+		{"checkpoint/groups-under-unbound-rule", ckpt("cities", map[string]map[value.MapKey]bool{"psi": {cityKey: true}}, nil), nil, "not bound"},
+		{"checkpoint/groups-under-dc-rule", ckpt("emp", map[string]map[value.MapKey]bool{"psi": {cityKey: true}}, nil), nil, "checked groups under general DC"},
+		{"checkpoint/tuples-under-fd-rule", ckpt("cities", nil, map[string]map[int64]bool{"phi": {0: true}}), nil, "checked tuples under FD"},
+		{"checkpoint/tuple-not-in-relation", ckpt("emp", nil, map[string]map[int64]bool{"psi": {int64(emp.Len()): true}}), nil, "is not in"},
+		{"apply/unbound-rule", nil, [][]byte{register, rule, apply(&applyReq{table: "cities", rule: "psi", groups: []value.MapKey{cityKey}})}, "not bound"},
+		{"apply/unregistered-table", nil, [][]byte{register, rule, apply(&applyReq{table: "emp", rule: "phi", groups: []value.MapKey{cityKey}})}, "unregistered table"},
+		{"apply/tuples-under-fd-rule", nil, [][]byte{register, rule, apply(&applyReq{table: "cities", rule: "phi", tuples: []int64{0}})}, "checked tuples under FD"},
+		{"older/checkpoint-v1", older, nil, "older build"},
+		{"older/record-type-1", nil, [][]byte{append([]byte{1}, register[1:]...)}, "older build"},
+		{"older/record-type-3", nil, [][]byte{append([]byte{3}, register[1:]...)}, "older build"},
+		{"older/record-type-4", nil, [][]byte{register, rule, append([]byte{4}, apply(&applyReq{table: "cities", rule: "phi", groups: []value.MapKey{cityKey}})[1:]...)}, "older build"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if c.ckpt != nil {
+				if err := wal.WriteCheckpointFS(vfs.OS{}, dir, 0, c.ckpt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			log, err := wal.OpenLogFS(vfs.OS{}, dir, SyncOS, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range c.records {
+				if _, err := log.Append(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := log.Close(); err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("Open panicked: %v", p)
+				}
+			}()
+			s, err := Open(durableOpts(dir))
+			if err == nil {
+				s.Close()
+				t.Fatal("Open accepted the directory")
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Open failed with %q, want it to mention %q", err, c.want)
+			}
+		})
+	}
 }

@@ -183,7 +183,6 @@ func (s *snapshot) mutableTable(name string, cloned map[string]bool) *tableState
 type applyReq struct {
 	table string
 	rule  string
-	isFD  bool
 
 	// delta holds the candidate fixes (may be empty when only bookkeeping
 	// changes, e.g. a DC pass that found no violations).
@@ -202,6 +201,8 @@ type applyReq struct {
 	tuples []int64
 
 	// cost-model bookkeeping (§5.2.3), applied to a fresh model copy.
+	// applyOne clears costRecord on a duplicate, so the WAL logs the
+	// effective charge.
 	costRecord               bool
 	costQi, costEi, costEpsi int
 	markSwitched             bool
@@ -468,27 +469,22 @@ func (w *writer) applyBatch(batch []*applyReq) {
 	w.mu.Lock()
 	next := w.current().derive()
 	cloned := make(map[string]bool)
-	var logged []loggedReq
 	for _, req := range batch {
-		duplicate := applyOne(next, cloned, req)
-		if duplicate {
+		if applyOne(next, cloned, req) {
 			coalesced++
-		}
-		if w.wlog != nil {
-			// Log post-filter: filterCheckedFD has already dropped duplicate
-			// groups/cells in place, and the effective costRecord bit is
-			// resolved here — so replaying the record from the identical
-			// pre-state reproduces this exact application (see persist.go).
-			logged = append(logged, loggedReq{req: req, costRecord: req.costRecord && !duplicate})
 		}
 	}
 	var lsn uint64
 	var walStats wal.AppendResult
 	var walStart time.Time
 	var walDur time.Duration
-	if len(logged) > 0 {
+	if w.wlog != nil {
+		// Log post-filter: applyOne has dropped duplicate groups and cells
+		// and cleared the cost bit of duplicates in place, so replaying the
+		// record from the identical pre-state reproduces this exact
+		// application (see persist.go).
 		walStart = time.Now()
-		lsn, walStats = w.appendStatsLocked(encodeApplyRecord(logged))
+		lsn, walStats = w.appendStatsLocked(encodeApplyRecord(batch))
 		walDur = time.Since(walStart)
 	}
 	w.snap.Store(next)
@@ -522,19 +518,15 @@ func (w *writer) applyBatch(batch []*applyReq) {
 // idempotently: a group already marked checked — in a published epoch or by
 // an earlier request of this batch — was repaired by an earlier (racing)
 // query with the identical group-deterministic fix, so its cells and
-// bookkeeping are dropped. DC requests apply verbatim: a range fix that a
-// racing query already applied merges as a no-op (uncertain.Cell.Merge
-// unions range sets), so duplicates are harmless.
+// bookkeeping are dropped. DC requests apply verbatim (their rules have no
+// checked groups to filter by): a range fix that a racing query already
+// applied merges as a no-op (uncertain.Cell.Merge unions range sets), so
+// duplicates are harmless.
 //
-// It reports whether the request coalesced to a duplicate, which the WAL
-// logging in applyBatch needs to record exactly what happened.
+// It reports whether the request coalesced to a duplicate.
 func applyOne(next *snapshot, cloned map[string]bool, req *applyReq) (wasDuplicate bool) {
 	st := next.mutableTable(req.table, cloned)
-	duplicate := false
-	dropped := false
-	if req.isFD {
-		duplicate, dropped = filterCheckedFD(st, req)
-	}
+	duplicate, dropped := filterCheckedFD(st, req)
 	if req.delta != nil && req.delta.Len() > 0 {
 		if !dropped && req.applied != nil && st.pt == req.base {
 			st.pt = req.applied
@@ -554,10 +546,10 @@ func applyOne(next *snapshot, cloned map[string]bool, req *applyReq) (wasDuplica
 	// cleaned its groups first, yet the sweep is complete — dropping the
 	// mark would leave ShouldSwitchToFull flipping forever and every later
 	// query re-enqueueing a redundant sweep.
-	record := req.costRecord && !duplicate
-	if st.cost != nil && (record || req.markSwitched) {
+	req.costRecord = req.costRecord && !duplicate
+	if st.cost != nil && (req.costRecord || req.markSwitched) {
 		c := *st.cost
-		if record {
+		if req.costRecord {
 			c.RecordQuery(req.costQi, req.costEi, req.costEpsi)
 		}
 		if req.markSwitched {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -14,40 +15,58 @@ import (
 	"daisy/internal/dc"
 	"daisy/internal/ptable"
 	"daisy/internal/schema"
-	"daisy/internal/uncertain"
+	"daisy/internal/table"
 	"daisy/internal/value"
 	"daisy/internal/vfs"
 	"daisy/internal/wal"
 )
 
 // This file encodes and decodes the session's durable forms: the per-batch
-// WAL records the writer appends under its mutex, and the full-state
-// checkpoint images the background checkpointer publishes. The framing,
-// torn-tail, and retention mechanics live in internal/wal; this file owns
-// only what the bytes mean.
+// WAL records the writer appends under its mutex, and the checkpoint images
+// the background checkpointer publishes. The framing, torn-tail, and
+// retention mechanics live in internal/wal; this file owns only what the
+// bytes mean.
+//
+// Both forms store decisions, never cells. Cleaned state is a function of
+// each relation's original values, its bound rules and its checked sets
+// (the FD groups and DC tuples cleaning has covered): cleaning never
+// rewrites original values (§4.3), FD fixes are the group index's repair of
+// whole groups, DC fixes the set of ranges the detected pairs imply, and
+// Lemma 4's merge commutes. So a register record holds the original values,
+// an apply record the checked group keys and tuple IDs it adds with the
+// cost-model charge, and a checkpoint the originals, bindings, cost state
+// and checked sets of every relation. Recovery replays the marks and cost
+// through applyOne and then rebuilds every relation's cells once
+// (rebuildCells, recover.go). Structures derived from original values
+// (group and rank indexes, range estimates) live on the registration and
+// are never logged.
 //
 // Replay correctness rests on one invariant: applyOne is a deterministic
 // function of (pre-state, request). Apply records therefore store requests
-// *post-filter* — after filterCheckedFD dropped duplicate groups — together
-// with the effective costRecord bit the original apply resolved. Replaying
-// them from the identical pre-state re-filters to a no-op and charges the
-// cost model exactly as the original run did, so the recovered state is
-// byte-identical without logging any pre-state. Structures derived from
-// original values (group and rank indexes, range estimates) live on the
-// registration, never travel through the writer and are never logged; that
-// keeps a 1-tuple fix O(delta) bytes on disk regardless of relation size.
+// *post-filter* — after filterCheckedFD dropped groups already checked —
+// together with the effective costRecord bit the original apply resolved, so
+// replaying them from the identical pre-state charges the cost model exactly
+// as the original run did.
+//
+// Directories written before records stored decisions (checkpoint version
+// 1, record types 1, 3 and 4) fail to open with errOlderBuild.
 
-// WAL record types.
+// WAL record types. Types 1, 3 and 4 were written by older builds.
 const (
-	recRegister byte = 1 // Register: table name + full pristine image
 	recRule     byte = 2 // AddRule: constraint text (name@table: body)
-	recReplace  byte = 3 // table replacement by older builds; replays as recRegister
-	recApply    byte = 4 // one coalesced apply batch: deltas + marks + cost
 	recSweep    byte = 5 // background sweep enqueued for (table, rule)
+	recRegister byte = 6 // Register: table name + original values
+	recApply    byte = 7 // one coalesced apply batch: checked sets + cost
 )
 
 // checkpoint payload version.
-const ckptVersion byte = 1
+const ckptVersion byte = 2
+
+// errOlderBuild reports a durable form this build no longer reads.
+func errOlderBuild(what string) error {
+	return fmt.Errorf("core: %s was written by an older build that stored cleaned cells; "+
+		"this build stores checked sets and cannot read it: clean into a new directory", what)
+}
 
 // sweepRef names one live background sweep for checkpoint/replay resume.
 type sweepRef struct {
@@ -84,25 +103,6 @@ func appendValue(buf []byte, v value.Value) []byte {
 	return buf
 }
 
-func appendCell(buf []byte, c *uncertain.Cell) []byte {
-	buf = appendValue(buf, c.Orig)
-	buf = appendUvarint(buf, uint64(len(c.Candidates)))
-	for _, cand := range c.Candidates {
-		buf = appendValue(buf, cand.Val)
-		buf = appendFloat(buf, cand.Prob)
-		buf = appendVarint(buf, int64(cand.World))
-		buf = appendVarint(buf, int64(cand.Support))
-	}
-	buf = appendUvarint(buf, uint64(len(c.Ranges)))
-	for _, r := range c.Ranges {
-		buf = appendVarint(buf, int64(r.Op))
-		buf = appendValue(buf, r.Bound)
-		buf = appendFloat(buf, r.Prob)
-		buf = appendVarint(buf, int64(r.World))
-	}
-	return buf
-}
-
 // dec is a cursor over one record payload; the first decode error sticks and
 // every subsequent read returns zero values, so decoders read linearly and
 // check err once.
@@ -114,6 +114,13 @@ type dec struct {
 func (d *dec) fail(what string) {
 	if d.err == nil {
 		d.err = fmt.Errorf("core: corrupt durable record: truncated %s", what)
+	}
+}
+
+// setErr records err as the sticky error unless an earlier one is set.
+func (d *dec) setErr(err error) {
+	if d.err == nil {
+		d.err = err
 	}
 }
 
@@ -212,29 +219,6 @@ func (d *dec) value() value.Value {
 	}
 }
 
-func (d *dec) cell() uncertain.Cell {
-	c := uncertain.Cell{Orig: d.value()}
-	if n := d.count(11); n > 0 { // value, prob, world, support
-		c.Candidates = make([]uncertain.Candidate, 0, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			c.Candidates = append(c.Candidates, uncertain.Candidate{
-				Val: d.value(), Prob: d.float(),
-				World: int(d.varint()), Support: int(d.varint()),
-			})
-		}
-	}
-	if n := d.count(11); n > 0 { // op, bound, prob, world
-		c.Ranges = make([]uncertain.RangeCandidate, 0, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			c.Ranges = append(c.Ranges, uncertain.RangeCandidate{
-				RangeBound: uncertain.RangeBound{Op: dc.Op(d.varint()), Bound: d.value()},
-				Prob:       d.float(), World: int(d.varint()),
-			})
-		}
-	}
-	return c
-}
-
 func (d *dec) mapKey() value.MapKey {
 	if d.err != nil {
 		return value.MapKey{}
@@ -249,10 +233,12 @@ func (d *dec) mapKey() value.MapKey {
 }
 
 // ---------------------------------------------------------------------------
-// relation image (register / replace records, checkpoint tables)
+// original values (register records, checkpoint tables)
 
-func appendPTImage(buf []byte, pt *ptable.PTable) []byte {
-	buf = appendString(buf, pt.Name)
+// appendOriginals renders a registered relation as its schema and original
+// values, row-major. Registered relations number their tuples by position
+// (ptable.FromTable), so no tuple ID is stored.
+func appendOriginals(buf []byte, pt *ptable.PTable) []byte {
 	sc := pt.Schema
 	buf = appendUvarint(buf, uint64(sc.Len()))
 	for i := 0; i < sc.Len(); i++ {
@@ -260,48 +246,17 @@ func appendPTImage(buf []byte, pt *ptable.PTable) []byte {
 		buf = appendString(buf, col.Name)
 		buf = append(buf, byte(col.Kind))
 	}
-	srcName, srcIDs := pt.LineageSource()
-	if srcIDs != nil {
-		buf = append(buf, 1)
-		buf = appendString(buf, srcName)
-		buf = appendUvarint(buf, uint64(len(srcIDs)))
-		for _, id := range srcIDs {
-			buf = appendVarint(buf, id)
-		}
-	} else {
-		buf = append(buf, 0)
-	}
 	buf = appendUvarint(buf, uint64(pt.Len()))
 	for _, t := range pt.Rows() {
-		buf = appendVarint(buf, t.ID)
-		if t.Lineage != nil {
-			buf = append(buf, 1)
-			buf = appendUvarint(buf, uint64(len(t.Lineage)))
-			names := make([]string, 0, len(t.Lineage))
-			for name := range t.Lineage {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			for _, name := range names {
-				buf = appendString(buf, name)
-				ids := t.Lineage[name]
-				buf = appendUvarint(buf, uint64(len(ids)))
-				for _, id := range ids {
-					buf = appendVarint(buf, id)
-				}
-			}
-		} else {
-			buf = append(buf, 0)
-		}
 		for i := range t.Cells {
-			buf = appendCell(buf, &t.Cells[i])
+			buf = appendValue(buf, t.Cells[i].Orig)
 		}
 	}
 	return buf
 }
 
-func (d *dec) ptImage() *ptable.PTable {
-	name := d.string()
+// originals decodes appendOriginals into the relation Register installs.
+func (d *dec) originals(name string) *ptable.PTable {
 	ncols := d.count(2) // name, kind
 	cols := make([]schema.Column, 0, ncols)
 	for i := 0; i < ncols && d.err == nil; i++ {
@@ -315,52 +270,22 @@ func (d *dec) ptImage() *ptable.PTable {
 		d.err = err
 		return nil
 	}
-	pt := ptable.New(name, sc)
-	var srcName string
-	var srcIDs []int64
-	if d.byte() == 1 {
-		srcName = d.string()
-		n := d.count(1)
-		srcIDs = make([]int64, 0, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			srcIDs = append(srcIDs, d.varint())
-		}
-	}
 	width := sc.Len()
-	ntuples := d.count(2 + 3*width) // id, lineage flag, cells of kind + two counts
-	if d.err != nil {
-		return nil
-	}
-	pt.Reserve(ntuples)
-	for i := 0; i < ntuples && d.err == nil; i++ {
-		t := &ptable.Tuple{ID: d.varint(), Cells: make([]uncertain.Cell, width)}
-		if d.byte() == 1 {
-			n := d.count(2) // name, id count
-			t.Lineage = make(map[string][]int64, n)
-			for j := 0; j < n && d.err == nil; j++ {
-				lname := d.string()
-				nids := d.count(1)
-				ids := make([]int64, 0, nids)
-				for k := 0; k < nids && d.err == nil; k++ {
-					ids = append(ids, d.varint())
-				}
-				t.Lineage[lname] = ids
-			}
-		}
+	nrows := d.count(max(width, 1)) // one kind byte per value
+	vals := make([]value.Value, 0, nrows*width)
+	tb := table.New(name, sc)
+	tb.Rows = make([]table.Row, 0, nrows)
+	for i := 0; i < nrows && d.err == nil; i++ {
+		lo := len(vals)
 		for j := 0; j < width; j++ {
-			t.Cells[j] = d.cell()
+			vals = append(vals, d.value())
 		}
-		if d.err == nil {
-			pt.Append(t)
-		}
+		tb.Rows = append(tb.Rows, table.Row(vals[lo:len(vals):len(vals)]))
 	}
 	if d.err != nil {
 		return nil
 	}
-	if srcIDs != nil {
-		pt.SetLineageSource(srcName, srcIDs)
-	}
-	return pt
+	return ptable.FromTable(tb)
 }
 
 // ---------------------------------------------------------------------------
@@ -380,7 +305,7 @@ func ruleText(c *dc.Constraint) string {
 func encodeRegisterRecord(name string, pt *ptable.PTable) []byte {
 	buf := append(make([]byte, 0, 256), recRegister)
 	buf = appendString(buf, name)
-	return appendPTImage(buf, pt)
+	return appendOriginals(buf, pt)
 }
 
 func encodeRuleRecord(c *dc.Constraint) []byte {
@@ -392,67 +317,40 @@ func encodeSweepRecord(table, rule string) []byte {
 }
 
 const (
-	applyFlagFD       byte = 1 << 0
-	applyFlagCost     byte = 1 << 1
-	applyFlagSwitched byte = 1 << 2
-	applyFlagDelta    byte = 1 << 3
+	applyFlagCost     byte = 1 << 0
+	applyFlagSwitched byte = 1 << 1
 )
 
-// loggedReq is one applied request as the WAL stores it: post-filter fields
-// plus the effective costRecord bit applyOne resolved.
-type loggedReq struct {
-	req        *applyReq
-	costRecord bool
-}
-
-// encodeApplyRecord renders one apply batch. Requests that ended up pure
-// no-ops (fully coalesced duplicates without a switch mark) are skipped; a
-// batch with nothing durable returns nil and appends no record at all.
-func encodeApplyRecord(reqs []loggedReq) []byte {
+// encodeApplyRecord renders one apply batch: per request the relation, the
+// rule, the checked group keys and tuple IDs it adds, and the cost charge.
+// Its cells are not stored; recovery recomputes them from the checked sets.
+// Requests that ended up pure no-ops (fully coalesced duplicates without a
+// switch mark) are skipped; a batch with nothing durable returns nil and
+// appends no record at all.
+func encodeApplyRecord(reqs []*applyReq) []byte {
 	durable := reqs[:0:0]
-	for _, lr := range reqs {
-		r := lr.req
-		hasDelta := r.delta != nil && r.delta.Len() > 0
-		if !hasDelta && len(r.groups) == 0 && len(r.tuples) == 0 && !lr.costRecord && !r.markSwitched {
+	for _, r := range reqs {
+		if len(r.groups) == 0 && len(r.tuples) == 0 && !r.costRecord && !r.markSwitched {
 			continue
 		}
-		durable = append(durable, lr)
+		durable = append(durable, r)
 	}
 	if len(durable) == 0 {
 		return nil
 	}
 	buf := append(make([]byte, 0, 256), recApply)
 	buf = appendUvarint(buf, uint64(len(durable)))
-	for _, lr := range durable {
-		r := lr.req
+	for _, r := range durable {
 		buf = appendString(buf, r.table)
 		buf = appendString(buf, r.rule)
 		var flags byte
-		if r.isFD {
-			flags |= applyFlagFD
-		}
-		if lr.costRecord {
+		if r.costRecord {
 			flags |= applyFlagCost
 		}
 		if r.markSwitched {
 			flags |= applyFlagSwitched
 		}
-		hasDelta := r.delta != nil && r.delta.Len() > 0
-		if hasDelta {
-			flags |= applyFlagDelta
-		}
 		buf = append(buf, flags)
-		if hasDelta {
-			buf = appendUvarint(buf, uint64(len(r.delta.Cells)))
-			for id, cols := range r.delta.Cells {
-				buf = appendVarint(buf, id)
-				buf = appendUvarint(buf, uint64(len(cols)))
-				for i := range cols {
-					buf = appendUvarint(buf, uint64(cols[i].Col))
-					buf = appendCell(buf, &cols[i].Cell)
-				}
-			}
-		}
 		buf = appendUvarint(buf, uint64(len(r.groups)))
 		for _, k := range r.groups {
 			buf = k.AppendBinary(buf)
@@ -461,7 +359,7 @@ func encodeApplyRecord(reqs []loggedReq) []byte {
 		for _, id := range r.tuples {
 			buf = appendVarint(buf, id)
 		}
-		if lr.costRecord {
+		if r.costRecord {
 			buf = appendUvarint(buf, uint64(r.costQi))
 			buf = appendUvarint(buf, uint64(r.costEi))
 			buf = appendUvarint(buf, uint64(r.costEpsi))
@@ -470,29 +368,16 @@ func encodeApplyRecord(reqs []loggedReq) []byte {
 	return buf
 }
 
-// decodeApplyRecord rebuilds the batch's requests.
+// applyRecord decodes an apply batch's requests; replayApply checks each
+// against the relation and rules it names.
 func (d *dec) applyRecord() []*applyReq {
 	n := d.count(5) // table, rule, flags, group and tuple counts
 	reqs := make([]*applyReq, 0, n)
 	for i := 0; i < n && d.err == nil; i++ {
 		r := &applyReq{table: d.string(), rule: d.string()}
 		flags := d.byte()
-		r.isFD = flags&applyFlagFD != 0
 		r.costRecord = flags&applyFlagCost != 0
 		r.markSwitched = flags&applyFlagSwitched != 0
-		if flags&applyFlagDelta != 0 {
-			delta := ptable.NewDelta(r.table)
-			ncells := d.count(2) // id, column count
-			for j := 0; j < ncells && d.err == nil; j++ {
-				id := d.varint()
-				ncols := d.count(4) // column, cell
-				for k := 0; k < ncols && d.err == nil; k++ {
-					col := int(d.uvarint())
-					delta.Set(id, col, d.cell())
-				}
-			}
-			r.delta = delta
-		}
 		if ng := d.count(1); ng > 0 {
 			r.groups = make([]value.MapKey, 0, ng)
 			for j := 0; j < ng && d.err == nil; j++ {
@@ -515,14 +400,39 @@ func (d *dec) applyRecord() []*applyReq {
 	return reqs
 }
 
+// checkDecisions fails unless a durable form may file the checked sets
+// under rule on the relation: the relation binds the rule, checked groups
+// come under an FD, checked tuples under a general DC and name tuples the
+// relation holds.
+func checkDecisions(st *tableState, table, rule string, groups bool, tuples []int64) error {
+	i := slices.IndexFunc(st.rules, func(c *dc.Constraint) bool { return c.Name == rule })
+	if i < 0 {
+		return fmt.Errorf("core: corrupt durable state: rule %q is not bound to %q", rule, table)
+	}
+	_, isFD := st.rules[i].AsFD()
+	if groups && !isFD {
+		return fmt.Errorf("core: corrupt durable state: checked groups under general DC %q on %q", rule, table)
+	}
+	if len(tuples) > 0 && isFD {
+		return fmt.Errorf("core: corrupt durable state: checked tuples under FD %q on %q", rule, table)
+	}
+	for _, id := range tuples {
+		if _, ok := st.pt.Pos(id); !ok {
+			return fmt.Errorf("core: corrupt durable state: checked tuple %d is not in %q", id, table)
+		}
+	}
+	return nil
+}
+
 // ---------------------------------------------------------------------------
 // checkpoint image
 
-// encodeCheckpoint renders the full session state of one published snapshot
-// plus the live background sweeps: everything Open needs to rebuild a
-// session without any WAL prefix. Derived structures (FD indexes with their
-// statistics, DC rank indexes and estimates) are not stored — they are
-// deterministic functions of original values and rebuild on recovery.
+// encodeCheckpoint renders the durable state of one published snapshot plus
+// the live background sweeps: everything Open needs to rebuild a session
+// without any WAL prefix. Per relation it stores the original values, the
+// bound rules, the cost state and the checked sets — not the cells, which
+// recovery recomputes from those, nor derived structures (FD indexes, DC
+// rank indexes and estimates), which rebuild on first use.
 func encodeCheckpoint(snap *snapshot, sweeps []sweepRef) []byte {
 	buf := []byte{ckptVersion}
 	buf = appendUvarint(buf, snap.epoch)
@@ -530,16 +440,12 @@ func encodeCheckpoint(snap *snapshot, sweeps []sweepRef) []byte {
 	for _, c := range snap.rules {
 		buf = appendString(buf, ruleText(c))
 	}
-	names := make([]string, 0, len(snap.tables))
-	for name := range snap.tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := sortedKeys(snap.tables)
 	buf = appendUvarint(buf, uint64(len(names)))
 	for _, name := range names {
 		st := snap.tables[name]
 		buf = appendString(buf, name)
-		buf = appendPTImage(buf, st.pt)
+		buf = appendOriginals(buf, st.pt)
 		buf = appendUvarint(buf, uint64(len(st.rules)))
 		for _, c := range st.rules {
 			buf = appendString(buf, c.Name)
@@ -598,12 +504,18 @@ func sortedKeys[V any](m map[string]V) []string {
 	return out
 }
 
-// decodeCheckpoint rebuilds the snapshot (fresh registrations with the bound
-// FD indexes rebuilt; the cost model comes from the record) and returns it
-// with the live-sweep list.
+// decodeCheckpoint rebuilds the snapshot — fresh registrations over the
+// original values, with their bindings, cost models and checked sets — and
+// returns it with the live-sweep list. Its relations hold no fixes yet:
+// recovery calls rebuildCells once the WAL suffix has replayed.
 func decodeCheckpoint(payload []byte) (*snapshot, []sweepRef, error) {
 	d := &dec{b: payload}
-	if v := d.byte(); v != ckptVersion {
+	switch v := d.byte(); {
+	case d.err != nil:
+		return nil, nil, d.err
+	case v == 1:
+		return nil, nil, errOlderBuild("checkpoint version 1")
+	case v != ckptVersion:
 		return nil, nil, fmt.Errorf("core: unsupported checkpoint version %d", v)
 	}
 	snap := &snapshot{epoch: d.uvarint(), tables: make(map[string]*tableState)}
@@ -611,9 +523,7 @@ func decodeCheckpoint(payload []byte) (*snapshot, []sweepRef, error) {
 	for i := 0; i < nrules && d.err == nil; i++ {
 		c, err := dc.Parse(d.string())
 		if err != nil {
-			if d.err == nil {
-				d.err = err
-			}
+			d.setErr(err)
 			break
 		}
 		snap.rules = append(snap.rules, c)
@@ -622,10 +532,10 @@ func decodeCheckpoint(payload []byte) (*snapshot, []sweepRef, error) {
 	for _, c := range snap.rules {
 		byName[c.Name] = c
 	}
-	ntables := d.count(9) // name, empty image, rule count, cost flag, two set counts
+	ntables := d.count(7) // name, column and row counts, rule count, cost flag, two set counts
 	for i := 0; i < ntables && d.err == nil; i++ {
 		name := d.string()
-		pt := d.ptImage()
+		pt := d.originals(name)
 		if d.err != nil {
 			break
 		}
@@ -635,17 +545,14 @@ func decodeCheckpoint(payload []byte) (*snapshot, []sweepRef, error) {
 			rname := d.string()
 			c, ok := byName[rname]
 			if !ok {
-				d.err = fmt.Errorf("core: checkpoint binds unknown rule %q on %q", rname, name)
+				d.setErr(fmt.Errorf("core: checkpoint binds unknown rule %q on %q", rname, name))
 				break
 			}
 			if !hasColumns(pt.Schema, c) {
-				d.err = fmt.Errorf("core: checkpoint binds rule %q to %q, which lacks its columns", rname, name)
+				d.setErr(fmt.Errorf("core: checkpoint binds rule %q to %q, which lacks its columns", rname, name))
 				break
 			}
 			st.rules = append(st.rules, c)
-			if spec, isFD := c.AsFD(); isFD {
-				st.reg.fdIndex(pt, c.Name, spec)
-			}
 		}
 		if d.byte() == 1 {
 			cs := cost.State{
@@ -659,6 +566,10 @@ func decodeCheckpoint(payload []byte) (*snapshot, []sweepRef, error) {
 		ncg := d.count(2) // rule, key count
 		for j := 0; j < ncg && d.err == nil; j++ {
 			rule := d.string()
+			if err := checkDecisions(st, name, rule, true, nil); err != nil {
+				d.setErr(err)
+				break
+			}
 			nkeys := d.count(1)
 			set := make(map[value.MapKey]bool, nkeys)
 			for k := 0; k < nkeys && d.err == nil; k++ {
@@ -669,10 +580,20 @@ func decodeCheckpoint(payload []byte) (*snapshot, []sweepRef, error) {
 		nct := d.count(2) // rule, id count
 		for j := 0; j < nct && d.err == nil; j++ {
 			rule := d.string()
-			nids := d.count(1)
-			set := make(map[int64]bool, nids)
-			for k := 0; k < nids && d.err == nil; k++ {
-				set[d.varint()] = true
+			ids := make([]int64, d.count(1))
+			for k := range ids {
+				ids[k] = d.varint()
+			}
+			if d.err != nil {
+				break
+			}
+			if err := checkDecisions(st, name, rule, false, ids); err != nil {
+				d.setErr(err)
+				break
+			}
+			set := make(map[int64]bool, len(ids))
+			for _, id := range ids {
+				set[id] = true
 			}
 			st.checkedTuples[rule] = set
 		}

@@ -1,18 +1,27 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"daisy/internal/dc"
+	"daisy/internal/detect"
+	"daisy/internal/repair"
+	"daisy/internal/thetajoin"
+	"daisy/internal/trace"
 	"daisy/internal/wal"
 )
 
 // This file is the startup half of durability: Open loads the latest valid
-// checkpoint, replays the WAL suffix past it, re-enqueues the background
-// sweeps that were live at crash time, and only then attaches the log so new
-// work journals. Replay runs against a writer with wlog == nil, so the setup
-// paths it reuses (install, AddRule) do not re-journal records that are
-// already on disk.
+// checkpoint, replays the WAL suffix past it, rebuilds every relation's
+// cells once from its checked sets, re-enqueues the background sweeps that
+// were live at crash time, and only then attaches the log so new work
+// journals. Checkpoint and records hold decisions only (see persist.go):
+// decode and replay restore original values, bindings, checked sets and the
+// cost model, and rebuildCells recomputes the fixes those imply with the
+// same code the live paths run. Replay runs against a writer with
+// wlog == nil, so the setup paths it reuses (install, AddRule) do not
+// re-journal records that are already on disk.
 
 // recoverDurable rebuilds the session state from opts.Dir and arms the
 // durability machinery. Called from Open before the finalizer is installed;
@@ -45,6 +54,9 @@ func (s *Session) recoverDurable() error {
 		if err := s.replayRecord(rec.Payload, pending); err != nil {
 			return fmt.Errorf("core: recover %s: replay lsn %d: %w", dir, rec.LSN, err)
 		}
+	}
+	if err := rebuildCells(s.w.current(), s.opts.Workers); err != nil {
+		return fmt.Errorf("core: recover %s: %w", dir, err)
 	}
 	// Attach the log (flooring the LSN sequence at the checkpoint, for the
 	// case where pruning emptied the directory): from here on, every mutation
@@ -80,22 +92,19 @@ func (s *Session) recoverDurable() error {
 
 // replayRecord applies one WAL record to the recovering session. Records were
 // appended under the writer mutex in mutation order, so sequential replay
-// reproduces the exact state sequence.
+// reproduces the exact sequence of bindings, checked sets and cost states.
 func (s *Session) replayRecord(payload []byte, pending map[sweepRef]bool) error {
 	if len(payload) == 0 {
 		return fmt.Errorf("core: empty WAL record")
 	}
 	d := &dec{b: payload[1:]}
 	switch payload[0] {
-	case recRegister, recReplace:
+	case recRegister:
 		name := d.string()
-		pt := d.ptImage()
+		pt := d.originals(name)
 		if d.err != nil {
 			return d.err
 		}
-		// A replace record, written only by older builds, installs like a
-		// register record: the image is the relation's state, and install
-		// binds the rules that apply to it.
 		return s.install(name, pt)
 	case recRule:
 		text := d.string()
@@ -112,8 +121,7 @@ func (s *Session) replayRecord(payload []byte, pending map[sweepRef]bool) error 
 		if d.err != nil {
 			return d.err
 		}
-		s.replayApply(reqs)
-		return nil
+		return s.replayApply(reqs)
 	case recSweep:
 		table, rule := d.string(), d.string()
 		if d.err != nil {
@@ -121,27 +129,90 @@ func (s *Session) replayRecord(payload []byte, pending map[sweepRef]bool) error 
 		}
 		pending[sweepRef{table: table, rule: rule}] = true
 		return nil
+	case 1, 3, 4:
+		return errOlderBuild(fmt.Sprintf("WAL record type %d", payload[0]))
 	default:
 		return fmt.Errorf("core: unknown WAL record type %d", payload[0])
 	}
 }
 
-// replayApply re-runs one logged apply batch through the live apply machinery
-// (applyOne), exactly as the original batch ran. Records store requests
-// post-filter with the effective cost bit (see persist.go), so from the
-// identical pre-state the filter passes everything through and the result is
-// byte-identical. A request naming no installed table (only a corrupt log
-// holds one) is skipped.
-func (s *Session) replayApply(reqs []*applyReq) {
+// replayApply re-runs one logged apply batch's marks and cost charges
+// through the live apply machinery (applyOne), exactly as the original batch
+// ran. Records store requests post-filter with the effective cost bit (see
+// persist.go), so from the identical pre-state the filter passes everything
+// through. A request must name an installed relation, a rule bound to it, and
+// checked sets of that rule's kind; anything else is a corrupt log.
+func (s *Session) replayApply(reqs []*applyReq) error {
 	s.w.mu.Lock()
 	defer s.w.mu.Unlock()
 	next := s.w.current().derive()
 	cloned := make(map[string]bool)
 	for _, req := range reqs {
-		if _, ok := next.tables[req.table]; !ok {
-			continue
+		st, ok := next.tables[req.table]
+		if !ok {
+			return fmt.Errorf("core: corrupt durable state: apply names unregistered table %q", req.table)
+		}
+		if err := checkDecisions(st, req.table, req.rule, len(req.groups) > 0, req.tuples); err != nil {
+			return err
 		}
 		applyOne(next, cloned, req)
 	}
 	s.w.snap.Store(next)
+	return nil
+}
+
+// rebuildCells gives every relation of a recovered snapshot the cells its
+// checked sets imply, in place: each relation holds its original values
+// only, and no epoch of it has been published. Per bound rule it runs the
+// live paths' fix code once over everything checked — for an FD, the group
+// index's repair of every member of every checked group; for a general DC,
+// the rank index's detection of checked against unchecked tuples (a pair
+// is detected once its first tuple is checked) and the range fixes of the
+// pairs. Fixes merge under Lemma 4, which commutes, so applying them rule by
+// rule gives the cells the live interleaving did.
+func rebuildCells(snap *snapshot, workers int) error {
+	for _, st := range snap.tables {
+		pt := st.pt
+		view := detect.NewPTableView(pt)
+		seen := make(map[string]bool, len(st.rules))
+		for _, rule := range st.rules {
+			if seen[rule.Name] {
+				continue
+			}
+			seen[rule.Name] = true
+			if fd, ok := rule.AsFD(); ok {
+				groups := st.checkedGroups[rule.Name]
+				if len(groups) == 0 {
+					continue
+				}
+				ix := st.reg.fdIndex(pt, rule.Name, fd)
+				var fix []int
+				for key := range groups {
+					fix = append(fix, ix.members(key)...)
+				}
+				pt.Apply(ix.repair(view, fix, fd, nil))
+				continue
+			}
+			checked := st.checkedTuples[rule.Name]
+			if len(checked) == 0 {
+				continue
+			}
+			var delta, rest []int
+			for i := 0; i < view.Len(); i++ {
+				if checked[view.ID(i)] {
+					delta = append(delta, i)
+				} else {
+					rest = append(rest, i)
+				}
+			}
+			var m detect.Metrics
+			dx := st.reg.dcIndex(view, rule, trace.Span{})
+			pairs, err := dx.ix.Detect(context.Background(), trace.Span{}, delta, rest, thetajoin.Partitions, workers, &m)
+			if err != nil {
+				return err
+			}
+			pt.Apply(repair.DCFixes(view, pairs, rule, pt.Schema.MustIndex, &m))
+		}
+	}
+	return nil
 }

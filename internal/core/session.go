@@ -132,11 +132,11 @@ type Options struct {
 	// default 4096 (8 segments).
 	CleanChunkSize int
 	// Dir, when set, makes the session durable: every apply batch appends
-	// one O(delta) record to a write-ahead log in Dir, full-state
-	// checkpoints publish in the background, and Open(Options{Dir: ...})
-	// recovers the cleaned state, checked-set bookkeeping, and in-flight
-	// sweep progress after a crash. Empty (default) keeps the session
-	// purely in memory.
+	// one record of its decisions (checked groups and tuples, cost charge)
+	// to a write-ahead log in Dir, checkpoints publish in the background,
+	// and Open(Options{Dir: ...}) recovers the cleaned state, checked-set
+	// bookkeeping, and in-flight sweep progress after a crash. Empty
+	// (default) keeps the session purely in memory.
 	Dir string
 	// Sync selects the WAL sync mode of a durable session (default SyncOS).
 	Sync SyncMode

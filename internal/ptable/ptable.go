@@ -231,14 +231,6 @@ func (p *PTable) SetLineageSource(name string, ids []int64) {
 	p.srcName, p.srcIDs = name, ids
 }
 
-// LineageSource returns the single-source redirect installed by
-// SetLineageSource (empty name and nil ids on base relations). The
-// durability layer persists it so a checkpointed derived relation replays
-// lineage identically.
-func (p *PTable) LineageSource() (string, []int64) {
-	return p.srcName, p.srcIDs
-}
-
 // Append adds a tuple. IDs must be unique within the relation. Append
 // panics on a relation that has participated in copy-on-write (an ApplyCOW
 // result or receiver): its segments and id index are shared across epoch
