@@ -59,7 +59,6 @@ import (
 	"io"
 	"time"
 
-	"daisy/internal/bgclean"
 	"daisy/internal/core"
 	"daisy/internal/dc"
 	"daisy/internal/metrics"
@@ -94,31 +93,32 @@ const (
 // Result is a cleaned query answer with the per-rule cleaning decisions.
 type Result = core.Result
 
-// CleaningJob is one background full-clean job's status, as reported by
-// Session.CleaningStatus: when the §5.2.3 cost inequality flips under
-// StrategyAuto, the triggering query cleans only its own scope and the
-// remaining dirty part is swept chunk-by-chunk in the background, one
-// published epoch per chunk, with chunk sizes adapting to observed latency
-// and writer backpressure. The query's Decisions report the switch as
-// strategy "background"; the job carries row/chunk progress, repaired-group
-// counts, elapsed time, and an ETA. Session.WaitCleaning blocks until every
-// job has quiesced — the state is then byte-identical to having run the
-// full cleans synchronously. CancelCleaning stops a live job at its next
-// chunk boundary, and CleanInBackground schedules one (a canceled sweep
-// resumes from the checked sets); Options.DisableBackgroundClean restores
-// the inline switch.
-type CleaningJob = bgclean.Status
+// CleaningJob is one background sweep's status, as reported by
+// Session.CleaningStatus. When the §5.2.3 cost inequality flips under
+// StrategyAuto, the triggering query cleans only its own scope (its
+// Decisions report strategy "background") and the remaining dirty part is
+// swept chunk by chunk in the background, one published epoch per chunk,
+// with chunk sizes adapting to observed latency and halving after a yield to
+// queued queries. The status carries row and chunk progress, repaired-group
+// and cell counts, elapsed time and an ETA. Session.WaitCleaning blocks
+// until every sweep is terminal; when all are Done the state is
+// byte-identical to having run the full cleans synchronously.
+// CancelCleaning stops a sweep at its next chunk boundary, and
+// CleanInBackground starts one (a canceled sweep resumes from the checked
+// sets, and a durable session's Open resumes every sweep whose latest run
+// did not finish); Options.DisableBackgroundClean restores the inline
+// switch.
+type CleaningJob = core.CleaningJob
 
-// CleaningState is a background job's lifecycle state.
-type CleaningState = bgclean.State
+// CleaningState is a background sweep's lifecycle state.
+type CleaningState = core.CleaningState
 
-// Background cleaning job states.
+// Background sweep states.
 const (
-	CleaningPending  = bgclean.Pending
-	CleaningRunning  = bgclean.Running
-	CleaningDone     = bgclean.Done
-	CleaningCanceled = bgclean.Canceled
-	CleaningFailed   = bgclean.Failed
+	CleaningPending  = core.CleaningPending
+	CleaningRunning  = core.CleaningRunning
+	CleaningDone     = core.CleaningDone
+	CleaningCanceled = core.CleaningCanceled
 )
 
 // Rows is a streaming cursor over a cleaned query result: Next/Row/Err/Close

@@ -345,7 +345,7 @@ func TestBackgroundCleaningPublicAPI(t *testing.T) {
 	}
 	var job CleaningJob = jobs[0]
 	if job.State != CleaningDone {
-		t.Fatalf("job state = %v (%s), want done", job.State, job.Err)
+		t.Fatalf("job state = %v, want done", job.State)
 	}
 	if job.RowsDone != job.RowsTotal || job.GroupsCleaned == 0 {
 		t.Errorf("job progress = %d/%d rows, %d groups", job.RowsDone, job.RowsTotal, job.GroupsCleaned)

@@ -104,7 +104,7 @@ func (qc *queryCtx) cleanFD(st *tableState, tableName string, rule *dc.Constrain
 			background = true
 			qc.deferFullClean(tableName, rule, fd)
 		} else {
-			if err := qc.fullCleanFD(st, tableName, rule, fd, idx, checked, localChecked, m, parent); err != nil {
+			if err := qc.fullCleanFD(tableName, rule, fd, idx, checked, localChecked, m, parent); err != nil {
 				return nil, err
 			}
 			dec := costDec
@@ -201,43 +201,31 @@ func predTouchesLHS(pred expr.Pred, fd dc.FDSpec) bool {
 }
 
 // fullCleanFD cleans every remaining dirty group of the relation in one
-// offline-style pass (the strategy-switch target). Scope and fixes both come
-// from the persistent group index instead of a fresh O(n) re-grouping, so
-// per-group fixes are identical bytes whether a group is cleaned
-// incrementally, by this inline pass, or by a background sweep chunk — the
-// invariant the async switch's convergence rests on.
-func (qc *queryCtx) fullCleanFD(st *tableState, tableName string, rule *dc.Constraint, fd dc.FDSpec, idx *fdIndex, checked func(value.MapKey) bool, localChecked map[value.MapKey]bool, m *detect.Metrics, parent trace.Span) error {
+// pass (the strategy-switch target): the sweep's chunk body over [0, n),
+// applied against the query's overlay. Per-group fixes are therefore the
+// same bytes whether a group is cleaned incrementally, by this inline pass,
+// or by a background sweep chunk — the invariant the async switch's
+// convergence rests on.
+func (qc *queryCtx) fullCleanFD(tableName string, rule *dc.Constraint, fd dc.FDSpec, idx *fdIndex, checked func(value.MapKey) bool, localChecked map[value.MapKey]bool, m *detect.Metrics, parent trace.Span) error {
 	if err := qc.ctxErr(); err != nil {
 		return err
 	}
 	repairSp := parent.Start("repair")
-	scope := idx.violatingScope(checked)
-	var groups []value.MapKey
-	updated := 0
-	req := &applyReq{table: tableName, rule: rule.Name, markSwitched: st.cost != nil}
-	if len(scope) > 0 {
-		base := qc.pt(tableName)
-		d := idx.repair(detect.NewPTableView(base), scope, fd, m)
-		if err := qc.ctxErr(); err != nil {
-			return err
-		}
-		updated = qc.applyLocal(tableName, d)
-		m.Updates += int64(updated)
-		for _, r := range scope {
-			key := idx.keyOf(r)
-			if !localChecked[key] {
-				localChecked[key] = true
-				groups = append(groups, key)
-			}
-		}
-		req.delta = d
-		req.base = base
-		req.applied = qc.pt(tableName)
-		req.groups = groups
+	base := qc.pt(tableName)
+	req, fixed, updated := cleanFDRange(idx, base, tableName, rule.Name, fd, 0, base.Len(), checked, m)
+	if err := qc.ctxErr(); err != nil {
+		// The repair was computed but never applied anywhere: drop it.
+		return err
+	}
+	if req.applied != nil {
+		qc.setLocal(tableName, req.applied)
+	}
+	for _, key := range req.groups {
+		localChecked[key] = true
 	}
 	if repairSp.Active() {
 		repairSp.End(trace.Str("rule", rule.Name), trace.Bool("full", true),
-			trace.Int("fix", len(scope)), trace.Int("cells_updated", updated))
+			trace.Int("fix", fixed), trace.Int("cells_updated", updated))
 	}
 	qc.submit(req)
 	return nil

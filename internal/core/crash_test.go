@@ -393,8 +393,7 @@ func TestCrashMidSweepResumes(t *testing.T) {
 	// and just before the final chunk (almost everything swept).
 	for _, k := range []int{sweepIdx, len(recs) - 2} {
 		sub := killDir(t, dir, recs, k)
-		s2, err := Open(Options{Dir: sub, Strategy: StrategyAuto, DisableStatsPruning: true,
-			CleanChunkSize: 512, CheckpointBytes: -1})
+		s2, err := Open(Options{Dir: sub, Strategy: StrategyAuto, DisableStatsPruning: true, CheckpointBytes: -1})
 		if err != nil {
 			t.Fatalf("kill at record %d: reopen: %v", k, err)
 		}
@@ -413,6 +412,149 @@ func TestCrashMidSweepResumes(t *testing.T) {
 		if k == len(recs)-2 && resumedGroups >= oracleSweepGroups {
 			t.Fatalf("kill just before the final chunk: resumed sweep repaired %d groups (oracle sweep total %d) — it restarted instead of resuming",
 				resumedGroups, oracleSweepGroups)
+		}
+	}
+}
+
+// twoRuleTable is sweepTable with a custkey column: every dirty group
+// violates orderkey → suppkey in its last row and orderkey → custkey in its
+// third, each with a value that appears nowhere else.
+func twoRuleTable(groups, dirtyGroups int) *table.Table {
+	tb := table.New("lineorder", schema.MustNew(
+		schema.Column{Name: "orderkey", Kind: value.Int},
+		schema.Column{Name: "suppkey", Kind: value.Int},
+		schema.Column{Name: "custkey", Kind: value.Int},
+	))
+	stride := groups / dirtyGroups
+	for g := 0; g < groups; g++ {
+		for r := 0; r < 4; r++ {
+			supp, cust := int64(1000+g), int64(5000+g)
+			if g%stride == 0 && r == 3 {
+				supp = int64(1000 + groups + g)
+			}
+			if g%stride == 0 && r == 2 {
+				cust = int64(5000 + groups + g)
+			}
+			tb.MustAppend(table.Row{value.NewInt(int64(g)), value.NewInt(supp), value.NewInt(cust)})
+		}
+	}
+	return tb
+}
+
+// TestCrashBeforeSecondRulesLastChunkResumes: with two FD rules on one
+// relation swept one after the other, the first sweep's finish must not
+// count as the second's. A kill before the second sweep's last chunk
+// resumes that sweep on reopen, and the state converges to the
+// uninterrupted run's.
+func TestCrashBeforeSecondRulesLastChunkResumes(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(durableOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fps := captureFingerprints(s)
+	if err := s.Register(twoRuleTable(sweepGroups, sweepDirtyGroups)); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*dc.Constraint{sweepRule(), dc.FD("phi_cust", "lineorder", "custkey", "orderkey")} {
+		if err := s.AddRule(r); err != nil {
+			t.Fatal(err)
+		}
+		if !s.CleanInBackground("lineorder", r.Name) {
+			t.Fatalf("CleanInBackground(%s) refused", r.Name)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.WaitCleaning(ctx); err != nil {
+		t.Fatal(err)
+	}
+	want := s.StateFingerprint()
+	s.Close()
+
+	recs, err := wal.RecordsFS(vfs.OS{}, dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := len(recs) - 2 // the second sweep's last chunk is the last record
+	if expectedAt(t, fps, recs, k) == want {
+		t.Fatal("the second sweep's last chunk changed nothing; the scenario is mis-seeded")
+	}
+	s2, err := Open(durableOpts(killDir(t, dir, recs, k)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	var resumed []string
+	for _, st := range s2.CleaningStatus() {
+		resumed = append(resumed, st.Rule)
+	}
+	if err := s2.WaitCleaning(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if len(resumed) != 1 || resumed[0] != "phi_cust" {
+		t.Errorf("reopen resumed %v, want [phi_cust]", resumed)
+	}
+	if got := s2.StateFingerprint(); got != want {
+		t.Error("reopened state differs from the uninterrupted run")
+	}
+}
+
+// TestCanceledSweepResumesWithOrWithoutCheckpoint: a sweep canceled
+// mid-way is unfinished, and Open resumes it whether or not a checkpoint
+// ran after the cancel: the checkpoint stores what the log's records say.
+func TestCanceledSweepResumesWithOrWithoutCheckpoint(t *testing.T) {
+	ref := newSweepSession(t, Options{Strategy: StrategyIncremental, Workers: 1}, sweepGroups, sweepDirtyGroups)
+	defer ref.Close()
+	ref.CleanInBackground("lineorder", "phi")
+	if err := ref.WaitCleaning(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	want := ref.StateFingerprint()
+
+	reopen := func(checkpoint bool) []CleaningJob {
+		dir := t.TempDir()
+		s, err := Open(durableOpts(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Register(sweepTable(sweepGroups, sweepDirtyGroups)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AddRule(sweepRule()); err != nil {
+			t.Fatal(err)
+		}
+		holdSweeps(s, 1)
+		s.CleanInBackground("lineorder", "phi")
+		awaitSweep(t, s, "lineorder", "phi", heldAt(1, 1))
+		s.CancelCleaning("lineorder", "phi")
+		if err := s.WaitCleaning(waitCtx(t)); err != nil {
+			t.Fatal(err)
+		}
+		if checkpoint {
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Close()
+
+		s2, err := Open(durableOpts(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s2.Close()
+		resumed := s2.CleaningStatus()
+		if err := s2.WaitCleaning(waitCtx(t)); err != nil {
+			t.Fatal(err)
+		}
+		if got := s2.StateFingerprint(); got != want {
+			t.Errorf("checkpoint=%v: reopened state differs from a finished sweep's", checkpoint)
+		}
+		return resumed
+	}
+	for _, checkpoint := range []bool{false, true} {
+		if got := reopen(checkpoint); len(got) != 1 || got[0].Rule != "phi" {
+			t.Errorf("checkpoint=%v: reopen resumed %d sweeps, want the canceled phi sweep", checkpoint, len(got))
 		}
 	}
 }
@@ -488,7 +630,7 @@ func oneDirtyGroup(members int) *table.Table {
 // teardown fully finished.
 func TestCloseRacesSweepSubmit(t *testing.T) {
 	for i := 0; i < 20; i++ {
-		s := NewSession(Options{Strategy: StrategyIncremental, CleanChunkSize: 512})
+		s := NewSession(Options{Strategy: StrategyIncremental})
 		if err := s.Register(sweepTable(768, 150)); err != nil {
 			t.Fatal(err)
 		}

@@ -635,7 +635,7 @@ func markTuples(st *tableState, rule string, ids []int64) {
 // submitter that observed closed=false finishes its sends before close
 // proceeds, and the loop's shutdown drain consumes them. Idempotent and
 // safe for concurrent callers: late closers block until the first one has
-// fully torn down (finalizer racing an explicit Close, or a bgclean chunk
+// fully torn down (finalizer racing an explicit Close, or a sweep chunk
 // racing Close, both resolve to one orderly shutdown).
 func (w *writer) close() {
 	w.sendMu.Lock()

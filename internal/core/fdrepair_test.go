@@ -325,8 +325,8 @@ func assertIndexRepairShapes(t testing.TB, pt *ptable.PTable, fd dc.FDSpec, c re
 	compare("incremental", fix, consult)
 
 	// Inline full clean: every violating, unchecked group.
-	full := ix.violatingScope(checked)
-	compare("violatingScope", full, ix.relax(full, false, nil))
+	full, _ := ix.violatingScopeIn(0, len(ix.rowKey), checked)
+	compare("violatingScopeIn(0, n)", full, ix.relax(full, false, nil))
 
 	// One background sweep chunk.
 	chunk, _ := ix.violatingScopeIn(c.lo, c.hi, checked)

@@ -31,9 +31,6 @@ type fdIndex struct {
 	// rhsRows lists, per distinct rhs value, the rows holding it (ascending
 	// row order) — the partner index Algorithm 1's relaxation probes.
 	rhsRows map[value.MapKey][]int
-	// order lists group keys in first-appearance (row) order so full-clean
-	// scope collection stays deterministic without sorting.
-	order []value.MapKey
 	// vioSeg counts, per storage segment, the violating-group anchor rows
 	// (first members) whose position falls in that segment; violatingScopeIn
 	// skips zero-count segments wholesale instead of probing every row.
@@ -92,7 +89,6 @@ func newFDIndex(pt *ptable.PTable, fd dc.FDSpec) *fdIndex {
 		if !ok {
 			g = &fdGroup{rhs: make(map[value.MapKey]int, 1)}
 			ix.groups[key] = g
-			ix.order = append(ix.order, key)
 		}
 		g.members = append(g.members, i)
 		g.rhs[rhs]++
@@ -139,19 +135,6 @@ func (ix *fdIndex) members(key value.MapKey) []int {
 // violating reports whether row r's lhs group violates the FD.
 func (ix *fdIndex) violating(r int) bool { return ix.vioRow[r] }
 
-// violatingScope collects, in deterministic group order, the members of
-// every violating group not yet marked checked — the full-clean scope.
-// checked is a layered predicate (epoch state plus query-local additions).
-func (ix *fdIndex) violatingScope(checked func(value.MapKey) bool) []int {
-	var scope []int
-	for _, key := range ix.order {
-		if g := ix.groups[key]; g.violating() && !checked(key) {
-			scope = append(scope, g.members...)
-		}
-	}
-	return scope
-}
-
 // vioSegStats reports how the segment-skip fast path sees the relation:
 // skipped is the number of storage segments holding no
 // violating-group anchor (skipped wholesale by violatingScopeIn), total the
@@ -167,11 +150,12 @@ func (ix *fdIndex) vioSegStats() (skipped, total int) {
 
 // violatingScopeIn collects the members and lhs keys of every violating,
 // unchecked group whose first member lies in [lo, hi) — one chunk of a
-// background full-clean sweep. Anchoring a group at its first (lowest)
+// background full-clean sweep, or over [0, n) the inline full clean, in
+// group (first-appearance) order. Anchoring a group at its first (lowest)
 // member position assigns each group to exactly one chunk, so the union over
-// a sweep's chunks equals violatingScope at the same checked set, and groups
-// whole-sale membership keeps per-group fixes byte-identical to a monolithic
-// clean. Storage segments whose vioSeg count is zero hold no
+// a sweep's chunks equals the full range's scope at the same checked set,
+// and whole-group membership keeps per-group fixes byte-identical to a
+// monolithic clean. Storage segments whose vioSeg count is zero hold no
 // violating-group anchors at all and are skipped wholesale — on a mostly
 // clean relation the scan touches only the dirty segments' rows. Skipping is
 // valid for any [lo, hi): a zero count means no anchor anywhere in the

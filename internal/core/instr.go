@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 
-	"daisy/internal/bgclean"
 	"daisy/internal/metrics"
 	"daisy/internal/wal"
 )
@@ -42,6 +41,13 @@ type sessionInstr struct {
 	ckptFailures  *metrics.Counter
 	pruneFailures *metrics.Counter
 	durState      *metrics.Gauge
+
+	// Background sweeps: chunks run and the rows they covered (rows/sec is
+	// their ratio over a scrape interval), backpressure yields, chunk latency.
+	sweepChunks   *metrics.Counter
+	sweepRows     *metrics.Counter
+	sweepYields   *metrics.Counter
+	sweepChunkSec *metrics.Histogram
 }
 
 func newSessionInstr() *sessionInstr {
@@ -71,17 +77,11 @@ func newSessionInstr() *sessionInstr {
 		ckptFailures:  reg.Counter("daisy_checkpoint_failures_total", "checkpoint or re-attach attempts that failed"),
 		pruneFailures: reg.Counter("daisy_wal_prune_failures_total", "retired WAL/checkpoint files whose removal failed"),
 		durState:      reg.Gauge("daisy_durability_state", "durability state (0 memory, 1 healthy, 2 retrying, 3 degraded, 4 reattached)"),
-	}
-}
 
-// bgInstruments builds the background-clean scheduler's instrument set on the
-// session registry.
-func (in *sessionInstr) bgInstruments() bgclean.Instruments {
-	return bgclean.Instruments{
-		Chunks:    in.reg.Counter("daisy_bgclean_chunks_total", "background sweep chunks executed (each published >= 1 epoch)"),
-		RowsSwept: in.reg.Counter("daisy_bgclean_rows_swept_total", "rows covered by background sweep chunks"),
-		Yields:    in.reg.Counter("daisy_bgclean_backpressure_yields_total", "chunk boundaries at which the sweep yielded to queued foreground traffic"),
-		ChunkSec:  in.reg.Histogram("daisy_bgclean_chunk_seconds", "background sweep per-chunk latency", metrics.LatencyBuckets),
+		sweepChunks:   reg.Counter("daisy_bgclean_chunks_total", "background sweep chunks executed (each published >= 1 epoch)"),
+		sweepRows:     reg.Counter("daisy_bgclean_rows_swept_total", "rows covered by background sweep chunks"),
+		sweepYields:   reg.Counter("daisy_bgclean_backpressure_yields_total", "chunk boundaries at which the sweep yielded to queued foreground traffic"),
+		sweepChunkSec: reg.Histogram("daisy_bgclean_chunk_seconds", "background sweep per-chunk latency", metrics.LatencyBuckets),
 	}
 }
 

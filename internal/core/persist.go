@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"daisy/internal/bgclean"
 	"daisy/internal/cost"
 	"daisy/internal/dc"
 	"daisy/internal/ptable"
@@ -68,7 +67,7 @@ func errOlderBuild(what string) error {
 		"this build stores checked sets and cannot read it: clean into a new directory", what)
 }
 
-// sweepRef names one live background sweep for checkpoint/replay resume.
+// sweepRef names the background sweep of one rule over one relation.
 type sweepRef struct {
 	table, rule string
 }
@@ -428,11 +427,12 @@ func checkDecisions(st *tableState, table, rule string, groups bool, tuples []in
 // checkpoint image
 
 // encodeCheckpoint renders the durable state of one published snapshot plus
-// the live background sweeps: everything Open needs to rebuild a session
-// without any WAL prefix. Per relation it stores the original values, the
-// bound rules, the cost state and the checked sets — not the cells, which
-// recovery recomputes from those, nor derived structures (FD indexes, DC
-// rank indexes and estimates), which rebuild on first use.
+// the background sweeps that have not finished: everything Open needs to
+// rebuild a session without any WAL prefix. Per relation it stores the
+// original values, the bound rules, the cost state and the checked sets —
+// not the cells, which recovery recomputes from those, nor derived
+// structures (FD indexes, DC rank indexes and estimates), which rebuild on
+// first use.
 func encodeCheckpoint(snap *snapshot, sweeps []sweepRef) []byte {
 	buf := []byte{ckptVersion}
 	buf = appendUvarint(buf, snap.epoch)
@@ -675,7 +675,7 @@ func (s *Session) StateFingerprint() string {
 // and pruning the WAL behind each one — and, when the session has degraded,
 // runs the re-attach cycle: a successful full checkpoint supersedes the
 // holed WAL history, so the log can rotate to a fresh file and resume. It
-// holds the writer and the bgclean scheduler — never the Session — so a
+// holds the writer and the sweeper — never the Session — so a
 // dropped session can still be finalized while the goroutine is parked.
 type checkpointer struct {
 	w             *writer
@@ -684,7 +684,7 @@ type checkpointer struct {
 	mode          SyncMode
 	threshold     int64
 	reattachEvery time.Duration
-	sched         *bgclean.Scheduler
+	sweeps        *sweeper
 
 	quit     chan struct{}
 	done     chan struct{}
@@ -697,9 +697,9 @@ type checkpointer struct {
 	lastErr error
 }
 
-func newCheckpointer(w *writer, sched *bgclean.Scheduler, opts *Options) *checkpointer {
+func newCheckpointer(w *writer, sweeps *sweeper, opts *Options) *checkpointer {
 	return &checkpointer{
-		w: w, sched: sched, fs: opts.FS, dir: opts.Dir, mode: opts.Sync,
+		w: w, sweeps: sweeps, fs: opts.FS, dir: opts.Dir, mode: opts.Sync,
 		threshold: opts.CheckpointBytes, reattachEvery: opts.ReattachInterval,
 		quit: make(chan struct{}), done: make(chan struct{}),
 	}
@@ -786,15 +786,7 @@ func (c *checkpointer) checkpoint() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	snap, lsn, degraded := c.w.captureForCheckpoint()
-	var sweeps []sweepRef
-	if c.sched != nil {
-		for _, st := range c.sched.Status() {
-			if !st.State.Terminal() {
-				sweeps = append(sweeps, sweepRef{table: st.Table, rule: st.Rule})
-			}
-		}
-	}
-	payload := encodeCheckpoint(snap, sweeps)
+	payload := encodeCheckpoint(snap, c.sweeps.unfinished())
 	if err := wal.WriteCheckpointFS(c.fs, c.dir, lsn, payload); err != nil {
 		c.lastErr = err
 		c.w.instr.ckptFailures.Inc()

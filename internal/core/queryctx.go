@@ -41,11 +41,11 @@ type queryCtx struct {
 
 	// pending buffers the query's write-backs until flush.
 	pending []*applyReq
-	// bgJobs buffers background full-clean enqueues (the async §5.2.3
+	// sweeps buffers background full-clean starts (the async §5.2.3
 	// switch). They are scheduled only at flush, after the query's own
 	// write-backs published — a canceled query must leave no trace, not even
 	// a sweep.
-	bgJobs []bgJobSpec
+	sweeps []deferredSweep
 
 	// span is the query's root trace span; the zero Span when untraced.
 	// Cleaning spans attach under the engine's per-operator span instead
@@ -70,8 +70,8 @@ func (qc *queryCtx) ctxErr() error {
 	return nil
 }
 
-// bgJobSpec is a deferred background full-clean enqueue.
-type bgJobSpec struct {
+// deferredSweep is a background full clean started at flush.
+type deferredSweep struct {
 	table string
 	rule  *dc.Constraint
 	fd    dc.FDSpec
@@ -80,9 +80,9 @@ type bgJobSpec struct {
 // submit buffers one write-back for publication at query end.
 func (qc *queryCtx) submit(req *applyReq) { qc.pending = append(qc.pending, req) }
 
-// deferFullClean buffers a background-sweep enqueue for flush.
+// deferFullClean buffers a background sweep's start for flush.
 func (qc *queryCtx) deferFullClean(table string, rule *dc.Constraint, fd dc.FDSpec) {
-	qc.bgJobs = append(qc.bgJobs, bgJobSpec{table: table, rule: rule, fd: fd})
+	qc.sweeps = append(qc.sweeps, deferredSweep{table: table, rule: rule, fd: fd})
 }
 
 // flush publishes the buffered write-backs through the single-writer apply
@@ -103,10 +103,15 @@ func (qc *queryCtx) flush() {
 	if pub.Active() {
 		pub.End(trace.Int("requests", n))
 	}
-	for _, j := range qc.bgJobs {
-		qc.s.enqueueSweep(j.table, j.rule, j.fd)
+	for _, j := range qc.sweeps {
+		// A query whose decision raced a completing sweep (it read the model
+		// before the final chunk's switch mark, flushed after it) finds the
+		// switch recorded and schedules nothing.
+		if st := qc.s.w.current().tables[j.table]; st.cost == nil || !st.cost.Switched() {
+			qc.s.bg.start(qc.s, j.table, j.rule, j.fd)
+		}
 	}
-	qc.bgJobs = nil
+	qc.sweeps = nil
 }
 
 // Schema implements plan.Catalog against the query's epoch.
@@ -148,11 +153,16 @@ func (qc *queryCtx) applyLocal(name string, delta *ptable.Delta) int {
 		return 0
 	}
 	next, updated := cur.ApplyCOW(delta)
+	qc.setLocal(name, next)
+	return updated
+}
+
+// setLocal makes pt the query's overlay generation of a relation.
+func (qc *queryCtx) setLocal(name string, pt *ptable.PTable) {
 	if qc.local == nil {
 		qc.local = make(map[string]*ptable.PTable, 2)
 	}
-	qc.local[name] = next
-	return updated
+	qc.local[name] = pt
 }
 
 // checkedLocal returns (lazily creating) the query-local checked-group set

@@ -14,12 +14,14 @@ import (
 
 // This file is the startup half of durability: Open loads the latest valid
 // checkpoint, replays the WAL suffix past it, rebuilds every relation's
-// cells once from its checked sets, re-enqueues the background sweeps that
-// were live at crash time, and only then attaches the log so new work
-// journals. Checkpoint and records hold decisions only (see persist.go):
-// decode and replay restore original values, bindings, checked sets and the
-// cost model, and rebuildCells recomputes the fixes those imply with the
-// same code the live paths run. Replay runs against a writer with
+// cells once from its checked sets, attaches the log so new work journals,
+// and resumes the background sweeps that had not finished. Checkpoint and
+// records hold decisions only (see persist.go): decode and replay restore
+// original values, bindings, checked sets and the cost model, and
+// rebuildCells recomputes the fixes those imply with the same code the live
+// paths run. A sweep is pending once its start record or a checkpoint
+// names it, and stops being pending at an apply record carrying the switch
+// mark for its table and rule. Replay runs against a writer with
 // wlog == nil, so the setup paths it reuses (install, AddRule) do not
 // re-journal records that are already on disk.
 
@@ -72,20 +74,17 @@ func (s *Session) recoverDurable() error {
 	s.w.attachLog(wlog)
 	s.ckpt = newCheckpointer(s.w, s.bg, &s.opts)
 	s.ckpt.start()
-	// Resume unfinished sweeps. The recovered checked-set bookkeeping makes
-	// the resumed sweep skip every group a pre-crash chunk already published —
-	// it continues, it does not restart. CleanInBackground re-journals the
-	// enqueue, so a second crash still resumes.
-	snap := s.w.current()
-	for sw := range pending {
-		st, ok := snap.tables[sw.table]
-		if !ok {
-			continue
-		}
-		if st.cost != nil && st.cost.Switched() {
-			continue // the sweep's final chunk landed before the crash
-		}
-		s.CleanInBackground(sw.table, sw.rule)
+	// Resume unfinished sweeps, in a fixed order. The recovered checked sets
+	// make a resumed sweep skip every group a pre-crash chunk already
+	// published: it continues, it does not restart. CleanInBackground
+	// re-journals the start, so a second crash still resumes.
+	resume := make([]sweepRef, 0, len(pending))
+	for ref := range pending {
+		resume = append(resume, ref)
+	}
+	sortSweepRefs(resume)
+	for _, ref := range resume {
+		s.CleanInBackground(ref.table, ref.rule)
 	}
 	return nil
 }
@@ -121,7 +120,7 @@ func (s *Session) replayRecord(payload []byte, pending map[sweepRef]bool) error 
 		if d.err != nil {
 			return d.err
 		}
-		return s.replayApply(reqs)
+		return s.replayApply(reqs, pending)
 	case recSweep:
 		table, rule := d.string(), d.string()
 		if d.err != nil {
@@ -141,8 +140,11 @@ func (s *Session) replayRecord(payload []byte, pending map[sweepRef]bool) error 
 // ran. Records store requests post-filter with the effective cost bit (see
 // persist.go), so from the identical pre-state the filter passes everything
 // through. A request must name an installed relation, a rule bound to it, and
-// checked sets of that rule's kind; anything else is a corrupt log.
-func (s *Session) replayApply(reqs []*applyReq) error {
+// checked sets of that rule's kind; anything else is a corrupt log. A
+// request carrying the switch mark comes from a full clean reaching the
+// relation's end, a sweep's last chunk or an inline full clean: the pair's
+// sweep is no longer pending.
+func (s *Session) replayApply(reqs []*applyReq, pending map[sweepRef]bool) error {
 	s.w.mu.Lock()
 	defer s.w.mu.Unlock()
 	next := s.w.current().derive()
@@ -156,6 +158,9 @@ func (s *Session) replayApply(reqs []*applyReq) error {
 			return err
 		}
 		applyOne(next, cloned, req)
+		if req.markSwitched {
+			delete(pending, sweepRef{table: req.table, rule: req.rule})
+		}
 	}
 	s.w.snap.Store(next)
 	return nil

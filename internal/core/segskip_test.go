@@ -4,10 +4,8 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
-	"daisy/internal/bgclean"
 	"daisy/internal/dc"
 	"daisy/internal/ptable"
 	"daisy/internal/schema"
@@ -73,6 +71,17 @@ func sameScope(gotScope []int, gotKeys []value.MapKey, wantScope []int, wantKeys
 	return true
 }
 
+// groupOrder lists the index's group keys in first-appearance (row) order.
+func groupOrder(ix *fdIndex) []value.MapKey {
+	var keys []value.MapKey
+	for r, key := range ix.rowKey {
+		if ix.groups[key].members[0] == r {
+			keys = append(keys, key)
+		}
+	}
+	return keys
+}
+
 // TestViolatingScopeSegmentSkipMatchesScan is the seeded differential oracle
 // for the segment-skip scan: on random relations, checked sets, and
 // sub-ranges, violatingScopeIn must return exactly what the exhaustive
@@ -89,7 +98,7 @@ func TestViolatingScopeSegmentSkipMatchesScan(t *testing.T) {
 
 		// Fixed random checked subset, random sub-ranges (hi may overshoot n).
 		checkedSet := make(map[value.MapKey]bool)
-		for _, key := range ix.order {
+		for _, key := range groupOrder(ix) {
 			if rng.Intn(3) == 0 {
 				checkedSet[key] = true
 			}
@@ -130,7 +139,7 @@ func TestViolatingScopeSegmentSkipMatchesScan(t *testing.T) {
 					adversarial[k] = true
 				}
 			}
-			for _, key := range ix.order {
+			for _, key := range groupOrder(ix) {
 				if rng.Intn(8) == 0 {
 					adversarial[key] = true
 				}
@@ -146,14 +155,16 @@ func TestViolatingScopeSegmentSkipMatchesScan(t *testing.T) {
 		if !sameScope(gs, gk, ws, wk) {
 			t.Fatalf("trial %d full range: skip %v/%v != scan %v/%v", trial, gs, gk, ws, wk)
 		}
-		// And against the order-driven full scope as a set.
-		full := ix.violatingScope(checked)
-		sortedGot := append([]int(nil), gs...)
-		sortedWant := append([]int(nil), full...)
-		sort.Ints(sortedGot)
-		sort.Ints(sortedWant)
-		if !reflect.DeepEqual(sortedGot, sortedWant) {
-			t.Fatalf("trial %d: skip set %v != violatingScope set %v", trial, sortedGot, sortedWant)
+		// And against the group-order full scope the inline full clean once
+		// collected: the same rows in the same order.
+		var full []int
+		for _, key := range groupOrder(ix) {
+			if g := ix.groups[key]; g.violating() && !checked(key) {
+				full = append(full, g.members...)
+			}
+		}
+		if !reflect.DeepEqual(gs, full) {
+			t.Fatalf("trial %d: violatingScopeIn(0, n) %v != group-order scope %v", trial, gs, full)
 		}
 	}
 }
@@ -198,8 +209,8 @@ func TestSegmentSkipSweepConvergesByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	job := lastSweep(t, s)
-	if job.State != bgclean.Done {
-		t.Fatalf("job state = %v (%s), want done", job.State, job.Err)
+	if job.State != CleaningDone {
+		t.Fatalf("job state = %v, want done", job.State)
 	}
 	if job.RowsDone != job.RowsTotal {
 		t.Errorf("job rows = %d/%d, want full sweep", job.RowsDone, job.RowsTotal)

@@ -2,8 +2,9 @@
 // paper. A Session holds the gradually-cleaned probabilistic state of every
 // registered relation, plans queries with cleaning operators weaved in
 // (package plan), executes them (package engine), and implements the
-// cleaning callback: relax the query result (package relax), detect and
-// repair violations (packages detect/thetajoin/repair), apply the delta, and
+// cleaning callback: relax the query result and detect and repair FD
+// violations through the relation's FD group index, detect and repair
+// general-DC violations (packages thetajoin/repair), apply the delta, and
 // remember what has been checked so no work repeats. Per query, the cost
 // model (package cost) decides between incremental cleaning and switching to
 // a full clean of the remaining dirty part (§5.2.3), and Algorithm 2's
@@ -43,7 +44,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"daisy/internal/bgclean"
 	"daisy/internal/dc"
 	"daisy/internal/detect"
 	"daisy/internal/engine"
@@ -124,13 +124,6 @@ type Options struct {
 	// synchronous reference the background convergence tests compare
 	// against.
 	DisableBackgroundClean bool
-	// CleanChunkSize seeds the number of rows a background full-clean job
-	// sweeps (and publishes as one copy-on-write epoch) per chunk; the
-	// scheduler then adapts the size per chunk from observed latency and
-	// writer backpressure (see bgclean.Options). Rounded up to a multiple
-	// of ptable.SegmentSize so chunk clones align with storage segments;
-	// default 4096 (8 segments).
-	CleanChunkSize int
 	// Dir, when set, makes the session durable: every apply batch appends
 	// one record of its decisions (checked groups and tuples, cost charge)
 	// to a write-ahead log in Dir, checkpoints publish in the background,
@@ -186,12 +179,6 @@ func (o *Options) defaults() {
 	}
 	if o.DCThreshold <= 0 {
 		o.DCThreshold = 0.10
-	}
-	if o.CleanChunkSize <= 0 {
-		o.CleanChunkSize = 8 * ptable.SegmentSize
-	}
-	if rem := o.CleanChunkSize % ptable.SegmentSize; rem != 0 {
-		o.CleanChunkSize += ptable.SegmentSize - rem
 	}
 	if o.CheckpointBytes == 0 {
 		o.CheckpointBytes = 4 << 20
@@ -250,10 +237,10 @@ type Result struct {
 type Session struct {
 	opts  Options
 	w     *writer
-	bg    *bgclean.Scheduler // background full-clean jobs (§5.2.3 gone async)
-	ckpt  *checkpointer      // durable sessions only (nil: in-memory)
-	sem   chan struct{}      // MaxConcurrentQueries gate (nil: unlimited)
-	instr *sessionInstr      // metrics registry + instruments (never nil)
+	bg    *sweeper      // background full cleans (§5.2.3 gone async)
+	ckpt  *checkpointer // durable sessions only (nil: in-memory)
+	sem   chan struct{} // MaxConcurrentQueries gate (nil: unlimited)
+	instr *sessionInstr // metrics registry + instruments (never nil)
 
 	// Metrics accumulates work across all queries. Reads are only meaningful
 	// once in-flight queries have returned; per-query numbers are on Result.
@@ -287,7 +274,7 @@ func Open(opts Options) (*Session, error) {
 	s := newMemSession(opts)
 	if s.opts.Dir != "" {
 		if err := s.recoverDurable(); err != nil {
-			s.bg.Close()
+			s.bg.close()
 			s.w.close()
 			return nil, err
 		}
@@ -301,16 +288,8 @@ func newMemSession(opts Options) *Session {
 	opts.defaults()
 	instr := newSessionInstr()
 	durCfg := durabilityConfig{attempts: opts.WALRetries, backoff: opts.WALRetryBackoff}
-	s := &Session{opts: opts, w: newWriter(instr, durCfg), instr: instr}
-	w := s.w
-	// Background sweeps yield to foreground traffic: the runner waits
-	// between chunks while query write-backs are queued on the writer.
-	s.bg = bgclean.New(bgclean.Options{
-		Backpressure:  func() bool { return w.depth() > 0 },
-		ChunkAlign:    ptable.SegmentSize,
-		InitChunkRows: opts.CleanChunkSize,
-		Instr:         s.instr.bgInstruments(),
-	})
+	w := newWriter(instr, durCfg)
+	s := &Session{opts: opts, w: w, bg: newSweeper(w, instr), instr: instr}
 	if opts.MaxConcurrentQueries > 0 {
 		s.sem = make(chan struct{}, opts.MaxConcurrentQueries)
 	}
@@ -319,9 +298,9 @@ func newMemSession(opts Options) *Session {
 
 // arm installs the finalizer once the session is fully assembled (including
 // the checkpointer of a durable session). The apply goroutine references
-// only the writer, the sweep runner only the scheduler (which drops job
-// bodies — and with them the Session reference — as jobs reach a terminal
-// state), and the checkpointer only the writer and scheduler, so an
+// only the writer, the sweep runner only the sweeper (which drops a
+// sweep's Session reference as the sweep reaches a terminal state), and the
+// checkpointer only the writer and sweeper, so an
 // unreachable Session can be finalized even while all three goroutines are
 // parked; Close is still the deterministic way to release them. The teardown
 // order mirrors Close and is safe against a concurrent explicit Close:
@@ -330,7 +309,7 @@ func newMemSession(opts Options) *Session {
 func (s *Session) arm() {
 	w, bg, ck := s.w, s.bg, s.ckpt
 	runtime.SetFinalizer(s, func(s *Session) {
-		bg.Close()
+		bg.close()
 		if ck != nil {
 			ck.stop()
 		}
@@ -338,7 +317,7 @@ func (s *Session) arm() {
 	})
 }
 
-// Close cancels background cleaning jobs cooperatively (a sweep stops at its
+// Close cancels background sweeps cooperatively (a sweep stops at its
 // next chunk boundary, leaving a valid state), stops the checkpointer,
 // drains and stops the apply goroutine, syncs and closes the write-ahead
 // log, and marks the session closed: subsequent Query/QueryContext calls
@@ -351,7 +330,7 @@ func (s *Session) arm() {
 // dropped session's tables alive for one more GC cycle.
 func (s *Session) Close() {
 	runtime.SetFinalizer(s, nil)
-	s.bg.Close()
+	s.bg.close()
 	if s.ckpt != nil {
 		s.ckpt.stop()
 	}
@@ -392,28 +371,6 @@ func (s *Session) DurabilityState() DurabilityState { return s.w.durabilityState
 
 // DurabilityPolicy returns the session's configured degraded-mode policy.
 func (s *Session) DurabilityPolicy() DurabilityPolicy { return s.opts.Policy }
-
-// CleaningStatus reports every background full-clean job the session has
-// scheduled, in enqueue order: lifecycle state, chunk progress (each
-// completed chunk published at least one epoch), repaired-group and
-// cell-update counts, backpressure yields, elapsed time, and an ETA
-// extrapolated from the per-chunk pace.
-func (s *Session) CleaningStatus() []bgclean.Status { return s.bg.Status() }
-
-// WaitCleaning blocks until every scheduled background cleaning job has
-// reached a terminal state (the session has quiesced) or ctx is done. When
-// every job completed (state Done — check CleaningStatus), the published
-// state is byte-identical to having run the switched full cleans
-// synchronously; a job that was canceled or failed instead leaves the valid,
-// resumable partial state described on CancelCleaning.
-func (s *Session) WaitCleaning(ctx context.Context) error { return s.bg.Wait(ctx) }
-
-// CancelCleaning cancels the live background job for (table, rule) at its
-// next chunk boundary. The state stays valid and resumable: completed
-// chunks' groups remain repaired and checked, untouched groups stay dirty,
-// and a later query, re-triggered switch or CleanInBackground finishes the
-// work.
-func (s *Session) CancelCleaning(table, rule string) bool { return s.bg.Cancel(table, rule) }
 
 // Register snapshots a dirty table into the session and binds every rule
 // already added that applies to it, exactly as if the rules were added after

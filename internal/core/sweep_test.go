@@ -2,14 +2,17 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"daisy/internal/bgclean"
 	"daisy/internal/dc"
 	"daisy/internal/detect"
+	"daisy/internal/ptable"
 	"daisy/internal/schema"
 	"daisy/internal/table"
 	"daisy/internal/trace"
@@ -71,10 +74,10 @@ func newSweepSession(t *testing.T, opts Options, groups, dirtyGroups int) *Sessi
 }
 
 // sweepOpts triggers the switch after a few queries: 768 groups (3072 rows,
-// six 512-row chunks), 150 dirty groups, 16-group ranges, pruning disabled
-// so every query charges the model.
+// six segments), 150 dirty groups, 16-group ranges, pruning disabled so
+// every query charges the model.
 func sweepOpts() Options {
-	return Options{Strategy: StrategyAuto, DisableStatsPruning: true, CleanChunkSize: 512}
+	return Options{Strategy: StrategyAuto, DisableStatsPruning: true}
 }
 
 const (
@@ -144,8 +147,8 @@ func TestBackgroundFullCleanConvergesToSynchronous(t *testing.T) {
 		t.Fatalf("CleaningStatus = %d jobs, want 1 (dedup)", len(status))
 	}
 	job := status[0]
-	if job.State != bgclean.Done {
-		t.Fatalf("job state = %v (%s), want done", job.State, job.Err)
+	if job.State != CleaningDone {
+		t.Fatalf("job state = %v, want done", job.State)
 	}
 	if job.RowsTotal != 4*sweepGroups || job.RowsDone != job.RowsTotal {
 		t.Errorf("rows = %d/%d, want %d/%d", job.RowsDone, job.RowsTotal, 4*sweepGroups, 4*sweepGroups)
@@ -207,12 +210,12 @@ func cancelSweep(t *testing.T, s *Session) {
 
 // lastSweep returns the status of the most recent sweep of phi over
 // lineorder, failing unless every scheduled job is terminal.
-func lastSweep(t *testing.T, s *Session) bgclean.Status {
+func lastSweep(t *testing.T, s *Session) CleaningJob {
 	t.Helper()
-	var last *bgclean.Status
+	var last *CleaningJob
 	for _, st := range s.CleaningStatus() {
 		if !st.State.Terminal() {
-			t.Fatalf("job %d not terminal: %v", st.ID, st.State)
+			t.Fatalf("sweep %s/%s not terminal: %v", st.Table, st.Rule, st.State)
 		}
 		if st.Table == "lineorder" && st.Rule == "phi" {
 			last = &st
@@ -285,8 +288,8 @@ func TestBackgroundSweepConvergesUnderConcurrentQueries(t *testing.T) {
 		if err := s.WaitCleaning(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		if st := lastSweep(t, s); st.State != bgclean.Done {
-			t.Fatalf("last job %d state = %v (%s), want done", st.ID, st.State, st.Err)
+		if st := lastSweep(t, s); st.State != CleaningDone {
+			t.Fatalf("last sweep state = %v, want done", st.State)
 		}
 		if got := s.Table("lineorder").Fingerprint(); got != want {
 			t.Fatalf("trial %d: concurrent quiesced state differs from synchronous reference", trial)
@@ -295,12 +298,12 @@ func TestBackgroundSweepConvergesUnderConcurrentQueries(t *testing.T) {
 	}
 }
 
-// TestMidSweepCancellationLeavesResumableState drives the sweep job body
-// directly (cancellation is cooperative at chunk boundaries, so stopping
-// after k chunks IS the canceled state): the partial state is valid — every
-// completed chunk's groups repaired exactly, everything else untouched — and
-// both a resumed sweep and an ordinary incremental covering query finish it
-// to the reference bytes.
+// TestMidSweepCancellationLeavesResumableState drives the sweep's chunk
+// body directly (cancellation is cooperative at chunk boundaries, so
+// stopping after k chunks IS the canceled state): the partial state is valid
+// — every completed chunk's groups repaired exactly, everything else
+// untouched — and both a resumed sweep and an ordinary incremental covering
+// query finish it to the reference bytes.
 func TestMidSweepCancellationLeavesResumableState(t *testing.T) {
 	ref := newSweepSession(t, Options{Strategy: StrategyIncremental, DisableStatsPruning: true}, sweepGroups, sweepDirtyGroups)
 	defer ref.Close()
@@ -309,46 +312,32 @@ func TestMidSweepCancellationLeavesResumableState(t *testing.T) {
 	}
 	want := ref.Table("lineorder").Fingerprint()
 
-	build := func() (*Session, *fdSweepJob) {
-		s := newSweepSession(t, sweepOpts(), sweepGroups, sweepDirtyGroups)
-		st := s.w.current().tables["lineorder"]
-		fd, _ := sweepRule().AsFD()
-		return s, newFDSweepJob(s, "lineorder", sweepRule(), fd, st.pt.Len())
-	}
+	fd, _ := sweepRule().AsFD()
+	// chunk runs one sweep chunk over [lo, hi), as the runner does.
+	chunk := func(s *Session, lo, hi int) { s.sweepChunk("lineorder", sweepRule(), fd, lo, hi) }
 
 	// Resume path 1: run the first half in 512-row chunks, "cancel", resume
 	// the rest under a different (unaligned) chunking — group anchoring makes
 	// chunk scopes partition identically for any range choice.
 	const step = 512
-	s1, job1 := build()
+	s1 := newSweepSession(t, sweepOpts(), sweepGroups, sweepDirtyGroups)
 	defer s1.Close()
-	total := job1.Total()
+	total := s1.Table("lineorder").Len()
 	if total < 3*step {
 		t.Fatalf("rows = %d, want >= %d for a mid-sweep cut", total, 3*step)
 	}
 	cut := (total / step / 2) * step
 	for lo := 0; lo < cut; lo += step {
-		if _, err := job1.RunChunk(context.Background(), lo, lo+step); err != nil {
-			t.Fatal(err)
-		}
+		chunk(s1, lo, lo+step)
 	}
 	partial := s1.Table("lineorder").Fingerprint()
 	if partial == want {
 		t.Fatal("mid-sweep state already converged; cut point too late to test resume")
 	}
 	// Valid state: the canceled sweep must not have half-applied a chunk —
-	// a fresh job resumes purely from the checked-set bookkeeping.
-	st := s1.w.current().tables["lineorder"]
-	fd, _ := sweepRule().AsFD()
-	job1b := newFDSweepJob(s1, "lineorder", sweepRule(), fd, st.pt.Len())
-	for lo := 0; lo < job1b.Total(); lo += 700 {
-		hi := lo + 700
-		if hi > job1b.Total() {
-			hi = job1b.Total()
-		}
-		if _, err := job1b.RunChunk(context.Background(), lo, hi); err != nil {
-			t.Fatal(err)
-		}
+	// a fresh sweep resumes purely from the checked-set bookkeeping.
+	for lo := 0; lo < total; lo += 700 {
+		chunk(s1, lo, min(lo+700, total))
 	}
 	if got := s1.Table("lineorder").Fingerprint(); got != want {
 		t.Error("resumed sweep diverged from reference")
@@ -356,12 +345,10 @@ func TestMidSweepCancellationLeavesResumableState(t *testing.T) {
 
 	// Resume path 2: an ordinary incremental covering query finishes the
 	// canceled sweep's work through the epoch bookkeeping alone.
-	s2, job2 := build()
+	s2 := newSweepSession(t, sweepOpts(), sweepGroups, sweepDirtyGroups)
 	defer s2.Close()
 	for lo := 0; lo < cut; lo += step {
-		if _, err := job2.RunChunk(context.Background(), lo, lo+step); err != nil {
-			t.Fatal(err)
-		}
+		chunk(s2, lo, lo+step)
 	}
 	rows, err := s2.QueryContext(context.Background(),
 		"SELECT orderkey, suppkey FROM lineorder WHERE orderkey >= 0",
@@ -403,8 +390,8 @@ func TestCancelAndCloseStopSweep(t *testing.T) {
 	if err := s.WaitCleaning(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if st := lastSweep(t, s); st.State != bgclean.Done {
-		t.Fatalf("restarted job %d state = %v (%s), want done", st.ID, st.State, st.Err)
+	if st := lastSweep(t, s); st.State != CleaningDone {
+		t.Fatalf("restarted sweep state = %v, want done", st.State)
 	}
 	if got := s.Table("lineorder").Fingerprint(); got != want {
 		t.Error("restarted sweep state differs from the fully cleaned reference")
@@ -498,4 +485,345 @@ func TestMarkSwitchedSurvivesDuplicateCoalescing(t *testing.T) {
 	if cur.cost == nil || !cur.cost.Switched() {
 		t.Fatal("markSwitched dropped when the final chunk coalesced as a duplicate")
 	}
+}
+
+// holdSweeps raises the sweeper's backpressure signal after n chunk
+// boundaries have passed, and keeps it raised until the returned allowance
+// grows: the way these tests stop a real sweep at a chosen boundary. Call it
+// before the session's first sweep starts.
+func holdSweeps(s *Session, n int64) *atomic.Int64 {
+	var allowed, passed atomic.Int64
+	allowed.Store(n)
+	s.bg.hold = func() bool {
+		if passed.Load() >= allowed.Load() {
+			return true
+		}
+		passed.Add(1)
+		return false
+	}
+	return &allowed
+}
+
+// awaitSweep polls the status of the sweep of (table, rule) started last
+// until cond holds.
+func awaitSweep(t *testing.T, s *Session, table, rule string, cond func(CleaningJob) bool) CleaningJob {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var last CleaningJob
+		for _, st := range s.CleaningStatus() {
+			if st.Table == table && st.Rule == rule {
+				last = st
+			}
+		}
+		if last.Table != "" && cond(last) {
+			return last
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("sweep %s/%s never reached the awaited state; last %+v", table, rule, last)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// heldAt reports a sweep parked at the boundary after its chunks-th chunk,
+// in its yields-th backpressure wait.
+func heldAt(chunks, yields int) func(CleaningJob) bool {
+	return func(st CleaningJob) bool { return st.ChunksDone == chunks && st.BackpressureWaits == yields }
+}
+
+func waitCtx(t *testing.T) context.Context {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	t.Cleanup(cancel)
+	return ctx
+}
+
+// TestSweepDedupsPerTableRule: starting a live sweep joins it, another rule
+// gets its own sweep, and a finished pair accepts a fresh one.
+func TestSweepDedupsPerTableRule(t *testing.T) {
+	s := newSweepSession(t, Options{Strategy: StrategyIncremental}, sweepGroups, sweepDirtyGroups)
+	defer s.Close()
+	if err := s.AddRule(dc.FD("phi2", "lineorder", "orderkey", "suppkey")); err != nil {
+		t.Fatal(err)
+	}
+	allowed := holdSweeps(s, 0)
+	if !s.CleanInBackground("lineorder", "phi") || !s.CleanInBackground("lineorder", "phi") {
+		t.Fatal("CleanInBackground refused a sweep")
+	}
+	if n := len(s.CleaningStatus()); n != 1 {
+		t.Fatalf("two starts of a live sweep gave %d sweeps, want 1", n)
+	}
+	if !s.CleanInBackground("lineorder", "phi2") {
+		t.Fatal("CleanInBackground refused a second rule")
+	}
+	if n := len(s.CleaningStatus()); n != 2 {
+		t.Fatalf("a second rule gave %d sweeps, want 2", n)
+	}
+	allowed.Store(math.MaxInt64)
+	if err := s.WaitCleaning(waitCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+	if !s.CleanInBackground("lineorder", "phi") {
+		t.Fatal("CleanInBackground refused a finished pair")
+	}
+	if err := s.WaitCleaning(waitCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+	st := s.CleaningStatus()
+	if len(st) != 3 {
+		t.Fatalf("history = %d sweeps, want 3", len(st))
+	}
+	for _, j := range st {
+		if j.State != CleaningDone {
+			t.Errorf("sweep %s/%s = %v, want done", j.Table, j.Rule, j.State)
+		}
+	}
+}
+
+// TestCancelStopsAtChunkBoundaryAndStateIsTerminal: a canceled sweep stops at the next
+// boundary with its completed chunk published, and the pair is free again.
+func TestCancelStopsAtChunkBoundaryAndStateIsTerminal(t *testing.T) {
+	s := newSweepSession(t, Options{Strategy: StrategyIncremental}, sweepGroups, sweepDirtyGroups)
+	defer s.Close()
+	allowed := holdSweeps(s, 1)
+	s.CleanInBackground("lineorder", "phi")
+	awaitSweep(t, s, "lineorder", "phi", heldAt(1, 1))
+	if !s.CancelCleaning("lineorder", "phi") {
+		t.Fatal("CancelCleaning found no live sweep")
+	}
+	if err := s.WaitCleaning(waitCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+	st := lastSweep(t, s)
+	if st.State != CleaningCanceled || st.ChunksDone != 1 || st.RowsDone != ptable.SegmentSize || st.RowsDone >= st.RowsTotal {
+		t.Fatalf("canceled sweep = %+v, want canceled after one %d-row chunk", st, ptable.SegmentSize)
+	}
+	if s.CancelCleaning("lineorder", "phi") {
+		t.Error("CancelCleaning found a live sweep after the cancel landed")
+	}
+	allowed.Store(math.MaxInt64)
+	if !s.CleanInBackground("lineorder", "phi") {
+		t.Fatal("canceled pair refused a fresh sweep")
+	}
+	if err := s.WaitCleaning(waitCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+	if st := lastSweep(t, s); st.State != CleaningDone || len(s.CleaningStatus()) != 2 {
+		t.Errorf("restarted sweep = %+v of %d, want the second sweep done", st, len(s.CleaningStatus()))
+	}
+}
+
+// TestCloseCancelsPendingAndRunning: Close stops the running sweep at
+// its boundary and the queued one before it starts, and refuses new sweeps.
+func TestCloseCancelsPendingAndRunning(t *testing.T) {
+	s := newSweepSession(t, Options{Strategy: StrategyIncremental}, sweepGroups, sweepDirtyGroups)
+	if err := s.AddRule(dc.FD("phi2", "lineorder", "orderkey", "suppkey")); err != nil {
+		t.Fatal(err)
+	}
+	holdSweeps(s, 1)
+	s.CleanInBackground("lineorder", "phi")
+	s.CleanInBackground("lineorder", "phi2") // queued behind phi
+	awaitSweep(t, s, "lineorder", "phi", heldAt(1, 1))
+	done := make(chan struct{})
+	go func() { s.Close(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close hung with a sweep parked at a boundary")
+	}
+	want := map[string]int{"phi": 1, "phi2": 0} // chunks run
+	for _, st := range s.CleaningStatus() {
+		if st.State != CleaningCanceled || st.ChunksDone != want[st.Rule] {
+			t.Errorf("sweep %s after Close = %v with %d chunks, want canceled with %d", st.Rule, st.State, st.ChunksDone, want[st.Rule])
+		}
+	}
+	s.Close() // idempotent
+	if s.CleanInBackground("lineorder", "phi") {
+		t.Error("CleanInBackground accepted a sweep after Close")
+	}
+}
+
+// TestWaitHonorsContext: Wait returns the context's error while a
+// sweep is live, and nil once it finished.
+func TestWaitHonorsContext(t *testing.T) {
+	s := newSweepSession(t, Options{Strategy: StrategyIncremental}, sweepGroups, sweepDirtyGroups)
+	defer s.Close()
+	allowed := holdSweeps(s, 0)
+	s.CleanInBackground("lineorder", "phi")
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if err := s.WaitCleaning(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("WaitCleaning = %v, want deadline exceeded", err)
+	}
+	allowed.Store(math.MaxInt64)
+	if err := s.WaitCleaning(waitCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStatusETAAppearsMidSweep: a sweep that has run a chunk reports an
+// ETA from its pace; a terminal one reports none but keeps its elapsed time.
+func TestStatusETAAppearsMidSweep(t *testing.T) {
+	s := newSweepSession(t, Options{Strategy: StrategyIncremental}, sweepGroups, sweepDirtyGroups)
+	defer s.Close()
+	allowed := holdSweeps(s, 1)
+	s.CleanInBackground("lineorder", "phi")
+	if st := awaitSweep(t, s, "lineorder", "phi", heldAt(1, 1)); st.ETA <= 0 {
+		t.Errorf("ETA mid-sweep = %v, want > 0", st.ETA)
+	}
+	allowed.Store(math.MaxInt64)
+	if err := s.WaitCleaning(waitCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+	if st := lastSweep(t, s); st.ETA != 0 || st.Elapsed <= 0 {
+		t.Errorf("terminal sweep = %+v, want ETA 0 and Elapsed > 0", st)
+	}
+}
+
+// TestStatusETAWithoutPaceSignal: a live sweep whose chunks all resolved to
+// 0ns on a coarse clock has no pace signal, so its ETA stays at the
+// "unknown" zero instead of extrapolating a zero rate.
+func TestStatusETAWithoutPaceSignal(t *testing.T) {
+	j := &sweep{state: CleaningRunning, rowsDone: 512, rowsTotal: 4096, chunksDone: 1}
+	if eta := j.status().ETA; eta != 0 {
+		t.Errorf("ETA with zero elapsed = %v, want 0 (unknown)", eta)
+	}
+	j.elapsed = 10 * time.Millisecond
+	if eta := j.status().ETA; eta <= 0 {
+		t.Errorf("ETA with pace signal = %v, want > 0", eta)
+	}
+}
+
+// TestBackpressureYieldsBetweenChunks: no chunk runs while query
+// write-backs are queued, and the sweep counts the wait and finishes once
+// the queue drains.
+func TestBackpressureYieldsBetweenChunks(t *testing.T) {
+	s := newSweepSession(t, Options{Strategy: StrategyIncremental}, sweepGroups, sweepDirtyGroups)
+	defer s.Close()
+	allowed := holdSweeps(s, 0)
+	s.CleanInBackground("lineorder", "phi")
+	awaitSweep(t, s, "lineorder", "phi", heldAt(0, 1))
+	time.Sleep(20 * time.Millisecond)
+	if st := lastState(s); st != CleaningPending {
+		t.Fatalf("sweep %v under backpressure, want pending", st)
+	}
+	allowed.Store(math.MaxInt64)
+	if err := s.WaitCleaning(waitCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+	if st := lastSweep(t, s); st.State != CleaningDone || st.BackpressureWaits != 1 {
+		t.Errorf("sweep = %+v, want done after one backpressure wait", st)
+	}
+}
+
+// TestEmptyRelationRunsOneChunk: a sweep over no rows still runs one
+// (0, 0) chunk, which records the switch, and finishes Done.
+func TestEmptyRelationRunsOneChunk(t *testing.T) {
+	s := NewSession(Options{Strategy: StrategyIncremental})
+	defer s.Close()
+	if err := s.Register(table.New("lineorder", sweepTable(1, 1).Schema)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddRule(sweepRule()); err != nil {
+		t.Fatal(err)
+	}
+	if !s.CleanInBackground("lineorder", "phi") {
+		t.Fatal("CleanInBackground refused an empty relation")
+	}
+	if err := s.WaitCleaning(waitCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+	if st := lastSweep(t, s); st.State != CleaningDone || st.ChunksDone != 1 || st.RowsDone != 0 || st.RowsTotal != 0 {
+		t.Errorf("empty sweep = %+v, want done after one (0, 0) chunk", st)
+	}
+	if c := s.w.current().tables["lineorder"].cost; c == nil || !c.Switched() {
+		t.Error("the empty sweep's chunk did not record the switch")
+	}
+}
+
+// TestNextChunkRowsAdaptation pins the sizing policy: latency steering
+// bounded to [1/2x, 2x] per step, halving after a yield, alignment to
+// segments, the [1, 128]-segment clamp, and the no-signal rule for short
+// final chunks. A sweep of fast chunks therefore doubles from one segment
+// to 128 in seven steps.
+func TestNextChunkRowsAdaptation(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cur  int
+		ran  int
+		took time.Duration
+		bp   bool
+		want int
+	}{
+		{"fast chunk grows at most 2x", 4096, 4096, time.Millisecond, false, 8192},
+		{"zero-latency full chunk grows 2x", 4096, 4096, 0, false, 8192},
+		{"negative-latency full chunk grows 2x", 4096, 4096, -time.Millisecond, false, 8192},
+		{"slow chunk shrinks at most 2x", 4096, 4096, 40 * time.Millisecond, false, 2048},
+		{"near target scales and aligns down", 4096, 4096, 4 * time.Millisecond, false, 5120},
+		{"backpressure halves", 4096, 4096, time.Millisecond, true, 2048},
+		{"short final chunk carries no signal", 4096, 100, time.Nanosecond, false, 4096},
+		{"min clamp", 512, 512, 50 * time.Millisecond, false, 512},
+		{"max clamp", 1 << 16, 1 << 16, time.Nanosecond, false, 1 << 16},
+		{"backpressure respects min clamp", 512, 512, time.Millisecond, true, 512},
+		{"first chunk grows from one segment", 512, 512, time.Microsecond, false, 1024},
+		{"growth stops at the max clamp", 1 << 15, 1 << 15, time.Microsecond, false, 1 << 16},
+	} {
+		if got := nextChunkRows(tc.cur, tc.ran, tc.took, tc.bp); got != tc.want {
+			t.Errorf("%s: nextChunkRows(%d, %d, %v, %v) = %d, want %d",
+				tc.name, tc.cur, tc.ran, tc.took, tc.bp, got, tc.want)
+		}
+	}
+}
+
+// TestBackpressureHalvesNextChunk: the chunk that follows a backpressure wait sets
+// the size after it to half its own, whatever its latency, so queries get
+// epoch boundaries to slot into sooner while pressure persists.
+func TestBackpressureHalvesNextChunk(t *testing.T) {
+	s := newSweepSession(t, Options{Strategy: StrategyIncremental}, 4096, 150)
+	defer s.Close()
+	allowed := holdSweeps(s, 1)
+	s.CleanInBackground("lineorder", "phi")
+	awaitSweep(t, s, "lineorder", "phi", heldAt(1, 1))
+	// Parked after one chunk with one yield counted: size the chunk that
+	// follows the wait at 8 segments.
+	s.bg.mu.Lock()
+	s.bg.live[sweepRef{table: "lineorder", rule: "phi"}].chunkRows = 8 * ptable.SegmentSize
+	s.bg.mu.Unlock()
+	allowed.Store(2)
+	st := awaitSweep(t, s, "lineorder", "phi", heldAt(2, 2))
+	if st.RowsDone != 9*ptable.SegmentSize || st.ChunkRows != 4*ptable.SegmentSize {
+		t.Errorf("after the yielded chunk: %d rows done, next chunk %d rows; want %d and %d",
+			st.RowsDone, st.ChunkRows, 9*ptable.SegmentSize, 4*ptable.SegmentSize)
+	}
+	allowed.Store(math.MaxInt64)
+	if err := s.WaitCleaning(waitCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCancelDuringBackpressureWait: CancelCleaning stops a sweep that is
+// waiting out backpressure, without the signal ever dropping.
+func TestCancelDuringBackpressureWait(t *testing.T) {
+	s := newSweepSession(t, Options{Strategy: StrategyIncremental}, sweepGroups, sweepDirtyGroups)
+	defer s.Close()
+	holdSweeps(s, 0) // raised for good
+	s.CleanInBackground("lineorder", "phi")
+	awaitSweep(t, s, "lineorder", "phi", heldAt(0, 1))
+	if !s.CancelCleaning("lineorder", "phi") {
+		t.Fatal("CancelCleaning found no live sweep")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer cancel()
+	if err := s.WaitCleaning(ctx); err != nil {
+		t.Fatalf("WaitCleaning after cancel under backpressure: %v (state %v)", err, lastState(s))
+	}
+	if st := lastSweep(t, s); st.State != CleaningCanceled || st.ChunksDone != 0 {
+		t.Errorf("sweep = %+v, want canceled before its first chunk", st)
+	}
+}
+
+func lastState(s *Session) CleaningState {
+	st := s.CleaningStatus()
+	return st[len(st)-1].State
 }

@@ -5,9 +5,9 @@
 // no locks, no allocation — so the writer apply loop, the WAL append path,
 // and per-row streaming can afford to be instrumented unconditionally.
 //
-// Every instrument method is safe on a nil receiver (a no-op), so optional
-// instrumentation seams (wal.Instruments, bgclean.Instruments) pass zero
-// structs instead of guarding each call site.
+// Every instrument method is safe on a nil receiver (a no-op), so an
+// optional instrumentation seam (wal.Instruments) passes a zero struct
+// instead of guarding each call site.
 package metrics
 
 import (
