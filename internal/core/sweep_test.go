@@ -539,6 +539,53 @@ func waitCtx(t *testing.T) context.Context {
 	return ctx
 }
 
+// TestJobRunsAllChunksAndReportsProgress steps a real sweep through every
+// chunk boundary: each chunk advances RowsDone by the size the last
+// boundary reported, ChunksDone by one, and GroupsCleaned to the dirty
+// groups anchored in the rows done so far, until the sweep is Done with
+// every row covered. Holding each boundary makes every chunk follow a yield,
+// so the size stays at one segment and the chunk count is exact.
+func TestJobRunsAllChunksAndReportsProgress(t *testing.T) {
+	s := newSweepSession(t, Options{Strategy: StrategyIncremental}, sweepGroups, sweepDirtyGroups)
+	defer s.Close()
+	const seg = ptable.SegmentSize
+	total := 4 * sweepGroups
+	chunks := total / seg
+	stride := sweepGroups / sweepDirtyGroups
+	dirtyIn := func(rows int) int { return (rows/4 + stride - 1) / stride } // groups 0, stride, 2*stride, ... below rows/4
+	allowed := holdSweeps(s, 0)
+	if !s.CleanInBackground("lineorder", "phi") {
+		t.Fatal("CleanInBackground refused a sweep")
+	}
+	prev := awaitSweep(t, s, "lineorder", "phi", heldAt(0, 1))
+	if prev.State != CleaningPending || prev.RowsDone != 0 || prev.RowsTotal != total || prev.ChunkRows != seg {
+		t.Fatalf("sweep before its first chunk = %+v, want pending 0/%d rows, next chunk %d", prev, total, seg)
+	}
+	for k := 1; k < chunks; k++ {
+		allowed.Store(int64(k))
+		st := awaitSweep(t, s, "lineorder", "phi", heldAt(k, k+1))
+		if st.State != CleaningRunning || st.RowsDone != prev.RowsDone+prev.ChunkRows || st.RowsTotal != total {
+			t.Fatalf("after chunk %d: %+v, want running with %d/%d rows", k, st, prev.RowsDone+prev.ChunkRows, total)
+		}
+		if st.GroupsCleaned != dirtyIn(st.RowsDone) || st.CellsUpdated < st.GroupsCleaned || st.CellsUpdated < prev.CellsUpdated {
+			t.Fatalf("after chunk %d: %d groups / %d cells (before %d cells), want %d groups and at least a cell each",
+				k, st.GroupsCleaned, st.CellsUpdated, prev.CellsUpdated, dirtyIn(st.RowsDone))
+		}
+		prev = st
+	}
+	allowed.Store(math.MaxInt64)
+	if err := s.WaitCleaning(waitCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+	st := lastSweep(t, s)
+	if st.State != CleaningDone || st.RowsDone != total || st.ChunksDone != chunks {
+		t.Errorf("finished sweep = %+v, want done %d/%d rows in %d chunks", st, total, total, chunks)
+	}
+	if st.GroupsCleaned != dirtyIn(total) || st.CellsUpdated < st.GroupsCleaned {
+		t.Errorf("work counters = %d groups / %d cells, want %d groups", st.GroupsCleaned, st.CellsUpdated, dirtyIn(total))
+	}
+}
+
 // TestSweepDedupsPerTableRule: starting a live sweep joins it, another rule
 // gets its own sweep, and a finished pair accepts a fresh one.
 func TestSweepDedupsPerTableRule(t *testing.T) {
@@ -745,8 +792,7 @@ func TestEmptyRelationRunsOneChunk(t *testing.T) {
 // TestNextChunkRowsAdaptation pins the sizing policy: latency steering
 // bounded to [1/2x, 2x] per step, halving after a yield, alignment to
 // segments, the [1, 128]-segment clamp, and the no-signal rule for short
-// final chunks. A sweep of fast chunks therefore doubles from one segment
-// to 128 in seven steps.
+// final chunks.
 func TestNextChunkRowsAdaptation(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -766,13 +812,43 @@ func TestNextChunkRowsAdaptation(t *testing.T) {
 		{"min clamp", 512, 512, 50 * time.Millisecond, false, 512},
 		{"max clamp", 1 << 16, 1 << 16, time.Nanosecond, false, 1 << 16},
 		{"backpressure respects min clamp", 512, 512, time.Millisecond, true, 512},
-		{"first chunk grows from one segment", 512, 512, time.Microsecond, false, 1024},
-		{"growth stops at the max clamp", 1 << 15, 1 << 15, time.Microsecond, false, 1 << 16},
 	} {
 		if got := nextChunkRows(tc.cur, tc.ran, tc.took, tc.bp); got != tc.want {
 			t.Errorf("%s: nextChunkRows(%d, %d, %v, %v) = %d, want %d",
 				tc.name, tc.cur, tc.ran, tc.took, tc.bp, got, tc.want)
 		}
+	}
+}
+
+// TestAdaptiveChunksGrowWhenFast: chunks far under the latency target
+// double per step from the first chunk's one segment until the max clamp,
+// so a sweep over cheap (mostly clean) regions coalesces instead of paying
+// an epoch per segment. The ranges are cut the way sweepLocked cuts them.
+func TestAdaptiveChunksGrowWhenFast(t *testing.T) {
+	const seg = ptable.SegmentSize
+	// 1+2+...+64 = 127 segments of growth, then two chunks at the clamp
+	// (128 segments = sweepMaxChunk) and a short final one.
+	total := (127 + 2*128 + 3) * seg
+	var want [][2]int
+	lo := 0
+	for _, segs := range []int{1, 2, 4, 8, 16, 32, 64, 128, 128, 3} {
+		want = append(want, [2]int{lo, lo + segs*seg})
+		lo += segs * seg
+	}
+	for _, took := range []time.Duration{0, time.Microsecond} {
+		var got [][2]int
+		for lo, rows := 0, seg; lo < total; {
+			hi := min(lo+rows, total)
+			got = append(got, [2]int{lo, hi})
+			rows = nextChunkRows(rows, hi-lo, took, false)
+			lo = hi
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("chunks taking %v: ranges %v, want %v", took, got, want)
+		}
+	}
+	if sweepMaxChunk != 128*seg {
+		t.Errorf("sweepMaxChunk = %d rows, want 128 segments", sweepMaxChunk)
 	}
 }
 
