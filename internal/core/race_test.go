@@ -4,14 +4,23 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"daisy/internal/dc"
 	"daisy/internal/detect"
+	"daisy/internal/engine"
+	"daisy/internal/expr"
+	"daisy/internal/plan"
 	"daisy/internal/ptable"
 	"daisy/internal/table"
 	"daisy/internal/trace"
+	"daisy/internal/uncertain"
+	"daisy/internal/value"
 	"daisy/internal/workload"
 )
 
@@ -363,4 +372,112 @@ func mustFD(t *testing.T) dc.FDSpec {
 		t.Fatal("not an FD")
 	}
 	return fd
+}
+
+// TestZoneFilterOnPinnedEpochsDuringSweep has readers filter pinned epochs
+// through the engine's zone-pruned base scan while a background sweep
+// publishes an epoch per chunk, each cloning the segments (and zones) it
+// fixes. Chunks are released one per reader round, so publications overlap
+// the reads. Every result must equal the EvalCell row loop over the same
+// epoch. Run under -race in CI.
+func TestZoneFilterOnPinnedEpochsDuringSweep(t *testing.T) {
+	s := newSweepSession(t, Options{Strategy: StrategyIncremental}, sweepGroups, sweepDirtyGroups)
+	defer s.Close()
+	ref := func(col string) expr.ColRef { return expr.ColRef{Col: col} }
+	preds := []expr.Pred{
+		&expr.And{
+			L: &expr.Cmp{Ref: ref("orderkey"), Op: dc.Geq, Val: value.NewInt(300)},
+			R: &expr.Cmp{Ref: ref("orderkey"), Op: dc.Lt, Val: value.NewInt(316)},
+		},
+		&expr.Cmp{Ref: ref("suppkey"), Op: dc.Eq, Val: value.NewInt(1000 + sweepGroups + 5*(sweepGroups/sweepDirtyGroups))},
+		&expr.Or{
+			L: &expr.Cmp{Ref: ref("orderkey"), Op: dc.Lt, Val: value.NewInt(40)},
+			R: &expr.Cmp{Ref: ref("suppkey"), Op: dc.Gt, Val: value.NewInt(1000 + sweepGroups - 20)},
+		},
+	}
+	check := func(pt *ptable.PTable) error {
+		for _, p := range preds {
+			e := &engine.Executor{Tables: map[string]*ptable.PTable{"lineorder": pt}, Workers: 2}
+			fr, err := e.Run(&plan.Select{Child: &plan.Scan{Table: "lineorder"}, Table: "lineorder", Pred: p})
+			if err != nil {
+				return err
+			}
+			var want []int
+			for r, tup := range pt.Rows() {
+				if p.EvalCell(func(ref expr.ColRef) *uncertain.Cell { return &tup.Cells[pt.Schema.MustIndex(ref.Col)] }) {
+					want = append(want, r)
+				}
+			}
+			if !slices.Equal(fr.Rows, want) {
+				return fmt.Errorf("%s: zone filter kept %v, row loop %v", p, fr.Rows, want)
+			}
+		}
+		return nil
+	}
+
+	allowed := holdSweeps(s, 0)
+	if !s.CleanInBackground("lineorder", "phi") {
+		t.Fatal("CleanInBackground refused a sweep")
+	}
+	var rounds atomic.Int64
+	stop := make(chan struct{})
+	errCh := make(chan error, 2)
+	seen := make([]map[*ptable.PTable]bool, 2)
+	var wg sync.WaitGroup
+	for g := range seen {
+		seen[g] = make(map[*ptable.PTable]bool)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				pt := s.Table("lineorder") // pinned for the round
+				seen[g][pt] = true
+				if err := check(pt); err != nil {
+					errCh <- err
+					return
+				}
+				rounds.Add(1)
+			}
+		}()
+	}
+	swept := func() bool {
+		st := s.CleaningStatus()
+		return len(st) > 0 && st[len(st)-1].State.Terminal()
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for !swept() && time.Now().Before(deadline) {
+		r := rounds.Load()
+		allowed.Add(1)
+		for rounds.Load() < r+2 && len(errCh) == 0 && time.Now().Before(deadline) {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	allowed.Store(math.MaxInt64)
+	close(stop)
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+	if err := s.WaitCleaning(waitCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+	if st := lastSweep(t, s); st.State != CleaningDone {
+		t.Fatalf("sweep state = %v, want done", st.State)
+	}
+	final := s.Table("lineorder")
+	if final.DirtyTuples() == 0 {
+		t.Fatal("the sweep fixed nothing; the test no longer exercises uncertain cells")
+	}
+	if len(seen[0]) < 3 {
+		t.Fatalf("reader saw %d epochs, want the sweep's chunk epochs", len(seen[0]))
+	}
+	if err := check(final); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -10,6 +10,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -78,6 +79,9 @@ type frame struct {
 	rows   []int
 	table  string // base table name when isBase
 	isBase bool
+	// full marks the identity scan of a base relation (rows[i] == i for every
+	// row), which filter walks segment by segment against the zone maps.
+	full bool
 }
 
 // Frame is an executed but unmaterialized result: the relation generation the
@@ -170,7 +174,7 @@ func (e *Executor) execScan(node *plan.Scan, parent trace.Span) (*frame, error) 
 	if sp.Active() {
 		sp.End(trace.Str("table", node.Table), trace.Int("rows_out", len(rows)))
 	}
-	return &frame{pt: pt, rows: rows, table: node.Table, isBase: true}, nil
+	return &frame{pt: pt, rows: rows, table: node.Table, isBase: true, full: true}, nil
 }
 
 func (e *Executor) execSelect(node *plan.Select, parent trace.Span) (*frame, error) {
@@ -179,13 +183,14 @@ func (e *Executor) execSelect(node *plan.Select, parent trace.Span) (*frame, err
 		return nil, err
 	}
 	sp := parent.Start("filter")
-	out, err := e.filter(f, node.Pred)
+	out, st, err := e.filter(f, node.Pred)
 	if sp.Active() {
 		n := 0
 		if out != nil {
 			n = len(out.rows)
 		}
-		sp.End(trace.Int("rows_in", len(f.rows)), trace.Int("rows_out", n))
+		sp.End(trace.Int("rows_in", len(f.rows)), trace.Int("rows_out", n),
+			trace.Int("rows_evaluated", st.evaluated), trace.Int("segments_pruned", st.pruned))
 	}
 	return out, err
 }
@@ -265,54 +270,152 @@ func runChunks(ctx context.Context, bounds []int, workers int, fn func(ci, lo, h
 	wg.Wait()
 }
 
+// filterStats counts a filter's work: the rows it evaluated the predicate
+// on, and the segments whose zones let it skip some rows.
+type filterStats struct{ evaluated, pruned int }
+
 // filter keeps the rows qualifying in at least one possible world. Above the
 // partition threshold the row set fans out across the worker pool; chunk
 // results concatenate in chunk order, so the output is byte-identical to the
-// sequential scan.
-func (e *Executor) filter(f *frame, pred expr.Pred) (*frame, error) {
-	out := &frame{pt: f.pt, table: f.table, isBase: f.isBase}
-	if w := e.parallelism(len(f.rows)); w > 1 {
-		bounds := chunkBounds(len(f.rows), w)
-		results := make([][]int, w)
-		runChunks(e.Ctx, bounds, w, func(ci, lo, hi int) {
-			// Per-chunk getter: the memoized column cache must not be shared
-			// across goroutines.
-			get := e.cellGetter(f)
-			row := 0
-			cellOf := func(ref expr.ColRef) *uncertain.Cell { return get(row, ref) }
-			var keep []int
-			for _, r := range f.rows[lo:hi] {
-				row = r
-				if pred.EvalCell(cellOf) {
-					keep = append(keep, r)
-				}
-			}
-			results[ci] = keep
-		})
-		if err := e.ctxErr(); err != nil {
-			return nil, err
-		}
-		for _, keep := range results {
-			out.rows = append(out.rows, keep...)
-		}
-		return out, nil
+// sequential scan. A full base scan is walked segment by segment: where a
+// segment's zones rule out its bounded cells, only the rows with an Unsure
+// bit are evaluated, with the same EvalCell, in the same order.
+func (e *Executor) filter(f *frame, pred expr.Pred) (*frame, filterStats, error) {
+	var zt zoneTest
+	if f.full {
+		zt = compileZoneTest(pred, f.pt.Schema)
 	}
+	n := len(f.rows)
+	bounds := []int{0, n}
+	w := e.parallelism(n)
+	if w > 1 {
+		bounds = chunkBounds(n, w)
+	}
+	keeps := make([][]int, len(bounds)-1)
+	stats := make([]filterStats, len(bounds)-1)
+	scan := func(ci, lo, hi int) { keeps[ci], stats[ci] = e.filterChunk(f, pred, zt, lo, hi) }
+	if w > 1 {
+		runChunks(e.Ctx, bounds, w, scan)
+	} else {
+		scan(0, 0, n)
+	}
+	if err := e.ctxErr(); err != nil {
+		return nil, filterStats{}, err
+	}
+	out := &frame{pt: f.pt, table: f.table, isBase: f.isBase, rows: keeps[0]}
+	var st filterStats
+	for ci := range keeps {
+		if ci > 0 {
+			out.rows = append(out.rows, keeps[ci]...)
+		}
+		st.evaluated += stats[ci].evaluated
+		st.pruned += stats[ci].pruned
+	}
+	return out, st, nil
+}
+
+// filterChunk filters f.rows[lo:hi]. With a zone test (full scans only, so
+// row-set indexes are positions and lo is a segment boundary) it walks the
+// chunk's segments; otherwise it tests every row. A done context stops it
+// early; the caller detects that with ctxErr and discards the result.
+func (e *Executor) filterChunk(f *frame, pred expr.Pred, zt zoneTest, lo, hi int) (keep []int, st filterStats) {
+	// Per-chunk getter: the memoized column cache must not be shared across
+	// goroutines. One closure over a mutable row variable, not one per row.
 	get := e.cellGetter(f)
-	// One closure over a mutable row variable instead of one per row.
 	row := 0
 	cellOf := func(ref expr.ColRef) *uncertain.Cell { return get(row, ref) }
-	for i, r := range f.rows {
-		if i%ctxCheckEvery == 0 {
-			if err := e.ctxErr(); err != nil {
-				return nil, err
-			}
-		}
+	test := func(r int) {
 		row = r
+		st.evaluated++
 		if pred.EvalCell(cellOf) {
-			out.rows = append(out.rows, r)
+			keep = append(keep, r)
 		}
 	}
-	return out, nil
+	if zt == nil {
+		for i, r := range f.rows[lo:hi] {
+			if i%ctxCheckEvery == 0 && e.ctxErr() != nil {
+				return
+			}
+			test(r)
+		}
+		return
+	}
+	for k := ptable.SegOf(lo); k < f.pt.Segments(); k++ {
+		slo, shi := f.pt.SegSpan(k)
+		if slo >= hi || e.ctxErr() != nil {
+			return
+		}
+		mask, all := segMask{}, true
+		if zs := f.pt.SegZones(k); zs != nil {
+			mask, all = zt(zs)
+		}
+		if all {
+			for r := slo; r < shi; r++ {
+				test(r)
+			}
+			continue
+		}
+		st.pruned++
+		for wi, word := range mask {
+			for ; word != 0; word &= word - 1 {
+				test(slo + wi<<6 + bits.TrailingZeros64(word))
+			}
+		}
+	}
+	return
+}
+
+// segMask is a set of offsets within one segment, laid out like
+// ptable.Zone.Unsure.
+type segMask = [ptable.SegmentSize / 64]uint64
+
+// zoneTest is a predicate compiled against one relation's schema for
+// per-segment zone tests: given a segment's zones it returns the offsets
+// whose rows may qualify, or all=true when the zones rule out none. A nil
+// zoneTest rules out nothing.
+type zoneTest func(zs []ptable.Zone) (mask segMask, all bool)
+
+// compileZoneTest compiles pred into a zoneTest. A comparison against a
+// constant whose zone excludes it leaves that column's Unsure rows, and AND
+// intersects its sides' rows. OR, column-to-column comparisons and unknown
+// nodes rule out nothing.
+func compileZoneTest(pred expr.Pred, s *schema.Schema) zoneTest {
+	switch p := pred.(type) {
+	case *expr.Cmp:
+		idx := resolveRef(s, p.Ref)
+		if idx < 0 {
+			return nil
+		}
+		return func(zs []ptable.Zone) (segMask, bool) {
+			if z := &zs[idx]; z.Excludes(p.Op, p.Val) {
+				return z.Unsure, false
+			}
+			return segMask{}, true
+		}
+	case *expr.And:
+		l, r := compileZoneTest(p.L, s), compileZoneTest(p.R, s)
+		switch {
+		case l == nil:
+			return r
+		case r == nil:
+			return l
+		}
+		return func(zs []ptable.Zone) (segMask, bool) {
+			lm, lall := l(zs)
+			rm, rall := r(zs)
+			switch {
+			case lall:
+				return rm, rall
+			case rall:
+				return lm, false
+			}
+			for i := range lm {
+				lm[i] &= rm[i]
+			}
+			return lm, false
+		}
+	}
+	return nil
 }
 
 // resolveRef resolves a column reference against a schema: a qualified name
@@ -686,13 +789,11 @@ func (e *Executor) groupBy(node *plan.GroupBy, f *frame) (*frame, error) {
 }
 
 // aggSchema derives the output schema: group keys first, then aggregates.
+// It resolves columns as groupBy reads them (resolveRef, qualified first).
 func aggSchema(in *schema.Schema, keys []expr.ColRef, items []sql.SelectItem) (*schema.Schema, error) {
 	var cols []schema.Column
 	for _, k := range keys {
-		idx := in.Index(k.Col)
-		if idx < 0 && k.Table != "" {
-			idx = in.Index(k.Table + "." + k.Col)
-		}
+		idx := resolveRef(in, k)
 		if idx < 0 {
 			return nil, fmt.Errorf("engine: group key %s not in input", k)
 		}
@@ -707,8 +808,7 @@ func aggSchema(in *schema.Schema, keys []expr.ColRef, items []sql.SelectItem) (*
 			kind = value.Int
 		}
 		if it.Agg == sql.AggMin || it.Agg == sql.AggMax {
-			idx := in.Index(it.Ref.Col)
-			if idx >= 0 {
+			if idx := resolveRef(in, it.Ref); idx >= 0 {
 				kind = in.Col(idx).Kind
 			}
 		}
@@ -780,13 +880,7 @@ func (e *Executor) execProject(node *plan.Project, parent trace.Span) (*frame, e
 	var cols []schema.Column
 	var idxs []int
 	for _, it := range node.Items {
-		idx := -1
-		if it.Ref.Table != "" {
-			idx = f.pt.Schema.Index(it.Ref.Table + "." + it.Ref.Col)
-		}
-		if idx < 0 {
-			idx = f.pt.Schema.Index(it.Ref.Col)
-		}
+		idx := resolveRef(f.pt.Schema, it.Ref)
 		if idx < 0 {
 			return nil, fmt.Errorf("engine: projection column %s not in input (%s)", it.Ref, f.pt.Schema)
 		}

@@ -197,6 +197,47 @@ func TestGroupByAggregates(t *testing.T) {
 	}
 }
 
+// TestGroupByQualifiedKeyOverJoin groups a join by a column whose plain
+// name the left side also has. The output schema must resolve b.v as
+// groupBy reads it — the prefixed join column first — so the key and MAX
+// columns carry b.v's kind (string), not a.v's (int).
+func TestGroupByQualifiedKeyOverJoin(t *testing.T) {
+	mk := func(name string, vKind value.Kind, rows ...table.Row) *ptable.PTable {
+		tb := table.New(name, schema.MustNew(
+			schema.Column{Name: "k", Kind: value.Int},
+			schema.Column{Name: "v", Kind: vKind},
+		))
+		for _, r := range rows {
+			tb.MustAppend(r)
+		}
+		return ptable.FromTable(tb)
+	}
+	a := mk("a", value.Int,
+		table.Row{value.NewInt(1), value.NewInt(10)},
+		table.Row{value.NewInt(2), value.NewInt(20)})
+	b := mk("b", value.String,
+		table.Row{value.NewInt(1), value.NewString("x")},
+		table.Row{value.NewInt(2), value.NewString("y")})
+	e := &Executor{Tables: map[string]*ptable.PTable{"a": a, "b": b}}
+	out := run(t, e, "SELECT b.v, MAX(b.v) FROM a, b WHERE a.k = b.k GROUP BY b.v")
+	if out.Len() != 2 {
+		t.Fatalf("groups = %d, want 2", out.Len())
+	}
+	for i := 0; i < out.Schema.Len(); i++ {
+		if col := out.Schema.Col(i); col.Kind != value.String {
+			t.Errorf("column %s kind = %s, want string", col.Name, col.Kind)
+		}
+	}
+	for i, want := range []string{"x", "y"} {
+		if got := out.At(i).Cells[0].Orig; got.Kind() != value.String || got.Str() != want {
+			t.Errorf("group %d key = %v, want %s", i, got, want)
+		}
+		if got := out.At(i).Cells[1].Orig; got.Kind() != value.String || got.Str() != want {
+			t.Errorf("group %d MAX(b.v) = %v, want %s", i, got, want)
+		}
+	}
+}
+
 func TestGlobalAggregate(t *testing.T) {
 	e := &Executor{Tables: map[string]*ptable.PTable{"cities": citiesPT()}}
 	out := run(t, e, "SELECT COUNT(*) FROM cities")

@@ -3,6 +3,7 @@ package ptable_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"daisy/internal/dc"
@@ -42,10 +43,19 @@ func randomDiffTable(rng *rand.Rand, n int) *table.Table {
 // calls with the same arguments build structurally identical deltas —
 // required because Apply takes ownership of delta cells, so the segmented
 // and flat runs each need their own copy.
-func randomDiffDelta(seed int64, tb *table.Table) *ptable.Delta {
+func randomDiffDelta(seed int64, tb *table.Table) *ptable.Delta { return diffDelta(seed, tb, false) }
+
+// denseDiffDelta is randomDiffDelta fixing half as many cells as tb has
+// rows: enough for ApplyCOW's bulk-clone path.
+func denseDiffDelta(seed int64, tb *table.Table) *ptable.Delta { return diffDelta(seed, tb, true) }
+
+func diffDelta(seed int64, tb *table.Table, dense bool) *ptable.Delta {
 	rng := rand.New(rand.NewSource(seed))
 	d := ptable.NewDelta(tb.Name)
 	k := 1 + rng.Intn(6)
+	if dense {
+		k = tb.Len() / 2
+	}
 	for i := 0; i < k; i++ {
 		row := rng.Intn(tb.Len())
 		col := rng.Intn(tb.Schema.Len())
@@ -90,6 +100,29 @@ func compareStates(t *testing.T, ctx string, seg *ptable.PTable, flat *oracle.Fl
 	if got, want := seg.CandidateFootprint(), flat.CandidateFootprint(); got != want {
 		t.Fatalf("%s: CandidateFootprint counter %d, full scan %d", ctx, got, want)
 	}
+	if err := seg.VerifyZones(); err != nil {
+		t.Fatalf("%s: unsound zone: %v", ctx, err)
+	}
+}
+
+// zonesOf copies every segment's zones, to check later that nothing wrote
+// them.
+func zonesOf(p *ptable.PTable) [][]ptable.Zone {
+	out := make([][]ptable.Zone, p.Segments())
+	for k := range out {
+		out[k] = slices.Clone(p.SegZones(k))
+	}
+	return out
+}
+
+// sameZones reports whether p's zones equal a zonesOf copy.
+func sameZones(p *ptable.PTable, zs [][]ptable.Zone) bool {
+	for k := range zs {
+		if !slices.Equal(p.SegZones(k), zs[k]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestSegmentedMatchesFlatReference drives seeded sequences of FD- and
@@ -97,9 +130,12 @@ func compareStates(t *testing.T, ctx string, seg *ptable.PTable, flat *oracle.Fl
 // first an in-place phase (the offline/oracle lifecycle), then a
 // copy-on-write phase of generation chains and dropped (canceled-query)
 // branches (the epoch-publication lifecycle — after the first ApplyCOW the
-// relation is frozen for in-place mutation by the enforced invariant).
-// After every step both implementations must be fingerprint-byte-identical
-// and the maintained counters must equal the flat full scans.
+// relation is frozen for in-place mutation by the enforced invariant),
+// with one dense publish midway.
+// After every step both implementations must be fingerprint-byte-identical,
+// the maintained counters must equal the flat full scans, every zone must
+// cover its segment's cells (VerifyZones), and ApplyCOW must leave the
+// receiver's zones untouched.
 func TestSegmentedMatchesFlatReference(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -122,9 +158,14 @@ func TestSegmentedMatchesFlatReference(t *testing.T) {
 			sub := seed*1000 + 500 + int64(step)
 			dSeg := randomDiffDelta(sub, tb)
 			dFlat := randomDiffDelta(sub, tb)
+			zones := zonesOf(seg)
 			if rng.Intn(3) < 2 {
 				var u1, u2 int
+				prev := seg
 				seg, u1 = seg.ApplyCOW(dSeg)
+				if !sameZones(prev, zones) {
+					t.Fatalf("seed %d cow step %d: ApplyCOW wrote its receiver's zones", seed, step)
+				}
 				flat, u2 = flat.ApplyCOW(dFlat)
 				if u1 != u2 {
 					t.Fatalf("seed %d cow step %d: COW updated %d vs %d", seed, step, u1, u2)
@@ -141,8 +182,26 @@ func TestSegmentedMatchesFlatReference(t *testing.T) {
 				if seg.Fingerprint() != before {
 					t.Fatalf("seed %d cow step %d: COW branch mutated its base", seed, step)
 				}
+				if !sameZones(seg, zones) {
+					t.Fatalf("seed %d cow step %d: dropped branch wrote its base's zones", seed, step)
+				}
+				if err := branchSeg.VerifyZones(); err != nil {
+					t.Fatalf("seed %d cow step %d: dropped branch has an unsound zone: %v", seed, step, err)
+				}
 			}
 			compareStates(t, fmt.Sprintf("seed %d cow step %d", seed, step), seg, flat)
+
+			if step == 7 {
+				// A dense publish, through the bulk-clone path.
+				zones := zonesOf(seg)
+				prev := seg
+				seg, _ = seg.ApplyCOW(denseDiffDelta(sub, tb))
+				flat, _ = flat.ApplyCOW(denseDiffDelta(sub, tb))
+				if !sameZones(prev, zones) {
+					t.Fatalf("seed %d cow step %d: dense ApplyCOW wrote its receiver's zones", seed, step)
+				}
+				compareStates(t, fmt.Sprintf("seed %d dense cow step %d", seed, step), seg, flat)
+			}
 		}
 	}
 }

@@ -20,15 +20,28 @@
 // positional decode across a segment, Seg exposes a segment's tuple block as
 // a flat slice, and ScanColOrig extracts one column's values in segment runs.
 // The raw tuple slice of earlier versions no longer exists.
+//
+// # Zone maps
+//
+// Segments snapshotted by FromTable carry one Zone per column: bounds over
+// the column's certain cells plus an Unsure bitmap of the cells the bound
+// says nothing about (uncertain ones, NaN, a number of the other numeric
+// kind). Apply and ApplyCOW keep zones current in O(delta) — an uncertain
+// result sets its bit, a certain one widens the bound, nothing narrows — so
+// a scan can rule out a segment's bounded cells with two comparisons and
+// test only the set bits. Relations built by Append carry no zones.
 package ptable
 
 import (
 	"fmt"
 	"iter"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
 
+	"daisy/internal/dc"
 	"daisy/internal/schema"
 	"daisy/internal/table"
 	"daisy/internal/uncertain"
@@ -108,11 +121,163 @@ type segment struct {
 	// their candidate footprints. Maintained by Apply/ApplyCOW/Append.
 	dirty int
 	cand  int
+	// zones holds one Zone per column, maintained by Apply/ApplyCOW; nil
+	// (segments built by Append) means no column rules any row out.
+	zones []Zone
 }
 
 // clone copies the segment for a copy-on-write mutation.
 func (s *segment) clone() *segment {
-	return &segment{tuples: append([]*Tuple(nil), s.tuples...), dirty: s.dirty, cand: s.cand}
+	return &segment{tuples: append([]*Tuple(nil), s.tuples...), dirty: s.dirty, cand: s.cand,
+		zones: slices.Clone(s.zones)}
+}
+
+// Zone summarizes one column of one segment for predicate pruning. Its
+// bounds are the minimum and maximum of the column's certain cells whose
+// Unsure bit is clear. A set bit marks a cell the bounds say nothing
+// about: an uncertain cell (its candidates and ranges may span the whole
+// domain), a NaN (which value.Compare treats as equal to every number), or a
+// number of the other numeric kind than the bounded ones (Int and Float
+// compare through float64, which is not transitive across the two kinds for
+// large integers). Bounds only ever widen and bits only ever get set, so a
+// zone stays sound under Apply and ApplyCOW without a rescan.
+type Zone struct {
+	min, max value.Value
+	// Unsure holds one bit per segment offset: bit off&63 of word off>>6.
+	Unsure [SegmentSize / 64]uint64
+	// bounded reports whether min/max hold a value, i.e. some cell is bounded.
+	bounded bool
+	// num is the numeric kind (Int or Float) of the bounded numbers, Null
+	// before the first one.
+	num value.Kind
+}
+
+// setUnsure marks the cell at segment offset off as unbounded.
+func (z *Zone) setUnsure(off int) { z.Unsure[off>>6] |= 1 << (off & 63) }
+
+// isUnsure reports whether the cell at segment offset off is unbounded.
+func (z *Zone) isUnsure(off int) bool { return z.Unsure[off>>6]&(1<<(off&63)) != 0 }
+
+// add folds the cell at segment offset off into the zone.
+func (z *Zone) add(off int, c *uncertain.Cell) {
+	if c.IsCertain() {
+		z.widen(off, c.Orig)
+	} else {
+		z.setUnsure(off)
+	}
+}
+
+// widen folds the value of a certain cell at segment offset off.
+func (z *Zone) widen(off int, v value.Value) {
+	if k := v.Kind(); k == value.Int || k == value.Float {
+		if k == value.Float && math.IsNaN(v.Float()) || z.num != value.Null && z.num != k {
+			z.setUnsure(off)
+			return
+		}
+		z.num = k
+	}
+	switch {
+	case !z.bounded:
+		z.min, z.max, z.bounded = v, v, true
+	case v.Compare(z.min) < 0:
+		z.min = v
+	case v.Compare(z.max) > 0:
+		z.max = v
+	}
+}
+
+// fold builds the zone of column j over a snapshot's rows. A column that is
+// all Ints, or all non-NaN Floats — the common case — folds as int64 or
+// float64, with no value.Compare per cell: every snapshot pays this fold.
+// Any other column goes through widen.
+func (z *Zone) fold(rows []table.Row, j int) {
+	switch first := rows[0][j]; first.Kind() {
+	case value.Int:
+		lo, hi := first.Int(), first.Int()
+		i := 1
+		for ; i < len(rows) && rows[i][j].Kind() == value.Int; i++ {
+			x := rows[i][j].Int()
+			lo, hi = min(lo, x), max(hi, x)
+		}
+		if i == len(rows) {
+			z.min, z.max, z.bounded, z.num = value.NewInt(lo), value.NewInt(hi), true, value.Int
+			return
+		}
+	case value.Float:
+		lo, hi := first.Float(), first.Float()
+		i := 0
+		for ; i < len(rows) && rows[i][j].Kind() == value.Float; i++ {
+			x := rows[i][j].Float()
+			if math.IsNaN(x) {
+				break
+			}
+			lo, hi = min(lo, x), max(hi, x)
+		}
+		if i == len(rows) {
+			z.min, z.max, z.bounded, z.num = value.NewFloat(lo), value.NewFloat(hi), true, value.Float
+			return
+		}
+	}
+	for i := range rows {
+		z.widen(i, rows[i][j])
+	}
+}
+
+// VerifyZones checks every zone against its segment's cells: a cell whose
+// Unsure bit is clear must be certain, not NaN, within the bounds, and a
+// number of the bounded numbers' kind. It returns the first violation, or
+// nil. Tests call it after every mutation.
+func (p *PTable) VerifyZones() error {
+	for si, s := range p.segs {
+		for j := range s.zones {
+			z := &s.zones[j]
+			for off, t := range s.tuples {
+				c := &t.Cells[j]
+				if z.isUnsure(off) {
+					continue
+				}
+				v := c.Orig
+				kind := v.Kind()
+				switch {
+				case !c.IsCertain():
+					return fmt.Errorf("segment %d column %d offset %d: uncertain cell without its unsure bit", si, j, off)
+				case !z.bounded || v.Compare(z.min) < 0 || v.Compare(z.max) > 0:
+					return fmt.Errorf("segment %d column %d offset %d: %s outside [%s, %s]", si, j, off, v, z.min, z.max)
+				case kind == value.Float && math.IsNaN(v.Float()):
+					return fmt.Errorf("segment %d column %d offset %d: NaN without its unsure bit", si, j, off)
+				case (kind == value.Int || kind == value.Float) && kind != z.num:
+					return fmt.Errorf("segment %d column %d offset %d: %s bounded among %s numbers", si, j, off, kind, z.num)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// Excludes reports whether no bounded cell can satisfy "cell op c", so that
+// only the cells with a set Unsure bit may. Bounded cells are ordered by
+// value.Compare among themselves, and Compare(v, c) never decreases as v
+// grows (for a NaN c too, which compares equal to every number), so the
+// bounds decide every op.
+func (z *Zone) Excludes(op dc.Op, c value.Value) bool {
+	if !z.bounded {
+		return true
+	}
+	switch op {
+	case dc.Eq:
+		return c.Compare(z.min) < 0 || c.Compare(z.max) > 0
+	case dc.Neq:
+		return z.min.Compare(c) == 0 && z.max.Compare(c) == 0
+	case dc.Lt:
+		return z.min.Compare(c) >= 0
+	case dc.Leq:
+		return z.min.Compare(c) > 0
+	case dc.Gt:
+		return z.max.Compare(c) <= 0
+	case dc.Geq:
+		return z.max.Compare(c) < 0
+	}
+	return false
 }
 
 // PTable is a probabilistic relation.
@@ -164,7 +329,7 @@ func New(name string, s *schema.Schema) *PTable {
 // per segment — snapshotting is the first thing every session does to every
 // relation, and segment-aligned batches keep the sequential hot path a few
 // allocations per SegmentSize rows while letting ApplyCOW share untouched
-// segments wholesale.
+// segments wholesale. The same loop builds each segment's zones.
 func FromTable(t *table.Table) *PTable {
 	n := t.Len()
 	p := &PTable{Name: t.Name, Schema: t.Schema, dense: true, n: n}
@@ -187,7 +352,11 @@ func FromTable(t *table.Table) *PTable {
 			tuples[i] = Tuple{ID: int64(lo + i), Cells: tc}
 			ptrs[i] = &tuples[i]
 		}
-		p.segs = append(p.segs, &segment{tuples: ptrs})
+		zones := make([]Zone, width)
+		for j := range zones {
+			zones[j].fold(t.Rows[lo:hi], j)
+		}
+		p.segs = append(p.segs, &segment{tuples: ptrs, zones: zones})
 	}
 	return p
 }
@@ -255,6 +424,7 @@ func (p *PTable) Append(t *Tuple) {
 	if len(p.segs) > 0 {
 		if last := p.segs[len(p.segs)-1]; len(last.tuples) < SegmentSize {
 			seg = last
+			seg.zones = nil // Append does not maintain zones
 		}
 	}
 	if seg == nil {
@@ -331,6 +501,11 @@ func (p *PTable) SegDirty(k int) int { return p.segs[k].dirty }
 
 // SegCand returns segment k's maintained candidate-footprint sum.
 func (p *PTable) SegCand(k int) int { return p.segs[k].cand }
+
+// SegZones returns segment k's per-column zones, indexed like the schema, or
+// nil when the segment carries none. The zones are shared across
+// copy-on-write generations: callers must treat them as read-only.
+func (p *PTable) SegZones(k int) []Zone { return p.segs[k].zones }
 
 // Cursor is a positional reader that caches the segment of the last accessed
 // row, so a scan pays one segment-directory decode per SegmentSize rows
@@ -511,16 +686,21 @@ func (d *Delta) Get(id int64, col int) (uncertain.Cell, bool) {
 // Len returns the number of touched tuples.
 func (d *Delta) Len() int { return len(d.Cells) }
 
-// mergeCells merges the delta's cell replacements for one tuple into t's
-// cell slice (Lemma 4 union semantics for already-probabilistic cells,
-// replacement for clean ones) and returns the number of updated cells.
-func mergeCells(t *Tuple, cols []ColCell) int {
+// mergeCells merges the delta's cell replacements for one tuple, at offset
+// off of a segment with zones zs (nil for none), into t's cell slice (Lemma
+// 4 union semantics for already-probabilistic cells, replacement for clean
+// ones), folds each result into its column's zone, and returns the number of
+// updated cells.
+func mergeCells(t *Tuple, cols []ColCell, zs []Zone, off int) int {
 	for _, cc := range cols {
 		cur := &t.Cells[cc.Col]
 		if cur.IsCertain() {
 			*cur = cc.Cell
 		} else {
 			cur.Merge(cc.Cell)
+		}
+		if zs != nil {
+			zs[cc.Col].add(off, cur)
 		}
 	}
 	return len(cols)
@@ -551,7 +731,7 @@ func (p *PTable) Apply(d *Delta) int {
 		seg := p.segs[i>>segShift]
 		t := seg.tuples[i&segMask]
 		wasDirty, wasCand := t.Dirty(), t.footprint()
-		updated += mergeCells(t, cols)
+		updated += mergeCells(t, cols, seg.zones, i&segMask)
 		if t.Dirty() != wasDirty {
 			if wasDirty {
 				seg.dirty--
@@ -582,12 +762,13 @@ func (p *PTable) ApplyCOW(d *Delta) (*PTable, int) {
 	p.shared.Store(true)
 	out.segs = append(make([]*segment, 0, len(p.segs)), p.segs...)
 	// Dense deltas clone most of the directory; carving those clones out of
-	// two bulk allocations (one tuple-pointer block, one segment-struct
-	// block) instead of two small allocations per segment keeps the dense
-	// case at flat-copy speed. The extra counting pass only runs when the
-	// delta is large enough for the directory scan to be noise.
+	// three bulk allocations (one tuple-pointer block, one segment-struct
+	// block, one zone block) instead of three small allocations per segment
+	// keeps the dense case at flat-copy speed. The extra counting pass only
+	// runs when the delta is large enough for the directory scan to be noise.
 	var bulkTuples []*Tuple
 	var bulkSegs []segment
+	var bulkZones []Zone
 	if len(d.Cells) >= SegmentSize/4 && len(p.segs) > 1 {
 		touched := make([]bool, len(p.segs))
 		cnt := 0
@@ -602,6 +783,7 @@ func (p *PTable) ApplyCOW(d *Delta) (*PTable, int) {
 		if cnt >= len(p.segs)/4 {
 			bulkTuples = make([]*Tuple, 0, cnt*SegmentSize)
 			bulkSegs = make([]segment, 0, cnt)
+			bulkZones = make([]Zone, 0, cnt*p.Schema.Len())
 		}
 	}
 	// Shallow write clones are carved out of block allocations: a clean pass
@@ -628,7 +810,15 @@ func (p *PTable) ApplyCOW(d *Delta) (*PTable, int) {
 				lo, hi := len(bulkTuples), len(bulkTuples)+len(seg.tuples)
 				bulkTuples = bulkTuples[:hi]
 				copy(bulkTuples[lo:hi], seg.tuples)
-				bulkSegs = append(bulkSegs, segment{tuples: bulkTuples[lo:hi:hi], dirty: seg.dirty, cand: seg.cand})
+				// A carved segment holds width zones or none, so the zone block
+				// (width per counted segment) never reallocates either.
+				zlo := len(bulkZones)
+				bulkZones = append(bulkZones, seg.zones...)
+				var zones []Zone
+				if seg.zones != nil {
+					zones = bulkZones[zlo:len(bulkZones):len(bulkZones)]
+				}
+				bulkSegs = append(bulkSegs, segment{tuples: bulkTuples[lo:hi:hi], dirty: seg.dirty, cand: seg.cand, zones: zones})
 				// bulkSegs never reallocates (capacity pre-counted), so the
 				// element pointer stays valid.
 				seg = &bulkSegs[len(bulkSegs)-1]
@@ -653,7 +843,7 @@ func (p *PTable) ApplyCOW(d *Delta) (*PTable, int) {
 		cellBlock = append(cellBlock, src.Cells...)
 		t.Cells = cellBlock[clo:len(cellBlock):len(cellBlock)]
 		wasDirty, wasCand := src.Dirty(), src.footprint()
-		updated += mergeCells(t, cols)
+		updated += mergeCells(t, cols, seg.zones, off)
 		if t.Dirty() != wasDirty {
 			if wasDirty {
 				seg.dirty--
