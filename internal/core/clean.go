@@ -10,7 +10,6 @@ import (
 	"daisy/internal/repair"
 	"daisy/internal/thetajoin"
 	"daisy/internal/trace"
-	"daisy/internal/value"
 )
 
 // cleanFD handles one FD rule inside cleanσ. It returns the extra row
@@ -20,9 +19,7 @@ import (
 // single-writer loop before returning.
 func (qc *queryCtx) cleanFD(st *tableState, tableName string, rule *dc.Constraint, fd dc.FDSpec, rows []int, pred expr.Pred, m *detect.Metrics, parent trace.Span) ([]int, error) {
 	idx := st.reg.fdIndex(st.pt, rule.Name, fd)
-	snapChecked := st.checkedGroups[rule.Name]
-	localChecked := qc.checkedLocal(tableName, rule.Name)
-	checked := func(k value.MapKey) bool { return snapChecked[k] || localChecked[k] }
+	checked := qc.checked(tableName, rule.Name)
 
 	// Statistics-driven pruning (Fig 9): only rows in dirty, unchecked
 	// groups need cleaning work. Row keys and violation status come from the
@@ -39,7 +36,7 @@ func (qc *queryCtx) cleanFD(st *tableState, tableName string, rule *dc.Constrain
 		if prune && !idx.violating(r) {
 			continue
 		}
-		if checked(idx.keyOf(r)) {
+		if checked.has(idx.anchorOf(r)) {
 			continue
 		}
 		scope = append(scope, r)
@@ -104,7 +101,7 @@ func (qc *queryCtx) cleanFD(st *tableState, tableName string, rule *dc.Constrain
 			background = true
 			qc.deferFullClean(tableName, rule, fd)
 		} else {
-			if err := qc.fullCleanFD(tableName, rule, fd, idx, checked, localChecked, m, parent); err != nil {
+			if err := qc.fullCleanFD(tableName, rule, fd, idx, checked, m, parent); err != nil {
 				return nil, err
 			}
 			dec := costDec
@@ -133,18 +130,17 @@ func (qc *queryCtx) cleanFD(st *tableState, tableName string, rule *dc.Constrain
 	// checked group is always a fully repaired one: the state stays a
 	// function of the checked groups, the bytes a full clean or sweep gives.
 	// The scope itself holds unchecked groups only.
-	var fix []int
-	var groups []value.MapKey
+	var fix, anchors []int
+	local := qc.private(tableName, rule.Name)
 	for _, rs := range [][]int{scope, extra} {
 		for _, r := range rs {
-			key := idx.keyOf(r)
-			if checked(key) {
-				continue
+			a := idx.anchorOf(r)
+			if !local.add(a) {
+				continue // checked, by an epoch or earlier in this query
 			}
-			localChecked[key] = true
-			groups = append(groups, key)
+			anchors = append(anchors, a)
 			if idx.violating(r) {
-				fix = append(fix, idx.members(key)...)
+				fix = append(fix, idx.members(a)...)
 			}
 		}
 	}
@@ -166,7 +162,7 @@ func (qc *queryCtx) cleanFD(st *tableState, tableName string, rule *dc.Constrain
 	// (duplicates from racing queries coalesce in the writer).
 	qc.submit(&applyReq{
 		table: tableName, rule: rule.Name,
-		delta: delta, base: base, applied: qc.pt(tableName), groups: groups,
+		delta: delta, base: base, applied: qc.pt(tableName), marks: anchors,
 		costRecord: st.cost != nil,
 		costQi:     len(rows), costEi: len(extra), costEpsi: len(scope) + len(extra),
 	})
@@ -206,7 +202,7 @@ func predTouchesLHS(pred expr.Pred, fd dc.FDSpec) bool {
 // same bytes whether a group is cleaned incrementally, by this inline pass,
 // or by a background sweep chunk — the invariant the async switch's
 // convergence rests on.
-func (qc *queryCtx) fullCleanFD(tableName string, rule *dc.Constraint, fd dc.FDSpec, idx *fdIndex, checked func(value.MapKey) bool, localChecked map[value.MapKey]bool, m *detect.Metrics, parent trace.Span) error {
+func (qc *queryCtx) fullCleanFD(tableName string, rule *dc.Constraint, fd dc.FDSpec, idx *fdIndex, checked *posSet, m *detect.Metrics, parent trace.Span) error {
 	if err := qc.ctxErr(); err != nil {
 		return err
 	}
@@ -220,8 +216,9 @@ func (qc *queryCtx) fullCleanFD(tableName string, rule *dc.Constraint, fd dc.FDS
 	if req.applied != nil {
 		qc.setLocal(tableName, req.applied)
 	}
-	for _, key := range req.groups {
-		localChecked[key] = true
+	local := qc.private(tableName, rule.Name)
+	for _, a := range req.marks {
+		local.add(a)
 	}
 	if repairSp.Active() {
 		repairSp.End(trace.Str("rule", rule.Name), trace.Bool("full", true),
@@ -236,20 +233,18 @@ func (qc *queryCtx) fullCleanFD(tableName string, rule *dc.Constraint, fd dc.FDS
 // ascending row order. The group index supplies membership directly — no
 // full-table key rescan.
 func groupPartners(idx *fdIndex, scope, rows []int) []int {
-	inResult := make(map[int]bool, len(rows))
+	var inResult, want posSet
 	for _, r := range rows {
-		inResult[r] = true
+		inResult.add(r)
 	}
-	want := make(map[value.MapKey]bool, len(scope))
 	var extra []int
 	for _, r := range scope {
-		key := idx.keyOf(r)
-		if want[key] {
+		a := idx.anchorOf(r)
+		if !want.add(a) {
 			continue
 		}
-		want[key] = true
-		for _, i := range idx.members(key) {
-			if !inResult[i] {
+		for _, i := range idx.members(a) {
+			if !inResult.has(i) {
 				extra = append(extra, i)
 			}
 		}
@@ -276,7 +271,7 @@ func (qc *queryCtx) cleanDC(st *tableState, tableName string, rule *dc.Constrain
 
 	latest := qc.latestState(tableName)
 	view := detect.NewPTableView(qc.pt(tableName))
-	checked := latest.checkedTuples[rule.Name]
+	checked := latest.checked[rule.Name]
 	dx := st.reg.dcIndex(view, rule, parent)
 
 	// Algorithm 2: estimate result dirtiness from precomputed range overlap.
@@ -299,37 +294,26 @@ func (qc *queryCtx) cleanDC(st *tableState, tableName string, rule *dc.Constrain
 			trace.Float("support", support), trace.Float("threshold", qc.opts.DCThreshold),
 			trace.Bool("full", decision.FullClean))
 	}
-	dec := Decision{Table: tableName, Rule: rule.Name,
-		Accuracy: 1 - decision.Dirtiness, Support: support}
+	qc.decisions = append(qc.decisions, Decision{Table: tableName, Rule: rule.Name,
+		Strategy: strategyName(strategy), Accuracy: 1 - decision.Dirtiness, Support: support})
 
 	var delta []int // new rows to check
 	var rest []int  // unchecked rows outside the result
-	inResult := make(map[int]bool, len(rows))
+	var inResult posSet
 	for _, r := range rows {
-		inResult[r] = true
+		inResult.add(r)
 	}
-	if strategy == StrategyFull {
-		dec.Strategy = "full"
-		// Full clean: every unchecked tuple is delta, in or out of the result.
-		for i := 0; i < view.Len(); i++ {
-			if !checked[view.ID(i)] {
-				delta = append(delta, i)
-			}
-		}
-	} else {
-		dec.Strategy = "incremental"
-		for i := 0; i < view.Len(); i++ {
-			if checked[view.ID(i)] {
-				continue
-			}
-			if inResult[i] {
-				delta = append(delta, i)
-			} else {
-				rest = append(rest, i)
-			}
+	for i := 0; i < view.Len(); i++ {
+		switch {
+		case checked.has(i): // covered: its pairs were detected when it was checked
+		case strategy == StrategyFull || inResult.has(i):
+			// A full clean makes every unchecked tuple delta, in or out of
+			// the result.
+			delta = append(delta, i)
+		default:
+			rest = append(rest, i)
 		}
 	}
-	qc.decisions = append(qc.decisions, dec)
 	if len(delta) == 0 {
 		return nil, nil
 	}
@@ -364,24 +348,19 @@ func (qc *queryCtx) cleanDC(st *tableState, tableName string, rule *dc.Constrain
 	// Mark the delta tuples checked (full clean marks everything) and buffer
 	// the write-back. A racing query that detected some of the same pairs
 	// publishes the same ranges, which the writer's merge absorbs.
-	ids := make([]int64, len(delta))
-	for i, d := range delta {
-		ids[i] = view.ID(d)
-	}
 	qc.submit(&applyReq{table: tableName, rule: rule.Name,
-		delta: fixes, base: view.P, applied: qc.pt(tableName), tuples: ids})
+		delta: fixes, base: view.P, applied: qc.pt(tableName), marks: delta})
 
 	// Relaxation extras: conflict partners outside the result, resolved
 	// through the relation's persistent id→position index.
-	seen := make(map[int]bool)
+	var seen posSet
 	var extra []int
 	for _, p := range pairs {
 		for _, id := range []int64{p.T1, p.T2} {
 			pos, ok := view.P.Pos(id)
-			if !ok || inResult[pos] || seen[pos] {
+			if !ok || inResult.has(pos) || !seen.add(pos) {
 				continue
 			}
-			seen[pos] = true
 			extra = append(extra, pos)
 			m.Relaxed++
 		}
@@ -452,9 +431,9 @@ func minF(a, b float64) float64 {
 
 // dcSupport reports the fraction of the relation already theta-join-checked
 // under the rule — the diagonal-coverage support of Algorithm 2 line 7.
-func dcSupport(st *tableState, checked map[int64]bool) float64 {
+func dcSupport(st *tableState, checked *posSet) float64 {
 	if st.pt.Len() == 0 {
 		return 1
 	}
-	return float64(len(checked)) / float64(st.pt.Len())
+	return float64(checked.len()) / float64(st.pt.Len())
 }

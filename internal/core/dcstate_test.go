@@ -182,7 +182,7 @@ func TestDurableReopenMixedRulesOneColumn(t *testing.T) {
 	}
 	race(q[2:])
 	st := s.w.current().tables["emp"]
-	if len(st.checkedGroups["phi"]) == 0 || len(st.checkedTuples["psi"]) == 0 {
+	if st.checked["phi"].len() == 0 || st.checked["psi"].len() == 0 {
 		t.Fatal("the workload checked no FD groups or no DC tuples")
 	}
 	want := s.StateFingerprint()

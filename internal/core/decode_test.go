@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -93,7 +94,7 @@ func durableSeeds(f *testing.F) (*snapshot, [][]byte) {
 			applies = append(applies, r.Payload[1:])
 		}
 	}
-	if len(applies) == 0 || len(snap.tables["cities"].checkedGroups) == 0 || len(snap.tables["emp"].checkedTuples) == 0 {
+	if len(applies) == 0 || snap.tables["cities"].checked["phi"].len() == 0 || snap.tables["emp"].checked["psi"].len() == 0 {
 		f.Fatal("seed session holds no FD and DC state")
 	}
 	return snap, applies
@@ -149,19 +150,11 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 func applyFingerprint(reqs []*applyReq) []byte {
 	var buf []byte
 	for _, r := range reqs {
-		if len(r.groups) == 0 && len(r.tuples) == 0 && !r.costRecord && !r.markSwitched {
+		if len(r.marks) == 0 && !r.costRecord && !r.markSwitched {
 			continue
 		}
 		buf = appendString(appendString(buf, r.table), r.rule)
-		buf = fmt.Appendf(buf, "%v%v", r.costRecord, r.markSwitched)
-		buf = appendUvarint(buf, uint64(len(r.groups)))
-		for _, k := range r.groups {
-			buf = k.AppendBinary(buf)
-		}
-		buf = appendUvarint(buf, uint64(len(r.tuples)))
-		for _, id := range r.tuples {
-			buf = appendVarint(buf, id)
-		}
+		buf = fmt.Appendf(buf, "%v%v%v", r.costRecord, r.markSwitched, r.marks)
 		if r.costRecord {
 			buf = fmt.Appendf(buf, "%d,%d,%d", r.costQi, r.costEi, r.costEpsi)
 		}
@@ -211,8 +204,9 @@ func FuzzApplyRecord(f *testing.F) {
 // fit its relations and rules, or that an older build wrote, fails Open with
 // an error — never a panic, never a session with made-up state.
 func TestDecodersRejectHostileInput(t *testing.T) {
-	// A real snapshot: cities binds FD phi with checked groups, emp binds DC
-	// psi with checked tuples.
+	// A real snapshot: cities binds FD phi with checked groups (anchors 0
+	// and 3: rows 0-2 share zip 9001, rows 3-4 zip 10001), emp binds DC psi
+	// with checked tuples.
 	s := NewSession(Options{Strategy: StrategyIncremental, Workers: 1})
 	defer s.Close()
 	emp := empTable()
@@ -227,23 +221,34 @@ func TestDecodersRejectHostileInput(t *testing.T) {
 	}
 	runQueries(t, s, []string{"SELECT zip, city FROM cities WHERE zip = 9001", "SELECT salary FROM emp WHERE salary < 1500"})
 	base := s.w.current()
-	// ckpt encodes base with one relation's checked sets replaced.
-	ckpt := func(table string, groups map[string]map[value.MapKey]bool, tuples map[string]map[int64]bool) []byte {
+	// ckpt encodes base with one relation's checked sets replaced by a
+	// single rule's marks.
+	ckpt := func(table, rule string, marks ...int) []byte {
 		snap := base.derive()
 		st := snap.mutableTable(table, make(map[string]bool))
-		if groups != nil {
-			st.checkedGroups = groups
-		}
-		if tuples != nil {
-			st.checkedTuples = tuples
+		if rule != "" {
+			st.checked = map[string]*posSet{rule: new(posSet).with(marks...)}
 		}
 		return encodeCheckpoint(snap, nil)
 	}
-	cityKey := base.tables["cities"].reg.builtFDIndex("phi").keyOf(0)
-	register := encodeRegisterRecord("cities", ptable.FromTable(citiesTable()))
+	// Rule names key checked sets and indexes, so a checkpoint may add a
+	// rule, and bind it to a relation, once.
+	twice := func(bind bool) []byte {
+		snap := base.derive()
+		if bind {
+			st := snap.mutableTable("cities", make(map[string]bool))
+			st.rules = append(slices.Clip(st.rules), st.rules[0])
+		} else {
+			snap.rules = append(slices.Clip(snap.rules), snap.rules[0])
+		}
+		return encodeCheckpoint(snap, nil)
+	}
+	cities := citiesTable()
+	register := encodeRegisterRecord("cities", ptable.FromTable(cities))
 	rule := encodeRuleRecord(dc.FD("phi", "cities", "city", "zip"))
 	apply := func(req *applyReq) []byte { return encodeApplyRecord([]*applyReq{req}) }
-	older := append([]byte{1}, ckpt("cities", nil, nil)[1:]...)
+	// retag swaps a checkpoint's version byte or a record's type byte.
+	retag := func(tag byte, b []byte) []byte { return append([]byte{tag}, b[1:]...) }
 
 	cases := []struct {
 		name    string
@@ -251,17 +256,23 @@ func TestDecodersRejectHostileInput(t *testing.T) {
 		records [][]byte // the WAL past the checkpoint
 		want    string
 	}{
-		{"checkpoint/groups-under-unbound-rule", ckpt("cities", map[string]map[value.MapKey]bool{"psi": {cityKey: true}}, nil), nil, "not bound"},
-		{"checkpoint/groups-under-dc-rule", ckpt("emp", map[string]map[value.MapKey]bool{"psi": {cityKey: true}}, nil), nil, "checked groups under general DC"},
-		{"checkpoint/tuples-under-fd-rule", ckpt("cities", nil, map[string]map[int64]bool{"phi": {0: true}}), nil, "checked tuples under FD"},
-		{"checkpoint/tuple-not-in-relation", ckpt("emp", nil, map[string]map[int64]bool{"psi": {int64(emp.Len()): true}}), nil, "is not in"},
-		{"apply/unbound-rule", nil, [][]byte{register, rule, apply(&applyReq{table: "cities", rule: "psi", groups: []value.MapKey{cityKey}})}, "not bound"},
-		{"apply/unregistered-table", nil, [][]byte{register, rule, apply(&applyReq{table: "emp", rule: "phi", groups: []value.MapKey{cityKey}})}, "unregistered table"},
-		{"apply/tuples-under-fd-rule", nil, [][]byte{register, rule, apply(&applyReq{table: "cities", rule: "phi", tuples: []int64{0}})}, "checked tuples under FD"},
-		{"older/checkpoint-v1", older, nil, "older build"},
-		{"older/record-type-1", nil, [][]byte{append([]byte{1}, register[1:]...)}, "older build"},
-		{"older/record-type-3", nil, [][]byte{append([]byte{3}, register[1:]...)}, "older build"},
-		{"older/record-type-4", nil, [][]byte{register, rule, append([]byte{4}, apply(&applyReq{table: "cities", rule: "phi", groups: []value.MapKey{cityKey}})[1:]...)}, "older build"},
+		{"checkpoint/groups-under-unbound-rule", ckpt("cities", "psi", 0), nil, "not bound"},
+		// Row 1 is a member of anchor 0's group, not an anchor.
+		{"checkpoint/tuples-under-fd-rule", ckpt("cities", "phi", 1), nil, "is not a group anchor"},
+		{"checkpoint/tuple-not-in-relation", ckpt("emp", "psi", emp.Len()), nil, "is not in"},
+		{"checkpoint/fd-position-past-end", ckpt("cities", "phi", 0, cities.Len()), nil, "is not in"},
+		{"checkpoint/rule-added-twice", twice(false), nil, "adds rule \"phi\" twice"},
+		{"checkpoint/rule-bound-twice", twice(true), nil, "binds rule \"phi\" to \"cities\" twice"},
+		{"apply/unbound-rule", nil, [][]byte{register, rule, apply(&applyReq{table: "cities", rule: "psi", marks: []int{0}})}, "not bound"},
+		{"apply/unregistered-table", nil, [][]byte{register, rule, apply(&applyReq{table: "emp", rule: "phi", marks: []int{0}})}, "unregistered table"},
+		{"apply/tuples-under-fd-rule", nil, [][]byte{register, rule, apply(&applyReq{table: "cities", rule: "phi", marks: []int{1}})}, "is not a group anchor"},
+		{"apply/position-past-end", nil, [][]byte{register, rule, apply(&applyReq{table: "cities", rule: "phi", marks: []int{3, 64}})}, "is not in"},
+		{"older/checkpoint-v1", retag(1, ckpt("cities", "")), nil, "older build"},
+		{"older/checkpoint-v2", retag(2, ckpt("cities", "")), nil, "older build"},
+		{"older/record-type-1", nil, [][]byte{retag(1, register)}, "older build"},
+		{"older/record-type-3", nil, [][]byte{retag(3, register)}, "older build"},
+		{"older/record-type-4", nil, [][]byte{register, rule, retag(4, apply(&applyReq{table: "cities", rule: "phi", marks: []int{0}}))}, "older build"},
+		{"older/record-type-7", nil, [][]byte{register, rule, retag(7, apply(&applyReq{table: "cities", rule: "phi", marks: []int{0}}))}, "older build"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

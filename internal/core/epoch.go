@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -14,7 +15,6 @@ import (
 	"daisy/internal/schema"
 	"daisy/internal/thetajoin"
 	"daisy/internal/trace"
-	"daisy/internal/value"
 	"daisy/internal/wal"
 )
 
@@ -47,11 +47,11 @@ type tableState struct {
 	// statistics of the bound rules' FD indexes; it is replaced with an
 	// updated copy on every recorded query.
 	cost *cost.Model
-	// checkedGroups marks FD lhs group keys already cleaned, per rule. The
-	// inner sets are frozen; the writer clones-and-extends on growth.
-	checkedGroups map[string]map[value.MapKey]bool
-	// checkedTuples marks tuples already theta-join-checked, per DC rule.
-	checkedTuples map[string]map[int64]bool
+	// checked holds, per rule, what cleaning has covered: the anchors of
+	// the FD groups already repaired, or the positions of the tuples already
+	// theta-join-checked under a general DC. The map and its sets are
+	// frozen; mark clones and extends them.
+	checked map[string]*posSet
 	// rules lists the constraints bound to this registration: every added
 	// rule that applies to the relation, bound by AddRule or install (in
 	// whichever order the two ran) or restored by checkpoint decode.
@@ -87,9 +87,8 @@ func newTableState(pt *ptable.PTable) *tableState {
 			fds: make(map[string]*fdIndex),
 			dcs: make(map[string]*dcEntry),
 		},
-		pt:            pt,
-		checkedGroups: make(map[string]map[value.MapKey]bool),
-		checkedTuples: make(map[string]map[int64]bool),
+		pt:      pt,
+		checked: make(map[string]*posSet),
 	}
 }
 
@@ -193,12 +192,12 @@ type applyReq struct {
 	// true single-threaded), the writer adopts applied directly instead of
 	// re-running the copy-on-write merge.
 	base, applied *ptable.PTable
-	// groups lists FD lhs keys to mark checked; duplicate fixes from racing
-	// queries coalesce idempotently: cells whose group is already checked at
-	// apply time are dropped (the racing winner applied the identical fix).
-	groups []value.MapKey
-	// tuples lists tuple IDs to mark theta-join-checked (DC rules).
-	tuples []int64
+	// marks lists the positions to mark checked under the rule: FD group
+	// anchors or DC tuple positions. Duplicate FD fixes from racing queries
+	// coalesce idempotently: anchors and cells whose group is already
+	// checked at apply time are dropped (the racing winner applied the
+	// identical fix).
+	marks []int
 
 	// cost-model bookkeeping (§5.2.3), applied to a fresh model copy.
 	// applyOne clears costRecord on a duplicate, so the WAL logs the
@@ -534,11 +533,8 @@ func applyOne(next *snapshot, cloned map[string]bool, req *applyReq) (wasDuplica
 			st.pt, _ = st.pt.ApplyCOW(req.delta)
 		}
 	}
-	if len(req.groups) > 0 {
-		markGroups(st, req.rule, req.groups)
-	}
-	if len(req.tuples) > 0 {
-		markTuples(st, req.rule, req.tuples)
+	if len(req.marks) > 0 {
+		mark(st, req.rule, req.marks)
 	}
 	// A duplicate request suppresses the cost record (the racing winner
 	// already charged the work) but must NOT suppress markSwitched: the
@@ -560,71 +556,50 @@ func applyOne(next *snapshot, cloned map[string]bool, req *applyReq) (wasDuplica
 	return duplicate
 }
 
-// filterCheckedFD drops delta cells and checked-key entries for groups that
-// are already checked at apply time — including groups an earlier request of
-// the same batch just marked on this clone. It reports whether the whole
-// request turned out to be a duplicate of an earlier apply, and whether any
-// part of it was dropped (which disables the adoption fast path).
+// filterCheckedFD drops delta cells and anchors of FD groups that are
+// already checked at apply time — including groups an earlier request of the
+// same batch just marked on this clone. It reports whether the whole request
+// turned out to be a duplicate of an earlier apply, and whether any part of
+// it was dropped (which disables the adoption fast path). Every FD request
+// finds its rule's index built: queries and sweeps build it to compute their
+// marks, and replay to check them.
 func filterCheckedFD(st *tableState, req *applyReq) (duplicate, dropped bool) {
-	checked := st.checkedGroups[req.rule]
-	if len(checked) == 0 {
+	checked := st.checked[req.rule]
+	if checked.len() == 0 {
 		return false, false
 	}
-	fresh := req.groups[:0]
-	for _, k := range req.groups {
-		if checked[k] {
+	idx := st.reg.builtFDIndex(req.rule)
+	if idx == nil {
+		return false, false // a general DC: its requests apply verbatim
+	}
+	fresh := req.marks[:0]
+	for _, a := range req.marks {
+		if checked.has(a) {
 			dropped = true
 			continue
 		}
-		fresh = append(fresh, k)
+		fresh = append(fresh, a)
 	}
-	req.groups = fresh
+	req.marks = fresh
 	if dropped && req.delta != nil {
-		if idx := st.reg.builtFDIndex(req.rule); idx != nil {
-			for id := range req.delta.Cells {
-				pos, ok := st.pt.Pos(id)
-				if !ok || checked[idx.keyOf(pos)] {
-					delete(req.delta.Cells, id)
-				}
+		for id := range req.delta.Cells {
+			pos, ok := st.pt.Pos(id)
+			if !ok || checked.has(idx.anchorOf(pos)) {
+				delete(req.delta.Cells, id)
 			}
 		}
 	}
-	duplicate = dropped && len(req.groups) == 0 && (req.delta == nil || req.delta.Len() == 0)
+	duplicate = dropped && len(req.marks) == 0 && (req.delta == nil || req.delta.Len() == 0)
 	return duplicate, dropped
 }
 
-func markGroups(st *tableState, rule string, keys []value.MapKey) {
-	old := st.checkedGroups[rule]
-	merged := make(map[value.MapKey]bool, len(old)+len(keys))
-	for k := range old {
-		merged[k] = true
-	}
-	for _, k := range keys {
-		merged[k] = true
-	}
-	cg := make(map[string]map[value.MapKey]bool, len(st.checkedGroups)+1)
-	for r, set := range st.checkedGroups {
-		cg[r] = set
-	}
-	cg[rule] = merged
-	st.checkedGroups = cg
-}
-
-func markTuples(st *tableState, rule string, ids []int64) {
-	old := st.checkedTuples[rule]
-	merged := make(map[int64]bool, len(old)+len(ids))
-	for id := range old {
-		merged[id] = true
-	}
-	for _, id := range ids {
-		merged[id] = true
-	}
-	ct := make(map[string]map[int64]bool, len(st.checkedTuples)+1)
-	for r, set := range st.checkedTuples {
-		ct[r] = set
-	}
-	ct[rule] = merged
-	st.checkedTuples = ct
+// mark adds positions to the rule's checked set on a cloned table state. The
+// set and the rule map are cloned, not extended, so published epochs keep
+// theirs.
+func mark(st *tableState, rule string, ps []int) {
+	checked := maps.Clone(st.checked)
+	checked[rule] = st.checked[rule].with(ps...)
+	st.checked = checked
 }
 
 // close stops the apply goroutine, waits for it to drain every enqueued

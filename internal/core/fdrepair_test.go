@@ -284,11 +284,10 @@ func assertIndexRepairShapes(t testing.TB, pt *ptable.PTable, fd dc.FDSpec, c re
 	t.Helper()
 	ix := newFDIndex(pt, fd)
 	view := detect.NewPTableView(pt)
-	checkedSet := make(map[value.MapKey]bool)
+	checked := new(posSet)
 	for _, r := range c.checkedRows {
-		checkedSet[ix.keyOf(r)] = true
+		checked.add(ix.anchorOf(r))
 	}
-	checked := func(k value.MapKey) bool { return checkedSet[k] }
 	cells := 0
 	compare := func(shape string, fix, consult []int) {
 		t.Helper()
@@ -307,7 +306,7 @@ func assertIndexRepairShapes(t testing.TB, pt *ptable.PTable, fd dc.FDSpec, c re
 	// relaxation, and the extras whose groups are not yet checked.
 	var scope []int
 	for _, r := range c.seeds {
-		if ix.violating(r) && !checked(ix.keyOf(r)) {
+		if ix.violating(r) && !checked.has(ix.anchorOf(r)) {
 			scope = append(scope, r)
 		}
 	}
@@ -315,7 +314,7 @@ func assertIndexRepairShapes(t testing.TB, pt *ptable.PTable, fd dc.FDSpec, c re
 	fix := append([]int(nil), scope...)
 	var consult []int
 	for _, r := range extra {
-		if checked(ix.keyOf(r)) {
+		if checked.has(ix.anchorOf(r)) {
 			consult = append(consult, r)
 		} else {
 			fix = append(fix, r)
@@ -325,7 +324,7 @@ func assertIndexRepairShapes(t testing.TB, pt *ptable.PTable, fd dc.FDSpec, c re
 	compare("incremental", fix, consult)
 
 	// Inline full clean: every violating, unchecked group.
-	full, _ := ix.violatingScopeIn(0, len(ix.rowKey), checked)
+	full, _ := ix.violatingScopeIn(0, len(ix.anchor), checked)
 	compare("violatingScopeIn(0, n)", full, ix.relax(full, false, nil))
 
 	// One background sweep chunk.
@@ -374,9 +373,9 @@ func TestIndexRepairSpillGroup(t *testing.T) {
 	pt := repairFixture(rand.New(rand.NewSource(3)), 200, 20)
 	ix := newFDIndex(pt, zipCity())
 	var hub int
-	for _, r := range ix.members(value.NewInt(-1).MapKey()) {
-		if pt.Cell(r, "city").Orig.Str() == "Hub" {
-			hub = r
+	for r := 0; r < pt.Len(); r++ {
+		if pt.Cell(r, "zip").Orig.Int() == -1 && pt.Cell(r, "city").Orig.Str() == "Hub" {
+			hub = r // a member of the spill group, zip -1
 		}
 	}
 	d := ix.repair(detect.NewPTableView(pt), []int{hub}, zipCity(), nil)

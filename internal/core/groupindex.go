@@ -13,8 +13,9 @@ import (
 )
 
 // fdIndex is the FD group index of one rule over one relation: every row's
-// lhs key, the clustering of rows into lhs groups with their rhs value counts,
-// the inverse rhs→rows index, and the §5.2.3 statistics read off them.
+// group anchor, the clustering of rows into lhs groups with their rhs value
+// counts, the inverse rhs→rows index, and the §5.2.3 statistics read off
+// them.
 // newFDIndex builds it in one pass over original (provenance) values (§4.3),
 // and nothing writes to it afterwards: cleaning never rewrites original
 // values, so the index is a function of the registration alone and every
@@ -23,11 +24,13 @@ import (
 // cell data take a view argument — so copy-on-write applies never leave it
 // pointing at a stale epoch.
 type fdIndex struct {
-	// rowKey / rowRHS cache each indexed row's lhs and rhs keys, making
-	// per-row key lookups O(1) slice reads.
-	rowKey []value.MapKey
+	// anchor names each row's lhs group by the group's anchor, the position
+	// of its first member. Anchors are a function of the original values, so
+	// they name the same group in every epoch and across a reopen; checked
+	// sets mark FD groups by them. rowRHS caches each row's rhs key.
+	anchor []int32
 	rowRHS []value.MapKey
-	groups map[value.MapKey]*fdGroup
+	groups []*fdGroup // by anchor; nil at rows that anchor no group
 	// rhsRows lists, per distinct rhs value, the rows holding it (ascending
 	// row order) — the partner index Algorithm 1's relaxation probes.
 	rhsRows map[value.MapKey][]int
@@ -77,27 +80,32 @@ func newFDIndex(pt *ptable.PTable, fd dc.FDSpec) *fdIndex {
 	cols := detect.CompileFD(view, fd)
 	n := view.Len()
 	ix := &fdIndex{
-		rowKey: make([]value.MapKey, n), rowRHS: make([]value.MapKey, n),
-		groups: make(map[value.MapKey]*fdGroup), rhsRows: make(map[value.MapKey][]int),
+		anchor: make([]int32, n), rowRHS: make([]value.MapKey, n),
+		groups: make([]*fdGroup, n), rhsRows: make(map[value.MapKey][]int),
 		vioSeg: make([]int32, (n+ptable.SegmentSize-1)/ptable.SegmentSize),
 		vioRow: make([]bool, n),
 	}
+	byKey := make(map[value.MapKey]*fdGroup) // lhs key → group, for the build only
 	for i := 0; i < n; i++ {
 		key, rhs := cols.LHSKey(view, i), cols.RHSKey(view, i)
-		ix.rowKey[i], ix.rowRHS[i] = key, rhs
-		g, ok := ix.groups[key]
+		g, ok := byKey[key]
 		if !ok {
 			g = &fdGroup{rhs: make(map[value.MapKey]int, 1)}
-			ix.groups[key] = g
+			byKey[key] = g
+			ix.groups[i] = g
 		}
 		g.members = append(g.members, i)
+		ix.anchor[i], ix.rowRHS[i] = int32(g.members[0]), rhs
 		g.rhs[rhs]++
 		ix.rhsRows[rhs] = append(ix.rhsRows[rhs], i)
 	}
 	st := &ix.stats
-	st.Groups = len(ix.groups)
+	st.Groups = len(byKey)
 	candidates, pairs := 0, 0
 	for _, g := range ix.groups {
+		if g == nil {
+			continue
+		}
 		pairs += len(g.rhs)
 		if !g.violating() {
 			continue
@@ -121,16 +129,11 @@ func newFDIndex(pt *ptable.PTable, fd dc.FDSpec) *fdIndex {
 	return ix
 }
 
-// keyOf returns row i's lhs key in O(1).
-func (ix *fdIndex) keyOf(i int) value.MapKey { return ix.rowKey[i] }
+// anchorOf returns the anchor of row i's lhs group in O(1).
+func (ix *fdIndex) anchorOf(i int) int { return int(ix.anchor[i]) }
 
-// members returns the row positions sharing the lhs key.
-func (ix *fdIndex) members(key value.MapKey) []int {
-	if g, ok := ix.groups[key]; ok {
-		return g.members
-	}
-	return nil
-}
+// members returns the row positions of the group with the given anchor.
+func (ix *fdIndex) members(anchor int) []int { return ix.groups[anchor].members }
 
 // violating reports whether row r's lhs group violates the FD.
 func (ix *fdIndex) violating(r int) bool { return ix.vioRow[r] }
@@ -148,7 +151,7 @@ func (ix *fdIndex) vioSegStats() (skipped, total int) {
 	return skipped, len(ix.vioSeg)
 }
 
-// violatingScopeIn collects the members and lhs keys of every violating,
+// violatingScopeIn collects the members and anchors of every violating,
 // unchecked group whose first member lies in [lo, hi) — one chunk of a
 // background full-clean sweep, or over [0, n) the inline full clean, in
 // group (first-appearance) order. Anchoring a group at its first (lowest)
@@ -161,10 +164,8 @@ func (ix *fdIndex) vioSegStats() (skipped, total int) {
 // valid for any [lo, hi): a zero count means no anchor anywhere in the
 // segment, including a partial overlap. Read-only over the index; safe for
 // concurrent snapshot readers.
-func (ix *fdIndex) violatingScopeIn(lo, hi int, checked func(value.MapKey) bool) (scope []int, keys []value.MapKey) {
-	if hi > len(ix.rowKey) {
-		hi = len(ix.rowKey)
-	}
+func (ix *fdIndex) violatingScopeIn(lo, hi int, checked *posSet) (scope, anchors []int) {
+	hi = min(hi, len(ix.anchor))
 	for r := lo; r < hi; {
 		s := ptable.SegOf(r)
 		if ix.vioSeg[s] == 0 {
@@ -176,16 +177,14 @@ func (ix *fdIndex) violatingScopeIn(lo, hi int, checked func(value.MapKey) bool)
 			segEnd = hi
 		}
 		for ; r < segEnd; r++ {
-			key := ix.rowKey[r]
-			g := ix.groups[key]
-			if g.members[0] != r || !g.violating() || checked(key) {
+			if ix.anchorOf(r) != r || !ix.vioRow[r] || checked.has(r) {
 				continue // not this group's anchor row, or nothing to clean
 			}
-			keys = append(keys, key)
-			scope = append(scope, g.members...)
+			anchors = append(anchors, r)
+			scope = append(scope, ix.members(r)...)
 		}
 	}
-	return scope, keys
+	return scope, anchors
 }
 
 // relax is Algorithm 1 over the group index: the rows outside seed that
@@ -197,27 +196,24 @@ func (ix *fdIndex) violatingScopeIn(lo, hi int, checked func(value.MapKey) bool)
 // the avoided full-table scans. relax only reads the index, so any number
 // of snapshot readers may call it concurrently.
 func (ix *fdIndex) relax(seed []int, transitive bool, m *detect.Metrics) []int {
-	n := len(ix.rowKey)
-	in := make([]bool, n) // seed ∪ already-added rows
+	var in posSet      // seed ∪ already-added rows
+	var lhsSeen posSet // anchors of the groups already expanded
 	for _, r := range seed {
-		in[r] = true
+		in.add(r)
 	}
-	lhsSeen := make(map[value.MapKey]bool)
 	rhsSeen := make(map[value.MapKey]bool)
 	var extra []int
 	frontier := seed
 	for len(frontier) > 0 {
 		var next []int
 		for _, r := range frontier {
-			lk, rk := ix.rowKey[r], ix.rowRHS[r]
-			if !lhsSeen[lk] {
-				lhsSeen[lk] = true
-				for _, p := range ix.members(lk) {
+			a, rk := ix.anchorOf(r), ix.rowRHS[r]
+			if lhsSeen.add(a) {
+				for _, p := range ix.members(a) {
 					if m != nil {
 						m.Scanned++
 					}
-					if !in[p] {
-						in[p] = true
+					if in.add(p) {
 						next = append(next, p)
 					}
 				}
@@ -228,8 +224,7 @@ func (ix *fdIndex) relax(seed []int, transitive bool, m *detect.Metrics) []int {
 					if m != nil {
 						m.Scanned++
 					}
-					if !in[p] {
-						in[p] = true
+					if in.add(p) {
 						next = append(next, p)
 					}
 				}
@@ -272,8 +267,9 @@ func (ix *fdIndex) repair(view detect.RowView, fix []int, fd dc.FDSpec, m *detec
 	if len(cols.LHS) == 1 {
 		lhsCol = cols.LHS[0]
 	}
-	var t fdTally
-	rhsDist := make(map[value.MapKey][]uncertain.Candidate)
+	var rhsTally fdTally[value.MapKey]
+	var lhsTally fdTally[int32]
+	rhsDist := make(map[int32][]uncertain.Candidate) // by anchor
 	lhsDist := make(map[value.MapKey][]uncertain.Candidate)
 	delta := ptable.NewDelta("")
 	for _, r := range fix {
@@ -281,12 +277,12 @@ func (ix *fdIndex) repair(view detect.RowView, fix []int, fd dc.FDSpec, m *detec
 			continue
 		}
 		id := view.ID(r)
-		key := ix.rowKey[r]
-		cands, ok := rhsDist[key]
+		a := ix.anchor[r]
+		cands, ok := rhsDist[a]
 		if !ok {
-			members := ix.groups[key].members
-			cands = t.distribution(view, members, ix.rowRHS, cols.RHS, repair.WorldFixRHS)
-			rhsDist[key] = cands
+			members := ix.groups[a].members
+			cands = rhsTally.distribution(view, members, ix.rowRHS, cols.RHS, repair.WorldFixRHS)
+			rhsDist[a] = cands
 			m.Scanned += int64(len(members))
 		}
 		delta.Set(id, cols.RHS, uncertain.Cell{Orig: view.ValueAt(r, cols.RHS), Candidates: cands})
@@ -298,7 +294,7 @@ func (ix *fdIndex) repair(view detect.RowView, fix []int, fd dc.FDSpec, m *detec
 		cands, ok = lhsDist[rk]
 		if !ok {
 			partners := ix.rhsRows[rk]
-			cands = t.distribution(view, partners, ix.rowKey, lhsCol, repair.WorldFixLHS)
+			cands = lhsTally.distribution(view, partners, ix.anchor, lhsCol, repair.WorldFixLHS)
 			lhsDist[rk] = cands
 			m.Scanned += int64(len(partners))
 		}
@@ -315,32 +311,33 @@ func (ix *fdIndex) repair(view detect.RowView, fix []int, fd dc.FDSpec, m *detec
 // linear probing to a map index.
 const tallySpill = 8
 
-// fdTally counts the distinct keys over a row list. Distinct counts are
+// fdTally counts the distinct keys over a row list: rhs keys over a group's
+// members, or group anchors over an rhs value's partners. Distinct counts are
 // small (the candidate-set size p), so lookups probe a slice linearly; past
 // tallySpill keys they go through a map, so a degenerate group never costs
 // quadratic work. One tally is reused across distributions.
-type fdTally struct {
-	entries []tallyEntry
-	idx     map[value.MapKey]int
+type fdTally[K comparable] struct {
+	entries []tallyEntry[K]
+	idx     map[K]int
 }
 
 // tallyEntry is one distinct key: its first row in list order, which
 // represents the key's value, and its row count.
-type tallyEntry struct {
-	key value.MapKey
+type tallyEntry[K comparable] struct {
+	key K
 	row int
 	n   int
 	val value.Value
 }
 
-func (t *fdTally) add(key value.MapKey, row int) {
+func (t *fdTally[K]) add(key K, row int) {
 	if t.idx != nil {
 		if i, ok := t.idx[key]; ok {
 			t.entries[i].n++
 			return
 		}
 		t.idx[key] = len(t.entries)
-		t.entries = append(t.entries, tallyEntry{key: key, row: row, n: 1})
+		t.entries = append(t.entries, tallyEntry[K]{key: key, row: row, n: 1})
 		return
 	}
 	for i := range t.entries {
@@ -349,9 +346,9 @@ func (t *fdTally) add(key value.MapKey, row int) {
 			return
 		}
 	}
-	t.entries = append(t.entries, tallyEntry{key: key, row: row, n: 1})
+	t.entries = append(t.entries, tallyEntry[K]{key: key, row: row, n: 1})
 	if len(t.entries) > tallySpill {
-		t.idx = make(map[value.MapKey]int, len(t.entries))
+		t.idx = make(map[K]int, len(t.entries))
 		for i := range t.entries {
 			t.idx[t.entries[i].key] = i
 		}
@@ -362,7 +359,7 @@ func (t *fdTally) add(key value.MapKey, row int) {
 // distribution of column col as candidates of the given world, in value
 // order (stable, so equal values keep first-appearance order). It returns
 // nil when the rows hold fewer than two distinct keys.
-func (t *fdTally) distribution(view detect.RowView, rows []int, keys []value.MapKey, col, world int) []uncertain.Candidate {
+func (t *fdTally[K]) distribution(view detect.RowView, rows []int, keys []K, col, world int) []uncertain.Candidate {
 	t.entries, t.idx = t.entries[:0], nil
 	for _, r := range rows {
 		t.add(keys[r], r)
@@ -373,7 +370,7 @@ func (t *fdTally) distribution(view detect.RowView, rows []int, keys []value.Map
 	for i := range t.entries {
 		t.entries[i].val = view.ValueAt(t.entries[i].row, col)
 	}
-	slices.SortStableFunc(t.entries, func(a, b tallyEntry) int { return a.val.Compare(b.val) })
+	slices.SortStableFunc(t.entries, func(a, b tallyEntry[K]) int { return a.val.Compare(b.val) })
 	cands := make([]uncertain.Candidate, len(t.entries))
 	for i, e := range t.entries {
 		cands[i] = uncertain.Candidate{
@@ -394,18 +391,14 @@ func (ix *fdIndex) estimateExtras(epsi int) int {
 	return int(float64(epsi) * avgGroup)
 }
 
-// boundFDIndexes returns the group index of every FD rule bound to st, once
-// per rule name, building any that is missing.
+// boundFDIndexes returns the group index of every FD rule bound to st,
+// building any that is missing.
 func boundFDIndexes(st *tableState) []*fdIndex {
 	var out []*fdIndex
-	seen := make(map[string]bool, len(st.rules))
 	for _, c := range st.rules {
-		fd, isFD := c.AsFD()
-		if !isFD || seen[c.Name] {
-			continue
+		if fd, isFD := c.AsFD(); isFD {
+			out = append(out, st.reg.fdIndex(st.pt, c.Name, fd))
 		}
-		seen[c.Name] = true
-		out = append(out, st.reg.fdIndex(st.pt, c.Name, fd))
 	}
 	return out
 }

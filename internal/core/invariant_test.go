@@ -232,22 +232,18 @@ func recompute(rules []*dc.Constraint, st *tableState) *ptable.PTable {
 	image := ptable.FromTable(st.pt.Originals())
 	view := detect.NewPTableView(image)
 	for _, rule := range rules {
+		checked := st.checked[rule.Name]
+		if checked.len() == 0 {
+			continue
+		}
 		if fd, ok := rule.AsFD(); ok {
-			groups := st.checkedGroups[rule.Name]
-			if len(groups) == 0 {
-				continue
-			}
 			ix := newFDIndex(image, fd)
 			var rows []int
-			for key := range groups {
-				rows = append(rows, ix.members(key)...)
+			for a := range checked.all() {
+				rows = append(rows, ix.members(a)...)
 			}
 			sort.Ints(rows)
 			image.Apply(ix.repair(view, rows, fd, nil))
-			continue
-		}
-		checked := st.checkedTuples[rule.Name]
-		if len(checked) == 0 {
 			continue
 		}
 		var pairs []thetajoin.Pair
@@ -261,7 +257,7 @@ func recompute(rules []*dc.Constraint, st *tableState) *ptable.PTable {
 		}
 		for i := 0; i < view.Len(); i++ {
 			for j := i + 1; j < view.Len(); j++ {
-				if !checked[view.ID(i)] && !checked[view.ID(j)] {
+				if !checked.has(i) && !checked.has(j) {
 					continue
 				}
 				if violates(i, j) {

@@ -3,9 +3,9 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -31,8 +31,11 @@ import (
 // (the FD groups and DC tuples cleaning has covered): cleaning never
 // rewrites original values (§4.3), FD fixes are the group index's repair of
 // whole groups, DC fixes the set of ranges the detected pairs imply, and
-// Lemma 4's merge commutes. So a register record holds the original values,
-// an apply record the checked group keys and tuple IDs it adds with the
+// Lemma 4's merge commutes. A checked set is a set of row positions — an FD
+// group's anchor (its first member's position, a function of the original
+// values) or a DC tuple's position — and has one codec: a count and
+// uvarint positions (appendPositions). So a register record holds the
+// original values, an apply record the positions it marks with the
 // cost-model charge, and a checkpoint the originals, bindings, cost state
 // and checked sets of every relation. Recovery replays the marks and cost
 // through applyOne and then rebuilds every relation's cells once
@@ -47,24 +50,27 @@ import (
 // replaying them from the identical pre-state charges the cost model exactly
 // as the original run did.
 //
-// Directories written before records stored decisions (checkpoint version
-// 1, record types 1, 3 and 4) fail to open with errOlderBuild.
+// Directories written by older builds fail to open with errOlderBuild:
+// those that stored cleaned cells (checkpoint version 1, record types 1, 3
+// and 4) and those that stored checked sets as lhs group keys and tuple IDs
+// (checkpoint version 2, record type 7).
 
-// WAL record types. Types 1, 3 and 4 were written by older builds.
+// WAL record types. Types 1, 3, 4 and 7 were written by older builds.
 const (
 	recRule     byte = 2 // AddRule: constraint text (name@table: body)
 	recSweep    byte = 5 // background sweep enqueued for (table, rule)
 	recRegister byte = 6 // Register: table name + original values
-	recApply    byte = 7 // one coalesced apply batch: checked sets + cost
+	recApply    byte = 8 // one coalesced apply batch: checked positions + cost
 )
 
 // checkpoint payload version.
-const ckptVersion byte = 2
+const ckptVersion byte = 3
 
 // errOlderBuild reports a durable form this build no longer reads.
 func errOlderBuild(what string) error {
-	return fmt.Errorf("core: %s was written by an older build that stored cleaned cells; "+
-		"this build stores checked sets and cannot read it: clean into a new directory", what)
+	return fmt.Errorf("core: %s was written by an older build, which stored cleaned cells or "+
+		"checked sets as group keys and tuple IDs; this build stores checked row positions "+
+		"and cannot read it: clean into a new directory", what)
 }
 
 // sweepRef names the background sweep of one rule over one relation.
@@ -218,17 +224,30 @@ func (d *dec) value() value.Value {
 	}
 }
 
-func (d *dec) mapKey() value.MapKey {
-	if d.err != nil {
-		return value.MapKey{}
+// ---------------------------------------------------------------------------
+// checked sets (apply records, checkpoint tables)
+
+// appendPositions renders marks or a checked set: a count, then each
+// position as a uvarint.
+func appendPositions(buf []byte, ps []int) []byte {
+	buf = appendUvarint(buf, uint64(len(ps)))
+	for _, p := range ps {
+		buf = appendUvarint(buf, uint64(p))
 	}
-	k, rest, err := value.DecodeMapKey(d.b)
-	if err != nil {
-		d.err = err
-		return value.MapKey{}
+	return buf
+}
+
+// positions decodes appendPositions; checkDecisions validates the result.
+func (d *dec) positions() []int {
+	n := d.count(1)
+	if n == 0 {
+		return nil
 	}
-	d.b = rest
-	return k
+	ps := make([]int, 0, n)
+	for i := 0; i < n && d.err == nil; i++ {
+		ps = append(ps, int(d.uvarint()))
+	}
+	return ps
 }
 
 // ---------------------------------------------------------------------------
@@ -321,7 +340,7 @@ const (
 )
 
 // encodeApplyRecord renders one apply batch: per request the relation, the
-// rule, the checked group keys and tuple IDs it adds, and the cost charge.
+// rule, the positions it marks checked, and the cost charge.
 // Its cells are not stored; recovery recomputes them from the checked sets.
 // Requests that ended up pure no-ops (fully coalesced duplicates without a
 // switch mark) are skipped; a batch with nothing durable returns nil and
@@ -329,7 +348,7 @@ const (
 func encodeApplyRecord(reqs []*applyReq) []byte {
 	durable := reqs[:0:0]
 	for _, r := range reqs {
-		if len(r.groups) == 0 && len(r.tuples) == 0 && !r.costRecord && !r.markSwitched {
+		if len(r.marks) == 0 && !r.costRecord && !r.markSwitched {
 			continue
 		}
 		durable = append(durable, r)
@@ -350,14 +369,7 @@ func encodeApplyRecord(reqs []*applyReq) []byte {
 			flags |= applyFlagSwitched
 		}
 		buf = append(buf, flags)
-		buf = appendUvarint(buf, uint64(len(r.groups)))
-		for _, k := range r.groups {
-			buf = k.AppendBinary(buf)
-		}
-		buf = appendUvarint(buf, uint64(len(r.tuples)))
-		for _, id := range r.tuples {
-			buf = appendVarint(buf, id)
-		}
+		buf = appendPositions(buf, r.marks)
 		if r.costRecord {
 			buf = appendUvarint(buf, uint64(r.costQi))
 			buf = appendUvarint(buf, uint64(r.costEi))
@@ -370,25 +382,14 @@ func encodeApplyRecord(reqs []*applyReq) []byte {
 // applyRecord decodes an apply batch's requests; replayApply checks each
 // against the relation and rules it names.
 func (d *dec) applyRecord() []*applyReq {
-	n := d.count(5) // table, rule, flags, group and tuple counts
+	n := d.count(4) // table, rule, flags, mark count
 	reqs := make([]*applyReq, 0, n)
 	for i := 0; i < n && d.err == nil; i++ {
 		r := &applyReq{table: d.string(), rule: d.string()}
 		flags := d.byte()
 		r.costRecord = flags&applyFlagCost != 0
 		r.markSwitched = flags&applyFlagSwitched != 0
-		if ng := d.count(1); ng > 0 {
-			r.groups = make([]value.MapKey, 0, ng)
-			for j := 0; j < ng && d.err == nil; j++ {
-				r.groups = append(r.groups, d.mapKey())
-			}
-		}
-		if nt := d.count(1); nt > 0 {
-			r.tuples = make([]int64, 0, nt)
-			for j := 0; j < nt && d.err == nil; j++ {
-				r.tuples = append(r.tuples, d.varint())
-			}
-		}
+		r.marks = d.positions()
 		if r.costRecord {
 			r.costQi = int(d.uvarint())
 			r.costEi = int(d.uvarint())
@@ -399,25 +400,25 @@ func (d *dec) applyRecord() []*applyReq {
 	return reqs
 }
 
-// checkDecisions fails unless a durable form may file the checked sets
-// under rule on the relation: the relation binds the rule, checked groups
-// come under an FD, checked tuples under a general DC and name tuples the
-// relation holds.
-func checkDecisions(st *tableState, table, rule string, groups bool, tuples []int64) error {
+// checkDecisions fails unless a durable form may mark the positions checked
+// under rule on the relation: the relation binds the rule, every position
+// names a tuple of the relation, and under an FD every position is a group
+// anchor.
+func checkDecisions(st *tableState, table, rule string, marks []int) error {
 	i := slices.IndexFunc(st.rules, func(c *dc.Constraint) bool { return c.Name == rule })
 	if i < 0 {
 		return fmt.Errorf("core: corrupt durable state: rule %q is not bound to %q", rule, table)
 	}
-	_, isFD := st.rules[i].AsFD()
-	if groups && !isFD {
-		return fmt.Errorf("core: corrupt durable state: checked groups under general DC %q on %q", rule, table)
+	var ix *fdIndex
+	if fd, isFD := st.rules[i].AsFD(); isFD {
+		ix = st.reg.fdIndex(st.pt, rule, fd)
 	}
-	if len(tuples) > 0 && isFD {
-		return fmt.Errorf("core: corrupt durable state: checked tuples under FD %q on %q", rule, table)
-	}
-	for _, id := range tuples {
-		if _, ok := st.pt.Pos(id); !ok {
-			return fmt.Errorf("core: corrupt durable state: checked tuple %d is not in %q", id, table)
+	for _, p := range marks {
+		if p < 0 || p >= st.pt.Len() {
+			return fmt.Errorf("core: corrupt durable state: checked position %d is not in %q", p, table)
+		}
+		if ix != nil && ix.anchorOf(p) != p {
+			return fmt.Errorf("core: corrupt durable state: checked position %d under FD %q on %q is not a group anchor", p, rule, table)
 		}
 	}
 	return nil
@@ -440,7 +441,7 @@ func encodeCheckpoint(snap *snapshot, sweeps []sweepRef) []byte {
 	for _, c := range snap.rules {
 		buf = appendString(buf, ruleText(c))
 	}
-	names := sortedKeys(snap.tables)
+	names := slices.Sorted(maps.Keys(snap.tables))
 	buf = appendUvarint(buf, uint64(len(names)))
 	for _, name := range names {
 		st := snap.tables[name]
@@ -468,23 +469,10 @@ func encodeCheckpoint(snap *snapshot, sweeps []sweepRef) []byte {
 		} else {
 			buf = append(buf, 0)
 		}
-		buf = appendUvarint(buf, uint64(len(st.checkedGroups)))
-		for _, rule := range sortedKeys(st.checkedGroups) {
-			set := st.checkedGroups[rule]
+		buf = appendUvarint(buf, uint64(len(st.checked)))
+		for _, rule := range slices.Sorted(maps.Keys(st.checked)) {
 			buf = appendString(buf, rule)
-			buf = appendUvarint(buf, uint64(len(set)))
-			for k := range set {
-				buf = k.AppendBinary(buf)
-			}
-		}
-		buf = appendUvarint(buf, uint64(len(st.checkedTuples)))
-		for _, rule := range sortedKeys(st.checkedTuples) {
-			set := st.checkedTuples[rule]
-			buf = appendString(buf, rule)
-			buf = appendUvarint(buf, uint64(len(set)))
-			for id := range set {
-				buf = appendVarint(buf, id)
-			}
+			buf = appendPositions(buf, slices.Collect(st.checked[rule].all()))
 		}
 	}
 	buf = appendUvarint(buf, uint64(len(sweeps)))
@@ -493,15 +481,6 @@ func encodeCheckpoint(snap *snapshot, sweeps []sweepRef) []byte {
 		buf = appendString(buf, sw.rule)
 	}
 	return buf
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // decodeCheckpoint rebuilds the snapshot — fresh registrations over the
@@ -513,8 +492,8 @@ func decodeCheckpoint(payload []byte) (*snapshot, []sweepRef, error) {
 	switch v := d.byte(); {
 	case d.err != nil:
 		return nil, nil, d.err
-	case v == 1:
-		return nil, nil, errOlderBuild("checkpoint version 1")
+	case v == 1 || v == 2:
+		return nil, nil, errOlderBuild(fmt.Sprintf("checkpoint version %d", v))
 	case v != ckptVersion:
 		return nil, nil, fmt.Errorf("core: unsupported checkpoint version %d", v)
 	}
@@ -530,9 +509,12 @@ func decodeCheckpoint(payload []byte) (*snapshot, []sweepRef, error) {
 	}
 	byName := make(map[string]*dc.Constraint, len(snap.rules))
 	for _, c := range snap.rules {
+		if byName[c.Name] != nil {
+			d.setErr(fmt.Errorf("core: checkpoint adds rule %q twice", c.Name))
+		}
 		byName[c.Name] = c
 	}
-	ntables := d.count(7) // name, column and row counts, rule count, cost flag, two set counts
+	ntables := d.count(6) // name, column and row counts, rule count, cost flag, set count
 	for i := 0; i < ntables && d.err == nil; i++ {
 		name := d.string()
 		pt := d.originals(name)
@@ -552,6 +534,10 @@ func decodeCheckpoint(payload []byte) (*snapshot, []sweepRef, error) {
 				d.setErr(fmt.Errorf("core: checkpoint binds rule %q to %q, which lacks its columns", rname, name))
 				break
 			}
+			if slices.Contains(st.rules, c) {
+				d.setErr(fmt.Errorf("core: checkpoint binds rule %q to %q twice", rname, name))
+				break
+			}
 			st.rules = append(st.rules, c)
 		}
 		if d.byte() == 1 {
@@ -563,39 +549,17 @@ func decodeCheckpoint(payload []byte) (*snapshot, []sweepRef, error) {
 			}
 			st.cost = cost.FromState(cs)
 		}
-		ncg := d.count(2) // rule, key count
-		for j := 0; j < ncg && d.err == nil; j++ {
-			rule := d.string()
-			if err := checkDecisions(st, name, rule, true, nil); err != nil {
-				d.setErr(err)
-				break
-			}
-			nkeys := d.count(1)
-			set := make(map[value.MapKey]bool, nkeys)
-			for k := 0; k < nkeys && d.err == nil; k++ {
-				set[d.mapKey()] = true
-			}
-			st.checkedGroups[rule] = set
-		}
-		nct := d.count(2) // rule, id count
-		for j := 0; j < nct && d.err == nil; j++ {
-			rule := d.string()
-			ids := make([]int64, d.count(1))
-			for k := range ids {
-				ids[k] = d.varint()
-			}
+		nsets := d.count(2) // rule, position count
+		for j := 0; j < nsets && d.err == nil; j++ {
+			rule, marks := d.string(), d.positions()
 			if d.err != nil {
 				break
 			}
-			if err := checkDecisions(st, name, rule, false, ids); err != nil {
+			if err := checkDecisions(st, name, rule, marks); err != nil {
 				d.setErr(err)
 				break
 			}
-			set := make(map[int64]bool, len(ids))
-			for _, id := range ids {
-				set[id] = true
-			}
-			st.checkedTuples[rule] = set
+			st.checked[rule] = st.checked[rule].with(marks...)
 		}
 		snap.tables[name] = st
 	}
@@ -621,35 +585,15 @@ func decodeCheckpoint(payload []byte) (*snapshot, []sweepRef, error) {
 // uninterrupted oracle run.
 func stateFingerprint(snap *snapshot) string {
 	var b strings.Builder
-	names := make([]string, 0, len(snap.tables))
-	for name := range snap.tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(snap.tables)) {
 		st := snap.tables[name]
 		fmt.Fprintf(&b, "== table %s\n", name)
 		b.WriteString(st.pt.Fingerprint())
 		for _, c := range st.rules {
 			fmt.Fprintf(&b, "rule %s\n", c.Name)
 		}
-		for _, rule := range sortedKeys(st.checkedGroups) {
-			set := st.checkedGroups[rule]
-			keys := make([]string, 0, len(set))
-			for k := range set {
-				keys = append(keys, fmt.Sprintf("%x", k.AppendBinary(nil)))
-			}
-			sort.Strings(keys)
-			fmt.Fprintf(&b, "checkedGroups[%s]=%s\n", rule, strings.Join(keys, ","))
-		}
-		for _, rule := range sortedKeys(st.checkedTuples) {
-			set := st.checkedTuples[rule]
-			ids := make([]int64, 0, len(set))
-			for id := range set {
-				ids = append(ids, id)
-			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			fmt.Fprintf(&b, "checkedTuples[%s]=%v\n", rule, ids)
+		for _, rule := range slices.Sorted(maps.Keys(st.checked)) {
+			fmt.Fprintf(&b, "checked[%s]=%v\n", rule, slices.Collect(st.checked[rule].all()))
 		}
 		if st.cost != nil {
 			fmt.Fprintf(&b, "cost=%+v\n", st.cost.State())

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"daisy/internal/dc"
 	"daisy/internal/detect"
@@ -11,7 +12,6 @@ import (
 	"daisy/internal/schema"
 	"daisy/internal/trace"
 	"daisy/internal/uncertain"
-	"daisy/internal/value"
 )
 
 // queryCtx is the per-query execution context: the epoch the query runs
@@ -35,9 +35,10 @@ type queryCtx struct {
 	// local maps table name → the query's private COW generation; absent
 	// entries read straight from the snapshot.
 	local map[string]*ptable.PTable
-	// localChecked layers the groups this query already cleaned on top of
-	// the snapshot's checked sets, keyed by table\x00rule.
-	localChecked map[string]map[value.MapKey]bool
+	// marked holds, keyed by table\x00rule, the query's private clone of a
+	// checked set: made from the snapshot's set on the query's first mark
+	// under the rule, so it is that set plus the groups the query cleaned.
+	marked map[string]*posSet
 
 	// pending buffers the query's write-backs until flush.
 	pending []*applyReq
@@ -165,19 +166,26 @@ func (qc *queryCtx) setLocal(name string, pt *ptable.PTable) {
 	qc.local[name] = pt
 }
 
-// checkedLocal returns (lazily creating) the query-local checked-group set
-// for one (table, rule).
-func (qc *queryCtx) checkedLocal(table, rule string) map[value.MapKey]bool {
-	key := table + "\x00" + rule
-	set, ok := qc.localChecked[key]
-	if !ok {
-		set = make(map[value.MapKey]bool)
-		if qc.localChecked == nil {
-			qc.localChecked = make(map[string]map[value.MapKey]bool, 2)
-		}
-		qc.localChecked[key] = set
+// checked returns the query's view of the rule's checked set on the table:
+// its private clone once it marked under the rule, the snapshot's set before.
+func (qc *queryCtx) checked(table, rule string) *posSet {
+	if set, ok := qc.marked[table+"\x00"+rule]; ok {
+		return set
 	}
-	return set
+	return qc.snap.tables[table].checked[rule]
+}
+
+// private returns the query's private clone of the rule's checked set,
+// cloning the snapshot's on first use; the query marks by adding to it.
+func (qc *queryCtx) private(table, rule string) *posSet {
+	key := table + "\x00" + rule
+	if qc.marked[key] == nil {
+		if qc.marked == nil {
+			qc.marked = make(map[string]*posSet, 2)
+		}
+		qc.marked[key] = qc.snap.tables[table].checked[rule].with()
+	}
+	return qc.marked[key]
 }
 
 // CleanSelect implements engine.Cleaner: the cleanσ operator. It cleans
@@ -194,11 +202,8 @@ func (qc *queryCtx) CleanSelect(tableName string, rows []int, pred expr.Pred, ru
 	if !ok {
 		return nil, nil, fmt.Errorf("core: clean: %w %q", ErrUnknownTable, tableName)
 	}
-	resultSet := make(map[int]bool, len(rows))
-	current := append([]int(nil), rows...)
-	for _, r := range current {
-		resultSet[r] = true
-	}
+	current := slices.Clone(rows)
+	var resultSet *posSet // built on the first extras
 	for _, rule := range rules {
 		if err := qc.ctxErr(); err != nil {
 			return nil, nil, err
@@ -213,9 +218,14 @@ func (qc *queryCtx) CleanSelect(tableName string, rows []int, pred expr.Pred, ru
 		if err != nil {
 			return nil, nil, err
 		}
+		if len(extra) > 0 && resultSet == nil {
+			resultSet = new(posSet)
+			for _, r := range current {
+				resultSet.add(r)
+			}
+		}
 		for _, x := range extra {
-			if !resultSet[x] {
-				resultSet[x] = true
+			if resultSet.add(x) {
 				current = append(current, x)
 			}
 		}

@@ -189,10 +189,10 @@ func TestBatchedWriteBacksCoalesceIdempotently(t *testing.T) {
 	if got := s.Table("cities").Fingerprint(); got != want {
 		t.Errorf("duplicate write-backs in one batch diverged from a single apply:\n%s\nvs\n%s", got, want)
 	}
-	checked := s.w.current().tables["cities"].checkedGroups[stRule(t).Name]
-	wantChecked := single.w.current().tables["cities"].checkedGroups[stRule(t).Name]
-	if len(checked) != len(wantChecked) {
-		t.Errorf("checked groups = %d, want %d", len(checked), len(wantChecked))
+	checked := s.w.current().tables["cities"].checked[stRule(t).Name]
+	wantChecked := single.w.current().tables["cities"].checked[stRule(t).Name]
+	if checked.len() != wantChecked.len() {
+		t.Errorf("checked groups = %d, want %d", checked.len(), wantChecked.len())
 	}
 }
 
@@ -377,9 +377,10 @@ func mustFD(t *testing.T) dc.FDSpec {
 // TestZoneFilterOnPinnedEpochsDuringSweep has readers filter pinned epochs
 // through the engine's zone-pruned base scan while a background sweep
 // publishes an epoch per chunk, each cloning the segments (and zones) it
-// fixes. Chunks are released one per reader round, so publications overlap
-// the reads. Every result must equal the EvalCell row loop over the same
-// epoch. Run under -race in CI.
+// fixes. Chunks are released one at a time, each once both readers have
+// run full rounds on the previous one, so publications overlap the reads and
+// every reader sees the chunk epochs. Every result must equal the EvalCell
+// row loop over the same epoch. Run under -race in CI.
 func TestZoneFilterOnPinnedEpochsDuringSweep(t *testing.T) {
 	s := newSweepSession(t, Options{Strategy: StrategyIncremental}, sweepGroups, sweepDirtyGroups)
 	defer s.Close()
@@ -419,7 +420,7 @@ func TestZoneFilterOnPinnedEpochsDuringSweep(t *testing.T) {
 	if !s.CleanInBackground("lineorder", "phi") {
 		t.Fatal("CleanInBackground refused a sweep")
 	}
-	var rounds atomic.Int64
+	var rounds [2]atomic.Int64 // per reader
 	stop := make(chan struct{})
 	errCh := make(chan error, 2)
 	seen := make([]map[*ptable.PTable]bool, 2)
@@ -441,21 +442,28 @@ func TestZoneFilterOnPinnedEpochsDuringSweep(t *testing.T) {
 					errCh <- err
 					return
 				}
-				rounds.Add(1)
+				rounds[g].Add(1)
 			}
 		}()
 	}
-	swept := func() bool {
+	sweep := func() CleaningJob {
 		st := s.CleaningStatus()
-		return len(st) > 0 && st[len(st)-1].State.Terminal()
+		return st[len(st)-1]
 	}
 	deadline := time.Now().Add(20 * time.Second)
-	for !swept() && time.Now().Before(deadline) {
-		r := rounds.Load()
-		allowed.Add(1)
-		for rounds.Load() < r+2 && len(errCh) == 0 && time.Now().Before(deadline) {
+	wait := func(cond func() bool) {
+		for !cond() && len(errCh) == 0 && time.Now().Before(deadline) {
 			time.Sleep(100 * time.Microsecond)
 		}
+	}
+	for !sweep().State.Terminal() && time.Now().Before(deadline) {
+		// Release one chunk and wait until it published, then until each
+		// reader has finished a round begun after the publish.
+		chunks := sweep().ChunksDone
+		allowed.Add(1)
+		wait(func() bool { j := sweep(); return j.ChunksDone > chunks || j.State.Terminal() })
+		r0, r1 := rounds[0].Load(), rounds[1].Load()
+		wait(func() bool { return rounds[0].Load() >= r0+2 && rounds[1].Load() >= r1+2 })
 	}
 	allowed.Store(math.MaxInt64)
 	close(stop)
@@ -479,5 +487,97 @@ func TestZoneFilterOnPinnedEpochsDuringSweep(t *testing.T) {
 	}
 	if err := check(final); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPinnedEpochCheckedSetsFrozen: a reader pinned to an epoch keeps seeing
+// that epoch's checked sets, FD and DC, unchanged while later queries and a
+// background sweep publish: the writer and queries extend clones, never a
+// published set. Under -race, a write into a pinned set is a reported race
+// with the reader.
+func TestPinnedEpochCheckedSetsFrozen(t *testing.T) {
+	s := newSweepSession(t, Options{Strategy: StrategyIncremental}, sweepGroups, sweepDirtyGroups)
+	defer s.Close()
+	if err := s.Register(empTable()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddRule(dc.MustParse("psi@emp: !(t1.salary<t2.salary & t1.tax>t2.tax)")); err != nil {
+		t.Fatal(err)
+	}
+	fdQueries := sweepQueries(sweepGroups, sweepRangeGroups)
+	var dcQueries []string
+	for lo := 1000; lo < 3000; lo += 400 {
+		dcQueries = append(dcQueries, fmt.Sprintf("SELECT salary, tax FROM emp WHERE salary >= %d AND salary < %d", lo, lo+400))
+	}
+	runQueries(t, s, []string{fdQueries[0], dcQueries[0]})
+
+	snap := s.w.current()
+	pinned := map[string]*posSet{
+		"phi": snap.tables["lineorder"].checked["phi"],
+		"psi": snap.tables["emp"].checked["psi"],
+	}
+	want := make(map[string][]int, len(pinned))
+	for rule, set := range pinned {
+		want[rule] = slices.Collect(set.all())
+		if len(want[rule]) == 0 {
+			t.Fatalf("the first queries checked nothing under %s", rule)
+		}
+	}
+	same := func() bool {
+		for rule, set := range pinned {
+			if set.len() != len(want[rule]) || !slices.Equal(slices.Collect(set.all()), want[rule]) {
+				return false
+			}
+		}
+		return true
+	}
+
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if !same() {
+				t.Error("a pinned epoch's checked sets changed under a later publish")
+				return
+			}
+		}
+	}()
+	var writers sync.WaitGroup
+	for _, qs := range [][]string{fdQueries[1:], dcQueries[1:]} {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for _, q := range qs {
+				if _, err := s.Query(q); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	if !s.CleanInBackground("lineorder", "phi") {
+		t.Error("the sweep did not start")
+	}
+	writers.Wait()
+	if err := s.WaitCleaning(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	reader.Wait()
+
+	if !same() {
+		t.Fatal("a pinned epoch's checked sets changed under a later publish")
+	}
+	latest := s.w.current()
+	if phi, psi := latest.tables["lineorder"].checked["phi"].len(), latest.tables["emp"].checked["psi"].len(); phi <= len(want["phi"]) || psi <= len(want["psi"]) {
+		t.Fatalf("later epochs checked nothing new: phi %d→%d, psi %d→%d",
+			len(want["phi"]), phi, len(want["psi"]), psi)
 	}
 }

@@ -128,7 +128,7 @@ func (s *Session) replayRecord(payload []byte, pending map[sweepRef]bool) error 
 		}
 		pending[sweepRef{table: table, rule: rule}] = true
 		return nil
-	case 1, 3, 4:
+	case 1, 3, 4, 7:
 		return errOlderBuild(fmt.Sprintf("WAL record type %d", payload[0]))
 	default:
 		return fmt.Errorf("core: unknown WAL record type %d", payload[0])
@@ -140,7 +140,7 @@ func (s *Session) replayRecord(payload []byte, pending map[sweepRef]bool) error 
 // ran. Records store requests post-filter with the effective cost bit (see
 // persist.go), so from the identical pre-state the filter passes everything
 // through. A request must name an installed relation, a rule bound to it, and
-// checked sets of that rule's kind; anything else is a corrupt log. A
+// marks that rule can hold; anything else is a corrupt log. A
 // request carrying the switch mark comes from a full clean reaching the
 // relation's end, a sweep's last chunk or an inline full clean: the pair's
 // sweep is no longer pending.
@@ -154,7 +154,7 @@ func (s *Session) replayApply(reqs []*applyReq, pending map[sweepRef]bool) error
 		if !ok {
 			return fmt.Errorf("core: corrupt durable state: apply names unregistered table %q", req.table)
 		}
-		if err := checkDecisions(st, req.table, req.rule, len(req.groups) > 0, req.tuples); err != nil {
+		if err := checkDecisions(st, req.table, req.rule, req.marks); err != nil {
 			return err
 		}
 		applyOne(next, cloned, req)
@@ -169,7 +169,7 @@ func (s *Session) replayApply(reqs []*applyReq, pending map[sweepRef]bool) error
 // rebuildCells gives every relation of a recovered snapshot the cells its
 // checked sets imply, in place: each relation holds its original values
 // only, and no epoch of it has been published. Per bound rule it runs the
-// live paths' fix code once over everything checked — for an FD, the group
+// live paths' fix code once over its checked set — for an FD, the group
 // index's repair of every member of every checked group; for a general DC,
 // the rank index's detection of checked against unchecked tuples (a pair
 // is detected once its first tuple is checked) and the range fixes of the
@@ -179,32 +179,23 @@ func rebuildCells(snap *snapshot, workers int) error {
 	for _, st := range snap.tables {
 		pt := st.pt
 		view := detect.NewPTableView(pt)
-		seen := make(map[string]bool, len(st.rules))
 		for _, rule := range st.rules {
-			if seen[rule.Name] {
+			checked := st.checked[rule.Name]
+			if checked.len() == 0 {
 				continue
 			}
-			seen[rule.Name] = true
 			if fd, ok := rule.AsFD(); ok {
-				groups := st.checkedGroups[rule.Name]
-				if len(groups) == 0 {
-					continue
-				}
 				ix := st.reg.fdIndex(pt, rule.Name, fd)
 				var fix []int
-				for key := range groups {
-					fix = append(fix, ix.members(key)...)
+				for a := range checked.all() {
+					fix = append(fix, ix.members(a)...)
 				}
 				pt.Apply(ix.repair(view, fix, fd, nil))
 				continue
 			}
-			checked := st.checkedTuples[rule.Name]
-			if len(checked) == 0 {
-				continue
-			}
 			var delta, rest []int
 			for i := 0; i < view.Len(); i++ {
-				if checked[view.ID(i)] {
+				if checked.has(i) {
 					delta = append(delta, i)
 				} else {
 					rest = append(rest, i)

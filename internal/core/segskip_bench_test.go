@@ -47,7 +47,7 @@ func benchSkipIndex(b *testing.B, segs, dirtyPct int) (*fdIndex, int) {
 // targets — skip should stay well ahead of full.
 func BenchmarkVioScan(b *testing.B) {
 	const segs = 1024
-	unchecked := func(value.MapKey) bool { return false }
+	var unchecked *posSet
 	for _, pct := range []int{0, 1, 50} {
 		ix, rows := benchSkipIndex(b, segs, pct)
 		b.Run(fmt.Sprintf("dirty%d/skip", pct), func(b *testing.B) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"daisy/internal/dc"
@@ -38,48 +39,32 @@ func randSkipFixture(rng *rand.Rand, rows, groups int) (*ptable.PTable, dc.FDSpe
 // violatingScopeScanIn is the exhaustive per-row reference implementation of
 // violatingScopeIn: the differential oracle the property tests and the
 // dirty-fraction benchmark compare the segment-skip path against.
-func (ix *fdIndex) violatingScopeScanIn(lo, hi int, checked func(value.MapKey) bool) (scope []int, keys []value.MapKey) {
-	if hi > len(ix.rowKey) {
-		hi = len(ix.rowKey)
-	}
+func (ix *fdIndex) violatingScopeScanIn(lo, hi int, checked *posSet) (scope, anchors []int) {
+	hi = min(hi, len(ix.anchor))
 	for r := lo; r < hi; r++ {
-		key := ix.rowKey[r]
-		g := ix.groups[key]
-		if g.members[0] != r || !g.violating() || checked(key) {
+		g := ix.groups[ix.anchor[r]]
+		if g.members[0] != r || !g.violating() || checked.has(r) {
 			continue // not this group's anchor row, or nothing to clean
 		}
-		keys = append(keys, key)
+		anchors = append(anchors, r)
 		scope = append(scope, g.members...)
 	}
-	return scope, keys
+	return scope, anchors
 }
 
-func sameScope(gotScope []int, gotKeys []value.MapKey, wantScope []int, wantKeys []value.MapKey) bool {
-	if len(gotScope) != len(wantScope) || len(gotKeys) != len(wantKeys) {
-		return false
-	}
-	for i := range wantScope {
-		if gotScope[i] != wantScope[i] {
-			return false
-		}
-	}
-	for i := range wantKeys {
-		if gotKeys[i] != wantKeys[i] {
-			return false
-		}
-	}
-	return true
+func sameScope(gotScope, gotAnchors, wantScope, wantAnchors []int) bool {
+	return slices.Equal(gotScope, wantScope) && slices.Equal(gotAnchors, wantAnchors)
 }
 
-// groupOrder lists the index's group keys in first-appearance (row) order.
-func groupOrder(ix *fdIndex) []value.MapKey {
-	var keys []value.MapKey
-	for r, key := range ix.rowKey {
-		if ix.groups[key].members[0] == r {
-			keys = append(keys, key)
+// groupOrder lists the index's group anchors in first-appearance (row) order.
+func groupOrder(ix *fdIndex) []int {
+	var anchors []int
+	for r, a := range ix.anchor {
+		if int(a) == r {
+			anchors = append(anchors, r)
 		}
 	}
-	return keys
+	return anchors
 }
 
 // TestViolatingScopeSegmentSkipMatchesScan is the seeded differential oracle
@@ -97,13 +82,12 @@ func TestViolatingScopeSegmentSkipMatchesScan(t *testing.T) {
 		ix := newFDIndex(pt, fd)
 
 		// Fixed random checked subset, random sub-ranges (hi may overshoot n).
-		checkedSet := make(map[value.MapKey]bool)
-		for _, key := range groupOrder(ix) {
+		checked := new(posSet)
+		for _, a := range groupOrder(ix) {
 			if rng.Intn(3) == 0 {
-				checkedSet[key] = true
+				checked.add(a)
 			}
 		}
-		checked := func(k value.MapKey) bool { return checkedSet[k] }
 		for i := 0; i < 16; i++ {
 			lo := rng.Intn(rows + 1)
 			hi := lo + rng.Intn(rows+ptable.SegmentSize-lo)
@@ -119,8 +103,7 @@ func TestViolatingScopeSegmentSkipMatchesScan(t *testing.T) {
 		// groups — segments ahead of the sweep going fully clean) as checked.
 		// Skip and scan must agree chunk by chunk, and the union over chunks
 		// must equal the full-range scan at the same checked sequence.
-		adversarial := make(map[value.MapKey]bool)
-		advChecked := func(k value.MapKey) bool { return adversarial[k] }
+		advChecked := new(posSet)
 		var unionSkip, unionScan []int
 		for lo := 0; lo < rows; {
 			hi := lo + 1 + rng.Intn(2*ptable.SegmentSize)
@@ -134,14 +117,14 @@ func TestViolatingScopeSegmentSkipMatchesScan(t *testing.T) {
 			}
 			unionSkip = append(unionSkip, gs...)
 			unionScan = append(unionScan, ws...)
-			for _, k := range gk {
+			for _, a := range gk {
 				if rng.Intn(2) == 0 {
-					adversarial[k] = true
+					advChecked.add(a)
 				}
 			}
-			for _, key := range groupOrder(ix) {
+			for _, a := range groupOrder(ix) {
 				if rng.Intn(8) == 0 {
-					adversarial[key] = true
+					advChecked.add(a)
 				}
 			}
 			lo = hi
@@ -158,8 +141,8 @@ func TestViolatingScopeSegmentSkipMatchesScan(t *testing.T) {
 		// And against the group-order full scope the inline full clean once
 		// collected: the same rows in the same order.
 		var full []int
-		for _, key := range groupOrder(ix) {
-			if g := ix.groups[key]; g.violating() && !checked(key) {
+		for _, a := range groupOrder(ix) {
+			if g := ix.groups[int32(a)]; g.violating() && !checked.has(a) {
 				full = append(full, g.members...)
 			}
 		}

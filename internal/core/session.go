@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -410,7 +411,8 @@ func (s *Session) install(name string, pt *ptable.PTable) error {
 // (see install for tables registered later), builds its FD group index
 // (whose group-by sizes are the statistics of §5.2.3/§6) and seeds the cost
 // model. Rules may be added after queries have run; provenance lets new
-// rules merge into already-probabilistic data (Table 7).
+// rules merge into already-probabilistic data (Table 7). A rule's name keys
+// its indexes and checked set, so it must be unique within the session.
 func (s *Session) AddRule(rule *dc.Constraint) error {
 	if rule.Name == "" {
 		return fmt.Errorf("core: rule must be named")
@@ -418,6 +420,9 @@ func (s *Session) AddRule(rule *dc.Constraint) error {
 	return s.w.mutateLogged(
 		func() []byte { return encodeRuleRecord(rule) },
 		func(next *snapshot, cloned map[string]bool) error {
+			if slices.ContainsFunc(next.rules, func(c *dc.Constraint) bool { return c.Name == rule.Name }) {
+				return fmt.Errorf("core: rule %s already added", rule.Name)
+			}
 			bound := false
 			for name, st := range next.tables {
 				if rule.Table != "" && rule.Table != name {

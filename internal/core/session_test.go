@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -252,6 +253,45 @@ func TestAddRuleErrors(t *testing.T) {
 	}
 	if err := s.AddRule(dc.FD("y", "ghost", "city", "zip")); err == nil {
 		t.Error("rule on unknown table must be rejected")
+	}
+}
+
+// TestAddRuleRejectsDuplicateName: a rule's name keys its group index and
+// checked set, so a second rule under a name already added is refused.
+// Accepted, it would reuse the first rule's index and checked set, and its
+// own violations would never be cleaned.
+func TestAddRuleRejectsDuplicateName(t *testing.T) {
+	tb := table.New("addr", schema.MustNew(
+		schema.Column{Name: "zip", Kind: value.Int},
+		schema.Column{Name: "city", Kind: value.String},
+		schema.Column{Name: "st", Kind: value.String},
+	))
+	tb.MustAppend(table.Row{value.NewInt(9001), value.NewString("LA"), value.NewString("CA")})
+	tb.MustAppend(table.Row{value.NewInt(9001), value.NewString("LA"), value.NewString("NV")})
+	tb.MustAppend(table.Row{value.NewInt(10001), value.NewString("NY"), value.NewString("NY")})
+	s := NewSession(Options{Strategy: StrategyIncremental})
+	defer s.Close()
+	if err := s.Register(tb); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddRule(dc.FD("phi", "addr", "city", "zip")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddRule(dc.FD("phi", "addr", "st", "zip")); err == nil || !strings.Contains(err.Error(), "already added") {
+		t.Fatalf("second rule named phi: err = %v, want it refused as already added", err)
+	}
+	if len(s.Rules()) != 1 {
+		t.Fatalf("rules = %d after the refused duplicate, want 1", len(s.Rules()))
+	}
+	// Under a fresh name the rule binds and its violation is cleaned.
+	if err := s.AddRule(dc.FD("phi2", "addr", "st", "zip")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Query("SELECT zip, st FROM addr WHERE zip = 9001"); err != nil {
+		t.Fatal(err)
+	}
+	if c := s.Table("addr").Cell(0, "st"); len(c.Candidates) != 2 {
+		t.Errorf("st of row 0 = %v, want the two candidates of the violated group", c)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"daisy/internal/dc"
 	"daisy/internal/detect"
 	"daisy/internal/ptable"
-	"daisy/internal/value"
 )
 
 // This file is the background full clean: the §5.2.3 strategy switch run
@@ -403,11 +402,10 @@ func nextChunkRows(cur, ran int, took time.Duration, yielded bool) int {
 // epoch. Only the runner calls it.
 func (s *Session) sweepChunk(table string, rule *dc.Constraint, fd dc.FDSpec, lo, hi int) (groups, cells int) {
 	st := s.w.current().tables[table]
-	checked := st.checkedGroups[rule.Name]
 	var m detect.Metrics
 	req, _, cells := cleanFDRange(st.reg.fdIndex(st.pt, rule.Name, fd), st.pt, table, rule.Name, fd, lo, hi,
-		func(k value.MapKey) bool { return checked[k] }, &m)
-	groups = len(req.groups) // before the writer filters racing duplicates
+		st.checked[rule.Name], &m)
+	groups = len(req.marks) // before the writer filters racing duplicates
 	s.w.submit(req)
 	s.metricsMu.Lock()
 	s.Metrics.Add(m)
@@ -423,16 +421,16 @@ func (s *Session) sweepChunk(table string, rule *dc.Constraint, fd dc.FDSpec, lo
 // The range that reaches the relation's end marks the switch in the cost
 // model, so later queries pay only query cost (§5.2.3); replay reads that
 // mark as the sweep of (table, rule) having finished.
-func cleanFDRange(idx *fdIndex, base *ptable.PTable, table, rule string, fd dc.FDSpec, lo, hi int, checked func(value.MapKey) bool, m *detect.Metrics) (req *applyReq, fixed, cells int) {
+func cleanFDRange(idx *fdIndex, base *ptable.PTable, table, rule string, fd dc.FDSpec, lo, hi int, checked *posSet, m *detect.Metrics) (req *applyReq, fixed, cells int) {
 	req = &applyReq{table: table, rule: rule, markSwitched: hi >= base.Len()}
-	scope, keys := idx.violatingScopeIn(lo, hi, checked)
+	scope, anchors := idx.violatingScopeIn(lo, hi, checked)
 	if len(scope) == 0 {
 		return req, 0, 0
 	}
 	delta := idx.repair(detect.NewPTableView(base), scope, fd, m)
 	applied, cells := base.ApplyCOW(delta)
 	m.Updates += int64(cells)
-	req.delta, req.base, req.applied, req.groups = delta, base, applied, keys
+	req.delta, req.base, req.applied, req.marks = delta, base, applied, anchors
 	return req, len(scope), cells
 }
 

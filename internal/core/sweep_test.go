@@ -474,13 +474,13 @@ func TestMarkSwitchedSurvivesDuplicateCoalescing(t *testing.T) {
 	// epoch: every group and cell is dropped as a duplicate at apply time.
 	fd, _ := sweepRule().AsFD()
 	idx := st0.reg.builtFDIndex("phi")
-	scope, keys := idx.violatingScopeIn(0, st0.pt.Len(), func(value.MapKey) bool { return false })
-	if len(keys) == 0 {
+	scope, anchors := idx.violatingScopeIn(0, st0.pt.Len(), nil)
+	if len(anchors) == 0 {
 		t.Fatal("no violating groups in the pre-clean epoch")
 	}
 	d := idx.repair(detect.PTableView{P: st0.pt}, scope, fd, nil)
 	s.w.submit(&applyReq{table: "lineorder", rule: "phi",
-		delta: d, base: st0.pt, groups: keys, markSwitched: true})
+		delta: d, base: st0.pt, marks: anchors, markSwitched: true})
 	cur := s.w.current().tables["lineorder"]
 	if cur.cost == nil || !cur.cost.Switched() {
 		t.Fatal("markSwitched dropped when the final chunk coalesced as a duplicate")

@@ -297,10 +297,9 @@ func CompositeKeyFromBytes(buf []byte) MapKey {
 	return MapKey{kind: compositeKind, str: string(buf)}
 }
 
-// AppendBinary appends a self-delimiting binary encoding of the key to buf —
-// the durable form the write-ahead log and checkpoints store checked-group
-// keys in. Round trip through DecodeMapKey yields a key equal (as a Go map
-// key) to the original: the encoding covers the unified kind tag, so Int and
+// AppendBinary appends a self-delimiting binary encoding of the key to buf.
+// Round trip through DecodeMapKey yields a key equal (as a Go map key) to
+// the original: the encoding covers the unified kind tag, so Int and
 // integral-Float keys that collapsed at MapKey construction stay collapsed.
 func (k MapKey) AppendBinary(buf []byte) []byte {
 	buf = append(buf, byte(k.kind))
