@@ -14,12 +14,9 @@ import (
 
 	"daisy/internal/core"
 	"daisy/internal/dc"
-	"daisy/internal/ptable"
 	"daisy/internal/sql"
 	"daisy/internal/table"
 	"daisy/internal/trace"
-	"daisy/internal/uncertain"
-	"daisy/internal/value"
 )
 
 // apiError is one rejection: HTTP status plus the JSON body every error
@@ -257,10 +254,15 @@ func (s *Server) handleDebugSlow(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// rowBatch is how many row lines streamRows encodes into its buffer before
+// one Write and one Flush.
+const rowBatch = 64
+
 // streamRows writes the NDJSON protocol: schema header, one line per row,
-// mandatory trailer, and returns the number of rows streamed. Flushed per
-// line batch so long streams progress through proxies and slow readers.
-// includeTrace embeds the query's span tree in the success trailer.
+// mandatory trailer, and returns the number of rows streamed. Rows are
+// encoded into one buffer and written and flushed every rowBatch lines, so
+// long streams progress through proxies and slow readers. includeTrace
+// embeds the query's span tree in the success trailer.
 func streamRows(w http.ResponseWriter, rows *core.Rows, includeTrace bool) int {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
@@ -268,22 +270,35 @@ func streamRows(w http.ResponseWriter, rows *core.Rows, includeTrace bool) int {
 
 	sch := rows.Schema()
 	cols := make([]map[string]string, 0, 4)
+	var names []string
 	if sch != nil {
 		for _, c := range sch.Columns() {
 			cols = append(cols, map[string]string{"name": c.Name, "kind": c.Kind.String()})
 		}
+		names = sch.Names()
 	}
 	_ = enc.Encode(map[string]any{"schema": cols})
 
-	n := 0
+	rowEnc := newRowEncoder(names)
+	var buf []byte
+	n, sent := 0, 0
 	for rows.Next() {
-		if err := enc.Encode(rowJSON(sch.Names(), rows.Row())); err != nil {
-			// The client went away mid-write; nothing more to send.
-			return n
-		}
+		buf = rowEnc.appendRow(buf, rows.Row())
 		n++
-		if flusher != nil && n%64 == 0 {
-			flusher.Flush()
+		if n%rowBatch == 0 {
+			if _, err := w.Write(buf); err != nil {
+				// The client went away mid-write; nothing more to send.
+				return sent
+			}
+			buf, sent = buf[:0], n
+			if flusher != nil {
+				flusher.Flush()
+			}
+		}
+	}
+	if len(buf) > 0 {
+		if _, err := w.Write(buf); err != nil {
+			return sent
 		}
 	}
 	if err := rows.Err(); err != nil {
@@ -299,56 +314,6 @@ func streamRows(w http.ResponseWriter, rows *core.Rows, includeTrace bool) int {
 		flusher.Flush()
 	}
 	return n
-}
-
-// rowJSON renders one probabilistic tuple: "row" maps columns to their
-// most-probable value; "uncertain" (present only when a cell is dirty) adds
-// the full candidate distribution.
-func rowJSON(names []string, tup *ptable.Tuple) map[string]any {
-	row := make(map[string]any, len(names))
-	var uncertainCols map[string]any
-	for i, name := range names {
-		if i >= len(tup.Cells) {
-			break
-		}
-		cell := &tup.Cells[i]
-		row[name] = valueJSON(cell.Value())
-		if !cell.IsCertain() {
-			if uncertainCols == nil {
-				uncertainCols = map[string]any{}
-			}
-			uncertainCols[name] = candidatesJSON(cell)
-		}
-	}
-	out := map[string]any{"row": row}
-	if uncertainCols != nil {
-		out["uncertain"] = uncertainCols
-	}
-	return out
-}
-
-func candidatesJSON(c *uncertain.Cell) []map[string]any {
-	out := make([]map[string]any, 0, len(c.Candidates))
-	for _, cand := range c.Candidates {
-		out = append(out, map[string]any{"value": valueJSON(cand.Val), "p": cand.Prob})
-	}
-	return out
-}
-
-func valueJSON(v value.Value) any {
-	switch v.Kind() {
-	case value.Int:
-		return v.Int()
-	case value.Float:
-		return v.Float()
-	case value.String:
-		return v.Str()
-	default:
-		if v.IsNull() {
-			return nil
-		}
-		return v.String()
-	}
 }
 
 // handleTables registers a relation from a CSV body (?name= names it).
