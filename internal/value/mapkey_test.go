@@ -92,3 +92,90 @@ func TestScalarMapKeyAllocs(t *testing.T) {
 		t.Errorf("scalar MapKey/Key64 allocated %v times per run, want 0", n)
 	}
 }
+
+// binaryKeyCorpus is keyCorpus as MapKeys plus composite keys, including the
+// empty composite.
+func binaryKeyCorpus() []MapKey {
+	vals := keyCorpus()
+	keys := make([]MapKey, 0, len(vals)+4)
+	for _, v := range vals {
+		keys = append(keys, v.MapKey())
+	}
+	return append(keys,
+		CompositeKeyFromBytes(AppendKeyBytes(nil, NewInt(1), NewString("a"))),
+		CompositeKeyFromBytes(AppendKeyBytes(nil, NewString("a"), NewInt(1))),
+		CompositeKeyFromBytes(AppendKeyBytes(nil, NewNull())),
+		CompositeKeyFromBytes(nil),
+	)
+}
+
+// TestMapKeyBinaryRoundTrip: AppendBinary/DecodeMapKey must round-trip every
+// corpus key (scalar and composite) exactly, preserving equality structure,
+// and reject truncated or unknown-kind input — the WAL stores checked-group
+// keys in this encoding.
+func TestMapKeyBinaryRoundTrip(t *testing.T) {
+	keys := binaryKeyCorpus()
+	for _, k := range keys {
+		buf := k.AppendBinary([]byte("prefix"))
+		got, rest, err := DecodeMapKey(buf[len("prefix"):])
+		if err != nil {
+			t.Fatalf("decode %v: %v", k, err)
+		}
+		if got != k {
+			t.Errorf("round trip changed key: %v -> %v", k, got)
+		}
+		if len(rest) != 0 {
+			t.Errorf("decode of %v left %d bytes", k, len(rest))
+		}
+	}
+	// Concatenated keys decode in sequence.
+	var buf []byte
+	for _, k := range keys {
+		buf = k.AppendBinary(buf)
+	}
+	rest := buf
+	for i, k := range keys {
+		var got MapKey
+		var err error
+		got, rest, err = DecodeMapKey(rest)
+		if err != nil || got != k {
+			t.Fatalf("sequential decode %d: got %v err %v, want %v", i, got, err, k)
+		}
+	}
+	// Truncations fail cleanly rather than mis-decoding.
+	full := NewString("hello").MapKey().AppendBinary(nil)
+	for cut := 0; cut < len(full); cut++ {
+		if _, _, err := DecodeMapKey(full[:cut]); err == nil && cut < len(full) {
+			t.Errorf("truncation at %d decoded successfully", cut)
+		}
+	}
+	if _, _, err := DecodeMapKey([]byte{0xee}); err == nil {
+		t.Error("unknown kind byte decoded successfully")
+	}
+}
+
+// FuzzDecodeMapKey: DecodeMapKey reads keys back from the WAL and from
+// checkpoints, so it must never panic on arbitrary bytes. A successful decode
+// must survive re-encoding: DecodeMapKey(k.AppendBinary(nil)) returns k and
+// consumes every byte. The input itself need not be reproduced byte for byte,
+// because non-minimal uvarint lengths are accepted.
+func FuzzDecodeMapKey(f *testing.F) {
+	for _, k := range binaryKeyCorpus() {
+		f.Add(k.AppendBinary(nil))
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0xee})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		k, _, err := DecodeMapKey(data)
+		if err != nil {
+			return
+		}
+		again, tail, err := DecodeMapKey(k.AppendBinary(nil))
+		if err != nil {
+			t.Fatalf("re-encoded %v does not decode: %v", k, err)
+		}
+		if again != k || len(tail) != 0 {
+			t.Fatalf("round trip of %v gave %v with %d bytes left", k, again, len(tail))
+		}
+	})
+}

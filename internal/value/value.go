@@ -297,6 +297,53 @@ func CompositeKeyFromBytes(buf []byte) MapKey {
 	return MapKey{kind: compositeKind, str: string(buf)}
 }
 
+// AppendBinary appends a self-delimiting binary encoding of the key to buf.
+// Round trip through DecodeMapKey yields a key equal (as a Go map key) to
+// the original: the encoding covers the unified kind tag, so Int and
+// integral-Float keys that collapsed at MapKey construction stay collapsed.
+func (k MapKey) AppendBinary(buf []byte) []byte {
+	buf = append(buf, byte(k.kind))
+	switch k.kind {
+	case Null:
+	case Int, Float:
+		buf = binary.LittleEndian.AppendUint64(buf, k.num)
+	default: // String and compositeKind both carry their payload in str
+		buf = binary.AppendUvarint(buf, uint64(len(k.str)))
+		buf = append(buf, k.str...)
+	}
+	return buf
+}
+
+// DecodeMapKey decodes one AppendBinary encoding from the front of buf,
+// returning the key and the remaining bytes.
+func DecodeMapKey(buf []byte) (MapKey, []byte, error) {
+	if len(buf) == 0 {
+		return MapKey{}, nil, fmt.Errorf("value: decode MapKey: empty buffer")
+	}
+	kind := buf[0]
+	k := MapKey{kind: Kind(kind)}
+	buf = buf[1:]
+	switch k.kind {
+	case Null:
+	case Int, Float:
+		if len(buf) < 8 {
+			return MapKey{}, nil, fmt.Errorf("value: decode MapKey: truncated numeric payload")
+		}
+		k.num = binary.LittleEndian.Uint64(buf)
+		buf = buf[8:]
+	case String, compositeKind:
+		n, sz := binary.Uvarint(buf)
+		if sz <= 0 || uint64(len(buf)-sz) < n {
+			return MapKey{}, nil, fmt.Errorf("value: decode MapKey: truncated string payload")
+		}
+		k.str = string(buf[sz : sz+int(n)])
+		buf = buf[sz+int(n):]
+	default:
+		return MapKey{}, nil, fmt.Errorf("value: decode MapKey: unknown kind %d", kind)
+	}
+	return k, buf, nil
+}
+
 // String renders the value for display and CSV output.
 func (v Value) String() string {
 	switch v.kind {
