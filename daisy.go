@@ -32,7 +32,7 @@
 //	if err := rows.Err(); err != nil { ... }
 //
 // Cancellation is threaded through the whole execution path — plan
-// operators, theta-join partition loops, the relaxation/repair loop — so a
+// operators, theta-join workers, the relaxation/repair loop — so a
 // deadline or client disconnect aborts mid-clean with an error wrapping
 // ctx.Err(). A canceled query publishes nothing: its private copy-on-write
 // overlay is dropped and the session's published epochs are untouched.

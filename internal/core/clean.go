@@ -318,17 +318,17 @@ func (qc *queryCtx) cleanDC(st *tableState, tableName string, rule *dc.Constrain
 		return nil, nil
 	}
 
-	// Cancellable detection: the theta-join partition loops poll ctx and the
+	// Cancellable detection: the theta-join workers poll ctx and the
 	// whole rule aborts cleanly — no fixes applied, no tuples marked checked.
 	detectSp := parent.Start("detect")
 	cmpBefore := m.Comparisons
-	pairs, err := dx.ix.Detect(qc.ctx, detectSp, delta, rest, thetajoin.Partitions, qc.opts.Workers, m)
+	pairs, err := dx.ix.Detect(qc.ctx, detectSp, delta, rest, qc.opts.Workers, m)
 	if detectSp.Active() {
 		detectSp.End(trace.Str("rule", rule.Name),
 			trace.Int("delta", len(delta)), trace.Int("rest", len(rest)),
 			trace.Int("pairs", len(pairs)),
 			trace.Int64("comparisons", m.Comparisons-cmpBefore),
-			trace.Int("workers", qc.opts.Workers), trace.Int("partitions", thetajoin.Partitions))
+			trace.Int("workers", qc.opts.Workers))
 	}
 	if err != nil {
 		return nil, err

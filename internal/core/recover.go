@@ -7,7 +7,6 @@ import (
 	"daisy/internal/dc"
 	"daisy/internal/detect"
 	"daisy/internal/repair"
-	"daisy/internal/thetajoin"
 	"daisy/internal/trace"
 	"daisy/internal/wal"
 )
@@ -203,7 +202,7 @@ func rebuildCells(snap *snapshot, workers int) error {
 			}
 			var m detect.Metrics
 			dx := st.reg.dcIndex(view, rule, trace.Span{})
-			pairs, err := dx.ix.Detect(context.Background(), trace.Span{}, delta, rest, thetajoin.Partitions, workers, &m)
+			pairs, err := dx.ix.Detect(context.Background(), trace.Span{}, delta, rest, workers, &m)
 			if err != nil {
 				return err
 			}

@@ -497,8 +497,8 @@ func (s *Session) Query(text string) (*Result, error) {
 // cancellation and per-query options, returning a streaming Rows cursor over
 // the cleaned result. Safe for concurrent use.
 //
-// ctx is polled throughout execution — plan operators, theta-join partition
-// loops, the relaxation/repair loop — so a deadline or client disconnect
+// ctx is polled throughout execution — plan operators, theta-join workers,
+// the relaxation/repair loop — so a deadline or client disconnect
 // aborts mid-clean with an error wrapping ctx.Err(). A canceled query
 // publishes nothing: its private copy-on-write overlay is dropped and the
 // session's published epochs are untouched, so subsequent queries (or a

@@ -1,7 +1,7 @@
 // Package offline implements the scale-out offline cleaning baseline the
 // paper compares against (§7): an optimized full-dataset cleaner combining
 // BigDansing's detection optimizations (hash group-by for FDs instead of a
-// self-join, partitioned theta-join for DCs) with probabilistic repairs.
+// self-join, a pruned theta-join for DCs) with probabilistic repairs.
 // Repair follows the offline pattern the paper analyzes in §5.2.1: for each
 // detected erroneous group it traverses the dataset to compute the candidate
 // values — the O(ε·n) term that makes offline cleaning lose to Daisy when
@@ -147,13 +147,13 @@ func (c *Cleaner) cleanFD(ctx context.Context, pt *ptable.PTable, rule *dc.Const
 	return rep, nil
 }
 
-// cleanDC repairs every violation of a general DC via the full partitioned
-// theta-join. Cancellation is threaded through the partition loops; no fixes
-// apply when detection aborts.
+// cleanDC repairs every violation of a general DC via the full self
+// theta-join. Cancellation is threaded through the detection workers; no
+// fixes apply when detection aborts.
 func (c *Cleaner) cleanDC(ctx context.Context, pt *ptable.PTable, rule *dc.Constraint) (Report, error) {
 	var rep Report
 	view := detect.NewPTableView(pt)
-	pairs, err := thetajoin.DetectCtx(ctx, trace.Span{}, view, rule, thetajoin.Partitions, 0, &rep.Metrics)
+	pairs, err := thetajoin.DetectCtx(ctx, trace.Span{}, view, rule, 0, &rep.Metrics)
 	if err != nil {
 		return rep, err
 	}

@@ -1,7 +1,7 @@
 // Package oracle is a naive reference implementation of Daisy's query-driven
 // cleaning — Algorithm 1 interpreted directly over the data, with none of
 // the optimized engine's machinery: no persistent group index, no
-// precomputed statistics pruning, no cost model, no partitioned theta-join,
+// precomputed statistics pruning, no cost model, no pruned theta-join,
 // no snapshot epochs. Every relaxation is a fresh table scan, violating
 // groups are re-derived per query, DC pairs come from a quadratic nested
 // loop, and repairs recompute frequency distributions from scratch.

@@ -13,9 +13,26 @@ import (
 	"daisy/internal/value"
 )
 
-// skewedSalaries builds n rows with a deterministic pseudo-random pattern
-// that yields plenty of qualifying block pairs and violations.
+// skewedSalaries builds n rows with a deterministic pseudo-random pattern:
+// tax follows salary except for one row in twenty, which yields plenty of
+// violations near the order's diagonal.
 func skewedSalaries(n int) *table.Table {
+	return salaries(n, func(salary float64, next func() uint64) float64 {
+		if next()%20 == 0 {
+			return salary/10 + float64(next()%200) // inversion: too much tax
+		}
+		return salary / 10
+	})
+}
+
+// randomSalaries builds n rows whose tax is independent of salary: the
+// salary order says nothing about tax, so little can be pruned.
+func randomSalaries(n int) *table.Table {
+	return salaries(n, func(_ float64, next func() uint64) float64 { return float64(next() % 10000) })
+}
+
+// salaries builds n rows of pseudo-random salaries with tax(salary).
+func salaries(n int, tax func(salary float64, next func() uint64) float64) *table.Table {
 	t := table.New("emp", salarySchema())
 	state := uint64(12345)
 	next := func() uint64 {
@@ -26,19 +43,15 @@ func skewedSalaries(n int) *table.Table {
 	}
 	for i := 0; i < n; i++ {
 		salary := float64(next() % 100000)
-		tax := salary / 10
-		if next()%20 == 0 {
-			tax = salary/10 + float64(next()%200) // inversion: too much tax
-		}
-		t.MustAppend(table.Row{value.NewFloat(salary), value.NewFloat(tax)})
+		t.MustAppend(table.Row{value.NewFloat(salary), value.NewFloat(tax(salary, next))})
 	}
 	return t
 }
 
 // detectN runs DetectCtx untraced with a fixed worker count.
-func detectN(t testing.TB, v detect.RowView, p, workers int, m *detect.Metrics) []Pair {
+func detectN(t testing.TB, v detect.RowView, workers int, m *detect.Metrics) []Pair {
 	t.Helper()
-	pairs, err := DetectCtx(context.Background(), trace.Span{}, v, salaryDC, p, workers, m)
+	pairs, err := DetectCtx(context.Background(), trace.Span{}, v, salaryDC, workers, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,16 +88,16 @@ func traced(t *testing.T, run func(sp trace.Span) ([]Pair, error)) []Pair {
 
 // TestDetectParallelDeterministic: the parallel theta-join, traced, must
 // return exactly Detect's pair slice (same order, same orientation) for
-// every worker count — the fan-out merges in block-pair enumeration order.
+// every worker count — the fan-out merges in delta-row order.
 func TestDetectParallelDeterministic(t *testing.T) {
 	v := detect.TableView{T: skewedSalaries(3000)}
-	want := Detect(v, salaryDC, 64, nil)
+	want := Detect(v, salaryDC, Partitions, nil)
 	if len(want) == 0 {
 		t.Fatal("fixture produced no violations")
 	}
 	for _, workers := range []int{1, 2, 4, 8, 0} {
 		got := traced(t, func(sp trace.Span) ([]Pair, error) {
-			return DetectCtx(context.Background(), sp, v, salaryDC, 64, workers, nil)
+			return DetectCtx(context.Background(), sp, v, salaryDC, workers, nil)
 		})
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: %d pairs, differs from Detect (%d pairs)", workers, len(got), len(want))
@@ -97,8 +110,8 @@ func TestDetectParallelDeterministic(t *testing.T) {
 func TestDetectParallelMetricsMatch(t *testing.T) {
 	v := detect.TableView{T: skewedSalaries(2000)}
 	var seqM, parM detect.Metrics
-	detectN(t, v, 64, 1, &seqM)
-	detectN(t, v, 64, 8, &parM)
+	detectN(t, v, 1, &seqM)
+	detectN(t, v, 8, &parM)
 	if seqM.Comparisons != parM.Comparisons {
 		t.Errorf("comparisons: sequential %d, parallel %d", seqM.Comparisons, parM.Comparisons)
 	}
@@ -111,13 +124,13 @@ func TestDetectPartialParallelDeterministic(t *testing.T) {
 	ix := NewIndex(detect.TableView{T: tb}, salaryDC)
 	delta, rest := partialSplit(tb.Len())
 	ctx := context.Background()
-	want, err := ix.Detect(ctx, trace.Span{}, delta, rest, 64, 1, nil)
+	want, err := ix.Detect(ctx, trace.Span{}, delta, rest, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4, 8, 0} {
 		got := traced(t, func(sp trace.Span) ([]Pair, error) {
-			return ix.Detect(ctx, sp, delta, rest, 64, workers, nil)
+			return ix.Detect(ctx, sp, delta, rest, workers, nil)
 		})
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d differs from sequential", workers)
@@ -136,24 +149,24 @@ func TestCanceledDetectionReturnsNoPairs(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		pairs, err := DetectCtx(ctx, trace.Span{}, v, salaryDC, 64, workers, nil)
+		pairs, err := DetectCtx(ctx, trace.Span{}, v, salaryDC, workers, nil)
 		if !errors.Is(err, context.Canceled) || pairs != nil {
 			t.Errorf("DetectCtx workers=%d: %d pairs, err %v; want none and context.Canceled", workers, len(pairs), err)
 		}
-		pairs, err = ix.Detect(ctx, trace.Span{}, delta, rest, 64, workers, nil)
+		pairs, err = ix.Detect(ctx, trace.Span{}, delta, rest, workers, nil)
 		if !errors.Is(err, context.Canceled) || pairs != nil {
 			t.Errorf("Index.Detect workers=%d: %d pairs, err %v; want none and context.Canceled", workers, len(pairs), err)
 		}
 	}
 }
 
-// BenchmarkThetaJoinDetect measures the partitioned theta-join. The full
-// cases run the whole matrix at 10k and 100k rows with 1, 4, and 8 workers;
-// partition count scales with the relation so block pruning keeps the matrix
-// sparse (p=n → √n blocks), and worker fan-out needs multiple CPUs to show
-// wall-clock gains. The partial case has the cold_dc benchmark workload's
-// shape: a 333-row query result against the rest of 20k rows at the default
-// 64 partitions, on a prebuilt index. Each case reports ns/comparison.
+// BenchmarkThetaJoinDetect measures the theta-join. The full cases run the
+// whole self-join of skewed salaries at 10k and 100k rows with 1, 4 and 8
+// workers; worker fan-out needs multiple CPUs to show wall-clock gains. The
+// partial cases have the cold_dc benchmark workload's shape, a 333-row query
+// result against the rest of 20k rows on a prebuilt index, over skewed
+// salaries and over random ones, where the tree has little to prune (the
+// kernel's worst case). Each case reports comparisons/op and pairs/op.
 func BenchmarkThetaJoinDetect(b *testing.B) {
 	for _, rows := range []int{10000, 100000} {
 		v := detect.TableView{T: skewedSalaries(rows)}
@@ -161,15 +174,15 @@ func BenchmarkThetaJoinDetect(b *testing.B) {
 			b.Run(fmt.Sprintf("rows=%d/workers=%d", rows, workers), func(b *testing.B) {
 				b.ReportAllocs()
 				var m detect.Metrics
+				var pairs int
 				for i := 0; i < b.N; i++ {
-					detectN(b, v, rows, workers, &m)
+					pairs += len(detectN(b, v, workers, &m))
 				}
-				reportPerComparison(b, m)
+				reportWork(b, m, pairs)
 			})
 		}
 	}
 	const rows, deltaRows = 20000, 333
-	ix := NewIndex(detect.TableView{T: skewedSalaries(rows)}, salaryDC)
 	var delta, rest []int
 	for i := 0; i < rows; i++ {
 		if i%(rows/deltaRows) == 0 && len(delta) < deltaRows {
@@ -178,23 +191,31 @@ func BenchmarkThetaJoinDetect(b *testing.B) {
 			rest = append(rest, i)
 		}
 	}
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("partial/rows=%d/delta=%d/workers=%d", rows, deltaRows, workers), func(b *testing.B) {
-			b.ReportAllocs()
-			var m detect.Metrics
-			for i := 0; i < b.N; i++ {
-				if _, err := ix.Detect(context.Background(), trace.Span{}, delta, rest, 64, workers, &m); err != nil {
-					b.Fatal(err)
+	for _, data := range []struct {
+		name string
+		t    *table.Table
+	}{{"skewed", skewedSalaries(rows)}, {"random", randomSalaries(rows)}} {
+		ix := NewIndex(detect.TableView{T: data.t}, salaryDC)
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("partial/%s/rows=%d/delta=%d/workers=%d", data.name, rows, deltaRows, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				var m detect.Metrics
+				var pairs int
+				for i := 0; i < b.N; i++ {
+					got, err := ix.Detect(context.Background(), trace.Span{}, delta, rest, workers, &m)
+					if err != nil {
+						b.Fatal(err)
+					}
+					pairs += len(got)
 				}
-			}
-			reportPerComparison(b, m)
-		})
+				reportWork(b, m, pairs)
+			})
+		}
 	}
 }
 
-// reportPerComparison adds the kernel's cost per pair examined.
-func reportPerComparison(b *testing.B, m detect.Metrics) {
-	if m.Comparisons > 0 {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(m.Comparisons), "ns/comparison")
-	}
+// reportWork adds the pairs compared and emitted per detection.
+func reportWork(b *testing.B, m detect.Metrics, pairs int) {
+	b.ReportMetric(float64(m.Comparisons)/float64(b.N), "comparisons/op")
+	b.ReportMetric(float64(pairs)/float64(b.N), "pairs/op")
 }

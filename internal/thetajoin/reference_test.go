@@ -12,8 +12,8 @@ import (
 // The reference kernel: the partitioned theta-join evaluated directly on
 // value.Value axes that every call sorts afresh, one value comparison per
 // atom per pair, sequentially. It shares compile with the rank kernel and
-// nothing else; the differential tests hold the Index to its exact pair
-// sequence, comparison count and estimates.
+// nothing else; the differential tests hold the Index to its pair set —
+// each pair in the reference's orientation — and to its estimates.
 
 // refAxis is the view sorted (stably) by the primary column, materialized
 // into per-column value slices plus tuple IDs.

@@ -1,21 +1,26 @@
-// Package thetajoin implements the partitioned self theta-join used to
-// detect general denial-constraint violations (§4.2). Following Okcan &
-// Riedewald's matrix framework, the cartesian product is mapped to a matrix
-// whose axes are the relation sorted on the constraint's primary attribute;
-// the matrix splits into p roughly uniform partitions whose boundary ranges
-// prune the block pairs that cannot hold a violation, and every pair of a
-// qualifying block pair is checked. Qualifying block pairs are independent,
-// so they fan out across a worker pool and merge back in enumeration order —
-// the output is byte-identical to the sequential scan.
+// Package thetajoin implements the self theta-join used to detect general
+// denial-constraint violations (§4.2).
 //
 // Detection runs on an Index, built once per relation and constraint: every
 // column the constraint references is decoded into dense int32 ranks of one
-// shared domain, and the rows are sorted on the primary rank. A detection
-// then pays only for filtering that order into its two axes and enumerating
-// pairs over flat rank slices. The incremental form checks only the
-// sub-matrix (query result × unseen data), reproducing the paper's partial
-// theta-join; EstimateErrors reproduces Algorithm 2's per-range violation
-// estimates from partition-boundary overlap.
+// shared domain, the rows are sorted on the primary rank, and an implicit
+// binary tree over that order (the rank tree) stores each node's minimum and
+// maximum rank per column. The incremental form checks only the sub-matrix
+// (query result × unseen data), reproducing the paper's partial theta-join:
+// each delta row descends the rank tree, skips every node whose bounds rule
+// out both orientations of the constraint against the row — Okcan &
+// Riedewald's partition-pruning test, applied to one row against a node — and
+// is compared only with the unseen rows and later delta rows of the leaves
+// it reaches. Delta rows split into contiguous chunks across a worker pool
+// and merge back in order, so the output is identical for every worker count.
+//
+// The cost is output-sensitive where the constraint's atoms follow the
+// order: on data that mostly satisfies the constraint, a delta row reaches
+// only the few leaves that hold its partners. The worst case — atoms the
+// order says nothing about, as on random data — compares every candidate
+// pair, |delta|·|rest| + |delta|(|delta|−1)/2, plus one node test per tree
+// node per delta row. EstimateErrors reproduces Algorithm 2's per-range
+// violation estimates from partition-boundary overlap.
 package thetajoin
 
 import (
@@ -26,6 +31,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"daisy/internal/dc"
 	"daisy/internal/detect"
@@ -33,9 +39,17 @@ import (
 	"daisy/internal/value"
 )
 
-// Partitions is the number of roughly uniform partitions the matrix splits
-// into, for detection and for Algorithm 2's range estimates alike.
+// Partitions is the number of roughly uniform partitions Algorithm 2's range
+// estimates split the relation into: √Partitions ranges on the primary
+// attribute.
 const Partitions = 64
+
+// leafRows is how many index-order rows one leaf of the rank tree covers.
+const leafRows = 32
+
+// chunkRows is how many delta rows make one unit of parallel work; workers
+// poll cancellation between chunks, since ctx.Err() can take a shared mutex.
+const chunkRows = 64
 
 // Pair is one violating tuple pair: the assignment t1=T1, t2=T2 satisfies
 // every atom of the constraint.
@@ -58,8 +72,8 @@ type catom struct {
 	left, right           int
 }
 
-// compile resolves the constraint's columns once. The primary attribute both
-// matrix axes sort on is the first atom's left column (the paper focuses on
+// compile resolves the constraint's columns once. The primary attribute the
+// index sorts on is the first atom's left column (the paper focuses on
 // same-attribute conditions).
 func compile(c *dc.Constraint) compiled {
 	cc := compiled{cols: c.Columns()}
@@ -80,28 +94,37 @@ func compile(c *dc.Constraint) compiled {
 
 // Index is one relation preprocessed for one constraint: its rows sorted by
 // (primary rank, position), with every column the constraint references
-// decoded into int32 ranks in that order. Ranks are dense under
-// value.Compare over one domain shared by all referenced columns, so a
-// cross-column atom (t1.A<t2.B) compares ranks exactly as it would compare
-// values; NULL is rank 0, below every value, as Compare orders it. An Index
-// reads original values only, so it stays valid for every cleaned state of
-// the relation it was built from. It is immutable and safe for concurrent
-// use.
+// decoded into int32 ranks in that order, and the rank tree over that order.
+// Ranks are dense under value.Compare over one domain shared by all
+// referenced columns, so a cross-column atom (t1.A<t2.B) compares ranks
+// exactly as it would compare values; NULL is rank 0, below every value, as
+// Compare orders it. An Index reads original values only, so it stays valid
+// for every cleaned state of the relation it was built from. It is immutable
+// and safe for concurrent use.
+//
+// The rank tree is implicit: node 1 is the root, node k's children are 2k
+// and 2k+1, and leaf i is node leaves+i, covering index rows
+// [i·leafRows, (i+1)·leafRows). Padding leaves past the last row are empty.
+// A detection descends it once per delta row (see Detect).
 //
 // Ranks reproduce value comparisons only where value.Compare is a total
 // order. NaN is not ordered by it (it compares equal to every number), so on
 // data holding NaN detection is still deterministic — the same for every
 // worker count — but need not match a value-by-value scan.
 type Index struct {
-	cc    compiled
-	order []int32   // row positions sorted by (primary rank, position)
-	ids   []int64   // tuple IDs, in order
-	ranks [][]int32 // canonical column position → ranks, in order
+	cc     compiled
+	order  []int32   // row positions sorted by (primary rank, position)
+	at     []int32   // row position → its index in order
+	ids    []int64   // tuple IDs, in order
+	ranks  [][]int32 // canonical column position → ranks, in order
+	tree   []block   // the rank tree's nodes; tree[0] is unused
+	leaves int       // number of leaves, a power of two
 }
 
 // NewIndex builds the index of the view under c: one read of each referenced
-// column (in segment-sized runs when the view is a detect.ColScanner) and
-// two sorts. It panics when the view lacks a column the constraint names.
+// column (in segment-sized runs when the view is a detect.ColScanner), two
+// sorts and the rank tree. It panics when the view lacks a column the
+// constraint names.
 func NewIndex(v detect.RowView, c *dc.Constraint) *Index {
 	cc := compile(c)
 	n := v.Len()
@@ -149,13 +172,10 @@ func NewIndex(v detect.RowView, c *dc.Constraint) *Index {
 		}
 		return cmp.Compare(a, b)
 	})
-	ix := &Index{cc: cc, order: order, ids: make([]int64, n), ranks: make([][]int32, len(cc.cols))}
-	byPos := make([]int64, n)
-	for i := range byPos {
-		byPos[i] = v.ID(i)
-	}
+	ix := &Index{cc: cc, order: order, at: make([]int32, n), ids: make([]int64, n), ranks: make([][]int32, len(cc.cols))}
 	for k, pos := range order {
-		ix.ids[k] = byPos[pos]
+		ix.at[pos] = int32(k)
+		ix.ids[k] = v.ID(int(pos))
 	}
 	sorted := make([]int32, n*len(cc.cols))
 	for c := range cc.cols {
@@ -165,71 +185,61 @@ func NewIndex(v detect.RowView, c *dc.Constraint) *Index {
 		}
 		ix.ranks[c] = dst
 	}
+	ix.buildTree()
 	return ix
 }
 
-// axis is one side of the matrix: rows in (primary rank, position) order,
-// as tuple IDs plus one rank slice per canonical column.
-type axis struct {
-	ids  []int64
-	cols [][]int32
-}
-
-func (a *axis) len() int { return len(a.ids) }
-
-// full is the axis over every indexed row; it shares the index's slices.
-func (ix *Index) full() axis { return axis{ids: ix.ids, cols: ix.ranks} }
-
-// axes filters the index order into the delta and rest axes in one walk.
-// Both keep the index order, so ties on the primary rank break by position
-// whatever order the caller listed the positions in.
-func (ix *Index) axes(delta, rest []int) (d, r axis) {
-	const inDelta, inRest = 1, 2
-	mark := make([]uint8, len(ix.order))
-	for _, pos := range delta {
-		mark[pos] = inDelta
-	}
-	for _, pos := range rest {
-		mark[pos] = inRest
-	}
-	d, r = ix.newAxis(len(delta)), ix.newAxis(len(rest))
-	for k, pos := range ix.order {
-		switch mark[pos] {
-		case inDelta:
-			d.push(ix, k)
-		case inRest:
-			r.push(ix, k)
-		}
-	}
-	return d, r
-}
-
-func (ix *Index) newAxis(capacity int) axis {
-	a := axis{ids: make([]int64, 0, capacity), cols: make([][]int32, len(ix.ranks))}
-	for c := range a.cols {
-		a.cols[c] = make([]int32, 0, capacity)
-	}
-	return a
-}
-
-// push appends the row at index order k.
-func (a *axis) push(ix *Index, k int) {
-	a.ids = append(a.ids, ix.ids[k])
-	for c := range a.cols {
-		a.cols[c] = append(a.cols[c], ix.ranks[c][k])
-	}
-}
-
-// block is one axis segment with per-column rank bounds, indexed by
+// block is a run of index rows with per-column rank bounds, indexed by
 // canonical column position.
 type block struct {
-	lo, hi   int // [lo, hi) positions into the axis
+	lo, hi   int // [lo, hi) positions into the index order
 	min, max []int32
 }
 
-// blocksOf splits an axis into ~sqrt(p) blocks (at least 1 row each).
-func blocksOf(a *axis, p int) []block {
-	n := a.len()
+// buildTree fills the rank tree bottom-up: each leaf's bounds from its rows,
+// each inner node's from its two children.
+func (ix *Index) buildTree() {
+	n, nc := len(ix.order), len(ix.ranks)
+	ix.leaves = 1
+	for ix.leaves*leafRows < n {
+		ix.leaves *= 2
+	}
+	ix.tree = make([]block, 2*ix.leaves)
+	bounds := make([]int32, 2*nc*len(ix.tree))
+	for k := len(ix.tree) - 1; k > 0; k-- {
+		b := &ix.tree[k]
+		b.min, b.max = bounds[2*k*nc:(2*k+1)*nc], bounds[(2*k+1)*nc:(2*k+2)*nc]
+		if k >= ix.leaves {
+			b.lo = min((k-ix.leaves)*leafRows, n)
+			b.hi = min(b.lo+leafRows, n)
+			if b.lo < b.hi {
+				ix.bound(b)
+			}
+			continue
+		}
+		l, r := &ix.tree[2*k], &ix.tree[2*k+1]
+		b.lo, b.hi = l.lo, r.hi
+		if r.lo == r.hi { // padding on the right: the left child's rows only
+			copy(b.min, l.min)
+			copy(b.max, l.max)
+			continue
+		}
+		for c := range b.min {
+			b.min[c], b.max[c] = min(l.min[c], r.min[c]), max(l.max[c], r.max[c])
+		}
+	}
+}
+
+// bound sets b's rank bounds from its rows, which must not be empty.
+func (ix *Index) bound(b *block) {
+	for c, col := range ix.ranks {
+		b.min[c], b.max[c] = slices.Min(col[b.lo:b.hi]), slices.Max(col[b.lo:b.hi])
+	}
+}
+
+// blocks splits the index order into ~sqrt(p) blocks (at least 1 row each).
+func (ix *Index) blocks(p int) []block {
+	n := len(ix.order)
 	if n == 0 {
 		return nil
 	}
@@ -243,11 +253,8 @@ func blocksOf(a *axis, p int) []block {
 	size := (n + nb - 1) / nb
 	var out []block
 	for lo := 0; lo < n; lo += size {
-		hi := min(lo+size, n)
-		b := block{lo: lo, hi: hi, min: make([]int32, len(a.cols)), max: make([]int32, len(a.cols))}
-		for c, col := range a.cols {
-			b.min[c], b.max[c] = slices.Min(col[lo:hi]), slices.Max(col[lo:hi])
-		}
+		b := block{lo: lo, hi: min(lo+size, n), min: make([]int32, len(ix.ranks)), max: make([]int32, len(ix.ranks))}
+		ix.bound(&b)
 		out = append(out, b)
 	}
 	return out
@@ -255,7 +262,7 @@ func blocksOf(a *axis, p int) []block {
 
 // atomPossible reports whether the atom can hold for any pair drawn from the
 // two blocks, using only boundary ranges — the partition-pruning test.
-func atomPossible(at catom, left, right block) bool {
+func atomPossible(at catom, left, right *block) bool {
 	lmin, lmax := left.min[at.left], left.max[at.left]
 	rmin, rmax := right.min[at.right], right.max[at.right]
 	if lmin == 0 || rmin == 0 {
@@ -280,7 +287,7 @@ func atomPossible(at catom, left, right block) bool {
 
 // atomPossible1 checks all atoms of the constraint between two blocks with
 // (t1 ← left, t2 ← right).
-func atomPossible1(cc compiled, left, right block) bool {
+func atomPossible1(cc compiled, left, right *block) bool {
 	for _, at := range cc.atoms {
 		lb, rb := left, right
 		if at.leftTuple == 2 {
@@ -296,9 +303,9 @@ func atomPossible1(cc compiled, left, right block) bool {
 	return true
 }
 
-// boundAtom is one atom bound to an orientation of a block pair. Each
-// operand reads either the inner row's rank (lIn/rIn, indexed per pair) or
-// the outer row's (lOut/rOut, loaded into lv/rv once per outer row).
+// boundAtom is one atom bound to an orientation of a row pair. Each operand
+// reads either the inner row's rank (lIn/rIn, indexed per pair) or the outer
+// row's (lOut/rOut, loaded into lv/rv once per outer row).
 type boundAtom struct {
 	accept     uint8 // accepts[op]
 	lIn, rIn   []int32
@@ -306,22 +313,22 @@ type boundAtom struct {
 	lv, rv     int32
 }
 
-// bind binds the constraint's atoms with t1 on the outer axis (t1Outer) or
-// on the inner one.
-func bind(cc compiled, outer, inner *axis, t1Outer bool) []boundAtom {
+// bind binds the constraint's atoms over the rank columns with t1 the outer
+// row (t1Outer) or the inner one.
+func bind(cc compiled, cols [][]int32, t1Outer bool) []boundAtom {
 	out := make([]boundAtom, len(cc.atoms))
 	for k, at := range cc.atoms {
 		b := &out[k]
 		b.accept = accepts[at.op]
 		if (at.leftTuple == 1) == t1Outer {
-			b.lOut = outer.cols[at.left]
+			b.lOut = cols[at.left]
 		} else {
-			b.lIn = inner.cols[at.left]
+			b.lIn = cols[at.left]
 		}
 		if (at.rightTuple == 1) == t1Outer {
-			b.rOut = outer.cols[at.right]
+			b.rOut = cols[at.right]
 		} else {
-			b.rIn = inner.cols[at.right]
+			b.rIn = cols[at.right]
 		}
 	}
 	return out
@@ -371,146 +378,64 @@ func bit(b bool) uint8 {
 // for l<r, bit 1 for l=r, bit 2 for l>r.
 var accepts = map[dc.Op]uint8{dc.Lt: 0b001, dc.Leq: 0b011, dc.Eq: 0b010, dc.Neq: 0b101, dc.Gt: 0b100, dc.Geq: 0b110}
 
-// pairTask is one qualifying block pair: the unit of parallel work. The
-// outer rows come from block lb of axis la, the inner rows from rb of ra.
-type pairTask struct {
-	la, ra   *axis
-	lb, rb   block
-	fwd, rev bool
-	diag     bool // same block on both sides: scan the upper triangle only
+// Row and node membership in one detection: a row is delta or rest (or
+// neither, when it was checked before), and a tree node holds the union of
+// its rows' bits.
+const inDelta, inRest = 1, 2
+
+// scanner is one worker's descent state.
+type scanner struct {
+	ix         *Index
+	mark, live []uint8 // index row → membership; tree node → union of its rows'
+	k          int     // the current delta row, as its index in order
+	row        block   // the current delta row as a one-row block
+	fwd, rev   []boundAtom
+	out        []Pair
+	cmps       int64
 }
 
-// appendTask appends the task for (lb of la) × (rb of ra) unless block
-// pruning rules out both orientations.
-func appendTask(tasks []pairTask, cc compiled, la *axis, lb block, ra *axis, rb block, diag bool) []pairTask {
-	fwd := atomPossible1(cc, lb, rb)
-	rev := atomPossible1(cc, rb, lb)
+// scanRow appends the violating pairs of delta row k against its candidate
+// partners: every rest row and every delta row later in the order.
+func (s *scanner) scanRow(k int) {
+	s.k = k
+	for c, col := range s.ix.ranks {
+		s.row.min[c] = col[k] // row.max shares row.min
+	}
+	hoist(s.fwd, k)
+	hoist(s.rev, k)
+	s.descend(1)
+}
+
+// descend visits a tree node unless it holds no candidate partner (as the
+// padding nodes past the last row never do) or its bounds rule out both
+// orientations; at a leaf it compares the row with each candidate, t1 from
+// the delta row first (fwd), else from the partner (rev).
+func (s *scanner) descend(node int) {
+	b := &s.ix.tree[node]
+	if live := s.live[node]; live&inRest == 0 && (live&inDelta == 0 || b.hi <= s.k+1) {
+		return
+	}
+	fwd, rev := atomPossible1(s.ix.cc, &s.row, b), atomPossible1(s.ix.cc, b, &s.row)
 	if !fwd && !rev {
-		return tasks
+		return
 	}
-	return append(tasks, pairTask{la: la, ra: ra, lb: lb, rb: rb, fwd: fwd, rev: rev, diag: diag})
-}
-
-// ctxRowStride is how many outer rows scanTask processes between
-// cancellation polls — ctx.Err() can take a shared mutex, so per-row polling
-// would contend across workers in the detection hot loop.
-const ctxRowStride = 64
-
-// scanTask enumerates the violating pairs of one block pair — t1 from the
-// outer row first (fwd), else from the inner row (rev) — counting
-// comparisons into m (a task-local metrics bundle under parallel execution).
-// A done ctx aborts between outer-row strides; the caller discards the
-// partial output.
-func scanTask(ctx context.Context, cc compiled, t pairTask, m *detect.Metrics) []Pair {
-	la, ra := t.la, t.ra
-	var fwd, rev []boundAtom
-	if t.fwd {
-		fwd = bind(cc, la, ra, true)
+	if node < s.ix.leaves {
+		s.descend(2 * node)
+		s.descend(2*node + 1)
+		return
 	}
-	if t.rev {
-		rev = bind(cc, la, ra, false)
-	}
-	var out []Pair
-	for i := t.lb.lo; i < t.lb.hi; i++ {
-		if ctx != nil && (i-t.lb.lo)%ctxRowStride == 0 && ctx.Err() != nil {
-			return out
-		}
-		jStart := t.rb.lo
-		if t.diag {
-			jStart = i + 1 // upper triangle within the diagonal block
-		}
-		if jStart >= t.rb.hi {
+	for j := b.lo; j < b.hi; j++ {
+		if mk := s.mark[j]; mk != inRest && (mk != inDelta || j <= s.k) {
 			continue
 		}
-		m.Comparisons += int64(t.rb.hi - jStart)
-		hoist(fwd, i)
-		hoist(rev, i)
-		for j := jStart; j < t.rb.hi; j++ {
-			switch {
-			case t.fwd && holds(fwd, j):
-				out = append(out, Pair{T1: la.ids[i], T2: ra.ids[j]})
-			case t.rev && holds(rev, j):
-				out = append(out, Pair{T1: ra.ids[j], T2: la.ids[i]})
-			}
+		s.cmps++
+		switch {
+		case fwd && holds(s.fwd, j):
+			s.out = append(s.out, Pair{T1: s.ix.ids[s.k], T2: s.ix.ids[j]})
+		case rev && holds(s.rev, j):
+			s.out = append(s.out, Pair{T1: s.ix.ids[j], T2: s.ix.ids[s.k]})
 		}
 	}
-	return out
-}
-
-// runTasks executes the block-pair tasks and concatenates their results in
-// task order, so the output is identical regardless of worker count.
-// workers <= 0 uses all CPUs; metrics accumulate into m. A done ctx makes
-// workers skip their remaining tasks and the call return an error wrapping
-// ctx.Err() — partial pair sets are never returned.
-func runTasks(ctx context.Context, sp trace.Span, cc compiled, tasks []pairTask, workers int, m *detect.Metrics) ([]Pair, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers <= 1 {
-		wsp := sp.Start("worker")
-		var lm detect.Metrics
-		var out []Pair
-		for _, t := range tasks {
-			if err := ctxErr(ctx); err != nil {
-				return nil, err
-			}
-			out = append(out, scanTask(ctx, cc, t, &lm)...)
-		}
-		if m != nil {
-			m.Add(lm)
-		}
-		if wsp.Active() {
-			wsp.End(trace.Int("tasks", len(tasks)), trace.Int64("comparisons", lm.Comparisons))
-		}
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	results := make([][]Pair, len(tasks))
-	locals := make([]detect.Metrics, workers)
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wsp := sp.Start("worker")
-			ran := 0
-			lm := &locals[w]
-			for ti := range next {
-				if ctx != nil && ctx.Err() != nil {
-					continue
-				}
-				results[ti] = scanTask(ctx, cc, tasks[ti], lm)
-				ran++
-			}
-			if wsp.Active() {
-				wsp.End(trace.Int("tasks", ran), trace.Int64("comparisons", lm.Comparisons))
-			}
-		}(w)
-	}
-	for ti := range tasks {
-		next <- ti
-	}
-	close(next)
-	wg.Wait()
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	var out []Pair
-	for _, r := range results {
-		out = append(out, r...)
-	}
-	if m != nil {
-		for i := range locals {
-			m.Add(locals[i])
-		}
-	}
-	return out, nil
 }
 
 // ctxErr polls an optional context, wrapping its error for callers.
@@ -524,51 +449,112 @@ func ctxErr(ctx context.Context) error {
 	return nil
 }
 
-// Detect is DetectCtx on all CPUs, without cancellation or tracing.
+// Detect is DetectCtx on all CPUs, without cancellation or tracing. p is
+// ignored: it remains for callers that still pass a partition count.
 func Detect(v detect.RowView, c *dc.Constraint, p int, m *detect.Metrics) []Pair {
-	pairs, _ := DetectCtx(context.TODO(), trace.Span{}, v, c, p, 0, m)
+	pairs, _ := DetectCtx(context.TODO(), trace.Span{}, v, c, 0, m)
 	return pairs
 }
 
 // DetectCtx indexes the view and runs the full self theta-join over all of
 // it; the arguments behave as in (*Index).Detect.
-func DetectCtx(ctx context.Context, sp trace.Span, v detect.RowView, c *dc.Constraint, p, workers int, m *detect.Metrics) ([]Pair, error) {
+func DetectCtx(ctx context.Context, sp trace.Span, v detect.RowView, c *dc.Constraint, workers int, m *detect.Metrics) ([]Pair, error) {
 	all := make([]int, v.Len())
 	for i := range all {
 		all[i] = i
 	}
-	return NewIndex(v, c).Detect(ctx, sp, all, nil, p, workers, m)
+	return NewIndex(v, c).Detect(ctx, sp, all, nil, workers, m)
 }
 
 // Detect runs the incremental theta-join over disjoint row positions of the
 // indexed view: it checks (delta × rest) in both orientations plus
 // (delta × delta), never re-checking rest × rest — the already-examined
-// sub-matrix. This is the paper's partial theta-join: partitioning the
-// matrix subset that involves the query result and the unseen part of the
-// dataset. An empty rest makes it the full self theta-join over delta, which
-// examines each unordered pair once and emits its violating orientation.
+// sub-matrix. This is the paper's partial theta-join: it covers the matrix
+// subset that involves the query result and the unseen part of the dataset.
+// An empty rest makes it the full self theta-join over delta, which examines
+// each unordered pair once and emits its violating orientation.
 //
-// p controls partition granularity; workers bounds the pool (<= 0: all CPUs,
-// 1: sequential) and the result is identical for every worker count. The
-// block-pair loop polls ctx between tasks (and between outer rows inside a
-// task) and returns an error wrapping ctx.Err() once it is done; a nil ctx
-// disables the checks. Each worker records a child span under sp with its
-// task and comparison counts; the zero Span disables tracing at no cost.
-func (ix *Index) Detect(ctx context.Context, sp trace.Span, delta, rest []int, p, workers int, m *detect.Metrics) ([]Pair, error) {
-	da, ra := ix.axes(delta, rest)
-	dBlocks, rBlocks := blocksOf(&da, p), blocksOf(&ra, p)
-	var tasks []pairTask
-	for _, db := range dBlocks {
-		for _, rb := range rBlocks {
-			tasks = appendTask(tasks, ix.cc, &da, db, &ra, rb, false)
+// Each delta row, in index order, descends the rank tree and is compared
+// with the rest rows and the later delta rows of the leaves it reaches; a
+// pair is emitted with the delta row (or the earlier delta row) as t1 when
+// that orientation violates, else reversed. Comparisons counts the pairs
+// compared at leaves.
+//
+// workers bounds the pool (<= 0: all CPUs, 1: sequential) over chunks of
+// delta rows, and the result is identical for every worker count. Workers
+// poll ctx between chunks and the call returns an error wrapping ctx.Err()
+// once it is done, never a partial pair set; a nil ctx disables the checks.
+// Each worker records a child span under sp with its chunk (tasks) and
+// comparison counts; the zero Span disables tracing at no cost.
+func (ix *Index) Detect(ctx context.Context, sp trace.Span, delta, rest []int, workers int, m *detect.Metrics) ([]Pair, error) {
+	mark, live := make([]uint8, len(ix.order)), make([]uint8, len(ix.tree))
+	add := func(positions []int, bit uint8) {
+		for _, pos := range positions {
+			k := int(ix.at[pos])
+			mark[k] = bit
+			live[ix.leaves+k/leafRows] |= bit
 		}
 	}
-	for bi, lb := range dBlocks {
-		for bj := bi; bj < len(dBlocks); bj++ {
-			tasks = appendTask(tasks, ix.cc, &da, lb, &da, dBlocks[bj], bj == bi)
+	add(delta, inDelta)
+	add(rest, inRest)
+	for k := ix.leaves - 1; k > 0; k-- {
+		live[k] = live[2*k] | live[2*k+1]
+	}
+	rows := make([]int, 0, len(delta)) // delta rows in index order
+	for k, mk := range mark {
+		if mk == inDelta {
+			rows = append(rows, k)
 		}
 	}
-	return runTasks(ctx, sp, ix.cc, tasks, workers, m)
+
+	chunks := (len(rows) + chunkRows - 1) / chunkRows
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = max(1, min(workers, chunks))
+	results := make([][]Pair, chunks)
+	cmps := make([]int64, workers)
+	var next atomic.Int64
+	work := func(w int) {
+		wsp := sp.Start("worker")
+		row := make([]int32, len(ix.ranks))
+		s := &scanner{ix: ix, mark: mark, live: live, row: block{min: row, max: row},
+			fwd: bind(ix.cc, ix.ranks, true), rev: bind(ix.cc, ix.ranks, false)}
+		ran := 0
+		for ci := int(next.Add(1) - 1); ci < chunks && ctxErr(ctx) == nil; ci = int(next.Add(1) - 1) {
+			for _, k := range rows[ci*chunkRows : min((ci+1)*chunkRows, len(rows))] {
+				s.scanRow(k)
+			}
+			results[ci], s.out = s.out, nil
+			ran++
+		}
+		cmps[w] = s.cmps
+		if wsp.Active() {
+			wsp.End(trace.Int("tasks", ran), trace.Int64("comparisons", s.cmps))
+		}
+	}
+	if workers == 1 {
+		work(0)
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				work(w)
+			}(w)
+		}
+		wg.Wait()
+	}
+	if err := ctxErr(ctx); err != nil {
+		return nil, err
+	}
+	if m != nil {
+		for _, c := range cmps {
+			m.Comparisons += c
+		}
+	}
+	return slices.Concat(results...), nil
 }
 
 // RangeEstimate is one row of Algorithm 2's range_vio table: the estimated
@@ -593,9 +579,8 @@ const estimateSamples = 16
 // state of it); it supplies the boundary values of each range.
 func (ix *Index) EstimateErrors(v detect.RowView, p int) []RangeEstimate {
 	cc := ix.cc
-	ax := ix.full()
-	blocks := blocksOf(&ax, p)
-	primCol, prim := v.ColIndex(cc.cols[cc.primary]), ax.cols[cc.primary]
+	blocks := ix.blocks(p)
+	primCol, prim := v.ColIndex(cc.cols[cc.primary]), ix.ranks[cc.primary]
 	valueAt := func(k int) value.Value { return v.ValueAt(int(ix.order[k]), primCol) }
 	out := make([]RangeEstimate, len(blocks))
 	samples := make([][]int, len(blocks))
@@ -609,21 +594,22 @@ func (ix *Index) EstimateErrors(v detect.RowView, p int) []RangeEstimate {
 		samples[i] = sampleRows(b)
 	}
 	// violates(si, sj) checks both orientations of the pair with si hoisted.
-	fwd, rev := bind(cc, &ax, &ax, true), bind(cc, &ax, &ax, false)
+	fwd, rev := bind(cc, ix.ranks, true), bind(cc, ix.ranks, false)
 	violates := func(si, sj int) bool {
 		hoist(fwd, si)
 		hoist(rev, si)
 		return holds(fwd, sj) || holds(rev, sj)
 	}
-	for i, lb := range blocks {
+	for i := range blocks {
+		lb := &blocks[i]
 		dirtySample := make(map[int]bool)
-		// Local probe: sampled rows against their axis neighbours — catches
+		// Local probe: sampled rows against their index neighbours — catches
 		// the dense short-range inversions that block-boundary overlap
 		// cannot see.
 		for _, si := range samples[i] {
 			for d := -2; d <= 2; d++ {
 				sj := si + d
-				if d == 0 || sj < 0 || sj >= ax.len() {
+				if d == 0 || sj < 0 || sj >= len(ix.order) {
 					continue
 				}
 				if violates(si, sj) {
@@ -632,7 +618,8 @@ func (ix *Index) EstimateErrors(v detect.RowView, p int) []RangeEstimate {
 				}
 			}
 		}
-		for j, rb := range blocks {
+		for j := range blocks {
+			rb := &blocks[j]
 			if i == j {
 				continue // diagonal coverage is the support metric's job
 			}
@@ -659,7 +646,7 @@ func (ix *Index) EstimateErrors(v detect.RowView, p int) []RangeEstimate {
 	return out
 }
 
-// sampleRows picks up to estimateSamples evenly spaced axis positions.
+// sampleRows picks up to estimateSamples evenly spaced index positions.
 func sampleRows(b block) []int {
 	n := b.hi - b.lo
 	if n <= 0 {

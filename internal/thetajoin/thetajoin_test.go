@@ -2,6 +2,7 @@ package thetajoin
 
 import (
 	"context"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -106,28 +107,62 @@ func TestDetectCleanData(t *testing.T) {
 	}
 }
 
-func TestBlockPruningReducesComparisons(t *testing.T) {
-	// Widely separated clusters: most block pairs cannot violate.
-	var rows [][2]float64
-	for i := 0; i < 64; i++ {
-		rows = append(rows, [2]float64{float64(1000 + i), 0.1 + float64(i)*0.001})
+// TestDetectionIsOutputSensitive: on 20k rows whose discount rises with
+// extended_price except at k adjacent swaps, detection returns exactly the k
+// swapped pairs and compares fewer than 1 % of the candidate pairs — the
+// rank tree leads each row to the leaves holding its partners.
+func TestDetectionIsOutputSensitive(t *testing.T) {
+	const n, k = 20000, 25
+	sch := schema.MustNew(
+		schema.Column{Name: "extended_price", Kind: value.Int},
+		schema.Column{Name: "discount", Kind: value.Float},
+	)
+	discount := make([]float64, n) // by price rank
+	for i := range discount {
+		discount[i] = float64(i) / n
 	}
-	tb := salaryTable(rows)
-	var pruned, exhaustive detect.Metrics
-	Detect(detect.TableView{T: tb}, salaryDC, 64, &pruned)
-	// p=1 means a single block: no pruning possible.
-	Detect(detect.TableView{T: tb}, salaryDC, 1, &exhaustive)
-	if pruned.Comparisons > exhaustive.Comparisons {
-		t.Errorf("partitioning increased comparisons: %d > %d", pruned.Comparisons, exhaustive.Comparisons)
+	var swaps []int // price rank i swapped with i+1
+	for s := 0; s < k; s++ {
+		i := s*(n/k) + 31*s%leafRows // some swaps straddle two leaves
+		discount[i], discount[i+1] = discount[i+1], discount[i]
+		swaps = append(swaps, i)
+	}
+	tb := table.New("lineorder", sch)
+	rankAt := rand.New(rand.NewSource(1)).Perm(n) // row position → price rank
+	for _, r := range rankAt {
+		tb.MustAppend(table.Row{value.NewInt(int64(1000 + 3*r)), value.NewFloat(discount[r])})
+	}
+	posOf := make([]int64, n) // price rank → tuple ID (its position)
+	for pos, r := range rankAt {
+		posOf[r] = int64(pos)
+	}
+	var want []Pair
+	for _, i := range swaps {
+		want = append(want, Pair{T1: posOf[i], T2: posOf[i+1]})
+	}
+	c := dc.MustParse("psi: !(t1.extended_price<t2.extended_price & t1.discount>t2.discount)")
+	var m detect.Metrics
+	got, err := DetectCtx(context.Background(), trace.Span{}, detect.TableView{T: tb}, c, 0, &m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !samePairSet(got, want) {
+		t.Fatalf("detected %v, want the %d swapped pairs %v", got, k, want)
+	}
+	candidates := int64(n) * (n - 1) / 2
+	t.Logf("compared %d of %d candidate pairs", m.Comparisons, candidates)
+	if m.Comparisons*100 >= candidates {
+		t.Errorf("compared %d of %d candidate pairs (%.2f %%), want under 1 %%",
+			m.Comparisons, candidates, 100*float64(m.Comparisons)/float64(candidates))
 	}
 }
 
 // detectPartial runs the incremental theta-join of delta against rest (row
-// positions of tb) untraced on all CPUs with p=4.
+// positions of tb) untraced on all CPUs.
 func detectPartial(t *testing.T, tb *table.Table, delta, rest []int) []Pair {
 	t.Helper()
 	ix := NewIndex(detect.TableView{T: tb}, salaryDC)
-	pairs, err := ix.Detect(context.Background(), trace.Span{}, delta, rest, 4, 0, nil)
+	pairs, err := ix.Detect(context.Background(), trace.Span{}, delta, rest, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
