@@ -125,7 +125,8 @@ const (
 // plus a Go 1.23 All() iterator. Returned by Session.QueryContext.
 type Rows = core.Rows
 
-// Tuple is one result row: probabilistic cells plus provenance lineage.
+// Tuple is one result row: its position in the result (ID) and its
+// probabilistic cells, each keeping its original value as provenance.
 type Tuple = ptable.Tuple
 
 // QueryOption overrides one session option for a single QueryContext call.

@@ -351,14 +351,12 @@ func (qc *queryCtx) cleanDC(st *tableState, tableName string, rule *dc.Constrain
 	qc.submit(&applyReq{table: tableName, rule: rule.Name,
 		delta: fixes, base: view.P, applied: qc.pt(tableName), marks: delta})
 
-	// Relaxation extras: conflict partners outside the result, resolved
-	// through the relation's persistent id→position index.
+	// Relaxation extras: conflict partners outside the result.
 	var seen posSet
 	var extra []int
 	for _, p := range pairs {
-		for _, id := range []int64{p.T1, p.T2} {
-			pos, ok := view.P.Pos(id)
-			if !ok || inResult.has(pos) || !seen.add(pos) {
+		for _, pos := range []int{p.T1, p.T2} {
+			if inResult.has(pos) || !seen.add(pos) {
 				continue
 			}
 			extra = append(extra, pos)

@@ -56,7 +56,7 @@ func refRepairFD(view detect.RowView, fix, support []int, fd dc.FDSpec) *ptable.
 			if !inFix[pos] {
 				continue // support-only rows are consulted, not repaired
 			}
-			id := view.ID(pos)
+			id := int64(pos)
 			delta.Set(id, cols.RHS, uncertain.Cell{Orig: view.ValueAt(pos, cols.RHS), Candidates: rhsCands})
 			if !singleLHS {
 				continue

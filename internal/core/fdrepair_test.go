@@ -497,7 +497,7 @@ func TestIncrementalFDRepairsWholeRelaxedGroup(t *testing.T) {
 		{"2", "{A 33%, C 67%}"},
 	}
 	for row, w := range want {
-		tup := pt.ByID(int64(row))
+		tup := pt.At(row)
 		if zip := tup.Cells[zipIdx].String(); zip != w.zip {
 			t.Errorf("row %d zip = %s, want %s", row, zip, w.zip)
 		}

@@ -255,9 +255,10 @@ func (ix *fdIndex) relax(seed []int, transitive bool, m *detect.Metrics) []int {
 // the paper's examples and workloads fix single lhs attributes). Rows in
 // clean groups get nothing. Each distribution is computed once per key and
 // shared by every cell it fixes (Merge copies before mutating). view supplies
-// tuple IDs, original values and the delta's column positions. The fixes are
-// a function of original values alone, so a group gets identical bytes
-// whichever path — incremental, inline full clean or sweep chunk — fixes it.
+// original values and the delta's column positions; fix and the delta's keys
+// are row positions. The fixes are a function of original values alone, so a
+// group gets identical bytes whichever path — incremental, inline full clean
+// or sweep chunk — fixes it.
 func (ix *fdIndex) repair(view detect.RowView, fix []int, fd dc.FDSpec, m *detect.Metrics) *ptable.Delta {
 	if m == nil {
 		m = new(detect.Metrics)
@@ -276,7 +277,7 @@ func (ix *fdIndex) repair(view detect.RowView, fix []int, fd dc.FDSpec, m *detec
 		if !ix.vioRow[r] {
 			continue
 		}
-		id := view.ID(r)
+		id := int64(r)
 		a := ix.anchor[r]
 		cands, ok := rhsDist[a]
 		if !ok {

@@ -83,9 +83,9 @@ func TestWorkloadCoverageCleansEverything(t *testing.T) {
 	groups := detect.FDViolations(detect.PTableView{P: s.Table("lineorder")}, fd, nil)
 	pt := s.Table("lineorder")
 	for _, g := range groups {
-		for _, id := range g.IDs {
-			if pt.ByID(id).Cells[pt.Schema.MustIndex("suppkey")].IsCertain() {
-				t.Fatalf("tuple %d in violating group %v still certain", id, g.LHS)
+		for _, pos := range g.Members {
+			if pt.At(pos).Cells[pt.Schema.MustIndex("suppkey")].IsCertain() {
+				t.Fatalf("tuple %d in violating group %v still certain", pos, g.LHS)
 			}
 		}
 	}

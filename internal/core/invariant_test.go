@@ -206,7 +206,8 @@ func TestDerivedStateIsFunctionOfOriginals(t *testing.T) {
 
 // watchRecompute asserts, at every epoch s publishes from now on, that each
 // relation's cleaned state is the one recompute derives from its original
-// values, the rules and the epoch's checked sets alone.
+// values, the rules and the epoch's checked sets alone, and that every tuple's
+// ID is still its position.
 func watchRecompute(t *testing.T, s *Session) {
 	t.Helper()
 	s.w.mu.Lock()
@@ -216,6 +217,12 @@ func watchRecompute(t *testing.T, s *Session) {
 
 func checkRecompute(t *testing.T, snap *snapshot) {
 	for name, st := range snap.tables {
+		for pos, tup := range st.pt.Rows() {
+			if tup.ID != int64(pos) {
+				t.Errorf("epoch %d: %s tuple at position %d has ID %d", snap.epoch, name, pos, tup.ID)
+				break
+			}
+		}
 		if got, want := st.pt.Fingerprint(), recompute(snap.rules, st).Fingerprint(); got != want {
 			t.Errorf("epoch %d: %s differs from its recomputation from the checked sets:\n%s\nvs\n%s",
 				snap.epoch, name, got, want)
@@ -261,9 +268,9 @@ func recompute(rules []*dc.Constraint, st *tableState) *ptable.PTable {
 					continue
 				}
 				if violates(i, j) {
-					pairs = append(pairs, thetajoin.Pair{T1: view.ID(i), T2: view.ID(j)})
+					pairs = append(pairs, thetajoin.Pair{T1: i, T2: j})
 				} else if violates(j, i) {
-					pairs = append(pairs, thetajoin.Pair{T1: view.ID(j), T2: view.ID(i)})
+					pairs = append(pairs, thetajoin.Pair{T1: j, T2: i})
 				}
 			}
 		}

@@ -70,8 +70,6 @@ type Group struct {
 	LHS []value.Value
 	// Members lists row positions (into the grouped view) in the cluster.
 	Members []int
-	// IDs lists the tuple IDs corresponding to Members.
-	IDs []int64
 	// rhs tallies the distinct rhs values of the group. FD groups have few
 	// distinct rhs values (the candidate-set size p), so a small slice with
 	// linear probing beats a map — no allocation for clean groups beyond the
@@ -142,7 +140,6 @@ func GroupByFD(v RowView, fd dc.FDSpec, m *Metrics) map[value.MapKey]*Group {
 			groups[key] = g
 		}
 		g.Members = append(g.Members, i)
-		g.IDs = append(g.IDs, v.ID(i))
 		rhs := v.ValueAt(i, cols.RHS)
 		g.addRHS(rhs.MapKey(), rhs)
 	}

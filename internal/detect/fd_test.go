@@ -108,8 +108,8 @@ func TestPTableViewUsesOriginals(t *testing.T) {
 	if v.Value(1, "city").Str() != "San Francisco" {
 		t.Errorf("PTableView must read originals, got %v", v.Value(1, "city"))
 	}
-	if v.ID(1) != 1 || v.Len() != 6 {
-		t.Errorf("view shape wrong: id=%d len=%d", v.ID(1), v.Len())
+	if got := v.ValueAt(1, v.ColIndex("city")); got.Str() != "San Francisco" || v.Len() != 6 {
+		t.Errorf("view shape wrong: row 1 city=%v len=%d", got, v.Len())
 	}
 }
 
@@ -119,8 +119,16 @@ func TestSubsetView(t *testing.T) {
 	if sub.Len() != 2 {
 		t.Fatalf("len = %d", sub.Len())
 	}
-	if sub.Value(0, "city").Str() != "New York" || sub.ID(0) != 4 {
-		t.Errorf("subset row 0 = %v id %d", sub.Value(0, "city"), sub.ID(0))
+	if sub.Value(0, "city").Str() != "New York" {
+		t.Errorf("subset row 0 = %v", sub.Value(0, "city"))
+	}
+	// Subset row i is base row Idx[i], column for column.
+	for i, pos := range sub.Idx {
+		for c := 0; c < base.T.Schema.Len(); c++ {
+			if !sub.ValueAt(i, c).Equal(base.ValueAt(pos, c)) {
+				t.Errorf("subset row %d col %d = %v, base row %d has %v", i, c, sub.ValueAt(i, c), pos, base.ValueAt(pos, c))
+			}
+		}
 	}
 	if sub.Value(1, "zip").Int() != 9001 {
 		t.Errorf("subset row 1 zip = %v", sub.Value(1, "zip"))

@@ -12,14 +12,13 @@ import (
 
 // RowView abstracts a relation for detection: deterministic tables, subsets
 // of them, and probabilistic tables viewed through their original values.
-// Hot paths resolve column names to indices once via ColIndex and then read
-// cells positionally via ValueAt; Value remains as the name-resolving
-// convenience accessor.
+// Rows are addressed by position in the view, which for a whole relation is
+// the tuple's identity. Hot paths resolve column names to indices once via
+// ColIndex and then read cells positionally via ValueAt; Value remains as the
+// name-resolving convenience accessor.
 type RowView interface {
 	// Len returns the number of rows.
 	Len() int
-	// ID returns the stable tuple identifier of row i.
-	ID(i int) int64
 	// Value returns the named attribute of row i.
 	Value(i int, col string) value.Value
 	// ColIndex resolves a column name to the positional index ValueAt
@@ -29,14 +28,11 @@ type RowView interface {
 	ValueAt(i, idx int) value.Value
 }
 
-// TableView adapts a deterministic table (IDs are row positions).
+// TableView adapts a deterministic table.
 type TableView struct{ T *table.Table }
 
 // Len implements RowView.
 func (v TableView) Len() int { return v.T.Len() }
-
-// ID implements RowView.
-func (v TableView) ID(i int) int64 { return int64(i) }
 
 // Value implements RowView.
 func (v TableView) Value(i int, col string) value.Value { return v.T.ColByName(i, col) }
@@ -87,9 +83,6 @@ func (v PTableView) at(i int) *ptable.Tuple {
 // Len implements RowView.
 func (v PTableView) Len() int { return v.P.Len() }
 
-// ID implements RowView.
-func (v PTableView) ID(i int) int64 { return v.at(i).ID }
-
 // Value implements RowView.
 func (v PTableView) Value(i int, col string) value.Value {
 	return v.at(i).Cells[v.P.Schema.MustIndex(col)].Orig
@@ -107,12 +100,8 @@ func (v PTableView) ScanCol(dst []value.Value, idx, lo, hi int) []value.Value {
 	return v.P.ScanColOrig(dst, idx, lo, hi)
 }
 
-// PosOf resolves a tuple ID back to its row position (implements the
-// optional position-resolver interface relaxation and repair consult
-// instead of building their own id→position maps).
-func (v PTableView) PosOf(id int64) (int, bool) { return v.P.Pos(id) }
-
-// SubsetView restricts a view to selected row positions.
+// SubsetView restricts a view to selected row positions: its row i is row
+// Idx[i] of Base.
 type SubsetView struct {
 	Base RowView
 	Idx  []int
@@ -120,9 +109,6 @@ type SubsetView struct {
 
 // Len implements RowView.
 func (v SubsetView) Len() int { return len(v.Idx) }
-
-// ID implements RowView.
-func (v SubsetView) ID(i int) int64 { return v.Base.ID(v.Idx[i]) }
 
 // Value implements RowView.
 func (v SubsetView) Value(i int, col string) value.Value { return v.Base.Value(v.Idx[i], col) }
@@ -133,12 +119,6 @@ func (v SubsetView) ColIndex(col string) int { return v.Base.ColIndex(col) }
 // ValueAt implements RowView.
 func (v SubsetView) ValueAt(i, idx int) value.Value { return v.Base.ValueAt(v.Idx[i], idx) }
 
-// PosResolver is the optional fast path for mapping tuple IDs to row
-// positions; PTableView implements it via the relation's ID index.
-type PosResolver interface {
-	PosOf(id int64) (int, bool)
-}
-
 // ColScanner is the optional batch column-extraction fast path: views backed
 // by segmented storage copy one column's values for rows [lo, hi) in
 // segment-sized runs instead of a positional decode per cell. Detection
@@ -146,22 +126,6 @@ type PosResolver interface {
 // axis builds, FD key scans) test for it before falling back to ValueAt.
 type ColScanner interface {
 	ScanCol(dst []value.Value, idx, lo, hi int) []value.Value
-}
-
-// PosIndex returns a position-lookup function for the view: the view's own
-// resolver when available, otherwise a freshly built id→position map.
-func PosIndex(v RowView) func(id int64) (int, bool) {
-	if r, ok := v.(PosResolver); ok {
-		return r.PosOf
-	}
-	byID := make(map[int64]int, v.Len())
-	for i := 0; i < v.Len(); i++ {
-		byID[v.ID(i)] = i
-	}
-	return func(id int64) (int, bool) {
-		pos, ok := byID[id]
-		return pos, ok
-	}
 }
 
 // Metrics counts the work a detection or cleaning pass performs, so

@@ -57,11 +57,13 @@ func TestHashJoinAllocs(t *testing.T) {
 		}
 		fr.Materialize()
 	})
-	// Budget: output tuples dominate (tuple + cells + lineage per emitted
-	// row ≈ 5); the probe side must not add per-candidate key allocations.
+	// Budget: output rows dominate (one cell slice per emitted row, about 2
+	// allocations per row in all); the probe side must not add
+	// per-candidate key allocations, and a join tuple carries nothing but
+	// its cells.
 	perRow := perRun / 2000
-	if perRow > 8 {
-		t.Errorf("hash join allocates %.2f per output row (%.0f per run), want ≤ 8", perRow, perRun)
+	if perRow > 3 {
+		t.Errorf("hash join allocates %.2f per output row (%.0f per run), want ≤ 3", perRow, perRun)
 	}
 }
 

@@ -104,25 +104,32 @@ func (f *Frame) Materialize() *ptable.PTable {
 	if len(f.Rows) == f.PT.Len() && !f.isBase {
 		return f.PT
 	}
-	out := ptable.New("result", f.PT.Schema)
-	out.Reserve(len(f.Rows))
-	tuples := make([]ptable.Tuple, len(f.Rows))
-	srcIDs := make([]int64, len(f.Rows))
-	srcName := ""
-	cur := f.PT.Cursor()
-	for ti, r := range f.Rows {
-		src := cur.At(r)
-		// Base tuples keep the nil lineage flyweight; the result relation
-		// records one redirected (source, id) pair per row instead of
-		// materializing a map per tuple. Join tuples carry their own maps.
-		tuples[ti] = ptable.Tuple{ID: int64(ti), Cells: src.Cells, Lineage: src.Lineage}
-		if src.Lineage == nil {
-			srcName, srcIDs[ti] = f.PT.LineageRef(src)
-		}
-		out.Append(&tuples[ti])
+	return copyRows("result", f.PT.Schema, f.PT, f.Rows, nil)
+}
+
+// copyRows builds a relation of the given rows of pt, numbered by their
+// position in rows. With cols nil every tuple aliases its source's cells;
+// otherwise it copies the source cells at cols into one cell block.
+func copyRows(name string, s *schema.Schema, pt *ptable.PTable, rows, cols []int) *ptable.PTable {
+	out := ptable.New(name, s)
+	out.Reserve(len(rows))
+	tuples := make([]ptable.Tuple, len(rows))
+	var cells []uncertain.Cell
+	if cols != nil {
+		cells = make([]uncertain.Cell, len(rows)*len(cols))
 	}
-	if srcName != "" {
-		out.SetLineageSource(srcName, srcIDs)
+	cur := pt.Cursor()
+	for ti, r := range rows {
+		tc := cur.At(r).Cells
+		if cols != nil {
+			dst := cells[ti*len(cols) : (ti+1)*len(cols) : (ti+1)*len(cols)]
+			for i, c := range cols {
+				dst[i] = tc[c]
+			}
+			tc = dst
+		}
+		tuples[ti] = ptable.Tuple{ID: int64(ti), Cells: tc}
+		out.Append(&tuples[ti])
 	}
 	return out
 }
@@ -529,8 +536,9 @@ func (e *Executor) execJoin(node *plan.Join, parent trace.Span) (*frame, error) 
 
 // hashJoin performs the probabilistic equi-join: build on the right side
 // keyed by every candidate value, probe with every candidate value of the
-// left key, and emit each overlapping pair once. Lineage from both sides is
-// merged so clean⋈ can split the result back (§4.4).
+// left key, and emit each overlapping pair once. Join tuples are numbered by
+// result position; clean⋈ needs no way back to the base tuples, because
+// cleanσ runs on each base relation below the join (§4.4).
 func (e *Executor) hashJoin(lf, rf *frame, node *plan.Join, sp trace.Span) (*frame, error) {
 	rightSchema := rf.pt.Schema
 	joinedSchema, err := lf.pt.Schema.Concat(rightSchema, node.RightTable+".")
@@ -553,7 +561,7 @@ func (e *Executor) hashJoin(lf, rf *frame, node *plan.Join, sp trace.Span) (*fra
 			// order, so the segment cache amortizes the positional decodes.
 			lcur, rcur := lf.pt.Cursor(), rf.pt.Cursor()
 			for i := lo; i < hi; i++ {
-				fillJoinTuple(&tuples[i], int64(i), lf.pt, lcur.At(matches[i].l), rf.pt, rcur.At(matches[i].r))
+				fillJoinTuple(&tuples[i], int64(i), lcur.At(matches[i].l), rcur.At(matches[i].r))
 			}
 		})
 		if err := e.ctxErr(); err != nil {
@@ -562,7 +570,7 @@ func (e *Executor) hashJoin(lf, rf *frame, node *plan.Join, sp trace.Span) (*fra
 	} else {
 		lcur, rcur := lf.pt.Cursor(), rf.pt.Cursor()
 		for i, mt := range matches {
-			fillJoinTuple(&tuples[i], int64(i), lf.pt, lcur.At(mt.l), rf.pt, rcur.At(mt.r))
+			fillJoinTuple(&tuples[i], int64(i), lcur.At(mt.l), rcur.At(mt.r))
 		}
 	}
 	for i := range tuples {
@@ -674,27 +682,11 @@ func (e *Executor) probeChunk(lf *frame, ref expr.ColRef, build map[value.MapKey
 	return out
 }
 
-func fillJoinTuple(t *ptable.Tuple, id int64, lpt *ptable.PTable, l *ptable.Tuple, rpt *ptable.PTable, r *ptable.Tuple) {
+func fillJoinTuple(t *ptable.Tuple, id int64, l, r *ptable.Tuple) {
 	t.ID = id
-	t.Lineage = make(map[string][]int64)
 	t.Cells = make([]uncertain.Cell, 0, len(l.Cells)+len(r.Cells))
 	t.Cells = append(t.Cells, l.Cells...)
 	t.Cells = append(t.Cells, r.Cells...)
-	appendLineage(t.Lineage, lpt, l)
-	appendLineage(t.Lineage, rpt, r)
-}
-
-// appendLineage merges a tuple's lineage into dst, resolving the nil
-// self-lineage flyweight of base tuples without materializing a map.
-func appendLineage(dst map[string][]int64, pt *ptable.PTable, t *ptable.Tuple) {
-	if t.Lineage == nil {
-		name, id := pt.LineageRef(t)
-		dst[name] = append(dst[name], id)
-		return
-	}
-	for k, v := range t.Lineage {
-		dst[k] = append(dst[k], v...)
-	}
 }
 
 func seq(n int) []int {
@@ -766,7 +758,6 @@ func (e *Executor) groupBy(node *plan.GroupBy, f *frame) (*frame, error) {
 		return nil, err
 	}
 	out := ptable.New("groupby", outSchema)
-	var id int64
 	for _, g := range order {
 		cells := make([]uncertain.Cell, 0, outSchema.Len())
 		for _, v := range g.keyVals {
@@ -782,8 +773,7 @@ func (e *Executor) groupBy(node *plan.GroupBy, f *frame) (*frame, error) {
 			}
 			cells = append(cells, uncertain.Certain(v))
 		}
-		out.Append(&ptable.Tuple{ID: id, Cells: cells})
-		id++
+		out.Append(&ptable.Tuple{ID: int64(out.Len()), Cells: cells})
 	}
 	return &frame{pt: out, rows: seq(out.Len())}, nil
 }
@@ -878,7 +868,7 @@ func (e *Executor) execProject(node *plan.Project, parent trace.Span) (*frame, e
 		}
 	}()
 	var cols []schema.Column
-	var idxs []int
+	idxs := make([]int, 0, len(node.Items))
 	for _, it := range node.Items {
 		idx := resolveRef(f.pt.Schema, it.Ref)
 		if idx < 0 {
@@ -898,30 +888,6 @@ func (e *Executor) execProject(node *plan.Project, parent trace.Span) (*frame, e
 			return nil, err
 		}
 	}
-	out := ptable.New("project", outSchema)
-	out.Reserve(len(f.rows))
-	tuples := make([]ptable.Tuple, len(f.rows))
-	cells := make([]uncertain.Cell, len(f.rows)*len(idxs))
-	srcIDs := make([]int64, len(f.rows))
-	srcName := ""
-	cur := f.pt.Cursor()
-	for ti, r := range f.rows {
-		src := cur.At(r)
-		tc := cells[ti*len(idxs) : (ti+1)*len(idxs) : (ti+1)*len(idxs)]
-		for i, idx := range idxs {
-			tc[i] = src.Cells[idx]
-		}
-		// Base tuples keep the nil lineage flyweight — the projection
-		// records one redirected (source, id) pair per row instead of a map
-		// per tuple. Join tuples pass their explicit maps through by pointer.
-		tuples[ti] = ptable.Tuple{ID: int64(ti), Cells: tc, Lineage: src.Lineage}
-		if src.Lineage == nil {
-			srcName, srcIDs[ti] = f.pt.LineageRef(src)
-		}
-		out.Append(&tuples[ti])
-	}
-	if srcName != "" {
-		out.SetLineageSource(srcName, srcIDs)
-	}
+	out := copyRows("project", outSchema, f.pt, f.rows, idxs)
 	return &frame{pt: out, rows: seq(out.Len())}, nil
 }

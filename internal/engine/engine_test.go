@@ -150,21 +150,36 @@ func TestJoinProbabilisticOverlap(t *testing.T) {
 	}
 }
 
-func TestJoinLineageMerged(t *testing.T) {
+// TestResultIDsArePositions: every operator output numbers its tuples by
+// result position — the join's own relation, a projection over a join and
+// over a filtered base relation, and a materialized filtered base frame.
+func TestResultIDsArePositions(t *testing.T) {
 	e := &Executor{Tables: map[string]*ptable.PTable{"cities": citiesPT(), "employee": employeesPT()}}
-	parsed := sql.MustParse("SELECT cities.zip, name FROM cities, employee WHERE cities.zip = employee.zip")
-	n, err := plan.Build(parsed, catalog(e.Tables), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr, err := e.Run(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := fr.Materialize()
-	for _, tup := range out.Rows() {
-		if len(tup.Lineage["cities"]) != 1 || len(tup.Lineage["employee"]) != 1 {
-			t.Errorf("join tuple lineage = %v", tup.Lineage)
+	for _, q := range []struct {
+		sql  string
+		rows int
+	}{
+		{"SELECT * FROM cities, employee WHERE cities.zip = employee.zip", 3},
+		{"SELECT cities.zip, name FROM cities, employee WHERE cities.zip = employee.zip", 3},
+		{"SELECT city FROM cities WHERE zip = 10001", 1},
+		{"SELECT * FROM cities WHERE zip = 10001", 1},
+	} {
+		n, err := plan.Build(sql.MustParse(q.sql), catalog(e.Tables), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr, err := e.Run(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := fr.Materialize()
+		if out.Len() != q.rows {
+			t.Errorf("%s: %d rows, want %d", q.sql, out.Len(), q.rows)
+		}
+		for pos, tup := range out.Rows() {
+			if tup.ID != int64(pos) {
+				t.Errorf("%s: tuple at position %d has ID %d", q.sql, pos, tup.ID)
+			}
 		}
 	}
 }

@@ -31,9 +31,6 @@ type Config struct {
 	Seed  int64
 }
 
-// DefaultConfig is the full laptop-scale setup.
-func DefaultConfig() Config { return Config{Scale: 1.0, Seed: 42} }
-
 func (c Config) n(base int) int {
 	if c.Scale <= 0 {
 		c.Scale = 1

@@ -6,7 +6,6 @@ package expr
 
 import (
 	"fmt"
-	"strings"
 
 	"daisy/internal/dc"
 	"daisy/internal/uncertain"
@@ -148,13 +147,4 @@ func ColNames(p Pred) map[string]bool {
 		out[c.Col] = true
 	}
 	return out
-}
-
-// Describe renders a predicate list for diagnostics.
-func Describe(ps []Pred) string {
-	parts := make([]string, len(ps))
-	for i, p := range ps {
-		parts[i] = p.String()
-	}
-	return strings.Join(parts, " AND ")
 }

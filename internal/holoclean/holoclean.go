@@ -48,14 +48,15 @@ type Report struct {
 }
 
 // dirtyCells marks the cells involved in violations: for every FD-shaped
-// rule, the rhs and lhs cells of every tuple in a violating group.
-func dirtyCells(view detect.RowView, sch interface{ MustIndex(string) int }, rules []*dc.Constraint, m *detect.Metrics) map[int64]map[int]bool {
-	out := make(map[int64]map[int]bool)
-	mark := func(id int64, col int) {
-		mm, ok := out[id]
+// rule, the rhs and lhs cells of every tuple in a violating group, keyed by
+// row position.
+func dirtyCells(view detect.RowView, sch interface{ MustIndex(string) int }, rules []*dc.Constraint, m *detect.Metrics) map[int]map[int]bool {
+	out := make(map[int]map[int]bool)
+	mark := func(row, col int) {
+		mm, ok := out[row]
 		if !ok {
 			mm = make(map[int]bool)
-			out[id] = mm
+			out[row] = mm
 		}
 		mm[col] = true
 	}
@@ -66,10 +67,9 @@ func dirtyCells(view detect.RowView, sch interface{ MustIndex(string) int }, rul
 		}
 		for _, g := range detect.FDViolations(view, fd, m) {
 			for _, member := range g.Members {
-				id := view.ID(member)
-				mark(id, sch.MustIndex(fd.RHS))
+				mark(member, sch.MustIndex(fd.RHS))
 				if len(fd.LHS) == 1 {
-					mark(id, sch.MustIndex(fd.LHS[0]))
+					mark(member, sch.MustIndex(fd.LHS[0]))
 				}
 			}
 		}
@@ -89,13 +89,10 @@ func (r *Repairer) Clean(pt *ptable.PTable, rules []*dc.Constraint) (Report, err
 	dirty := dirtyCells(view, pt.Schema, rules, &rep.Metrics)
 
 	delta := ptable.NewDelta(pt.Name)
-	for id, cols := range dirty {
-		tup := pt.ByID(id)
-		if tup == nil {
-			continue
-		}
+	for row, cols := range dirty {
+		tup := pt.At(row)
 		for col := range cols {
-			cands, pruned := r.domain(view, pt, id, col, &rep.Metrics)
+			cands, pruned := r.domain(view, pt, row, col, &rep.Metrics)
 			rep.PrunedValues += pruned
 			if len(cands) == 0 ||
 				(len(cands) == 1 && cands[0].Val.Equal(tup.Cells[col].Orig)) {
@@ -103,7 +100,7 @@ func (r *Repairer) Clean(pt *ptable.PTable, rules []*dc.Constraint) (Report, err
 			}
 			cell := uncertain.Cell{Orig: tup.Cells[col].Orig, Candidates: cands}
 			cell.Normalize()
-			delta.Set(id, col, cell)
+			delta.Set(int64(row), col, cell)
 			rep.DirtyCells++
 		}
 	}
@@ -118,8 +115,8 @@ func (r *Repairer) Clean(pt *ptable.PTable, rules []*dc.Constraint) (Report, err
 // statistics HoloClean featurizes. The scan is one dataset traversal per
 // dirty cell, matching HoloClean's Table 6 behaviour of repeatedly
 // traversing the dataset per dirty group.
-func (r *Repairer) domain(view detect.RowView, pt *ptable.PTable, id int64, col int, m *detect.Metrics) ([]uncertain.Candidate, int) {
-	tup := pt.ByID(id)
+func (r *Repairer) domain(view detect.RowView, pt *ptable.PTable, row, col int, m *detect.Metrics) ([]uncertain.Candidate, int) {
+	tup := pt.At(row)
 	n := pt.Schema.Len()
 	// Context: the tuple's other attribute original values. Column indices
 	// are resolved once against the view, not per scanned row.
@@ -143,7 +140,7 @@ func (r *Repairer) domain(view detect.RowView, pt *ptable.PTable, id int64, col 
 	colIdx := view.ColIndex(pt.Schema.Col(col).Name)
 	for i := 0; i < view.Len(); i++ {
 		m.Scanned++
-		if view.ID(i) == id {
+		if i == row {
 			continue // exclude the dirty tuple from its own statistics
 		}
 		av := view.ValueAt(i, colIdx)
@@ -193,7 +190,7 @@ func (r *Repairer) Infer(pt *ptable.PTable) *table.Table {
 	r.Opts.defaults()
 	view := detect.NewPTableView(pt)
 	out := table.New(pt.Name, pt.Schema)
-	for _, tup := range pt.Rows() {
+	for pos, tup := range pt.Rows() {
 		row := make(table.Row, len(tup.Cells))
 		for col := range tup.Cells {
 			cell := &tup.Cells[col]
@@ -201,7 +198,7 @@ func (r *Repairer) Infer(pt *ptable.PTable) *table.Table {
 				row[col] = cell.Value()
 				continue
 			}
-			row[col] = r.scoreAndPick(view, pt, tup, col)
+			row[col] = r.scoreAndPick(view, pt, pos, col)
 		}
 		out.Rows = append(out.Rows, row)
 	}
@@ -209,9 +206,10 @@ func (r *Repairer) Infer(pt *ptable.PTable) *table.Table {
 }
 
 // scoreAndPick re-scores a cell's candidates by co-occurrence with the
-// tuple's context and returns the best value; candidate prior probabilities
-// break ties.
-func (r *Repairer) scoreAndPick(view detect.RowView, pt *ptable.PTable, tup *ptable.Tuple, col int) value.Value {
+// context of the tuple at position row and returns the best value; candidate
+// prior probabilities break ties.
+func (r *Repairer) scoreAndPick(view detect.RowView, pt *ptable.PTable, row, col int) value.Value {
+	tup := pt.At(row)
 	colIdx := view.ColIndex(pt.Schema.Col(col).Name)
 	best := value.Value{}
 	bestScore := -1.0
@@ -225,7 +223,7 @@ func (r *Repairer) scoreAndPick(view detect.RowView, pt *ptable.PTable, tup *pta
 			bKey := tup.Cells[b].Orig.MapKey()
 			match, ctxTotal := 0, 0
 			for i := 0; i < view.Len(); i++ {
-				if view.ID(i) == tup.ID {
+				if i == row {
 					continue // exclude the tuple from its own evidence
 				}
 				if view.ValueAt(i, bIdx).MapKey() == bKey {

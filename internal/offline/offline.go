@@ -106,7 +106,7 @@ func (c *Cleaner) cleanFD(ctx context.Context, pt *ptable.PTable, rule *dc.Const
 			total += n
 		}
 		for _, member := range g.Members {
-			id := view.ID(member)
+			id := int64(member)
 			cell := uncertain.Cell{Orig: view.ValueAt(member, cols.RHS)}
 			for k, n := range rhsCounts {
 				cell.Candidates = append(cell.Candidates, uncertain.Candidate{

@@ -25,7 +25,7 @@ type FlatTable struct {
 }
 
 // FlatFromTable snapshots a deterministic table the pre-refactor way: one
-// flat batch allocation, tuple IDs are row positions, self-lineage. The
+// flat batch allocation, tuple IDs are row positions. The
 // ptable differential tests use it to build the flat side of every
 // comparison.
 func FlatFromTable(t *table.Table) *FlatTable {
@@ -35,18 +35,12 @@ func FlatFromTable(t *table.Table) *FlatTable {
 	width := t.Schema.Len()
 	tuples := make([]ptable.Tuple, n)
 	cells := make([]uncertain.Cell, n*width)
-	selfIDs := make([]int64, n)
 	for i, row := range t.Rows {
 		tc := cells[i*width : (i+1)*width : (i+1)*width]
 		for j, v := range row {
 			tc[j] = uncertain.Certain(v)
 		}
-		selfIDs[i] = int64(i)
-		tuples[i] = ptable.Tuple{
-			ID:      int64(i),
-			Cells:   tc,
-			Lineage: map[string][]int64{t.Name: selfIDs[i : i+1 : i+1]},
-		}
+		tuples[i] = ptable.Tuple{ID: int64(i), Cells: tc}
 		f.byID[int64(i)] = i
 		f.Tuples = append(f.Tuples, &tuples[i])
 	}
@@ -106,7 +100,7 @@ func (f *FlatTable) ApplyCOW(d *ptable.Delta) (*FlatTable, int) {
 			continue
 		}
 		src := out.Tuples[i]
-		t := &ptable.Tuple{ID: src.ID, Cells: append([]uncertain.Cell(nil), src.Cells...), Lineage: src.Lineage}
+		t := &ptable.Tuple{ID: src.ID, Cells: append([]uncertain.Cell(nil), src.Cells...)}
 		for _, cc := range cols {
 			cur := &t.Cells[cc.Col]
 			if cur.IsCertain() {

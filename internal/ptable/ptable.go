@@ -2,9 +2,9 @@
 // tuples whose cells carry attribute-level uncertainty (package uncertain).
 // A PTable starts as a deterministic snapshot of a dirty table and is
 // gradually transformed into a probabilistic dataset as cleaning applies
-// per-query deltas in place (§4, §6 of the paper). Tuples carry lineage —
-// the originating tuple IDs per base relation — so join results can be split
-// back into their qualifying parts (clean⋈, Definition 3).
+// per-query deltas in place (§4, §6 of the paper). A tuple is identified by
+// its row position: provenance is kept per cell (every cell keeps its
+// original value), not per tuple.
 //
 // # Segmented copy-on-write storage
 //
@@ -50,18 +50,11 @@ import (
 
 // Tuple is one probabilistic row.
 type Tuple struct {
-	// ID is the stable identifier of the tuple within its base relation.
+	// ID is the tuple's row position within its relation; Append enforces
+	// it, and copy-on-write generations and clones keep it.
 	ID int64
 	// Cells is positionally aligned with the table schema.
 	Cells []uncertain.Cell
-	// Lineage maps a base relation name to the originating tuple IDs; join
-	// results reference one tuple per side. Base tuples reference
-	// themselves, and that overwhelmingly common case is stored as nil — a
-	// shared flyweight reconstructed on demand by PTable.LineageOf — so a
-	// 10M-row snapshot carries no 10M lineage maps. Readers that may see
-	// base tuples must resolve lineage through LineageOf (or treat nil as
-	// {owner: [ID]}), never read the field raw.
-	Lineage map[string][]int64
 }
 
 // Clone deep-copies the tuple.
@@ -69,12 +62,6 @@ func (t *Tuple) Clone() *Tuple {
 	out := &Tuple{ID: t.ID, Cells: make([]uncertain.Cell, len(t.Cells))}
 	for i := range t.Cells {
 		out.Cells[i] = t.Cells[i].Clone()
-	}
-	if t.Lineage != nil {
-		out.Lineage = make(map[string][]int64, len(t.Lineage))
-		for k, v := range t.Lineage {
-			out.Lineage[k] = append([]int64(nil), v...)
-		}
 	}
 	return out
 }
@@ -280,7 +267,8 @@ func (z *Zone) Excludes(op dc.Op, c value.Value) bool {
 	return false
 }
 
-// PTable is a probabilistic relation.
+// PTable is a probabilistic relation: tuples numbered 0..Len()-1 by row
+// position.
 type PTable struct {
 	Name   string
 	Schema *schema.Schema
@@ -288,51 +276,32 @@ type PTable struct {
 	segs []*segment
 	n    int
 
-	// dense marks relations whose tuple IDs equal their positions (every
-	// FromTable snapshot and every sequentially-built operator output), in
-	// which case no id→position map is materialized at all — a 10M-row
-	// snapshot carries no 10M-entry index. Appending an out-of-order ID
-	// materializes byID once and clears dense.
-	dense bool
-	byID  map[int64]int
-
 	// shared marks relations participating in copy-on-write sharing — both
-	// ApplyCOW results and their receivers, which share segment structs and
-	// the id index. In-place growth or mutation (Append, Apply) would corrupt
-	// every generation at once and panics instead. Atomic because concurrent
+	// ApplyCOW results and their receivers, which share segment structs.
+	// In-place growth or mutation (Append, Apply) would corrupt every
+	// generation at once and panics instead. Atomic because concurrent
 	// snapshot readers may ApplyCOW the same receiver generation at once.
 	shared atomic.Bool
 
 	// hint is the expected number of upcoming appends (set by Reserve); it
 	// sizes new segments so reserved bulk loads allocate each segment once.
 	hint int
-
-	// srcName/srcIDs, when set (SetLineageSource), redirect the nil-lineage
-	// flyweight of a derived single-source relation: the tuple with ID i
-	// (IDs of derived relations are dense positions) originates from srcName
-	// tuple srcIDs[i]. Operator outputs set this instead of materializing a
-	// lineage map per result tuple; tuples carrying an explicit Lineage map
-	// (join results) bypass the redirect.
-	srcName string
-	srcIDs  []int64
 }
 
 // New creates an empty probabilistic relation.
 func New(name string, s *schema.Schema) *PTable {
-	return &PTable{Name: name, Schema: s, dense: true}
+	return &PTable{Name: name, Schema: s}
 }
 
-// FromTable snapshots a deterministic table; tuple IDs are row positions and
-// every tuple's lineage points at itself — stored as the nil flyweight
-// (LineageOf reconstructs it on demand), so the snapshot allocates no
-// per-tuple lineage map at all. Tuple structs and cells are batch-allocated
-// per segment — snapshotting is the first thing every session does to every
-// relation, and segment-aligned batches keep the sequential hot path a few
-// allocations per SegmentSize rows while letting ApplyCOW share untouched
-// segments wholesale. The same loop builds each segment's zones.
+// FromTable snapshots a deterministic table; tuple IDs are row positions.
+// Tuple structs and cells are batch-allocated per segment — snapshotting is
+// the first thing every session does to every relation, and segment-aligned
+// batches keep the sequential hot path a few allocations per SegmentSize rows
+// while letting ApplyCOW share untouched segments wholesale. The same loop
+// builds each segment's zones.
 func FromTable(t *table.Table) *PTable {
 	n := t.Len()
-	p := &PTable{Name: t.Name, Schema: t.Schema, dense: true, n: n}
+	p := &PTable{Name: t.Name, Schema: t.Schema, n: n}
 	width := t.Schema.Len()
 	p.segs = make([]*segment, 0, (n+segMask)>>segShift)
 	for lo := 0; lo < n; lo += SegmentSize {
@@ -361,64 +330,17 @@ func FromTable(t *table.Table) *PTable {
 	return p
 }
 
-// LineageOf resolves the lineage of the tuple at position i, reconstructing
-// the self-lineage flyweight for base tuples stored with a nil Lineage: a
-// base tuple of relation p originates from itself. Derived relations
-// (operator outputs) materialize explicit lineage maps, which are returned
-// as-is and must not be mutated.
-func (p *PTable) LineageOf(i int) map[string][]int64 {
-	return p.LineageOfTuple(p.At(i))
-}
-
-// LineageOfTuple resolves the lineage of a tuple already in hand (fetched
-// through a Cursor or segment view), without a second positional decode.
-func (p *PTable) LineageOfTuple(t *Tuple) map[string][]int64 {
-	if t.Lineage != nil {
-		return t.Lineage
-	}
-	name, id := p.LineageRef(t)
-	return map[string][]int64{name: {id}}
-}
-
-// LineageRef resolves the single (relation, tuple ID) origin of a
-// nil-lineage tuple without materializing the flyweight map: the tuple
-// itself for base relations, the redirected source for derived relations
-// (SetLineageSource). Callers must check t.Lineage == nil first — tuples
-// carrying an explicit lineage map may reference several origins.
-func (p *PTable) LineageRef(t *Tuple) (string, int64) {
-	if p.srcIDs != nil && t.ID >= 0 && int(t.ID) < len(p.srcIDs) {
-		return p.srcName, p.srcIDs[t.ID]
-	}
-	return p.Name, t.ID
-}
-
-// SetLineageSource marks the relation as a derived single-source result:
-// the nil-lineage tuple with ID i originates from tuple ids[i] of relation
-// name. Operator outputs (projections, materialized frames) use this so a
-// large result carries one id slice instead of one lineage map per tuple.
-func (p *PTable) SetLineageSource(name string, ids []int64) {
-	p.srcName, p.srcIDs = name, ids
-}
-
-// Append adds a tuple. IDs must be unique within the relation. Append
-// panics on a relation that has participated in copy-on-write (an ApplyCOW
-// result or receiver): its segments and id index are shared across epoch
-// generations, so growing it in place would corrupt every generation at
-// once.
+// Append adds a tuple, whose ID must be its position: the relation's
+// current length. Append panics on any other ID, and on a relation that has
+// participated in copy-on-write (an ApplyCOW result or receiver): its
+// segments are shared across epoch generations, so growing it in place would
+// corrupt every generation at once.
 func (p *PTable) Append(t *Tuple) {
 	if p.shared.Load() {
-		panic("ptable: Append on a copy-on-write generation (ApplyCOW results and receivers share segments and the id index across epochs); Clone it first")
+		panic("ptable: Append on a copy-on-write generation (ApplyCOW results and receivers share segments across epochs); Clone it first")
 	}
-	if p.dense {
-		if t.ID != int64(p.n) {
-			p.materializeByID()
-		}
-	}
-	if !p.dense {
-		if p.byID == nil {
-			p.byID = make(map[int64]int)
-		}
-		p.byID[t.ID] = p.n
+	if t.ID != int64(p.n) {
+		panic(fmt.Sprintf("ptable: Append of tuple ID %d at position %d (a tuple's ID is its position)", t.ID, p.n))
 	}
 	var seg *segment
 	if len(p.segs) > 0 {
@@ -447,19 +369,6 @@ func (p *PTable) Append(t *Tuple) {
 	if p.hint > 0 {
 		p.hint--
 	}
-}
-
-// materializeByID builds the id→position map when density breaks.
-func (p *PTable) materializeByID() {
-	p.byID = make(map[int64]int, p.n+1)
-	i := 0
-	for _, s := range p.segs {
-		for _, t := range s.tuples {
-			p.byID[t.ID] = i
-			i++
-		}
-	}
-	p.dense = false
 }
 
 // Reserve pre-sizes the relation for n upcoming appends.
@@ -574,27 +483,13 @@ func (p *PTable) Rows() iter.Seq2[int, *Tuple] {
 	}
 }
 
-// ByID returns the tuple with the given ID, or nil.
-func (p *PTable) ByID(id int64) *Tuple {
-	if i, ok := p.Pos(id); ok {
-		return p.At(i)
-	}
-	return nil
-}
-
-// Pos returns the row position of the tuple with the given ID. It is the
-// persistent id→position index hot paths use instead of rebuilding their
-// own maps per query; dense relations (IDs are positions) resolve it
-// arithmetically without any map at all.
+// Pos returns the row position of the tuple with the given ID — the ID
+// itself — and whether the relation holds it.
 func (p *PTable) Pos(id int64) (int, bool) {
-	if p.dense {
-		if id >= 0 && id < int64(p.n) {
-			return int(id), true
-		}
-		return 0, false
+	if id >= 0 && id < int64(p.n) {
+		return int(id), true
 	}
-	i, ok := p.byID[id]
-	return i, ok
+	return 0, false
 }
 
 // Cell returns the named cell of the tuple at position row.
@@ -605,7 +500,6 @@ func (p *PTable) Cell(row int, col string) *uncertain.Cell {
 // Clone deep-copies the relation.
 func (p *PTable) Clone() *PTable {
 	out := New(p.Name, p.Schema)
-	out.srcName, out.srcIDs = p.srcName, p.srcIDs
 	out.Reserve(p.n)
 	for _, t := range p.Rows() {
 		out.Append(t.Clone())
@@ -619,7 +513,8 @@ type ColCell struct {
 	Cell uncertain.Cell
 }
 
-// Delta is a set of per-tuple cell replacements keyed by tuple ID, the
+// Delta is a set of per-tuple cell replacements keyed by tuple ID (the
+// tuple's row position), the
 // isolated changes a cleaning operator produces for one query. Each tuple's
 // replacements are a small slice, not a map: FD fixes touch one or two
 // columns, and a slice of two entries costs one flat allocation where a
@@ -627,7 +522,7 @@ type ColCell struct {
 // of tuples the difference dominates the allocation profile.
 type Delta struct {
 	Table string
-	Cells map[int64][]ColCell // tuple ID → replacement cells
+	Cells map[int64][]ColCell // tuple ID (row position) → replacement cells
 	// block is the carve-from arena for per-tuple cell slices: a tuple's
 	// first Set carves a zero-length, capacity-deltaTupleCells slice out of
 	// it, so the common repair shape (two cells per tuple) appends in place
@@ -747,15 +642,14 @@ func (p *PTable) Apply(d *Delta) int {
 // ApplyCOW merges the delta copy-on-write: only the segments holding touched
 // tuples are cloned (a SegmentSize pointer copy each); every other segment —
 // and within cloned segments every untouched tuple — is shared with the
-// receiver by pointer. A new PTable (sharing the schema and the id→position
-// index) is returned together with the number of updated cells. Publication
-// cost is therefore O(segments touched), not O(n): the receiver is not
-// modified, so snapshots holding it keep reading concurrently. The returned
-// relation must not be Appended to — it shares segments and the byID index
-// with its ancestors (Append enforces this with a panic).
+// receiver by pointer. A new PTable (sharing the schema) is returned together
+// with the number of updated cells. Publication cost is therefore
+// O(segments touched), not O(n): the receiver is not modified, so snapshots
+// holding it keep reading concurrently. The returned relation must not be
+// Appended to — it shares segments with its ancestors (Append enforces this
+// with a panic).
 func (p *PTable) ApplyCOW(d *Delta) (*PTable, int) {
-	out := &PTable{Name: p.Name, Schema: p.Schema, dense: p.dense, byID: p.byID, n: p.n,
-		srcName: p.srcName, srcIDs: p.srcIDs}
+	out := &PTable{Name: p.Name, Schema: p.Schema, n: p.n}
 	out.shared.Store(true)
 	// The receiver now shares segment structs with the new generation, so it
 	// too must reject in-place growth and mutation from here on.
@@ -829,15 +723,15 @@ func (p *PTable) ApplyCOW(d *Delta) (*PTable, int) {
 		}
 		src := seg.tuples[off]
 		// Shallow write clone: fresh cell slice (the merge below writes into
-		// it) but shared candidate backing and lineage — Cell.Merge copies
-		// before mutating and lineage is immutable after creation.
+		// it) but shared candidate backing — Cell.Merge copies before
+		// mutating.
 		if len(tupBlock) == cap(tupBlock) {
 			tupBlock = make([]Tuple, 0, blockTuples)
 		}
 		if cap(cellBlock)-len(cellBlock) < len(src.Cells) {
 			cellBlock = make([]uncertain.Cell, 0, blockTuples*len(src.Cells))
 		}
-		tupBlock = append(tupBlock, Tuple{ID: src.ID, Lineage: src.Lineage})
+		tupBlock = append(tupBlock, Tuple{ID: src.ID})
 		t := &tupBlock[len(tupBlock)-1]
 		clo := len(cellBlock)
 		cellBlock = append(cellBlock, src.Cells...)

@@ -59,26 +59,23 @@ func TestFromTableSnapshot(t *testing.T) {
 	if p.Get(0, "city").Str() != "Los Angeles" {
 		t.Errorf("Get = %v", p.Get(0, "city"))
 	}
-	if got := p.ByID(2); got == nil || got.Cells[0].Value().Int() != 10001 {
-		t.Errorf("ByID(2) = %v", got)
+	for pos, tup := range p.Rows() {
+		if tup.ID != int64(pos) {
+			t.Errorf("tuple at position %d has ID %d", pos, tup.ID)
+		}
 	}
-	if p.ByID(99) != nil {
-		t.Error("missing id must return nil")
+	if got := p.At(2); got.Cells[0].Value().Int() != 10001 {
+		t.Errorf("At(2) = %v", got)
 	}
-	// Base tuples store the self-lineage flyweight (nil), reconstructed on
-	// demand through LineageOf.
-	if p.At(1).Lineage != nil {
-		t.Errorf("base tuple must carry the nil lineage flyweight, got %v", p.At(1).Lineage)
-	}
-	if lin := p.LineageOf(1)["cities"]; len(lin) != 1 || lin[0] != 1 {
-		t.Errorf("self lineage = %v", p.LineageOf(1))
+	if _, ok := p.Pos(99); ok {
+		t.Error("missing id must miss")
 	}
 }
 
-// TestFromTableLineageFlyweightAllocs pins the flyweight win: snapshotting
-// allocates O(segments) blocks, not O(rows) lineage maps — under 10 allocs
-// per 512-row segment where the per-tuple maps alone used to cost 512.
-func TestFromTableLineageFlyweightAllocs(t *testing.T) {
+// TestFromTableAllocsPerSegment pins the snapshot's batch allocation:
+// snapshotting allocates O(segments) blocks, not O(rows) objects — under 10
+// allocs per 512-row segment.
+func TestFromTableAllocsPerSegment(t *testing.T) {
 	const rows = 8 * SegmentSize
 	sch := citiesTable(t).Schema
 	tb := tableWithRows(t, sch, rows)
@@ -90,7 +87,7 @@ func TestFromTableLineageFlyweightAllocs(t *testing.T) {
 	})
 	segs := rows / SegmentSize
 	if maxAllocs := float64(10 * segs); allocs > maxAllocs {
-		t.Errorf("FromTable(%d rows) = %.0f allocs, want <= %.0f (O(segments), no per-tuple lineage maps)",
+		t.Errorf("FromTable(%d rows) = %.0f allocs, want <= %.0f (O(segments), no per-tuple objects)",
 			rows, allocs, maxAllocs)
 	}
 }
@@ -172,8 +169,10 @@ func TestCloneIndependence(t *testing.T) {
 	if p.DirtyTuples() != 0 {
 		t.Error("Clone must not share cell storage")
 	}
-	if cp.ByID(0) == nil {
-		t.Error("clone must rebuild its id index")
+	for pos, tup := range cp.Rows() {
+		if tup.ID != int64(pos) {
+			t.Errorf("clone tuple at position %d has ID %d", pos, tup.ID)
+		}
 	}
 }
 
@@ -191,16 +190,14 @@ func TestCandidateFootprint(t *testing.T) {
 }
 
 func TestTupleDirtyAndClone(t *testing.T) {
-	tup := &Tuple{ID: 7, Cells: []uncertain.Cell{uncertain.Certain(value.NewInt(1)), dirtyCell()},
-		Lineage: map[string][]int64{"r": {7}}}
+	tup := &Tuple{ID: 7, Cells: []uncertain.Cell{uncertain.Certain(value.NewInt(1)), dirtyCell()}}
 	if !tup.Dirty() {
 		t.Error("tuple with dirty cell must be Dirty")
 	}
 	cp := tup.Clone()
 	cp.Cells[1].Candidates[0].Prob = 0.01
-	cp.Lineage["r"][0] = 99
-	if tup.Cells[1].Candidates[0].Prob == 0.01 || tup.Lineage["r"][0] == 99 {
-		t.Error("Clone must deep-copy cells and lineage")
+	if tup.Cells[1].Candidates[0].Prob == 0.01 || cp.ID != tup.ID {
+		t.Error("Clone must deep-copy cells and keep the ID")
 	}
 }
 
@@ -227,9 +224,9 @@ func TestApplyCOWLeavesReceiverUntouched(t *testing.T) {
 	if p.At(1) == next.At(1) {
 		t.Error("touched tuple must be cloned")
 	}
-	// The id index is shared and still resolves in both generations.
-	if pos, ok := next.Pos(1); !ok || pos != 1 {
-		t.Errorf("Pos in new generation = %d,%v", pos, ok)
+	// The touched tuple keeps its ID, its position.
+	if next.At(1).ID != 1 {
+		t.Errorf("cloned tuple ID = %d, want 1", next.At(1).ID)
 	}
 }
 
@@ -408,11 +405,8 @@ func TestAppendOnCloneOfCOWGenerationAllowed(t *testing.T) {
 
 func TestDenseIDIndex(t *testing.T) {
 	p := FromTable(bigTable(t, SegmentSize+10))
-	if !p.dense || p.byID != nil {
-		t.Fatal("FromTable snapshot must use the dense (map-free) id index")
-	}
 	if pos, ok := p.Pos(int64(SegmentSize + 3)); !ok || pos != SegmentSize+3 {
-		t.Errorf("dense Pos = %d,%v", pos, ok)
+		t.Errorf("Pos = %d,%v", pos, ok)
 	}
 	if _, ok := p.Pos(int64(p.Len())); ok {
 		t.Error("out-of-range id must miss")
@@ -420,24 +414,29 @@ func TestDenseIDIndex(t *testing.T) {
 	if _, ok := p.Pos(-1); ok {
 		t.Error("negative id must miss")
 	}
-	// Sequential appends stay dense; an out-of-order ID materializes the map.
+	// A tuple's ID is its position: Append takes the next position and
+	// panics on any other ID.
+	cells := func() []uncertain.Cell {
+		return []uncertain.Cell{uncertain.Certain(value.NewInt(1)), uncertain.Certain(value.NewString("x"))}
+	}
 	q := New("q", p.Schema)
-	q.Append(&Tuple{ID: 0, Cells: []uncertain.Cell{uncertain.Certain(value.NewInt(1)), uncertain.Certain(value.NewString("x"))}})
-	if !q.dense {
-		t.Error("sequential append must stay dense")
+	q.Append(&Tuple{ID: 0, Cells: cells()})
+	for _, id := range []int64{42, 0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Append of ID %d at position 1 must panic", id)
+				}
+			}()
+			q.Append(&Tuple{ID: id, Cells: cells()})
+		}()
 	}
-	q.Append(&Tuple{ID: 42, Cells: []uncertain.Cell{uncertain.Certain(value.NewInt(2)), uncertain.Certain(value.NewString("y"))}})
-	if q.dense {
-		t.Error("out-of-order append must materialize the id map")
+	if q.Len() != 1 {
+		t.Errorf("Len after refused appends = %d, want 1", q.Len())
 	}
-	if pos, ok := q.Pos(42); !ok || pos != 1 {
-		t.Errorf("Pos(42) = %d,%v", pos, ok)
-	}
-	if pos, ok := q.Pos(0); !ok || pos != 0 {
-		t.Errorf("Pos(0) = %d,%v", pos, ok)
-	}
-	if q.ByID(42) == nil || q.ByID(7) != nil {
-		t.Error("ByID must follow the materialized map")
+	q.Append(&Tuple{ID: 1, Cells: cells()})
+	if pos, ok := q.Pos(1); !ok || pos != 1 {
+		t.Errorf("Pos(1) = %d,%v", pos, ok)
 	}
 }
 

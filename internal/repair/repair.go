@@ -36,20 +36,15 @@ const (
 // inverting ranges, weighted by uncertain.Cell's one merge rule — 1/(k+1)
 // each for k ranges, Example 5's 50/50 for one — so the fixes of a set of
 // pairs do not depend on how the pairs were ordered or split into calls.
+// Pairs are row positions of view, and so are the delta's keys.
 func DCFixes(view detect.RowView, pairs []thetajoin.Pair, c *dc.Constraint, schemaIdx func(string) int, m *detect.Metrics) *ptable.Delta {
 	delta := ptable.NewDelta("")
-	posOf := detect.PosIndex(view)
 	for _, pair := range pairs {
-		p1, ok1 := posOf(pair.T1)
-		p2, ok2 := posOf(pair.T2)
-		if !ok1 || !ok2 {
-			continue
-		}
 		rowOf := func(tuple int) int {
 			if tuple == 1 {
-				return p1
+				return pair.T1
 			}
-			return p2
+			return pair.T2
 		}
 		for ai, at := range c.Atoms {
 			world := ai + 1
@@ -57,13 +52,13 @@ func DCFixes(view detect.RowView, pairs []thetajoin.Pair, c *dc.Constraint, sche
 			// right side's current value.
 			leftRow := rowOf(at.LeftTuple)
 			rightVal := view.Value(rowOf(at.RightTuple), at.RightCol)
-			addRangeFix(delta, view.ID(leftRow), schemaIdx(at.LeftCol),
+			addRangeFix(delta, leftRow, schemaIdx(at.LeftCol),
 				view.Value(leftRow, at.LeftCol), at.Op.Negate(), rightVal, world)
 			// Fixing the right side: t_R.rightCol must satisfy the
 			// mirrored negated comparison vs the left side's value.
 			rightRow := rowOf(at.RightTuple)
 			leftVal := view.Value(rowOf(at.LeftTuple), at.LeftCol)
-			addRangeFix(delta, view.ID(rightRow), schemaIdx(at.RightCol),
+			addRangeFix(delta, rightRow, schemaIdx(at.RightCol),
 				view.Value(rightRow, at.RightCol), mirror(at.Op.Negate()), leftVal, world)
 			if m != nil {
 				m.Repairs += 2
@@ -88,9 +83,10 @@ func mirror(op dc.Op) dc.Op {
 	return op // Eq and Neq are symmetric
 }
 
-// addRangeFix adds a range candidate to the delta cell for (id, col),
+// addRangeFix adds a range candidate to the delta cell for (row, col),
 // starting from the original value on first touch.
-func addRangeFix(delta *ptable.Delta, id int64, col int, orig value.Value, op dc.Op, bound value.Value, world int) {
+func addRangeFix(delta *ptable.Delta, row, col int, orig value.Value, op dc.Op, bound value.Value, world int) {
+	id := int64(row)
 	cell, ok := delta.Get(id, col)
 	if !ok {
 		cell = uncertain.Certain(orig)

@@ -15,16 +15,13 @@ import (
 	"daisy/internal/value"
 )
 
-// rowsView is a detect.RowView over literal rows. Columns may mix kinds, and
-// tuple IDs differ from positions, so the differential tests see whether a
-// kernel reports IDs or positions.
+// rowsView is a detect.RowView over literal rows. Columns may mix kinds.
 type rowsView struct {
 	cols []string
 	rows [][]value.Value
 }
 
 func (v rowsView) Len() int                       { return len(v.rows) }
-func (v rowsView) ID(i int) int64                 { return int64(1000 + 7*i) }
 func (v rowsView) ValueAt(i, idx int) value.Value { return v.rows[i][idx] }
 func (v rowsView) Value(i int, col string) value.Value {
 	return v.rows[i][v.ColIndex(col)]
@@ -282,9 +279,9 @@ func FuzzIndexDetectMatchesNaive(f *testing.F) {
 		emit := func(a, b int) { // a is t1 when that orientation violates
 			switch {
 			case violates(a, b):
-				want = append(want, Pair{T1: v.ID(a), T2: v.ID(b)})
+				want = append(want, Pair{T1: a, T2: b})
 			case violates(b, a):
-				want = append(want, Pair{T1: v.ID(b), T2: v.ID(a)})
+				want = append(want, Pair{T1: b, T2: a})
 			}
 		}
 		prim := v.ColIndex(c.Atoms[0].LeftCol)

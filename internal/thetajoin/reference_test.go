@@ -16,10 +16,19 @@ import (
 // each pair in the reference's orientation — and to its estimates.
 
 // refAxis is the view sorted (stably) by the primary column, materialized
-// into per-column value slices plus tuple IDs.
+// into per-column value slices plus each row's base position.
 type refAxis struct {
-	ids  []int64
+	pos  []int // row positions in the base relation, in axis order
 	cols [][]value.Value
+}
+
+// basePos maps row i of v to its position in the underlying relation: row
+// Idx[i] of a SubsetView's base, row i of any other view.
+func basePos(v detect.RowView, i int) int {
+	if sv, ok := v.(detect.SubsetView); ok {
+		return basePos(sv.Base, sv.Idx[i])
+	}
+	return i
 }
 
 func refBuildAxis(v detect.RowView, cc compiled) refAxis {
@@ -37,9 +46,9 @@ func refBuildAxis(v detect.RowView, cc compiled) refAxis {
 	}
 	pc := raw[cc.primary]
 	sort.SliceStable(perm, func(a, b int) bool { return pc[perm[a]].Less(pc[perm[b]]) })
-	a := refAxis{ids: make([]int64, n), cols: make([][]value.Value, len(raw))}
+	a := refAxis{pos: make([]int, n), cols: make([][]value.Value, len(raw))}
 	for i, r := range perm {
-		a.ids[i] = v.ID(r)
+		a.pos[i] = basePos(v, r)
 	}
 	for ci, col := range raw {
 		a.cols[ci] = make([]value.Value, n)
@@ -56,7 +65,7 @@ type refBlock struct {
 }
 
 func refBlocksOf(a refAxis, p int, cc compiled) []refBlock {
-	n := len(a.ids)
+	n := len(a.pos)
 	if n == 0 {
 		return nil
 	}
@@ -169,9 +178,9 @@ func refScan(cc compiled, la, ra refAxis, lBlocks, rBlocks []refBlock, self bool
 					}
 					switch {
 					case fwd && refEvalPair(cc, la, ra, i, j):
-						out = append(out, Pair{T1: la.ids[i], T2: ra.ids[j]})
+						out = append(out, Pair{T1: la.pos[i], T2: ra.pos[j]})
 					case rev && refEvalPair(cc, ra, la, j, i):
-						out = append(out, Pair{T1: ra.ids[j], T2: la.ids[i]})
+						out = append(out, Pair{T1: ra.pos[j], T2: la.pos[i]})
 					}
 				}
 			}
@@ -215,7 +224,7 @@ func refEstimateErrors(v detect.RowView, c *dc.Constraint, p int) []RangeEstimat
 		for _, si := range samples[i] {
 			for d := -2; d <= 2; d++ {
 				sj := si + d
-				if d != 0 && sj >= 0 && sj < len(ax.ids) && violates(si, sj) {
+				if d != 0 && sj >= 0 && sj < len(ax.pos) && violates(si, sj) {
 					dirty[si] = true
 					break
 				}

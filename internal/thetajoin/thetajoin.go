@@ -51,10 +51,10 @@ const leafRows = 32
 // poll cancellation between chunks, since ctx.Err() can take a shared mutex.
 const chunkRows = 64
 
-// Pair is one violating tuple pair: the assignment t1=T1, t2=T2 satisfies
-// every atom of the constraint.
+// Pair is one violating tuple pair, as row positions in the detected view:
+// the assignment t1=T1, t2=T2 satisfies every atom of the constraint.
 type Pair struct {
-	T1, T2 int64
+	T1, T2 int
 }
 
 // compiled is a constraint with its column names resolved to positions in a
@@ -115,7 +115,6 @@ type Index struct {
 	cc     compiled
 	order  []int32   // row positions sorted by (primary rank, position)
 	at     []int32   // row position → its index in order
-	ids    []int64   // tuple IDs, in order
 	ranks  [][]int32 // canonical column position → ranks, in order
 	tree   []block   // the rank tree's nodes; tree[0] is unused
 	leaves int       // number of leaves, a power of two
@@ -172,10 +171,9 @@ func NewIndex(v detect.RowView, c *dc.Constraint) *Index {
 		}
 		return cmp.Compare(a, b)
 	})
-	ix := &Index{cc: cc, order: order, at: make([]int32, n), ids: make([]int64, n), ranks: make([][]int32, len(cc.cols))}
+	ix := &Index{cc: cc, order: order, at: make([]int32, n), ranks: make([][]int32, len(cc.cols))}
 	for k, pos := range order {
 		ix.at[pos] = int32(k)
-		ix.ids[k] = v.ID(int(pos))
 	}
 	sorted := make([]int32, n*len(cc.cols))
 	for c := range cc.cols {
@@ -431,9 +429,9 @@ func (s *scanner) descend(node int) {
 		s.cmps++
 		switch {
 		case fwd && holds(s.fwd, j):
-			s.out = append(s.out, Pair{T1: s.ix.ids[s.k], T2: s.ix.ids[j]})
+			s.out = append(s.out, Pair{T1: int(s.ix.order[s.k]), T2: int(s.ix.order[j])})
 		case rev && holds(s.rev, j):
-			s.out = append(s.out, Pair{T1: s.ix.ids[j], T2: s.ix.ids[s.k]})
+			s.out = append(s.out, Pair{T1: int(s.ix.order[j]), T2: int(s.ix.order[s.k])})
 		}
 	}
 }
@@ -661,19 +659,4 @@ func sampleRows(b block) []int {
 		out = append(out, b.lo+i*n/k)
 	}
 	return out
-}
-
-// Support computes the paper's support metric for Algorithm 2: the fraction
-// of diagonal work covered, (1+2+...+√p − unchecked)/(1+2+...+√p).
-func Support(p, uncheckedPartitions int) float64 {
-	sq := int(math.Sqrt(float64(p)))
-	if sq < 1 {
-		sq = 1
-	}
-	total := sq * (sq + 1) / 2
-	covered := total - uncheckedPartitions
-	if covered < 0 {
-		covered = 0
-	}
-	return float64(covered) / float64(total)
 }

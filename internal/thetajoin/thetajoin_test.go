@@ -47,7 +47,7 @@ func naive(v detect.RowView, c *dc.Constraint) []Pair {
 				return v.Value(j, col)
 			}
 			if c.Violates(get) {
-				out = append(out, Pair{T1: v.ID(i), T2: v.ID(j)})
+				out = append(out, Pair{T1: i, T2: j})
 			}
 		}
 	}
@@ -56,14 +56,14 @@ func naive(v detect.RowView, c *dc.Constraint) []Pair {
 
 // asSet normalizes pairs to an unordered violation set: detection examines
 // each unordered pair once, so compare on unordered identity.
-func asSet(ps []Pair) map[[2]int64]bool {
-	out := make(map[[2]int64]bool)
+func asSet(ps []Pair) map[[2]int]bool {
+	out := make(map[[2]int]bool)
 	for _, p := range ps {
 		a, b := p.T1, p.T2
 		if a > b {
 			a, b = b, a
 		}
-		out[[2]int64{a, b}] = true
+		out[[2]int{a, b}] = true
 	}
 	return out
 }
@@ -132,9 +132,9 @@ func TestDetectionIsOutputSensitive(t *testing.T) {
 	for _, r := range rankAt {
 		tb.MustAppend(table.Row{value.NewInt(int64(1000 + 3*r)), value.NewFloat(discount[r])})
 	}
-	posOf := make([]int64, n) // price rank → tuple ID (its position)
+	posOf := make([]int, n) // price rank → row position
 	for pos, r := range rankAt {
-		posOf[r] = int64(pos)
+		posOf[r] = pos
 	}
 	var want []Pair
 	for _, i := range swaps {
@@ -155,6 +155,15 @@ func TestDetectionIsOutputSensitive(t *testing.T) {
 		t.Errorf("compared %d of %d candidate pairs (%.2f %%), want under 1 %%",
 			m.Comparisons, candidates, 100*float64(m.Comparisons)/float64(candidates))
 	}
+}
+
+// inBase maps pairs detected on a subset view to positions of its base.
+func inBase(v detect.SubsetView, ps []Pair) []Pair {
+	out := make([]Pair, len(ps))
+	for i, p := range ps {
+		out[i] = Pair{T1: v.Idx[p.T1], T2: v.Idx[p.T2]}
+	}
+	return out
 }
 
 // detectPartial runs the incremental theta-join of delta against rest (row
@@ -179,10 +188,10 @@ func TestDetectPartialCoversDeltaOnly(t *testing.T) {
 	partial := asSet(detectPartial(t, tb, []int{1, 2}, []int{0, 3, 4}))
 	rest := detect.SubsetView{Base: detect.TableView{T: tb}, Idx: []int{0, 3, 4}}
 	// rest × rest violations must be checked separately.
-	restOnly := asSet(Detect(rest, salaryDC, 4, nil))
+	restOnly := asSet(inBase(rest, Detect(rest, salaryDC, 4, nil)))
 
 	// partial ∪ restOnly must equal full.
-	union := make(map[[2]int64]bool)
+	union := make(map[[2]int]bool)
 	for k := range partial {
 		union[k] = true
 	}
@@ -229,8 +238,9 @@ func TestIncrementalCoverageProperty(t *testing.T) {
 		base := detect.TableView{T: tb}
 		full := asSet(Detect(base, salaryDC, 4, nil))
 		partial := asSet(detectPartial(t, tb, deltaIdx, restIdx))
-		restOnly := asSet(Detect(detect.SubsetView{Base: base, Idx: restIdx}, salaryDC, 4, nil))
-		union := make(map[[2]int64]bool)
+		rest := detect.SubsetView{Base: base, Idx: restIdx}
+		restOnly := asSet(inBase(rest, Detect(rest, salaryDC, 4, nil)))
+		union := make(map[[2]int]bool)
 		for k2 := range partial {
 			union[k2] = true
 		}
@@ -298,19 +308,6 @@ func TestEstimateErrorsCleanData(t *testing.T) {
 	}
 }
 
-func TestSupport(t *testing.T) {
-	if s := Support(16, 0); s != 1 {
-		t.Errorf("full coverage support = %v", s)
-	}
-	if s := Support(16, 10); s != 0 {
-		t.Errorf("zero coverage support = %v", s)
-	}
-	half := Support(16, 5)
-	if half <= 0 || half >= 1 {
-		t.Errorf("partial support = %v", half)
-	}
-}
-
 func TestMultiAtomDCDetection(t *testing.T) {
 	// phi2 from Example 5: ¬(t1.salary<t2.salary & t1.age<t2.age & t1.tax>t2.tax).
 	sch := schema.MustNew(
@@ -334,7 +331,7 @@ func TestMultiAtomDCDetection(t *testing.T) {
 	}
 	add(5000, 50, 0.05) // row3: everyone below violates against it
 	got = Detect(detect.TableView{T: tb}, c, 4, nil)
-	ids := map[int64]bool{}
+	ids := map[int]bool{}
 	for _, p := range got {
 		if p.T2 != 3 {
 			t.Errorf("pair %v should have t2=3", p)

@@ -159,19 +159,6 @@ func rangeMayOverlap(r RangeBound, op dc.Op, constant value.Value) bool {
 	return true
 }
 
-// Overlaps reports whether two cells can be equal in some world pair — the
-// probabilistic equi-join qualification rule ("join keys overlap").
-func (c *Cell) Overlaps(o *Cell) bool {
-	for _, a := range c.Values() {
-		for _, b := range o.Values() {
-			if a.Equal(b) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Normalize rescales probabilities to sum to one. No-op on certain cells.
 func (c *Cell) Normalize() {
 	total := 0.0

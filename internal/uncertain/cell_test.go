@@ -104,21 +104,6 @@ func TestRangeMayOverlapBounds(t *testing.T) {
 	}
 }
 
-func TestOverlapsJoinRule(t *testing.T) {
-	a := Cell{Candidates: []Candidate{
-		{Val: value.NewInt(9001), Prob: 0.5, World: 1},
-		{Val: value.NewInt(10001), Prob: 0.5, World: 1},
-	}, Orig: value.NewInt(9001)}
-	b := Certain(value.NewInt(10001))
-	if !a.Overlaps(&b) {
-		t.Error("candidate 10001 overlaps certain 10001")
-	}
-	c := Certain(value.NewInt(10002))
-	if a.Overlaps(&c) {
-		t.Error("no overlap with 10002")
-	}
-}
-
 func TestNormalize(t *testing.T) {
 	c := Cell{Candidates: []Candidate{
 		{Val: value.NewInt(1), Prob: 2},
