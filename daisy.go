@@ -49,10 +49,10 @@
 // Queries are safe for any number of concurrent callers: each executes
 // against an immutable snapshot epoch of the session state, repairs route
 // through a single-writer apply loop, and the converged cleaned state is
-// independent of query interleaving. Options.MaxConcurrentQueries bounds
-// admission, Options.Workers bounds intra-query parallelism, and
-// Session.Close (idempotent) releases the apply goroutine. See
-// internal/core for the full concurrency model.
+// independent of query interleaving. Options.Workers bounds intra-query
+// parallelism and Session.Close (idempotent) releases the apply goroutine;
+// bounding how many queries run at once is the serving layer's job (see
+// Server). See internal/core for the full concurrency model.
 package daisy
 
 import (
@@ -163,11 +163,11 @@ func WithExplain() QueryOption { return core.WithExplain() }
 // an error wrapping context.DeadlineExceeded and publishes nothing.
 func WithTimeout(d time.Duration) QueryOption { return core.WithTimeout(d) }
 
-// WithTrace records a span tree for one query — parse, plan, admission wait,
-// every plan operator with row counts, violation detection with
-// segments-skipped counts, the §5.2.3 strategy decision with the cost
-// inequality's operands, repair, and publish (including WAL append/fsync
-// timing from the writer goroutine). Read it with Rows.Trace after the query
+// WithTrace records a span tree for one query — parse, plan, every plan
+// operator with row counts, violation detection with segments-skipped
+// counts, the §5.2.3 strategy decision with the cost inequality's operands,
+// repair, and publish (including WAL append/fsync timing from the writer
+// goroutine). Read it with Rows.Trace after the query
 // returns; untraced queries pay nothing. Options.TraceSampleRate traces a
 // random fraction of queries instead.
 func WithTrace() QueryOption { return core.WithTrace() }

@@ -256,7 +256,7 @@ func TestConcurrentPublicAPI(t *testing.T) {
 		}
 		tb.MustAppend(Row{Int(int64(i % 60)), city})
 	}
-	s := New(Options{Strategy: StrategyIncremental, MaxConcurrentQueries: 4})
+	s := New(Options{Strategy: StrategyIncremental})
 	defer s.Close()
 	if err := s.Register(tb); err != nil {
 		t.Fatal(err)

@@ -22,7 +22,6 @@ type sessionInstr struct {
 	queryCancels *metrics.Counter
 	rowsStreamed *metrics.Counter
 	inflight     *metrics.Gauge
-	admissionSec *metrics.Histogram
 	parseSec     *metrics.Histogram
 	planSec      *metrics.Histogram
 	execSec      *metrics.Histogram
@@ -60,7 +59,6 @@ func newSessionInstr() *sessionInstr {
 		queryCancels: reg.Counter("daisy_query_cancellations_total", "queries aborted by context cancellation or deadline"),
 		rowsStreamed: reg.Counter("daisy_query_rows_streamed_total", "result rows enumerated through Rows cursors"),
 		inflight:     reg.Gauge("daisy_queries_inflight", "queries currently executing or streaming"),
-		admissionSec: reg.Histogram("daisy_query_admission_wait_seconds", "time spent waiting on the MaxConcurrentQueries gate", metrics.LatencyBuckets),
 		parseSec:     reg.Histogram("daisy_query_parse_seconds", "SQL parse latency", metrics.LatencyBuckets),
 		planSec:      reg.Histogram("daisy_query_plan_seconds", "plan build latency", metrics.LatencyBuckets),
 		execSec:      reg.Histogram("daisy_query_exec_seconds", "execution latency (operators + cleaning)", metrics.LatencyBuckets),

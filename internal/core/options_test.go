@@ -25,10 +25,4 @@ func TestOptionsResolveOnceAtNewSession(t *testing.T) {
 	if NewSession(Options{}).opts.Workers <= 0 {
 		t.Error("NewSession must resolve Workers")
 	}
-	if NewSession(Options{MaxConcurrentQueries: 3}).sem == nil {
-		t.Error("MaxConcurrentQueries > 0 must install the admission semaphore")
-	}
-	if NewSession(Options{}).sem != nil {
-		t.Error("MaxConcurrentQueries = 0 means unlimited (no semaphore)")
-	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"daisy/internal/dc"
 	"daisy/internal/detect"
@@ -11,7 +10,6 @@ import (
 	"daisy/internal/ptable"
 	"daisy/internal/schema"
 	"daisy/internal/trace"
-	"daisy/internal/uncertain"
 )
 
 // queryCtx is the per-query execution context: the epoch the query runs
@@ -191,7 +189,9 @@ func (qc *queryCtx) private(table, rule string) *posSet {
 // CleanSelect implements engine.Cleaner: the cleanσ operator. It cleans
 // against the query's snapshot, applies fixes to the query-local overlay
 // (returned so downstream operators read them), and routes the same delta
-// through the session's single-writer apply loop. sp is the engine's
+// through the session's single-writer apply loop. It returns the candidate
+// rows — rows, then each rule's relaxation extras not already among them —
+// which the engine re-qualifies against the overlay. sp is the engine's
 // cleanselect operator span (zero when untraced); detect/decision/repair
 // spans for each rule nest under it.
 func (qc *queryCtx) CleanSelect(tableName string, rows []int, pred expr.Pred, rules []*dc.Constraint, m *detect.Metrics, sp trace.Span) (*ptable.PTable, []int, error) {
@@ -202,7 +202,6 @@ func (qc *queryCtx) CleanSelect(tableName string, rows []int, pred expr.Pred, ru
 	if !ok {
 		return nil, nil, fmt.Errorf("core: clean: %w %q", ErrUnknownTable, tableName)
 	}
-	current := slices.Clone(rows)
 	var resultSet *posSet // built on the first extras
 	for _, rule := range rules {
 		if err := qc.ctxErr(); err != nil {
@@ -211,51 +210,24 @@ func (qc *queryCtx) CleanSelect(tableName string, rows []int, pred expr.Pred, ru
 		var extra []int
 		var err error
 		if fd, isFD := rule.AsFD(); isFD {
-			extra, err = qc.cleanFD(st, tableName, rule, fd, current, pred, m, sp)
+			extra, err = qc.cleanFD(st, tableName, rule, fd, rows, pred, m, sp)
 		} else {
-			extra, err = qc.cleanDC(st, tableName, rule, current, m, sp)
+			extra, err = qc.cleanDC(st, tableName, rule, rows, m, sp)
 		}
 		if err != nil {
 			return nil, nil, err
 		}
 		if len(extra) > 0 && resultSet == nil {
 			resultSet = new(posSet)
-			for _, r := range current {
+			for _, r := range rows {
 				resultSet.add(r)
 			}
 		}
 		for _, x := range extra {
 			if resultSet.add(x) {
-				current = append(current, x)
+				rows = append(rows, x)
 			}
 		}
 	}
-	pt := qc.pt(tableName)
-	// Re-qualify: keep every tuple that satisfies the predicate in at least
-	// one possible world after cleaning.
-	if pred == nil {
-		return pt, current, nil
-	}
-	var out []int
-	// One closure over a mutable row, with column resolution memoized and
-	// rows read through a segment-caching cursor (current is ascending, so
-	// the positional decode amortizes across each segment).
-	row := 0
-	cur := pt.Cursor()
-	colIdx := make(map[string]int, 2)
-	cellOf := func(ref expr.ColRef) *uncertain.Cell {
-		idx, ok := colIdx[ref.Col]
-		if !ok {
-			idx = pt.Schema.MustIndex(ref.Col)
-			colIdx[ref.Col] = idx
-		}
-		return &cur.At(row).Cells[idx]
-	}
-	for _, r := range current {
-		row = r
-		if pred.EvalCell(cellOf) {
-			out = append(out, r)
-		}
-	}
-	return pt, out, nil
+	return qc.pt(tableName), rows, nil
 }

@@ -54,10 +54,10 @@ func WithTimeout(d time.Duration) QueryOption {
 	return func(c *queryConfig) { c.timeout = d }
 }
 
-// WithTrace records a span tree for this query — parse, plan, admission
-// wait, engine operators with row counts, violation detection, repair, the
-// cost-model decision with its inequality operands, and the writer's
-// publish/WAL path — retrievable from Rows.Trace. Queries without the option
+// WithTrace records a span tree for this query — parse, plan, engine
+// operators with row counts, violation detection, repair, the cost-model
+// decision with its inequality operands, and the writer's publish/WAL path —
+// retrievable from Rows.Trace. Queries without the option
 // (and not sampled via Options.TraceSampleRate) pay nothing.
 func WithTrace() QueryOption {
 	return func(c *queryConfig) { c.trace = true }

@@ -281,35 +281,6 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// TestMaxConcurrentQueries: the semaphore bounds in-flight queries without
-// deadlocking or changing results.
-func TestMaxConcurrentQueries(t *testing.T) {
-	s := NewSession(Options{Strategy: StrategyIncremental, MaxConcurrentQueries: 2})
-	defer s.Close()
-	if err := s.Register(stressTable(200, 3)); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range stressRules() {
-		if err := s.AddRule(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 5; i++ {
-				if _, err := s.Query("SELECT orderkey, suppkey FROM lineorder WHERE orderkey >= 0"); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // TestEpochAdvances: every apply batch publishes exactly one new epoch in
 // the sequential case.
 func TestEpochAdvances(t *testing.T) {

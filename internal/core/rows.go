@@ -40,10 +40,9 @@ type Rows struct {
 	err    error
 	closed bool
 
-	// release returns the query's MaxConcurrentQueries slot (and decrements
-	// the inflight gauge). A streaming query holds its slot for the lifetime
-	// of the cursor — admission bounds streams, not just execution — so the
-	// slot is freed on Close, on a context error observed by Next, or (for an
+	// release decrements the inflight gauge. A streaming query counts as in
+	// flight for the lifetime of the cursor, not just of execution, so it is
+	// released on Close, on a context error observed by Next, or (for an
 	// abandoned cursor) by the context.AfterFunc registered as stop. The
 	// closure is idempotent: every path may call it.
 	release func()
@@ -104,7 +103,7 @@ func (r *Rows) All() iter.Seq2[int, *ptable.Tuple] {
 // expired context surfaces here once Next returns false).
 func (r *Rows) Err() error { return r.err }
 
-// Close releases the cursor and returns the query's concurrency slot. It is
+// Close releases the cursor and ends the query's inflight count. It is
 // idempotent and safe on a nil receiver; enumerated tuples remain valid
 // afterwards.
 func (r *Rows) Close() error {

@@ -37,12 +37,13 @@ func TestRowsAllEnumeratesEverything(t *testing.T) {
 	}
 }
 
-// TestRowsAllEarlyBreakReleasesSlot is the slot-leak pin for the All path —
-// the PR 8 fix covered Close and Next, this covers range-over-func: breaking
-// out of the loop early and closing the cursor must return the admission
-// slot, and the broken-out cursor must still be resumable before Close.
+// TestRowsAllEarlyBreakReleasesSlot is the release pin for the All path —
+// Close and Next have their own pins, this covers range-over-func: breaking
+// out of the loop early and closing the cursor must release the query from
+// the inflight gauge, and the broken-out cursor must still be resumable
+// before Close.
 func TestRowsAllEarlyBreakReleasesSlot(t *testing.T) {
-	s := newCitySession(t, Options{Strategy: StrategyIncremental, MaxConcurrentQueries: 1})
+	s := newCitySession(t, Options{Strategy: StrategyIncremental})
 	defer s.Close()
 
 	rows, err := s.QueryContext(context.Background(), "SELECT zip, city FROM cities")
@@ -66,23 +67,18 @@ func TestRowsAllEarlyBreakReleasesSlot(t *testing.T) {
 	if seen+resumed != rows.Len() {
 		t.Fatalf("resumed range saw %d tuples after %d, want %d total", resumed, seen, rows.Len())
 	}
-	rows.Close()
-	drainSem(t, s)
-
-	// With the slot back, the next query admits without blocking.
-	again, err := s.QueryContext(context.Background(), "SELECT zip, city FROM cities")
-	if err != nil {
-		t.Fatal(err)
+	if got := s.instr.inflight.Value(); got != 1 {
+		t.Fatalf("inflight gauge = %d before Close, want 1", got)
 	}
-	again.Close()
-	drainSem(t, s)
+	rows.Close()
+	waitIdle(t, s)
 }
 
 // TestRowsAllCancelMidIteration pins the third release path under All: a
 // context canceled mid-range stops the loop through Next's guard, surfaces
-// on Err, and returns the slot without the caller ever calling Close.
+// on Err, and releases the query without the caller ever calling Close.
 func TestRowsAllCancelMidIteration(t *testing.T) {
-	s := newCitySession(t, Options{Strategy: StrategyIncremental, MaxConcurrentQueries: 1})
+	s := newCitySession(t, Options{Strategy: StrategyIncremental})
 	defer s.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -94,7 +90,7 @@ func TestRowsAllCancelMidIteration(t *testing.T) {
 	seen := 0
 	for range rows.All() {
 		seen++
-		cancel() // the next Next observes the dead context and releases the slot
+		cancel() // the next Next observes the dead context and releases the query
 	}
 	if seen == 0 || seen == rows.Len() {
 		t.Fatalf("saw %d of %d tuples, want a mid-stream stop", seen, rows.Len())
@@ -102,5 +98,5 @@ func TestRowsAllCancelMidIteration(t *testing.T) {
 	if rows.Err() == nil {
 		t.Fatal("Err must report the cancellation that stopped All")
 	}
-	drainSem(t, s)
+	waitIdle(t, s)
 }

@@ -102,11 +102,6 @@ type Options struct {
 	// sequential execution. Results are identical for any setting — parallel
 	// operators merge deterministically.
 	Workers int
-	// MaxConcurrentQueries caps the number of Query calls executing
-	// simultaneously; further callers block until a slot frees. 0 (default)
-	// means unlimited. Use it to bound memory under heavy traffic: each
-	// in-flight query pins its snapshot epoch and result buffers.
-	MaxConcurrentQueries int
 	// DCThreshold is Algorithm 2's dirtiness threshold above which a general
 	// DC triggers a full clean (default 0.10).
 	DCThreshold float64
@@ -240,7 +235,6 @@ type Session struct {
 	w     *writer
 	bg    *sweeper      // background full cleans (§5.2.3 gone async)
 	ckpt  *checkpointer // durable sessions only (nil: in-memory)
-	sem   chan struct{} // MaxConcurrentQueries gate (nil: unlimited)
 	instr *sessionInstr // metrics registry + instruments (never nil)
 
 	// Metrics accumulates work across all queries. Reads are only meaningful
@@ -290,11 +284,7 @@ func newMemSession(opts Options) *Session {
 	instr := newSessionInstr()
 	durCfg := durabilityConfig{attempts: opts.WALRetries, backoff: opts.WALRetryBackoff}
 	w := newWriter(instr, durCfg)
-	s := &Session{opts: opts, w: w, bg: newSweeper(w, instr), instr: instr}
-	if opts.MaxConcurrentQueries > 0 {
-		s.sem = make(chan struct{}, opts.MaxConcurrentQueries)
-	}
-	return s
+	return &Session{opts: opts, w: w, bg: newSweeper(w, instr), instr: instr}
 }
 
 // arm installs the finalizer once the session is fully assembled (including
@@ -540,37 +530,17 @@ func (s *Session) QueryContext(ctx context.Context, text string, opts ...QueryOp
 		// aborts at the first cooperative check.
 		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
 	}
-	if s.sem != nil {
-		wait := time.Now()
-		select {
-		case s.sem <- struct{}{}:
-			d := time.Since(wait)
-			s.instr.admissionSec.ObserveDuration(d)
-			if root.Active() {
-				root.Child("admission", wait, d)
-			}
-		case <-ctx.Done():
-			cancel()
-			s.instr.recordQueryError(ctx.Err())
-			return nil, fmt.Errorf("core: query aborted awaiting admission: %w", ctx.Err())
-		}
-	}
-	// The query now owns its MaxConcurrentQueries slot (and the inflight
-	// gauge). The slot is held for as long as the query pins its snapshot
-	// epoch and result buffers — which, for a streaming query, is the
-	// lifetime of the returned Rows cursor, not of this call. release is
+	// The query now counts in the inflight gauge for as long as it pins its
+	// snapshot epoch and result buffers — which, for a streaming query, is
+	// the lifetime of the returned Rows cursor, not of this call. release is
 	// idempotent; ownership transfers to the Rows on success and the
 	// deferred safety net covers every error return and panic unwind.
 	s.instr.queries.Inc()
 	s.instr.inflight.Add(1)
 	var released atomic.Bool
 	release := func() {
-		if !released.CompareAndSwap(false, true) {
-			return
-		}
-		s.instr.inflight.Add(-1)
-		if s.sem != nil {
-			<-s.sem
+		if released.CompareAndSwap(false, true) {
+			s.instr.inflight.Add(-1)
 		}
 	}
 	handedOff := false
@@ -645,7 +615,7 @@ func (s *Session) QueryContext(ctx context.Context, text string, opts ...QueryOp
 		plan: node.String(), decisions: qc.decisions, metrics: ex.Metrics,
 		release: release, streamed: s.instr.rowsStreamed, trace: tr,
 	}
-	// An abandoned stream must not pin its slot: a context canceled or timed
+	// An abandoned stream must not stay counted: a context canceled or timed
 	// out mid-stream releases even if the caller never calls Close.
 	rows.stop = context.AfterFunc(ctx, release)
 	return rows, nil

@@ -6,46 +6,33 @@ import (
 	"time"
 )
 
-// drainSem asserts the admission semaphore is fully free by acquiring every
-// slot without blocking, then returns them. Slot release on abandoned streams
-// rides context.AfterFunc, which runs on its own goroutine after cancel — so
-// the fill is retried briefly before declaring a leak.
-func drainSem(t *testing.T, s *Session) {
+// waitIdle asserts the inflight gauge returns to zero: every query and stream
+// has released. Release on abandoned streams rides context.AfterFunc, which
+// runs on its own goroutine after cancel — so the check is retried briefly
+// before declaring a leak.
+func waitIdle(t *testing.T, s *Session) {
 	t.Helper()
-	capacity := cap(s.sem)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		got := 0
-		for got < capacity {
-			select {
-			case s.sem <- struct{}{}:
-				got++
-				continue
-			default:
-			}
-			break
-		}
-		for i := 0; i < got; i++ {
-			<-s.sem
-		}
-		if got == capacity {
+		got := s.instr.inflight.Value()
+		if got == 0 {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("admission semaphore leaked: only %d of %d slots free", got, capacity)
+			t.Fatalf("inflight gauge leaked: %d queries still counted", got)
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
-// TestStreamingReleasesConcurrencySlot pins the slot-lifetime contract: a
-// streaming query holds its MaxConcurrentQueries slot until the Rows cursor
-// is done, and EVERY way a stream ends — Close, a context canceled mid-stream,
-// or an abandoned cursor whose context fires with no Close ever called —
-// returns the slot. 100 canceled streams (half abandoned without Close) must
-// leak nothing and publish nothing.
+// TestStreamingReleasesConcurrencySlot pins the release contract: a
+// streaming query counts in the inflight gauge until the Rows cursor is done,
+// and EVERY way a stream ends — Close, a context canceled mid-stream, or an
+// abandoned cursor whose context fires with no Close ever called — releases
+// it. 100 canceled streams (half abandoned without Close) must leak nothing
+// and publish nothing.
 func TestStreamingReleasesConcurrencySlot(t *testing.T) {
-	s := newCitySession(t, Options{Strategy: StrategyIncremental, MaxConcurrentQueries: 2})
+	s := newCitySession(t, Options{Strategy: StrategyIncremental})
 	defer s.Close()
 
 	// Settle the state first so canceled runs can't race a commit.
@@ -67,19 +54,16 @@ func TestStreamingReleasesConcurrencySlot(t *testing.T) {
 			rows.Close()
 		}
 		// Odd iterations abandon the cursor entirely: no Close, no further
-		// Next — only the canceled context can return the slot.
+		// Next — only the canceled context can release the query.
 		_ = rows
 	}
 
-	drainSem(t, s)
-	if got := s.instr.inflight.Value(); got != 0 {
-		t.Fatalf("inflight gauge = %d after all streams ended, want 0", got)
-	}
+	waitIdle(t, s)
 	if s.Epoch() != epoch {
 		t.Fatalf("canceled streams moved the epoch %d -> %d; aborted queries must publish nothing", epoch, s.Epoch())
 	}
 
-	// The session must still run MaxConcurrentQueries streams side by side.
+	// Open streams count until they close.
 	r1, err := s.QueryContext(context.Background(), "SELECT zip, city FROM cities")
 	if err != nil {
 		t.Fatal(err)
@@ -88,16 +72,19 @@ func TestStreamingReleasesConcurrencySlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := s.instr.inflight.Value(); got != 2 {
+		t.Fatalf("inflight gauge = %d with two open streams, want 2", got)
+	}
 	r1.Close()
 	r2.Close()
-	drainSem(t, s)
+	waitIdle(t, s)
 }
 
 // TestNextAfterCtxErrorReleasesSlot covers the third release path: the caller
 // keeps the cursor, never cancels explicitly, but a deadline fires and a
 // subsequent Next observes it.
 func TestNextAfterCtxErrorReleasesSlot(t *testing.T) {
-	s := newCitySession(t, Options{Strategy: StrategyIncremental, MaxConcurrentQueries: 1})
+	s := newCitySession(t, Options{Strategy: StrategyIncremental})
 	defer s.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -115,13 +102,13 @@ func TestNextAfterCtxErrorReleasesSlot(t *testing.T) {
 	if rows.Err() == nil {
 		t.Fatal("Err must report the cancellation")
 	}
-	drainSem(t, s)
+	waitIdle(t, s)
 }
 
 // TestExplainReleasesSlot pins the WithExplain fast path: an explain-only
-// Rows carries no frame but still owns a slot until Close.
+// Rows carries no frame but still counts as in flight until Close.
 func TestExplainReleasesSlot(t *testing.T) {
-	s := newCitySession(t, Options{MaxConcurrentQueries: 1})
+	s := newCitySession(t, Options{})
 	defer s.Close()
 	rows, err := s.QueryContext(context.Background(), "SELECT zip, city FROM cities", WithExplain())
 	if err != nil {
@@ -131,5 +118,5 @@ func TestExplainReleasesSlot(t *testing.T) {
 		t.Fatal("explain must return a plan")
 	}
 	rows.Close()
-	drainSem(t, s)
+	waitIdle(t, s)
 }

@@ -57,13 +57,13 @@ func TestHashJoinAllocs(t *testing.T) {
 		}
 		fr.Materialize()
 	})
-	// Budget: output rows dominate (one cell slice per emitted row, about 2
-	// allocations per row in all); the probe side must not add
-	// per-candidate key allocations, and a join tuple carries nothing but
-	// its cells.
+	// Budget: output rows dominate (about one allocation per row in all:
+	// join tuples carve their cells from one block); the probe side must not
+	// add per-candidate key allocations, and a join tuple carries nothing
+	// but its cells.
 	perRow := perRun / 2000
-	if perRow > 3 {
-		t.Errorf("hash join allocates %.2f per output row (%.0f per run), want ≤ 3", perRow, perRun)
+	if perRow > 1.5 {
+		t.Errorf("hash join allocates %.2f per output row (%.0f per run), want ≤ 1.5", perRow, perRun)
 	}
 }
 

@@ -30,10 +30,13 @@ import (
 // applies repairs for the rows' violations and returns the relation
 // generation downstream operators must read (under snapshot isolation the
 // fixes land on a copy-on-write overlay, not the executor's input table)
-// together with the final qualifying row positions (the relaxed, corrected
-// result). A nil returned table means "unchanged". sp is the cleanσ
-// operator's trace span (the zero Span when untraced); implementations nest
-// their detection/decision/repair spans under it.
+// together with the candidate row positions: the input rows, then the
+// relaxation's extras, each once. A nil returned table means "unchanged".
+// The cleaner may append to rows (the executor owns it and reads it no
+// more) but does not re-test the predicate: the executor re-qualifies the
+// candidates against the returned generation with its own filter. sp is the
+// cleanσ operator's trace span (the zero Span when untraced);
+// implementations nest their detection/decision/repair spans under it.
 type Cleaner interface {
 	CleanSelect(table string, rows []int, pred expr.Pred, rules []*dc.Constraint, m *detect.Metrics, sp trace.Span) (*ptable.PTable, []int, error)
 }
@@ -58,8 +61,8 @@ type Executor struct {
 	Span trace.Span
 }
 
-// ctxCheckEvery is how many rows the sequential hot loops process between
-// cancellation polls.
+// ctxCheckEvery is how many rows the hot loops process between cancellation
+// polls.
 const ctxCheckEvery = 1024
 
 // ctxErr polls the executor's context; non-nil means execution must unwind.
@@ -203,8 +206,9 @@ func (e *Executor) execSelect(node *plan.Select, parent trace.Span) (*frame, err
 }
 
 // parallelism returns the worker count to use for an operator over n items:
-// sequential below the partition threshold (goroutine fan-out costs more
-// than it saves on small inputs) and Workers-bounded above it.
+// one (a single chunk, run inline) below the partition threshold — goroutine
+// fan-out costs more than it saves on small inputs — and Workers-bounded
+// above it.
 func (e *Executor) parallelism(n int) int {
 	if e.Workers <= 1 || n < parallelThreshold {
 		return 1
@@ -220,7 +224,7 @@ func (e *Executor) parallelism(n int) int {
 // sequentially.
 const parallelThreshold = 2048
 
-// chunkBounds splits n items into at most w contiguous chunks whose interior
+// chunkBounds splits n items into 1..w contiguous chunks whose interior
 // boundaries are PTable segment multiples: parallel tasks are segment
 // ranges, so chunks over base scans (where row position equals row-set
 // index) touch disjoint segment sets and workers never interleave reads
@@ -228,33 +232,34 @@ const parallelThreshold = 2048
 // segment directory exactly once per segment. Distributing whole segments
 // (i*segs/w) keeps chunks balanced to within one segment; fewer segments
 // than workers simply yields fewer chunks (runChunks caps its pool at the
-// chunk count). Chunks concatenate in order, so the merged output is
-// byte-identical to the sequential scan for every worker count.
+// chunk count), and w = 1 or n = 0 yields the one chunk [0, n]. Chunks
+// concatenate in order, so the merged output is byte-identical for every
+// worker count.
 func chunkBounds(n, w int) []int {
-	segs := (n + ptable.SegmentSize - 1) / ptable.SegmentSize
-	if w > segs {
-		w = segs
-	}
+	segs := max((n+ptable.SegmentSize-1)/ptable.SegmentSize, 1)
+	w = min(w, segs)
 	bounds := make([]int, w+1)
-	for i := 0; i <= w; i++ {
-		b := (i * segs / w) * ptable.SegmentSize
-		if b > n {
-			b = n
-		}
-		bounds[i] = b
+	for i := 1; i <= w; i++ {
+		bounds[i] = min((i*segs/w)*ptable.SegmentSize, n)
 	}
 	return bounds
 }
 
 // runChunks executes fn per chunk on a bounded worker pool and returns when
 // every chunk finished. fn receives the chunk index and its [lo, hi) bounds.
-// A done ctx makes workers drain the remaining chunks without running them —
-// the caller detects the abort with ctxErr afterwards and discards the
-// partial results.
+// A pool of one runs the chunks inline, without a goroutine. A done ctx
+// makes workers skip the remaining chunks — the caller detects the abort
+// with ctxErr afterwards and discards the partial results.
 func runChunks(ctx context.Context, bounds []int, workers int, fn func(ci, lo, hi int)) {
 	chunks := len(bounds) - 1
 	if workers > chunks {
 		workers = chunks
+	}
+	if workers <= 1 {
+		for ci := 0; ci < chunks && (ctx == nil || ctx.Err() == nil); ci++ {
+			fn(ci, bounds[ci], bounds[ci+1])
+		}
+		return
 	}
 	next := make(chan int)
 	var wg sync.WaitGroup
@@ -283,8 +288,8 @@ type filterStats struct{ evaluated, pruned int }
 
 // filter keeps the rows qualifying in at least one possible world. Above the
 // partition threshold the row set fans out across the worker pool; chunk
-// results concatenate in chunk order, so the output is byte-identical to the
-// sequential scan. A full base scan is walked segment by segment: where a
+// results concatenate in chunk order, so the output is byte-identical for
+// every worker count. A full base scan is walked segment by segment: where a
 // segment's zones rule out its bounded cells, only the rows with an Unsure
 // bit are evaluated, with the same EvalCell, in the same order.
 func (e *Executor) filter(f *frame, pred expr.Pred) (*frame, filterStats, error) {
@@ -292,20 +297,13 @@ func (e *Executor) filter(f *frame, pred expr.Pred) (*frame, filterStats, error)
 	if f.full {
 		zt = compileZoneTest(pred, f.pt.Schema)
 	}
-	n := len(f.rows)
-	bounds := []int{0, n}
-	w := e.parallelism(n)
-	if w > 1 {
-		bounds = chunkBounds(n, w)
-	}
+	w := e.parallelism(len(f.rows))
+	bounds := chunkBounds(len(f.rows), w)
 	keeps := make([][]int, len(bounds)-1)
 	stats := make([]filterStats, len(bounds)-1)
-	scan := func(ci, lo, hi int) { keeps[ci], stats[ci] = e.filterChunk(f, pred, zt, lo, hi) }
-	if w > 1 {
-		runChunks(e.Ctx, bounds, w, scan)
-	} else {
-		scan(0, 0, n)
-	}
+	runChunks(e.Ctx, bounds, w, func(ci, lo, hi int) {
+		keeps[ci], stats[ci] = e.filterChunk(f, pred, zt, lo, hi)
+	})
 	if err := e.ctxErr(); err != nil {
 		return nil, filterStats{}, err
 	}
@@ -491,11 +489,23 @@ func (e *Executor) execCleanSelect(node *plan.CleanSelect, parent trace.Span) (*
 		pred = sel.Pred
 	}
 	sp := parent.Start("cleanselect")
-	pt, rows, err := e.Cleaner.CleanSelect(node.Table, f.rows, pred, node.Rules, &e.Metrics, sp)
+	out, err := e.cleanSelect(node, f, pred, sp)
 	if sp.Active() {
+		n := 0
+		if out != nil {
+			n = len(out.rows)
+		}
 		sp.End(trace.Str("table", node.Table), trace.Int("rules", len(node.Rules)),
-			trace.Int("rows_in", len(f.rows)), trace.Int("rows_out", len(rows)))
+			trace.Int("rows_in", len(f.rows)), trace.Int("rows_out", n))
 	}
+	return out, err
+}
+
+// cleanSelect runs the cleaner over f's rows, then re-qualifies its
+// candidates: the same filter, over the cleaned generation, keeps every row
+// that satisfies pred in at least one possible world after cleaning (§4).
+func (e *Executor) cleanSelect(node *plan.CleanSelect, f *frame, pred expr.Pred, sp trace.Span) (*frame, error) {
+	pt, rows, err := e.Cleaner.CleanSelect(node.Table, f.rows, pred, node.Rules, &e.Metrics, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -506,7 +516,12 @@ func (e *Executor) execCleanSelect(node *plan.CleanSelect, parent trace.Span) (*
 	} else {
 		pt = e.Tables[node.Table]
 	}
-	return &frame{pt: pt, rows: rows, table: f.table, isBase: true}, nil
+	out := &frame{pt: pt, rows: rows, table: f.table, isBase: true}
+	if pred == nil {
+		return out, nil
+	}
+	out, _, err = e.filter(out, pred)
+	return out, err
 }
 
 func (e *Executor) execJoin(node *plan.Join, parent trace.Span) (*frame, error) {
@@ -554,24 +569,25 @@ func (e *Executor) hashJoin(lf, rf *frame, node *plan.Join, sp trace.Span) (*fra
 	}
 	msp := sp.Start("materialize")
 	out.Reserve(len(matches))
+	// Join tuples carve their cells from one block: the left row's cells,
+	// then the right row's.
+	lw, width := lf.pt.Schema.Len(), joinedSchema.Len()
+	cells := make([]uncertain.Cell, len(matches)*width)
 	tuples := make([]ptable.Tuple, len(matches))
-	if w := e.parallelism(len(matches)); w > 1 {
-		runChunks(e.Ctx, chunkBounds(len(matches), w), w, func(ci, lo, hi int) {
-			// Per-chunk cursors: match rows arrive in near-ascending left
-			// order, so the segment cache amortizes the positional decodes.
-			lcur, rcur := lf.pt.Cursor(), rf.pt.Cursor()
-			for i := lo; i < hi; i++ {
-				fillJoinTuple(&tuples[i], int64(i), lcur.At(matches[i].l), rcur.At(matches[i].r))
-			}
-		})
-		if err := e.ctxErr(); err != nil {
-			return nil, err
-		}
-	} else {
+	w := e.parallelism(len(matches))
+	runChunks(e.Ctx, chunkBounds(len(matches), w), w, func(ci, lo, hi int) {
+		// Per-chunk cursors: match rows arrive in near-ascending left order,
+		// so the segment cache amortizes the positional decodes.
 		lcur, rcur := lf.pt.Cursor(), rf.pt.Cursor()
-		for i, mt := range matches {
-			fillJoinTuple(&tuples[i], int64(i), lcur.At(mt.l), rcur.At(mt.r))
+		for i := lo; i < hi; i++ {
+			dst := cells[i*width : (i+1)*width : (i+1)*width]
+			copy(dst, lcur.At(matches[i].l).Cells)
+			copy(dst[lw:], rcur.At(matches[i].r).Cells)
+			tuples[i] = ptable.Tuple{ID: int64(i), Cells: dst}
 		}
+	})
+	if err := e.ctxErr(); err != nil {
+		return nil, err
 	}
 	for i := range tuples {
 		out.Append(&tuples[i])
@@ -587,25 +603,14 @@ func (e *Executor) hashJoin(lf, rf *frame, node *plan.Join, sp trace.Span) (*fra
 type joinMatch struct{ l, r int }
 
 // buildSide hashes the build relation by every candidate value of its join
-// key. Above the partition threshold the build fans out: each worker scans
-// one chunk into a private map and the chunk maps merge in chunk order, so
-// every key's row list is in ascending row order — identical to the
-// sequential build.
+// key. Each chunk scans into a private map; above the partition threshold
+// the chunks fan out and their maps merge in chunk order, so every key's row
+// list is in ascending row order for every worker count. A single chunk's
+// map is the build.
 func (e *Executor) buildSide(rf *frame, ref expr.ColRef) map[value.MapKey][]int {
 	w := e.parallelism(len(rf.rows))
-	if w <= 1 {
-		get := e.cellGetter(rf)
-		build := make(map[value.MapKey][]int, len(rf.rows))
-		for _, r := range rf.rows {
-			for _, v := range get(r, ref).Values() {
-				k := v.MapKey()
-				build[k] = append(build[k], r)
-			}
-		}
-		return build
-	}
 	bounds := chunkBounds(len(rf.rows), w)
-	parts := make([]map[value.MapKey][]int, w)
+	parts := make([]map[value.MapKey][]int, len(bounds)-1)
 	runChunks(e.Ctx, bounds, w, func(ci, lo, hi int) {
 		get := e.cellGetter(rf)
 		part := make(map[value.MapKey][]int, hi-lo)
@@ -617,6 +622,9 @@ func (e *Executor) buildSide(rf *frame, ref expr.ColRef) map[value.MapKey][]int 
 		}
 		parts[ci] = part
 	})
+	if len(parts) == 1 {
+		return parts[0]
+	}
 	build := make(map[value.MapKey][]int, len(rf.rows))
 	for _, part := range parts {
 		for k, rows := range part {
@@ -627,26 +635,22 @@ func (e *Executor) buildSide(rf *frame, ref expr.ColRef) map[value.MapKey][]int 
 }
 
 // probeSide probes every candidate value of the left join key and collects
-// qualifying pairs. Parallel probing chunks the left rows and concatenates
-// per-chunk matches in chunk order — the same pair sequence as the
-// sequential probe. Comparison counts accumulate per worker and merge after.
+// qualifying pairs. Probing chunks the left rows and concatenates per-chunk
+// matches in chunk order, so the pair sequence is the same for every worker
+// count. Comparison counts accumulate per chunk and merge after.
 func (e *Executor) probeSide(lf *frame, ref expr.ColRef, build map[value.MapKey][]int) []joinMatch {
 	w := e.parallelism(len(lf.rows))
-	if w <= 1 {
-		local := detect.Metrics{}
-		m := e.probeChunk(lf, ref, build, lf.rows, &local)
-		e.Metrics.Add(local)
-		return m
-	}
 	bounds := chunkBounds(len(lf.rows), w)
-	results := make([][]joinMatch, w)
-	locals := make([]detect.Metrics, w)
+	results := make([][]joinMatch, len(bounds)-1)
+	locals := make([]detect.Metrics, len(bounds)-1)
 	runChunks(e.Ctx, bounds, w, func(ci, lo, hi int) {
 		results[ci] = e.probeChunk(lf, ref, build, lf.rows[lo:hi], &locals[ci])
 	})
-	var out []joinMatch
+	out := results[0]
 	for ci, ms := range results {
-		out = append(out, ms...)
+		if ci > 0 {
+			out = append(out, ms...)
+		}
 		e.Metrics.Add(locals[ci])
 	}
 	return out
@@ -680,13 +684,6 @@ func (e *Executor) probeChunk(lf *frame, ref expr.ColRef, build map[value.MapKey
 		}
 	}
 	return out
-}
-
-func fillJoinTuple(t *ptable.Tuple, id int64, l, r *ptable.Tuple) {
-	t.ID = id
-	t.Cells = make([]uncertain.Cell, 0, len(l.Cells)+len(r.Cells))
-	t.Cells = append(t.Cells, l.Cells...)
-	t.Cells = append(t.Cells, r.Cells...)
 }
 
 func seq(n int) []int {

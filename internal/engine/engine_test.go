@@ -273,17 +273,34 @@ type fakeCleaner struct {
 	calledTable string
 	calledRows  []int
 	extraRows   []int
+	fixed       *ptable.PTable // the generation returned; nil means unchanged
 }
 
 func (f *fakeCleaner) CleanSelect(tbl string, rows []int, pred expr.Pred, rules []*dc.Constraint, m *detect.Metrics, sp trace.Span) (*ptable.PTable, []int, error) {
 	f.calledTable = tbl
 	f.calledRows = rows
-	return nil, append(append([]int{}, rows...), f.extraRows...), nil
+	return f.fixed, append(rows, f.extraRows...), nil
 }
 
+// TestCleanSelectInvokesCleaner pins the cleaner contract: the cleaner sees
+// the filtered rows and returns candidates, and the executor re-qualifies
+// them against the cleaner's generation. An extra that may satisfy the
+// predicate after cleaning is kept; one that fails it in every world is
+// dropped.
 func TestCleanSelectInvokesCleaner(t *testing.T) {
 	pt := citiesPT()
-	fc := &fakeCleaner{extraRows: []int{1}}
+	// The cleaned generation makes row 1's city {San Francisco, Los Angeles};
+	// row 2 stays New York.
+	d := ptable.NewDelta("cities")
+	d.Set(1, 1, uncertain.Cell{
+		Orig: value.NewString("San Francisco"),
+		Candidates: []uncertain.Candidate{
+			{Val: value.NewString("Los Angeles"), Prob: 0.5, World: 1},
+			{Val: value.NewString("San Francisco"), Prob: 0.5},
+		},
+	})
+	fixed, _ := pt.ApplyCOW(d)
+	fc := &fakeCleaner{extraRows: []int{1, 2}, fixed: fixed}
 	e := &Executor{Tables: map[string]*ptable.PTable{"cities": pt}, Cleaner: fc}
 	rule := dc.FD("phi", "cities", "city", "zip")
 	parsed := sql.MustParse("SELECT zip FROM cities WHERE city = 'Los Angeles'")
@@ -295,13 +312,16 @@ func TestCleanSelectInvokesCleaner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := fr.Materialize()
 	if fc.calledTable != "cities" || len(fc.calledRows) != 1 {
 		t.Errorf("cleaner saw table=%q rows=%v", fc.calledTable, fc.calledRows)
 	}
-	// Cleaner added row 1 to the result.
-	if out.Len() != 2 {
-		t.Errorf("result rows = %d, want 2 after relaxation", out.Len())
+	if e.Tables["cities"] != fixed {
+		t.Errorf("downstream operators must read the cleaner's generation")
+	}
+	// Row 1 may be Los Angeles after cleaning and is kept; row 2 is New
+	// York in every world and is dropped.
+	if out := fr.Materialize(); out.Len() != 2 {
+		t.Errorf("result rows = %d, want 2 after re-qualification", out.Len())
 	}
 }
 

@@ -1,8 +1,12 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"testing"
 
+	"daisy/internal/dc"
+	"daisy/internal/expr"
 	"daisy/internal/ptable"
 	"daisy/internal/schema"
 	"daisy/internal/table"
@@ -82,8 +86,14 @@ func TestChunkBoundsSegmentGranular(t *testing.T) {
 		{parallelThreshold + 1, 8}, {parallelThreshold - 1, 7},
 		{2*seg + 1, 8}, {seg, 4}, {seg + 1, 4}, {3 * seg, 3},
 		{4*seg + 13, 16}, {1 << 16, 5}, {(1 << 16) + 511, 12},
+		// One worker or no rows: the one chunk [0, n] every sequential
+		// operator runs.
+		{0, 1}, {0, 8}, {seg - 1, 1},
 	} {
 		bounds := chunkBounds(tc.n, tc.w)
+		if len(bounds) < 2 {
+			t.Fatalf("chunkBounds(%d,%d) = %v: want at least one chunk", tc.n, tc.w, bounds)
+		}
 		if len(bounds)-1 > tc.w {
 			t.Errorf("chunkBounds(%d,%d): %d chunks > %d workers", tc.n, tc.w, len(bounds)-1, tc.w)
 		}
@@ -142,5 +152,26 @@ func TestParallelThresholdKeepsSmallInputsSequential(t *testing.T) {
 	e.Workers = 0
 	if got := e.parallelism(1 << 20); got != 1 {
 		t.Errorf("parallelism with Workers=0 = %d, want 1", got)
+	}
+}
+
+// TestFilterDoneCtx pins cancellation on the one-chunk path as on the
+// fanned-out one: a context that is already done makes filter return its
+// error, over a full scan (zone walk) and over a row set alike.
+func TestFilterDoneCtx(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	pred := &expr.Cmp{Ref: expr.ColRef{Col: "v"}, Op: dc.Geq, Val: value.NewInt(10)}
+	for _, n := range []int{100, 3 * parallelThreshold} {
+		pt := bigPT("big", n)
+		for _, workers := range []int{1, 4} {
+			for _, full := range []bool{true, false} {
+				e := &Executor{Workers: workers, Ctx: ctx}
+				f := &frame{pt: pt, rows: seq(n), table: "big", isBase: true, full: full}
+				if _, _, err := e.filter(f, pred); !errors.Is(err, context.Canceled) {
+					t.Errorf("n=%d workers=%d full=%v: err = %v, want context.Canceled", n, workers, full, err)
+				}
+			}
+		}
 	}
 }

@@ -50,8 +50,8 @@ type Config struct {
 	// tenants, created on first use and kept for the server's lifetime.
 	Root string
 	// Session is the option template every tenant session is opened with
-	// (Dir is overridden per tenant from Root). Leave MaxConcurrentQueries
-	// zero: the server's own admission gate bounds concurrency.
+	// (Dir is overridden per tenant from Root). Sessions have no admission
+	// gate of their own: the server's bounds concurrency.
 	Session core.Options
 	// MaxInflight caps queries executing or streaming simultaneously
 	// (default 32).

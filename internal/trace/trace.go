@@ -1,8 +1,8 @@
 // Package trace is Daisy's dependency-free per-query span tracer. A Trace is
 // a bounded arena of spans — name, parent, start, duration, typed attributes
 // — that attributes one query's latency to the pipeline stages it crossed:
-// parse, plan, admission, engine operators, violation detection, repair, and
-// the writer's publish/WAL path.
+// parse, plan, engine operators, violation detection, repair, and the
+// writer's publish/WAL path.
 //
 // The design mirrors how cancellation is threaded through the query path:
 // everything is nil-safe, so an untraced query pays zero. A nil *Trace hands

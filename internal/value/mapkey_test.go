@@ -54,9 +54,6 @@ func TestKey64ConsistentWithMapKey(t *testing.T) {
 	if NewInt(7).Key64() != NewFloat(7).Key64() {
 		t.Error("integral float must hash like the equal int")
 	}
-	if NewInt(7).Hash() != NewInt(7).Key64() {
-		t.Error("Hash must alias Key64")
-	}
 }
 
 // TestCompositeKeyInjective: composite keys must distinguish boundary

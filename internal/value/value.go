@@ -158,10 +158,6 @@ func (v Value) rank() int {
 // Less reports v < o under Compare ordering.
 func (v Value) Less(o Value) bool { return v.Compare(o) < 0 }
 
-// Hash returns a 64-bit hash suitable for grouping. Numerically equal Ints
-// and Floats hash identically. It is an alias of Key64.
-func (v Value) Hash() uint64 { return v.Key64() }
-
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
@@ -359,7 +355,7 @@ func (v Value) String() string {
 }
 
 // Key returns a map-key representation that is unique per distinct value,
-// aligning Int/Float numeric equality with Hash.
+// aligning Int/Float numeric equality with Key64.
 func (v Value) Key() string {
 	switch v.kind {
 	case Null:

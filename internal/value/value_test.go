@@ -98,14 +98,14 @@ func TestHashAlignedWithEquality(t *testing.T) {
 		{NewNull(), NewNull()},
 	}
 	for _, p := range pairs {
-		if p[0].Hash() != p[1].Hash() {
+		if p[0].Key64() != p[1].Key64() {
 			t.Errorf("equal values %v and %v hash differently", p[0], p[1])
 		}
 		if p[0].Key() != p[1].Key() {
 			t.Errorf("equal values %v and %v key differently", p[0], p[1])
 		}
 	}
-	if NewInt(1).Hash() == NewInt(2).Hash() {
+	if NewInt(1).Key64() == NewInt(2).Key64() {
 		t.Error("distinct ints should (almost surely) hash differently")
 	}
 	if NewString("1").Key() == NewInt(1).Key() {
@@ -204,7 +204,7 @@ func TestCompareIsTransitiveProperty(t *testing.T) {
 func TestHashEqualityProperty(t *testing.T) {
 	f := func(a int64) bool {
 		a %= 1 << 53 // keep within float64's exact integer range
-		return NewInt(a).Hash() == NewFloat(float64(a)).Hash()
+		return NewInt(a).Key64() == NewFloat(float64(a)).Key64()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -95,26 +95,6 @@ func synthesizeDistinct(cur value.Value, rng *rand.Rand) value.Value {
 	}
 }
 
-// InjectTypos edits the given fraction of cells in a column by appending a
-// typo marker — the hospital-style cell corruption with ground truth kept by
-// the caller. Returns the edited row indexes.
-func InjectTypos(t *table.Table, col string, fraction float64, seed int64) []int {
-	rng := rand.New(rand.NewSource(seed))
-	ci := t.Schema.MustIndex(col)
-	n := int(float64(t.Len()) * fraction)
-	if n == 0 && fraction > 0 {
-		n = 1
-	}
-	perm := rng.Perm(t.Len())
-	var edited []int
-	for _, row := range perm[:n] {
-		cur := t.Rows[row][ci]
-		t.Rows[row][ci] = value.NewString(typo(cur.String(), rng))
-		edited = append(edited, row)
-	}
-	return edited
-}
-
 // typo flips one character of s (or appends one when too short).
 func typo(s string, rng *rand.Rand) string {
 	if len(s) < 2 {

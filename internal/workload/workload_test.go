@@ -249,20 +249,6 @@ func TestDenormLineorderSupplier(t *testing.T) {
 	}
 }
 
-func TestInjectTypos(t *testing.T) {
-	h := Hospital(100, 0, 1)
-	tb := h.Clean.Clone()
-	edited := InjectTypos(tb, "city", 0.1, 2)
-	if len(edited) != 10 {
-		t.Fatalf("edited = %d", len(edited))
-	}
-	for _, row := range edited {
-		if tb.ColByName(row, "city").Equal(h.Clean.ColByName(row, "city")) {
-			t.Errorf("row %d unchanged", row)
-		}
-	}
-}
-
 func TestDimensionGenerators(t *testing.T) {
 	if p := Parts(100, 1); p.Len() != 100 {
 		t.Errorf("parts = %d", p.Len())
