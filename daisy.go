@@ -27,9 +27,13 @@
 //	if err != nil { ... }
 //	defer rows.Close()
 //	for rows.Next() {
-//		t := rows.Row() // *daisy.Tuple, probabilistic cells
+//		t := rows.Row() // *daisy.Tuple, probabilistic cells; valid until the next Next
 //	}
 //	if err := rows.Err(); err != nil { ... }
+//
+// A projected row is one reused tuple filled from the result's column map,
+// so a caller that keeps a row past Next copies it; Result materializes the
+// whole answer.
 //
 // Cancellation is threaded through the whole execution path — plan
 // operators, theta-join workers, the relaxation/repair loop — so a
@@ -122,7 +126,8 @@ const (
 )
 
 // Rows is a streaming cursor over a cleaned query result: Next/Row/Err/Close
-// plus a Go 1.23 All() iterator. Returned by Session.QueryContext.
+// plus a Go 1.23 All() iterator. Returned by Session.QueryContext. A row is
+// valid until the next Next.
 type Rows = core.Rows
 
 // Tuple is one result row: its position in the result (ID) and its

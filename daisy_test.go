@@ -106,16 +106,33 @@ func TestQueryContextStreaming(t *testing.T) {
 	if rows.Plan() != res.Plan {
 		t.Errorf("plan mismatch: %q vs %q", rows.Plan(), res.Plan)
 	}
+	// The projected row's contract: its ID is the result index, its cells
+	// equal Result()'s row, and Row called twice before the next Next gives
+	// the same content.
 	i := 0
 	for rows.Next() {
 		tup := rows.Row()
 		want := res.Rows.At(i)
+		if tup.ID != int64(i) {
+			t.Errorf("row %d: ID %d, want the result index", i, tup.ID)
+		}
 		if len(tup.Cells) != len(want.Cells) {
 			t.Fatalf("row %d: cell count %d != %d", i, len(tup.Cells), len(want.Cells))
 		}
+		first := make([]string, len(tup.Cells))
 		for c := range tup.Cells {
-			if tup.Cells[c].String() != want.Cells[c].String() {
-				t.Errorf("row %d cell %d: %s != %s", i, c, tup.Cells[c].String(), want.Cells[c].String())
+			first[c] = tup.Cells[c].String()
+			if first[c] != want.Cells[c].String() {
+				t.Errorf("row %d cell %d: %s != %s", i, c, first[c], want.Cells[c].String())
+			}
+		}
+		again := rows.Row()
+		if again.ID != int64(i) || len(again.Cells) != len(first) {
+			t.Fatalf("row %d: second Row() gives ID %d with %d cells", i, again.ID, len(again.Cells))
+		}
+		for c := range again.Cells {
+			if again.Cells[c].String() != first[c] {
+				t.Errorf("row %d cell %d: second Row() gives %s, first %s", i, c, again.Cells[c].String(), first[c])
 			}
 		}
 		i++

@@ -191,9 +191,11 @@ func (qc *queryCtx) private(table, rule string) *posSet {
 // (returned so downstream operators read them), and routes the same delta
 // through the session's single-writer apply loop. It returns the candidate
 // rows — rows, then each rule's relaxation extras not already among them —
-// which the engine re-qualifies against the overlay. sp is the engine's
-// cleanselect operator span (zero when untraced); detect/decision/repair
-// spans for each rule nest under it.
+// which the engine re-qualifies against the overlay; the overlay is built by
+// ApplyCOW, so an input row whose tuple no fix touched is shared with the
+// snapshot and needs no re-test. sp is the engine's cleanselect operator
+// span (zero when untraced); detect/decision/repair spans for each rule nest
+// under it.
 func (qc *queryCtx) CleanSelect(tableName string, rows []int, pred expr.Pred, rules []*dc.Constraint, m *detect.Metrics, sp trace.Span) (*ptable.PTable, []int, error) {
 	if err := qc.ctxErr(); err != nil {
 		return nil, nil, err

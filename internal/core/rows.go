@@ -11,6 +11,7 @@ import (
 	"daisy/internal/ptable"
 	"daisy/internal/schema"
 	"daisy/internal/trace"
+	"daisy/internal/uncertain"
 )
 
 // Rows is a streaming cursor over a cleaned query result. It enumerates the
@@ -27,12 +28,14 @@ import (
 //	}
 //	if err := rows.Err(); err != nil { ... }
 //
-// A Rows is not safe for concurrent use. The enumerated tuples alias
-// immutable epoch state: they stay valid after Close and after the session
-// advances, but must not be mutated.
+// A Rows is not safe for concurrent use. A tuple from Row is valid until the
+// next Next: a projected result fills one reused tuple from the column map,
+// so a caller that keeps a row past Next copies it (Result materializes the
+// whole answer). Cells alias immutable epoch state and must not be mutated.
 type Rows struct {
 	fr  *engine.Frame
-	pos int // index into fr.Rows of the current row; -1 before the first Next
+	pos int          // index into fr.Rows of the current row; -1 before the first Next
+	row ptable.Tuple // the reused tuple Row fills when fr has a column map
 
 	ctx    context.Context
 	cancel context.CancelFunc // releases the WithTimeout timer, if any
@@ -81,14 +84,28 @@ func (r *Rows) Next() bool {
 }
 
 // Row returns the current tuple. Valid only after a Next call that returned
-// true; the tuple aliases immutable epoch state and must not be mutated.
+// true, and only until the next Next: a projected row is one reused tuple,
+// filled from the column map, whose ID is the result index. Its cells alias
+// immutable epoch state and must not be mutated.
 func (r *Rows) Row() *ptable.Tuple {
-	return r.fr.PT.At(r.fr.Rows[r.pos])
+	t := r.fr.PT.At(r.fr.Rows[r.pos])
+	if r.fr.Cols == nil {
+		return t
+	}
+	if r.row.Cells == nil {
+		r.row.Cells = make([]uncertain.Cell, len(r.fr.Cols))
+	}
+	for i, c := range r.fr.Cols {
+		r.row.Cells[i] = t.Cells[c]
+	}
+	r.row.ID = int64(r.pos)
+	return &r.row
 }
 
 // All adapts the cursor to a Go 1.23 range-over-func iterator yielding
-// (result index, tuple). Breaking out of the range loop stops enumeration;
-// check Err afterwards for a mid-iteration cancellation.
+// (result index, tuple). Each tuple is Row's and valid until the loop
+// advances. Breaking out of the range loop stops enumeration; check Err
+// afterwards for a mid-iteration cancellation.
 func (r *Rows) All() iter.Seq2[int, *ptable.Tuple] {
 	return func(yield func(int, *ptable.Tuple) bool) {
 		for i := 0; r.Next(); i++ {
@@ -104,8 +121,7 @@ func (r *Rows) All() iter.Seq2[int, *ptable.Tuple] {
 func (r *Rows) Err() error { return r.err }
 
 // Close releases the cursor and ends the query's inflight count. It is
-// idempotent and safe on a nil receiver; enumerated tuples remain valid
-// afterwards.
+// idempotent and safe on a nil receiver.
 func (r *Rows) Close() error {
 	if r == nil || r.closed {
 		return nil
@@ -136,7 +152,7 @@ func (r *Rows) Schema() *schema.Schema {
 	if r.fr == nil {
 		return nil
 	}
-	return r.fr.PT.Schema
+	return r.fr.Schema
 }
 
 // Plan returns the executed (or, under WithExplain, the planned) logical

@@ -34,9 +34,12 @@ import (
 // relaxation's extras, each once. A nil returned table means "unchanged".
 // The cleaner may append to rows (the executor owns it and reads it no
 // more) but does not re-test the predicate: the executor re-qualifies the
-// candidates against the returned generation with its own filter. sp is the
-// cleanσ operator's trace span (the zero Span when untraced);
-// implementations nest their detection/decision/repair spans under it.
+// candidates against the returned generation with its own filter, keeping an
+// input row untested where that generation shares its tuple with the input's.
+// Fixes must therefore land copy-on-write (ApplyCOW), never by mutating a
+// tuple in place. sp is the cleanσ operator's trace span (the zero Span
+// when untraced); implementations nest their detection/decision/repair spans
+// under it.
 type Cleaner interface {
 	CleanSelect(table string, rows []int, pred expr.Pred, rules []*dc.Constraint, m *detect.Metrics, sp trace.Span) (*ptable.PTable, []int, error)
 }
@@ -76,24 +79,60 @@ func (e *Executor) ctxErr() error {
 	return nil
 }
 
-// frame is an intermediate result: selected row positions over a relation.
+// frame is an intermediate result: selected row positions over a relation
+// generation, read through a column map.
 type frame struct {
 	pt     *ptable.PTable
-	rows   []int
+	rows   []int  // nil when full
 	table  string // base table name when isBase
 	isBase bool
-	// full marks the identity scan of a base relation (rows[i] == i for every
-	// row), which filter walks segment by segment against the zone maps.
+	// The first passed rows already qualified, on generation prev, for the
+	// predicate a re-qualifying filter tests (see filter); prev is nil
+	// elsewhere.
+	prev   *ptable.PTable
+	passed int
+	// full marks the unfiltered scan of a base relation: every row, in
+	// position order, with rows left nil. filter walks it segment by segment
+	// against the zone maps; the operators that need positions ask
+	// positions() for them.
 	full bool
+	// cols maps output column i to column cols[i] of pt, and schema
+	// describes the output columns; both are nil when the frame reads every
+	// column of pt in order. Only project sets them, and a projection is the
+	// root of every plan plan.Build makes, so no other operator reads a
+	// frame through a column map.
+	cols   []int
+	schema *schema.Schema
+}
+
+// len returns the number of rows the frame selects.
+func (f *frame) len() int {
+	if f.full {
+		return f.pt.Len()
+	}
+	return len(f.rows)
+}
+
+// positions returns the frame's row positions, materialising them for a
+// full scan.
+func (f *frame) positions() []int {
+	if f.full {
+		return seq(f.pt.Len())
+	}
+	return f.rows
 }
 
 // Frame is an executed but unmaterialized result: the relation generation the
-// plan's root reads plus the qualifying row positions, in result order. The
-// streaming query path enumerates it in place instead of copying tuples into
-// a standalone result table.
+// plan's root reads, the qualifying row positions in result order, and the
+// column map. The streaming query path enumerates it in place instead of
+// copying tuples into a standalone result table.
 type Frame struct {
 	PT   *ptable.PTable
 	Rows []int
+	// Cols maps result column i to column Cols[i] of PT; nil means every
+	// column of PT, in order. Schema describes the result columns.
+	Cols   []int
+	Schema *schema.Schema
 	// isBase records whether the frame still aliases a base relation, which
 	// Materialize must copy rather than return directly.
 	isBase bool
@@ -104,10 +143,10 @@ func (f *Frame) Len() int { return len(f.Rows) }
 
 // Materialize snapshots the frame into a standalone result table.
 func (f *Frame) Materialize() *ptable.PTable {
-	if len(f.Rows) == f.PT.Len() && !f.isBase {
+	if f.Cols == nil && len(f.Rows) == f.PT.Len() && !f.isBase {
 		return f.PT
 	}
-	return copyRows("result", f.PT.Schema, f.PT, f.Rows, nil)
+	return copyRows("result", f.Schema, f.PT, f.Rows, f.Cols)
 }
 
 // copyRows builds a relation of the given rows of pt, numbered by their
@@ -143,7 +182,11 @@ func (e *Executor) Run(n plan.Node) (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Frame{PT: f.pt, Rows: f.rows, isBase: f.isBase}, nil
+	s := f.schema
+	if s == nil {
+		s = f.pt.Schema
+	}
+	return &Frame{PT: f.pt, Rows: f.positions(), Cols: f.cols, Schema: s, isBase: f.isBase}, nil
 }
 
 // exec dispatches one plan node. parent is the span the node's operator span
@@ -176,15 +219,11 @@ func (e *Executor) execScan(node *plan.Scan, parent trace.Span) (*frame, error) 
 	if !ok {
 		return nil, fmt.Errorf("engine: %w %q", plan.ErrUnknownTable, node.Table)
 	}
-	rows := make([]int, pt.Len())
-	for i := range rows {
-		rows[i] = i
-	}
 	e.Metrics.Scanned += int64(pt.Len())
 	if sp.Active() {
-		sp.End(trace.Str("table", node.Table), trace.Int("rows_out", len(rows)))
+		sp.End(trace.Str("table", node.Table), trace.Int("rows_out", pt.Len()))
 	}
-	return &frame{pt: pt, rows: rows, table: node.Table, isBase: true, full: true}, nil
+	return &frame{pt: pt, table: node.Table, isBase: true, full: true}, nil
 }
 
 func (e *Executor) execSelect(node *plan.Select, parent trace.Span) (*frame, error) {
@@ -199,7 +238,7 @@ func (e *Executor) execSelect(node *plan.Select, parent trace.Span) (*frame, err
 		if out != nil {
 			n = len(out.rows)
 		}
-		sp.End(trace.Int("rows_in", len(f.rows)), trace.Int("rows_out", n),
+		sp.End(trace.Int("rows_in", f.len()), trace.Int("rows_out", n),
 			trace.Int("rows_evaluated", st.evaluated), trace.Int("segments_pruned", st.pruned))
 	}
 	return out, err
@@ -292,13 +331,19 @@ type filterStats struct{ evaluated, pruned int }
 // every worker count. A full base scan is walked segment by segment: where a
 // segment's zones rule out its bounded cells, only the rows with an Unsure
 // bit are evaluated, with the same EvalCell, in the same order.
+//
+// Re-qualification hands over what it already knows: the first f.passed rows
+// qualified on generation f.prev. Such a row is kept without evaluation when
+// f.pt holds the same tuple pointer at its position — ApplyCOW shares every
+// untouched tuple and a published tuple is never mutated, so its cells are
+// the ones it passed on. Every other row is evaluated.
 func (e *Executor) filter(f *frame, pred expr.Pred) (*frame, filterStats, error) {
 	var zt zoneTest
 	if f.full {
 		zt = compileZoneTest(pred, f.pt.Schema)
 	}
-	w := e.parallelism(len(f.rows))
-	bounds := chunkBounds(len(f.rows), w)
+	w := e.parallelism(f.len())
+	bounds := chunkBounds(f.len(), w)
 	keeps := make([][]int, len(bounds)-1)
 	stats := make([]filterStats, len(bounds)-1)
 	runChunks(e.Ctx, bounds, w, func(ci, lo, hi int) {
@@ -319,10 +364,11 @@ func (e *Executor) filter(f *frame, pred expr.Pred) (*frame, filterStats, error)
 	return out, st, nil
 }
 
-// filterChunk filters f.rows[lo:hi]. With a zone test (full scans only, so
-// row-set indexes are positions and lo is a segment boundary) it walks the
-// chunk's segments; otherwise it tests every row. A done context stops it
-// early; the caller detects that with ctxErr and discards the result.
+// filterChunk filters the chunk [lo, hi) of f. A full scan (lo a segment
+// boundary) is walked segment by segment, a nil zone test ruling out
+// nothing; a row set is tested row by row, except the passed rows that
+// f.prev shares with f.pt (see filter). A done context stops it early; the
+// caller detects that with ctxErr and discards the result.
 func (e *Executor) filterChunk(f *frame, pred expr.Pred, zt zoneTest, lo, hi int) (keep []int, st filterStats) {
 	// Per-chunk getter: the memoized column cache must not be shared across
 	// goroutines. One closure over a mutable row variable, not one per row.
@@ -336,12 +382,20 @@ func (e *Executor) filterChunk(f *frame, pred expr.Pred, zt zoneTest, lo, hi int
 			keep = append(keep, r)
 		}
 	}
-	if zt == nil {
-		for i, r := range f.rows[lo:hi] {
-			if i%ctxCheckEvery == 0 && e.ctxErr() != nil {
+	if !f.full {
+		var pcur, cur ptable.Cursor
+		if f.passed > lo {
+			pcur, cur = f.prev.Cursor(), f.pt.Cursor()
+		}
+		for i := lo; i < hi; i++ {
+			if (i-lo)%ctxCheckEvery == 0 && e.ctxErr() != nil {
 				return
 			}
-			test(r)
+			if r := f.rows[i]; i < f.passed && pcur.At(r) == cur.At(r) {
+				keep = append(keep, r)
+			} else {
+				test(r)
+			}
 		}
 		return
 	}
@@ -351,7 +405,7 @@ func (e *Executor) filterChunk(f *frame, pred expr.Pred, zt zoneTest, lo, hi int
 			return
 		}
 		mask, all := segMask{}, true
-		if zs := f.pt.SegZones(k); zs != nil {
+		if zs := f.pt.SegZones(k); zs != nil && zt != nil {
 			mask, all = zt(zs)
 		}
 		if all {
@@ -489,14 +543,15 @@ func (e *Executor) execCleanSelect(node *plan.CleanSelect, parent trace.Span) (*
 		pred = sel.Pred
 	}
 	sp := parent.Start("cleanselect")
-	out, err := e.cleanSelect(node, f, pred, sp)
+	out, st, err := e.cleanSelect(node, f, pred, sp)
 	if sp.Active() {
 		n := 0
 		if out != nil {
 			n = len(out.rows)
 		}
 		sp.End(trace.Str("table", node.Table), trace.Int("rules", len(node.Rules)),
-			trace.Int("rows_in", len(f.rows)), trace.Int("rows_out", n))
+			trace.Int("rows_in", f.len()), trace.Int("rows_out", n),
+			trace.Int("rows_evaluated", st.evaluated))
 	}
 	return out, err
 }
@@ -504,10 +559,14 @@ func (e *Executor) execCleanSelect(node *plan.CleanSelect, parent trace.Span) (*
 // cleanSelect runs the cleaner over f's rows, then re-qualifies its
 // candidates: the same filter, over the cleaned generation, keeps every row
 // that satisfies pred in at least one possible world after cleaning (§4).
-func (e *Executor) cleanSelect(node *plan.CleanSelect, f *frame, pred expr.Pred, sp trace.Span) (*frame, error) {
-	pt, rows, err := e.Cleaner.CleanSelect(node.Table, f.rows, pred, node.Rules, &e.Metrics, sp)
+// f's rows already passed pred on f's generation, so the filter re-tests
+// only those whose tuple the cleaning replaced, and the relaxation's extras;
+// with no new generation and no extras there is nothing to re-test.
+func (e *Executor) cleanSelect(node *plan.CleanSelect, f *frame, pred expr.Pred, sp trace.Span) (*frame, filterStats, error) {
+	in := f.positions()
+	pt, rows, err := e.Cleaner.CleanSelect(node.Table, in, pred, node.Rules, &e.Metrics, sp)
 	if err != nil {
-		return nil, err
+		return nil, filterStats{}, err
 	}
 	if pt != nil {
 		// Snapshot isolation: the cleaner returns the query-local generation
@@ -517,11 +576,11 @@ func (e *Executor) cleanSelect(node *plan.CleanSelect, f *frame, pred expr.Pred,
 		pt = e.Tables[node.Table]
 	}
 	out := &frame{pt: pt, rows: rows, table: f.table, isBase: true}
-	if pred == nil {
-		return out, nil
+	if pred == nil || (pt == f.pt && len(rows) == len(in)) {
+		return out, filterStats{}, nil
 	}
-	out, _, err = e.filter(out, pred)
-	return out, err
+	out.prev, out.passed = f.pt, len(in)
+	return e.filter(out, pred)
 }
 
 func (e *Executor) execJoin(node *plan.Join, parent trace.Span) (*frame, error) {
@@ -540,7 +599,7 @@ func (e *Executor) execJoin(node *plan.Join, parent trace.Span) (*frame, error) 
 		if joined != nil {
 			n = len(joined.rows)
 		}
-		sp.End(trace.Int("rows_left", len(lf.rows)), trace.Int("rows_right", len(rf.rows)),
+		sp.End(trace.Int("rows_left", lf.len()), trace.Int("rows_right", rf.len()),
 			trace.Int("rows_out", n))
 	}
 	if err != nil {
@@ -608,13 +667,14 @@ type joinMatch struct{ l, r int }
 // list is in ascending row order for every worker count. A single chunk's
 // map is the build.
 func (e *Executor) buildSide(rf *frame, ref expr.ColRef) map[value.MapKey][]int {
-	w := e.parallelism(len(rf.rows))
-	bounds := chunkBounds(len(rf.rows), w)
+	rows := rf.positions()
+	w := e.parallelism(len(rows))
+	bounds := chunkBounds(len(rows), w)
 	parts := make([]map[value.MapKey][]int, len(bounds)-1)
 	runChunks(e.Ctx, bounds, w, func(ci, lo, hi int) {
 		get := e.cellGetter(rf)
 		part := make(map[value.MapKey][]int, hi-lo)
-		for _, r := range rf.rows[lo:hi] {
+		for _, r := range rows[lo:hi] {
 			for _, v := range get(r, ref).Values() {
 				k := v.MapKey()
 				part[k] = append(part[k], r)
@@ -625,7 +685,7 @@ func (e *Executor) buildSide(rf *frame, ref expr.ColRef) map[value.MapKey][]int 
 	if len(parts) == 1 {
 		return parts[0]
 	}
-	build := make(map[value.MapKey][]int, len(rf.rows))
+	build := make(map[value.MapKey][]int, len(rows))
 	for _, part := range parts {
 		for k, rows := range part {
 			build[k] = append(build[k], rows...)
@@ -639,12 +699,13 @@ func (e *Executor) buildSide(rf *frame, ref expr.ColRef) map[value.MapKey][]int 
 // matches in chunk order, so the pair sequence is the same for every worker
 // count. Comparison counts accumulate per chunk and merge after.
 func (e *Executor) probeSide(lf *frame, ref expr.ColRef, build map[value.MapKey][]int) []joinMatch {
-	w := e.parallelism(len(lf.rows))
-	bounds := chunkBounds(len(lf.rows), w)
+	rows := lf.positions()
+	w := e.parallelism(len(rows))
+	bounds := chunkBounds(len(rows), w)
 	results := make([][]joinMatch, len(bounds)-1)
 	locals := make([]detect.Metrics, len(bounds)-1)
 	runChunks(e.Ctx, bounds, w, func(ci, lo, hi int) {
-		results[ci] = e.probeChunk(lf, ref, build, lf.rows[lo:hi], &locals[ci])
+		results[ci] = e.probeChunk(lf, ref, build, rows[lo:hi], &locals[ci])
 	})
 	out := results[0]
 	for ci, ms := range results {
@@ -706,7 +767,7 @@ func (e *Executor) execGroupBy(node *plan.GroupBy, parent trace.Span) (*frame, e
 		if out != nil {
 			n = len(out.rows)
 		}
-		sp.End(trace.Int("rows_in", len(f.rows)), trace.Int("groups", n))
+		sp.End(trace.Int("rows_in", f.len()), trace.Int("groups", n))
 	}
 	return out, err
 }
@@ -721,7 +782,7 @@ func (e *Executor) groupBy(node *plan.GroupBy, f *frame) (*frame, error) {
 	groups := make(map[value.MapKey]*group)
 	var order []*group
 	keyBuf := make([]value.Value, len(node.Keys))
-	for ri, r := range f.rows {
+	for ri, r := range f.positions() {
 		if ri%ctxCheckEvery == 0 {
 			if err := e.ctxErr(); err != nil {
 				return nil, err
@@ -861,7 +922,7 @@ func (e *Executor) execProject(node *plan.Project, parent trace.Span) (*frame, e
 	sp := parent.Start("project")
 	defer func() {
 		if sp.Active() {
-			sp.End(trace.Int("rows", len(f.rows)), trace.Int("cols", len(node.Items)))
+			sp.End(trace.Int("rows", f.len()), trace.Int("cols", len(node.Items)))
 		}
 	}()
 	var cols []schema.Column
@@ -885,6 +946,8 @@ func (e *Executor) execProject(node *plan.Project, parent trace.Span) (*frame, e
 			return nil, err
 		}
 	}
-	out := copyRows("project", outSchema, f.pt, f.rows, idxs)
-	return &frame{pt: out, rows: seq(out.Len())}, nil
+	// Narrow the column map; the rows stay where they are.
+	out := *f
+	out.cols, out.schema = idxs, outSchema
+	return &out, nil
 }

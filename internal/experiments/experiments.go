@@ -196,7 +196,7 @@ func runOffline(tables []*table.Table, rules []*dc.Constraint, queries []string,
 		if err != nil {
 			return res, false, fmt.Errorf("offline query %q: %w", text, err)
 		}
-		res.ResultRows += fr.Materialize().Len()
+		res.ResultRows += fr.Len()
 		res.PerQuery = append(res.PerQuery, time.Since(start))
 	}
 	res.Elapsed = time.Since(start)
