@@ -325,12 +325,14 @@ func runChunks(ctx context.Context, bounds []int, workers int, fn func(ci, lo, h
 // on, and the segments whose zones let it skip some rows.
 type filterStats struct{ evaluated, pruned int }
 
-// filter keeps the rows qualifying in at least one possible world. Above the
-// partition threshold the row set fans out across the worker pool; chunk
-// results concatenate in chunk order, so the output is byte-identical for
-// every worker count. A full base scan is walked segment by segment: where a
+// filter keeps the rows qualifying in at least one possible world. The
+// predicate is compiled once per call against the frame's schema (see
+// compilePred) into a row kernel that every chunk shares. Above the partition
+// threshold the row set fans out across the worker pool; chunk results
+// concatenate in chunk order, so the output is byte-identical for every
+// worker count. A full base scan is walked segment by segment: where a
 // segment's zones rule out its bounded cells, only the rows with an Unsure
-// bit are evaluated, with the same EvalCell, in the same order.
+// bit are evaluated, with the same kernel, in the same order.
 //
 // Re-qualification hands over what it already knows: the first f.passed rows
 // qualified on generation f.prev. Such a row is kept without evaluation when
@@ -338,16 +340,16 @@ type filterStats struct{ evaluated, pruned int }
 // untouched tuple and a published tuple is never mutated, so its cells are
 // the ones it passed on. Every other row is evaluated.
 func (e *Executor) filter(f *frame, pred expr.Pred) (*frame, filterStats, error) {
-	var zt zoneTest
-	if f.full {
-		zt = compileZoneTest(pred, f.pt.Schema)
+	kern, zt, err := compilePred(pred, f.pt.Schema)
+	if err != nil {
+		return nil, filterStats{}, err
 	}
 	w := e.parallelism(f.len())
 	bounds := chunkBounds(f.len(), w)
 	keeps := make([][]int, len(bounds)-1)
 	stats := make([]filterStats, len(bounds)-1)
 	runChunks(e.Ctx, bounds, w, func(ci, lo, hi int) {
-		keeps[ci], stats[ci] = e.filterChunk(f, pred, zt, lo, hi)
+		keeps[ci], stats[ci] = e.filterChunk(f, kern, zt, lo, hi)
 	})
 	if err := e.ctxErr(); err != nil {
 		return nil, filterStats{}, err
@@ -369,23 +371,18 @@ func (e *Executor) filter(f *frame, pred expr.Pred) (*frame, filterStats, error)
 // nothing; a row set is tested row by row, except the passed rows that
 // f.prev shares with f.pt (see filter). A done context stops it early; the
 // caller detects that with ctxErr and discards the result.
-func (e *Executor) filterChunk(f *frame, pred expr.Pred, zt zoneTest, lo, hi int) (keep []int, st filterStats) {
-	// Per-chunk getter: the memoized column cache must not be shared across
-	// goroutines. One closure over a mutable row variable, not one per row.
-	get := e.cellGetter(f)
-	row := 0
-	cellOf := func(ref expr.ColRef) *uncertain.Cell { return get(row, ref) }
+func (e *Executor) filterChunk(f *frame, kern rowKernel, zt zoneTest, lo, hi int) (keep []int, st filterStats) {
+	cur := f.pt.Cursor() // per chunk: a cursor caches its segment
 	test := func(r int) {
-		row = r
 		st.evaluated++
-		if pred.EvalCell(cellOf) {
+		if kern(cur.At(r).Cells) {
 			keep = append(keep, r)
 		}
 	}
 	if !f.full {
-		var pcur, cur ptable.Cursor
+		var pcur ptable.Cursor
 		if f.passed > lo {
-			pcur, cur = f.prev.Cursor(), f.pt.Cursor()
+			pcur = f.prev.Cursor()
 		}
 		for i := lo; i < hi; i++ {
 			if (i-lo)%ctxCheckEvery == 0 && e.ctxErr() != nil {
@@ -424,59 +421,6 @@ func (e *Executor) filterChunk(f *frame, pred expr.Pred, zt zoneTest, lo, hi int
 	return
 }
 
-// segMask is a set of offsets within one segment, laid out like
-// ptable.Zone.Unsure.
-type segMask = [ptable.SegmentSize / 64]uint64
-
-// zoneTest is a predicate compiled against one relation's schema for
-// per-segment zone tests: given a segment's zones it returns the offsets
-// whose rows may qualify, or all=true when the zones rule out none. A nil
-// zoneTest rules out nothing.
-type zoneTest func(zs []ptable.Zone) (mask segMask, all bool)
-
-// compileZoneTest compiles pred into a zoneTest. A comparison against a
-// constant whose zone excludes it leaves that column's Unsure rows, and AND
-// intersects its sides' rows. OR, column-to-column comparisons and unknown
-// nodes rule out nothing.
-func compileZoneTest(pred expr.Pred, s *schema.Schema) zoneTest {
-	switch p := pred.(type) {
-	case *expr.Cmp:
-		idx := resolveRef(s, p.Ref)
-		if idx < 0 {
-			return nil
-		}
-		return func(zs []ptable.Zone) (segMask, bool) {
-			if z := &zs[idx]; z.Excludes(p.Op, p.Val) {
-				return z.Unsure, false
-			}
-			return segMask{}, true
-		}
-	case *expr.And:
-		l, r := compileZoneTest(p.L, s), compileZoneTest(p.R, s)
-		switch {
-		case l == nil:
-			return r
-		case r == nil:
-			return l
-		}
-		return func(zs []ptable.Zone) (segMask, bool) {
-			lm, lall := l(zs)
-			rm, rall := r(zs)
-			switch {
-			case lall:
-				return rm, rall
-			case rall:
-				return lm, false
-			}
-			for i := range lm {
-				lm[i] &= rm[i]
-			}
-			return lm, false
-		}
-	}
-	return nil
-}
-
 // resolveRef resolves a column reference against a schema: a qualified name
 // first tries the prefixed join column ("table.col"), then the plain name.
 // Returns -1 when absent.
@@ -489,42 +433,6 @@ func resolveRef(s *schema.Schema, ref expr.ColRef) int {
 		idx = s.Index(ref.Col)
 	}
 	return idx
-}
-
-// cellGetter returns a cell accessor for the frame that memoizes column
-// resolution — each distinct reference pays the name lookup (and the
-// qualified-name concatenation) once, not once per cell — and reads rows
-// through a private segment-caching cursor, so a chunk scan decodes the
-// segment directory once per segment instead of once per cell. A query names
-// a handful of columns, so the memo is a linearly probed slice: comparing a
-// reference against a few resolved ones is cheaper than hashing its two
-// strings on every cell. The getter is single-goroutine state (cursor and
-// memo alike); parallel operators create one per chunk.
-func (e *Executor) cellGetter(f *frame) func(row int, ref expr.ColRef) *uncertain.Cell {
-	s := f.pt.Schema
-	cur := f.pt.Cursor()
-	type resolved struct {
-		ref expr.ColRef
-		idx int
-	}
-	var memo []resolved
-	return func(row int, ref expr.ColRef) *uncertain.Cell {
-		idx := -1
-		for i := range memo {
-			if memo[i].ref == ref {
-				idx = memo[i].idx
-				break
-			}
-		}
-		if idx < 0 {
-			idx = resolveRef(s, ref)
-			if idx < 0 {
-				panic(fmt.Sprintf("engine: column %s not in schema (%s)", ref, s))
-			}
-			memo = append(memo, resolved{ref, idx})
-		}
-		return &cur.At(row).Cells[idx]
-	}
 }
 
 func (e *Executor) execCleanSelect(node *plan.CleanSelect, parent trace.Span) (*frame, error) {
@@ -621,8 +529,16 @@ func (e *Executor) hashJoin(lf, rf *frame, node *plan.Join, sp trace.Span) (*fra
 	}
 	out := ptable.New("join", joinedSchema)
 
-	build := e.buildSide(rf, node.RightRef)
-	matches := e.probeSide(lf, node.LeftRef, build)
+	rcol, err := resolveCol(rightSchema, node.RightRef)
+	if err != nil {
+		return nil, err
+	}
+	lcol, err := resolveCol(lf.pt.Schema, node.LeftRef)
+	if err != nil {
+		return nil, err
+	}
+	build := e.buildSide(rf, rcol)
+	matches := e.probeSide(lf, lcol, build)
 	if err := e.ctxErr(); err != nil {
 		return nil, err
 	}
@@ -662,21 +578,22 @@ func (e *Executor) hashJoin(lf, rf *frame, node *plan.Join, sp trace.Span) (*fra
 type joinMatch struct{ l, r int }
 
 // buildSide hashes the build relation by every candidate value of its join
-// key. Each chunk scans into a private map; above the partition threshold
-// the chunks fan out and their maps merge in chunk order, so every key's row
-// list is in ascending row order for every worker count. A single chunk's
-// map is the build.
-func (e *Executor) buildSide(rf *frame, ref expr.ColRef) map[value.MapKey][]int {
+// key, column col. Each chunk scans into a private map; above the partition
+// threshold the chunks fan out and their maps merge in chunk order, so every
+// key's row list is in ascending row order for every worker count. A single
+// chunk's map is the build.
+func (e *Executor) buildSide(rf *frame, col int) map[value.MapKey][]int {
 	rows := rf.positions()
 	w := e.parallelism(len(rows))
 	bounds := chunkBounds(len(rows), w)
 	parts := make([]map[value.MapKey][]int, len(bounds)-1)
 	runChunks(e.Ctx, bounds, w, func(ci, lo, hi int) {
-		get := e.cellGetter(rf)
+		cur := rf.pt.Cursor()
 		part := make(map[value.MapKey][]int, hi-lo)
 		for _, r := range rows[lo:hi] {
-			for _, v := range get(r, ref).Values() {
-				k := v.MapKey()
+			c := &cur.At(r).Cells[col]
+			for i := range numValues(c) {
+				k := valueAt(c, i).MapKey()
 				part[k] = append(part[k], r)
 			}
 		}
@@ -694,18 +611,19 @@ func (e *Executor) buildSide(rf *frame, ref expr.ColRef) map[value.MapKey][]int 
 	return build
 }
 
-// probeSide probes every candidate value of the left join key and collects
-// qualifying pairs. Probing chunks the left rows and concatenates per-chunk
-// matches in chunk order, so the pair sequence is the same for every worker
-// count. Comparison counts accumulate per chunk and merge after.
-func (e *Executor) probeSide(lf *frame, ref expr.ColRef, build map[value.MapKey][]int) []joinMatch {
+// probeSide probes every candidate value of the left join key, column col,
+// and collects qualifying pairs. Probing chunks the left rows and
+// concatenates per-chunk matches in chunk order, so the pair sequence is the
+// same for every worker count. Comparison counts accumulate per chunk and
+// merge after.
+func (e *Executor) probeSide(lf *frame, col int, build map[value.MapKey][]int) []joinMatch {
 	rows := lf.positions()
 	w := e.parallelism(len(rows))
 	bounds := chunkBounds(len(rows), w)
 	results := make([][]joinMatch, len(bounds)-1)
 	locals := make([]detect.Metrics, len(bounds)-1)
 	runChunks(e.Ctx, bounds, w, func(ci, lo, hi int) {
-		results[ci] = e.probeChunk(lf, ref, build, rows[lo:hi], &locals[ci])
+		results[ci] = e.probeChunk(lf, col, build, rows[lo:hi], &locals[ci])
 	})
 	out := results[0]
 	for ci, ms := range results {
@@ -717,23 +635,24 @@ func (e *Executor) probeSide(lf *frame, ref expr.ColRef, build map[value.MapKey]
 	return out
 }
 
-func (e *Executor) probeChunk(lf *frame, ref expr.ColRef, build map[value.MapKey][]int, rows []int, m *detect.Metrics) []joinMatch {
-	get := e.cellGetter(lf)
+func (e *Executor) probeChunk(lf *frame, col int, build map[value.MapKey][]int, rows []int, m *detect.Metrics) []joinMatch {
+	cur := lf.pt.Cursor()
 	var out []joinMatch
 	var matched map[int]bool
 	for ri, l := range rows {
 		if ri%ctxCheckEvery == 0 && e.ctxErr() != nil {
 			return out // caller re-polls ctxErr and discards the partial result
 		}
-		vals := get(l, ref).Values()
+		c := &cur.At(l).Cells[col]
+		nv := numValues(c)
 		// Certain cells (the common case) have one candidate, so no match
 		// can repeat and the dedup set is unnecessary.
-		if len(vals) > 1 {
+		if nv > 1 {
 			matched = make(map[int]bool)
 		}
-		for _, v := range vals {
-			for _, r := range build[v.MapKey()] {
-				if len(vals) > 1 {
+		for i := range nv {
+			for _, r := range build[valueAt(c, i).MapKey()] {
+				if nv > 1 {
 					if matched[r] {
 						continue
 					}
@@ -772,12 +691,44 @@ func (e *Executor) execGroupBy(node *plan.GroupBy, parent trace.Span) (*frame, e
 	return out, err
 }
 
+// groupBy groups the rows by the representative values of the keys and
+// folds every aggregate in the same pass, so each row's cells are read once,
+// in row order. Groups come out ordered by key values.
 func (e *Executor) groupBy(node *plan.GroupBy, f *frame) (*frame, error) {
-	get := e.cellGetter(f)
+	outSchema, err := aggSchema(f.pt.Schema, node.Keys, node.Items)
+	if err != nil {
+		return nil, err
+	}
+	// Resolve every column once; aggSchema has vetted the keys.
+	keyCols := make([]int, len(node.Keys))
+	for ki, k := range node.Keys {
+		keyCols[ki] = resolveRef(f.pt.Schema, k)
+	}
+	var aggs []aggItem
+	nacc := 0
+	for _, it := range node.Items {
+		if it.Agg == sql.AggNone {
+			continue // a key column
+		}
+		a := aggItem{agg: it.Agg, col: -1}
+		switch {
+		case it.Agg < sql.AggCount || it.Agg > sql.AggMax:
+			return nil, fmt.Errorf("engine: unsupported aggregate %v", it.Agg)
+		case it.Agg == sql.AggCount && it.Star:
+		default:
+			if a.col, err = resolveCol(f.pt.Schema, it.Ref); err != nil {
+				return nil, err
+			}
+			a.acc, nacc = nacc, nacc+1
+		}
+		aggs = append(aggs, a)
+	}
+	cur := f.pt.Cursor()
 
 	type group struct {
 		keyVals []value.Value
-		rows    []int
+		rows    int64
+		accs    []acc // one per aggregate that reads a column
 	}
 	groups := make(map[value.MapKey]*group)
 	var order []*group
@@ -788,17 +739,23 @@ func (e *Executor) groupBy(node *plan.GroupBy, f *frame) (*frame, error) {
 				return nil, err
 			}
 		}
-		for ki, k := range node.Keys {
-			keyBuf[ki] = get(r, k).Value() // representative value of a probabilistic key
+		cells := cur.At(r).Cells
+		for ki, c := range keyCols {
+			keyBuf[ki] = cells[c].Value() // representative value of a probabilistic key
 		}
 		key := value.MapKeyOf(keyBuf...)
 		g, ok := groups[key]
 		if !ok {
-			g = &group{keyVals: append([]value.Value(nil), keyBuf...)}
+			g = &group{keyVals: append([]value.Value(nil), keyBuf...), accs: make([]acc, nacc)}
 			groups[key] = g
 			order = append(order, g)
 		}
-		g.rows = append(g.rows, r)
+		g.rows++
+		for _, a := range aggs {
+			if a.col >= 0 {
+				g.accs[a.acc].add(a.agg, cells[a.col].Value())
+			}
+		}
 	}
 	// Deterministic output: groups ordered by key values.
 	sort.Slice(order, func(i, j int) bool {
@@ -811,23 +768,16 @@ func (e *Executor) groupBy(node *plan.GroupBy, f *frame) (*frame, error) {
 		return false
 	})
 
-	outSchema, err := aggSchema(f.pt.Schema, node.Keys, node.Items)
-	if err != nil {
-		return nil, err
-	}
 	out := ptable.New("groupby", outSchema)
 	for _, g := range order {
 		cells := make([]uncertain.Cell, 0, outSchema.Len())
 		for _, v := range g.keyVals {
 			cells = append(cells, uncertain.Certain(v))
 		}
-		for _, it := range node.Items {
-			if it.Agg == sql.AggNone {
-				continue // key columns already emitted
-			}
-			v, err := e.aggregate(get, g.rows, it)
-			if err != nil {
-				return nil, err
+		for _, a := range aggs {
+			v := value.NewInt(g.rows) // COUNT(*)
+			if a.col >= 0 {
+				v = g.accs[a.acc].result(a.agg)
 			}
 			cells = append(cells, uncertain.Certain(v))
 		}
@@ -865,47 +815,56 @@ func aggSchema(in *schema.Schema, keys []expr.ColRef, items []sql.SelectItem) (*
 	return schema.New(cols...)
 }
 
-// aggregate computes one aggregate over the group's representative values,
-// reading cells through the caller's memoized getter.
-func (e *Executor) aggregate(get func(int, expr.ColRef) *uncertain.Cell, rows []int, it sql.SelectItem) (value.Value, error) {
-	if it.Agg == sql.AggCount && it.Star {
-		return value.NewInt(int64(len(rows))), nil
+// aggItem is one aggregate of a GROUP BY: its function, the column it
+// reads (-1 for COUNT(*), which needs only the group's row count) and the
+// index of its acc in a group.
+type aggItem struct {
+	agg      sql.AggFunc
+	col, acc int
+}
+
+// acc folds one aggregate over a group's representative values, skipping
+// NULLs. ext is the minimum for MIN, the maximum for MAX.
+type acc struct {
+	count int64
+	sum   float64
+	ext   value.Value
+}
+
+func (a *acc) add(agg sql.AggFunc, v value.Value) {
+	if v.IsNull() {
+		return
 	}
-	var sum float64
-	var count int64
-	var minV, maxV value.Value
-	for _, r := range rows {
-		v := get(r, it.Ref).Value()
-		if v.IsNull() {
-			continue
-		}
-		count++
+	a.count++
+	switch agg {
+	case sql.AggSum, sql.AggAvg:
 		if v.IsNumeric() {
-			sum += v.Float()
+			a.sum += v.Float()
 		}
-		if minV.IsNull() || v.Less(minV) {
-			minV = v
-		}
-		if maxV.IsNull() || maxV.Less(v) {
-			maxV = v
-		}
-	}
-	switch it.Agg {
-	case sql.AggCount:
-		return value.NewInt(count), nil
-	case sql.AggSum:
-		return value.NewFloat(sum), nil
-	case sql.AggAvg:
-		if count == 0 {
-			return value.NewNull(), nil
-		}
-		return value.NewFloat(sum / float64(count)), nil
 	case sql.AggMin:
-		return minV, nil
+		if a.ext.IsNull() || v.Less(a.ext) {
+			a.ext = v
+		}
 	case sql.AggMax:
-		return maxV, nil
+		if a.ext.IsNull() || a.ext.Less(v) {
+			a.ext = v
+		}
 	}
-	return value.Value{}, fmt.Errorf("engine: unsupported aggregate %v", it.Agg)
+}
+
+func (a *acc) result(agg sql.AggFunc) value.Value {
+	switch agg {
+	case sql.AggCount:
+		return value.NewInt(a.count)
+	case sql.AggSum:
+		return value.NewFloat(a.sum)
+	case sql.AggAvg:
+		if a.count == 0 {
+			return value.NewNull()
+		}
+		return value.NewFloat(a.sum / float64(a.count))
+	}
+	return a.ext // MIN, MAX
 }
 
 func (e *Executor) execProject(node *plan.Project, parent trace.Span) (*frame, error) {

@@ -2,6 +2,9 @@
 // evaluable both over deterministic rows and over probabilistic tuples.
 // Probabilistic evaluation follows §4 of the paper: a comparison qualifies a
 // tuple iff at least one candidate value of the referenced cell satisfies it.
+// EvalCell is the reference semantics: the engine compiles a predicate into
+// its own row kernel, which must decide every row as EvalCell does, and the
+// naive oracle evaluates through EvalCell directly.
 package expr
 
 import (
@@ -31,7 +34,9 @@ type Pred interface {
 	// Eval evaluates over deterministic values.
 	Eval(get func(ColRef) value.Value) bool
 	// EvalCell evaluates over probabilistic cells (possible-worlds
-	// qualification: true iff some candidate combination satisfies).
+	// qualification: true iff some candidate combination satisfies). It is
+	// the reference the engine's compiled row kernel must equal, row for
+	// row.
 	EvalCell(get func(ColRef) *uncertain.Cell) bool
 	// Cols lists the referenced columns.
 	Cols() []ColRef
